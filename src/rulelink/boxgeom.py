@@ -113,6 +113,8 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
                 eid = str(rec["id"])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise FeatureError(f"{path} line {line_no}: bad embedding record ({exc})")
+            if not np.all(np.isfinite(vec)):
+                raise FeatureError(f"{path} line {line_no}: non-finite embedding value")
             if dim is None:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:

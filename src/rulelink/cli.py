@@ -47,7 +47,7 @@ def _atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rulelink-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -105,9 +105,7 @@ def _cmd_featurize(args) -> int:
     catalog = default_catalog(box_params=box_params).restricted(leaves)
     table = build_feature_table(ds, catalog, jobs=args.jobs)
     buf = io.StringIO()
-    buf.write(",".join(["mention_id", "candidate_id"] + table.feature_names) + "\n")
-    for (mid, cid), values in table.rows.items():
-        buf.write(",".join([mid, cid] + [repr(values[n]) for n in table.feature_names]) + "\n")
+    table.write_csv(buf)
     _atomic_write(args.out, buf.getvalue())
     logger.info("wrote %d feature rows to %s", len(table.rows), args.out)
     return 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -133,6 +134,7 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
         fail("labels must be 0 or 1")
 
     candidates = []
+    cand_ids: set[str] = set()
     for c in raw_cands:
         try:
             emb = c.get("embedding")
@@ -149,6 +151,11 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
             fail(f"malformed candidate ({exc})")
         if cand.indegree < 0:
             fail(f"candidate {cand.id!r} has negative indegree")
+        if cand.embedding is not None and not all(math.isfinite(v) for v in cand.embedding):
+            fail(f"candidate {cand.id!r} has a non-finite embedding value")
+        if cand.id in cand_ids:
+            fail(f"duplicate candidate id {cand.id!r}")
+        cand_ids.add(cand.id)
         for k, v in cand.external_scores.items():
             if not 0.0 <= v <= 1.0:
                 fail(f"external score {k!r}={v} outside [0,1] on candidate {cand.id!r}")
@@ -465,6 +472,11 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
                 violations.append(f"mention {mid!r}: unknown context id {ctx!r}")
         if not inst.candidates:
             violations.append(f"mention {mid!r}: empty candidate list")
+        cand_ids: set[str] = set()
+        for cand in inst.candidates:
+            if cand.id in cand_ids:
+                violations.append(f"mention {mid!r}: duplicate candidate id {cand.id!r}")
+            cand_ids.add(cand.id)
         if len(inst.labels) != len(inst.candidates):
             violations.append(
                 f"mention {mid!r}: {len(inst.labels)} labels for {len(inst.candidates)} candidates"

@@ -345,6 +345,13 @@ class TestEmbeddingFiles:
         with pytest.raises(FeatureError, match="dimension"):
             load_embeddings(path)
 
+    def test_non_finite_vector_rejected(self, tmp_path):
+        from rulelink.boxgeom import load_embeddings
+
+        path = self._write(tmp_path, [{"id": "a", "vec": [1.0, 2.0]}, {"id": "b", "vec": [float("nan"), 0.0]}])
+        with pytest.raises(FeatureError, match="line 2: non-finite"):
+            load_embeddings(path)
+
     def test_unmatched_candidates_warn(self, tmp_path, caplog):
         from rulelink.boxgeom import attach_embeddings
 

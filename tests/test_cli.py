@@ -36,6 +36,17 @@ def _featurize(workdir, out="features.csv"):
     return workdir / out
 
 
+def _edit_first_instance(workdir, edit):
+    """Rewrite data.jsonl with ``edit`` applied to its first instance."""
+    path = workdir / "data.jsonl"
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[0])
+    edit(obj)
+    lines[0] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    return obj
+
+
 def _train(workdir, out="model.json", seed="7", features="features.csv"):
     code = run(
         [
@@ -138,6 +149,24 @@ class TestLinkEvalCli:
         report = json.loads((workdir / "report.json").read_text())
         assert set(report) == {"precision", "recall", "f1", "recall_at", "per_mention"}
 
+    def test_kg_id_with_comma_survives_featurize_train_link(self, workdir):
+        def rename(obj):
+            obj["candidates"][0]["id"] = "Washington,_D.C."
+
+        obj = _edit_first_instance(workdir, rename)
+        _featurize(workdir)
+        _train(workdir)
+        code = run(
+            ["link", "--model", str(workdir / "model.json"),
+             "--data", str(workdir / "data.jsonl"),
+             "--features", str(workdir / "features.csv"),
+             "--out", str(workdir / "preds.json")]
+        )
+        assert code == 0
+        preds = json.loads((workdir / "preds.json").read_text())
+        ranked = next(p["ranked"] for p in preds if p["mention_id"] == obj["mention"]["id"])
+        assert "Washington,_D.C." in [cid for cid, _ in ranked]
+
     def test_transfer_subcommand(self, workdir):
         _featurize(workdir)
         _train(workdir)
@@ -191,6 +220,18 @@ class TestUsageErrors:
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert run(["upload"]) == 1
+
+    def test_duplicate_candidate_ids_exit_one(self, workdir, capsys):
+        def duplicate(obj):
+            obj["candidates"][1]["id"] = obj["candidates"][0]["id"]
+
+        _edit_first_instance(workdir, duplicate)
+        code = run(
+            ["featurize", "--data", str(workdir / "data.jsonl"),
+             "--rules", str(workdir / "rules.elr"), "--out", str(workdir / "f.csv")]
+        )
+        assert code == 1
+        assert "duplicate candidate id" in capsys.readouterr().err
 
     def test_bad_rules_syntax_exits_one(self, workdir, capsys):
         (workdir / "bad.elr").write_text("rule broken = ;")

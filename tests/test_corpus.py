@@ -67,6 +67,21 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="dimension mismatch"):
             load_dataset(path)
 
+    def test_duplicate_candidate_id_rejected(self, tmp_path):
+        obj = instance_obj("m1")
+        obj["candidates"][1]["id"] = "e1"
+        path = write_jsonl(tmp_path / "d.jsonl", [obj])
+        with pytest.raises(DatasetError, match="line 1: duplicate candidate id 'e1'"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_embedding_rejected(self, tmp_path, bad):
+        obj = instance_obj("m1")
+        obj["candidates"][0]["embedding"] = [0.5, bad]
+        path = write_jsonl(tmp_path / "d.jsonl", [obj])
+        with pytest.raises(DatasetError, match="non-finite embedding"):
+            load_dataset(path)
+
     def test_label_length_mismatch_is_malformed(self, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1", labels=[1])])
         with pytest.raises(DatasetError, match="line 1"):
@@ -257,6 +272,15 @@ class TestValidateDataset:
         report = validate_dataset(ds)
         assert report.ok
         assert report.coverage["description"] == 0.5
+
+    def test_duplicate_candidate_id_is_violation(self, toy_dataset):
+        from rulelink.corpus import Dataset, LabeledInstance
+
+        inst = toy_dataset.instances[0]
+        doubled = LabeledInstance(inst.mention, inst.candidates * 2, inst.labels * 2)
+        report = validate_dataset(Dataset(instances=(doubled,), name="doubled"))
+        assert "mention 'm1': duplicate candidate id 'James_Cameron'" in report.violations
+        assert "mention 'm1': duplicate candidate id 'Roderick_Cameron'" in report.violations
 
     def test_label_length_mismatch_is_violation(self, toy_dataset):
         from rulelink.corpus import Dataset, LabeledInstance

@@ -12,6 +12,8 @@ from rulelink.simfeatures import (
     FeatureCatalog,
     FeatureSpec,
     FeatureTable,
+    _levenshtein,
+    _window_distances,
     build_feature_table,
     char_jaccard,
     context_score,
@@ -26,6 +28,50 @@ from rulelink.simfeatures import (
 )
 
 words = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=0x2FF), max_size=24)
+# Any code point, lone surrogates included, plus a small alphabet (with an
+# astral char and both surrogate halves) so that strings share characters.
+any_char = st.sampled_from("ab \u00e9\U0001F600\ud800\udc00") | st.characters(exclude_categories=())
+
+
+def levenshtein_reference(a: str, b: str) -> int:
+    """Row-by-row pure-Python edit distance DP: the slow reference."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        curr = [i]
+        for j, cb in enumerate(b, start=1):
+            cost = 0 if ca == cb else 1
+            curr.append(min(prev[j] + 1, curr[j - 1] + 1, prev[j - 1] + cost))
+        prev = curr
+    return prev[-1]
+
+
+def partial_ratio_reference(short: str, long: str) -> float:
+    """Window sweep: one reference DP per equal-length window."""
+    if len(short) > len(long):
+        short, long = long, short
+    if not short:
+        return 1.0
+    n = len(short)
+    return max(
+        1.0 - levenshtein_reference(short, long[i : i + n]) / max(n, len(long[i : i + n]))
+        for i in range(len(long) - n + 1)
+    )
+
+
+def context_scores_reference(inst: LabeledInstance, mentions: dict) -> np.ndarray:
+    """Per-candidate sum over co-mentions, accumulated left to right."""
+    surfaces = [mentions[c].surface for c in inst.mention.context_ids]
+    raws = []
+    for cand in inst.candidates:
+        if cand.description is None or not surfaces:
+            raws.append(0.0)
+        else:
+            raws.append(sum(partial_ratio_reference(s, cand.description) for s in surfaces))
+    return minmax_rescale(raws)
 
 
 def edit_distance_oracle(a: str, b: str) -> int:
@@ -129,6 +175,73 @@ class TestPartialRatio:
     @given(words, words)
     def test_argument_order_invariant(self, a, b):
         assert partial_ratio(a, b) == pytest.approx(partial_ratio(b, a))
+
+
+class TestKernelsMatchReferences:
+    """The vectorised and bit-parallel kernels equal the slow references
+    exactly (``==``) over arbitrary unicode."""
+
+    @given(st.text(any_char, max_size=20), st.text(any_char, max_size=20))
+    @settings(max_examples=300)
+    def test_levenshtein(self, a, b):
+        assert _levenshtein(a, b) == levenshtein_reference(a, b)
+        assert lev_sim(a, b) == (
+            1.0 if not a and not b else 1.0 - levenshtein_reference(a, b) / max(len(a), len(b))
+        )
+
+    def test_levenshtein_beyond_one_machine_word(self):
+        a = "ab" * 70 + "\U0001F600"
+        b = "ba" * 65 + "\ud800"
+        assert _levenshtein(a, b) == levenshtein_reference(a, b)
+
+    @given(st.text(any_char, max_size=8), st.text(any_char, max_size=24))
+    @settings(max_examples=300)
+    def test_partial_ratio(self, a, b):
+        expected = partial_ratio_reference(a, b)
+        assert partial_ratio(a, b) == expected
+        assert partial_ratio(b, a) == expected
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_window_distances_over_several_longs(self, data):
+        short = data.draw(st.text(any_char, min_size=1, max_size=8))
+        n = len(short)
+        longs = data.draw(
+            st.lists(st.text(any_char, min_size=n, max_size=n + 20), min_size=1, max_size=5)
+        )
+        expected = [
+            min(levenshtein_reference(short, t[i : i + n]) for i in range(len(t) - n + 1))
+            for t in longs
+        ]
+        assert _window_distances(short, longs).tolist() == expected
+
+    @given(
+        st.lists(st.text(any_char, max_size=10), max_size=4),
+        st.lists(st.none() | st.text(any_char, max_size=30), min_size=1, max_size=6),
+    )
+    @settings(max_examples=200)
+    def test_context_scores_exact(self, surfaces, descriptions):
+        ctx = {f"c{k}": Mention(id=f"c{k}", surface=s, text_id="t") for k, s in enumerate(surfaces)}
+        target = Mention(id="m", surface="x", text_id="t", context_ids=tuple(ctx))
+        mentions = {**ctx, "m": target}
+        cands = tuple(
+            CandidateEntity(id=f"e{k}", name="e", description=d) for k, d in enumerate(descriptions)
+        )
+        inst = LabeledInstance(target, cands, (1,) + (0,) * (len(cands) - 1))
+        assert context_scores(inst, mentions).tolist() == (
+            context_scores_reference(inst, mentions).tolist()
+        )
+
+    @given(st.text(any_char, max_size=8), st.lists(st.text(any_char, max_size=16), min_size=1, max_size=6))
+    @settings(max_examples=100)
+    def test_pr_feature_column(self, surface, names):
+        m = Mention(id="m", surface=surface, text_id="t")
+        cands = tuple(CandidateEntity(id=f"e{k}", name=name) for k, name in enumerate(names))
+        ds = Dataset(instances=(LabeledInstance(m, cands, (1,) + (0,) * (len(cands) - 1)),))
+        table = build_feature_table(ds, default_catalog().restricted(["pr"]))
+        assert [table.value("m", c.id, "pr") for c in cands] == [
+            partial_ratio_reference(surface, name) for name in names
+        ]
 
 
 class TestMinmaxRescale:
@@ -283,3 +396,44 @@ class TestFeatureTableCsv:
         loaded = FeatureTable.from_csv(path)
         assert loaded.feature_names == table.feature_names
         assert loaded.rows == table.rows
+
+    def test_plain_ids_write_plain_comma_joined_lines(self, toy_dataset, tmp_path):
+        table = build_feature_table(toy_dataset, default_catalog().restricted(["jacc", "prom"]))
+        path = tmp_path / "features.csv"
+        table.to_csv(path)
+        expected = "mention_id,candidate_id,jacc,prom\n" + "".join(
+            f"{mid},{cid},{vals['jacc']!r},{vals['prom']!r}\n" for (mid, cid), vals in table.rows.items()
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(st.characters(exclude_categories=("Cs",)), max_size=12),
+                st.text(st.characters(exclude_categories=("Cs",)), max_size=12),
+            ),
+            max_size=5,
+            unique=True,
+        ),
+        st.floats(allow_nan=False),
+    )
+    @settings(max_examples=100)
+    def test_any_unicode_id_round_trips(self, tmp_path_factory, keys, value):
+        table = FeatureTable(["f"])
+        for mid, cid in keys:
+            table.add_row(mid, cid, {"f": value})
+        path = tmp_path_factory.mktemp("csv") / "features.csv"
+        table.to_csv(path)
+        assert FeatureTable.from_csv(path).rows == table.rows
+
+    def test_wrong_cell_count_names_line(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text('mention_id,candidate_id,f\nm1,"a,b",0.5\nm2,c,0.1,0.2\n')
+        with pytest.raises(FeatureError, match="line 3: expected 3 cells"):
+            FeatureTable.from_csv(path)
+
+    def test_csv_parser_error_is_feature_error(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("mention_id,candidate_id,f\nm1," + "x" * 200_000 + ",0.5\n")
+        with pytest.raises(FeatureError, match="line 2: field larger than field limit"):
+            FeatureTable.from_csv(path)
