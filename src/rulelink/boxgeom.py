@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Dataset, LabeledInstance
-from .errors import FeatureError, TrainingDivergence
+from .errors import FeatureError
 from .logic import sigmoid, softplus, softplus_inverse
 from .simfeatures import minmax_rescale
+from .training import descend, margin_loss
 
 logger = logging.getLogger(__name__)
 
@@ -51,10 +52,6 @@ class Box:
     @property
     def center(self) -> np.ndarray:
         return (self.lower + self.upper) / 2.0
-
-    @property
-    def half_width(self) -> np.ndarray:
-        return (self.upper - self.lower) / 2.0
 
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
@@ -254,11 +251,6 @@ def joint_box_feature_multi(
     return minmax_rescale(p.beta_box * sims + cos)
 
 
-def joint_box_feature(inst: LabeledInstance, peer_candidates: list, p: BoxParams, cos_scores) -> np.ndarray:
-    """Single-peer joint score; see :func:`joint_box_feature_multi`."""
-    return joint_box_feature_multi(inst, [peer_candidates], p, cos_scores)
-
-
 # --- training ----------------------------------------------------------
 
 
@@ -307,7 +299,8 @@ def _rescale_with_grad(scores: np.ndarray):
 
 
 def _box_loss_grad(inst, geometry, cos, raw, mu, grads):
-    """Margin loss for one mention; accumulates raw-parameter gradients."""
+    """Margin loss and rescaled joint scores of one mention; adds the
+    raw-parameter gradients to ``grads`` unless it is None."""
     own_emb, own, peer_boxes = geometry
     psi = raw["psi"]
     omega = softplus(raw["raw_omega"])
@@ -332,19 +325,9 @@ def _box_loss_grad(inst, geometry, cos, raw, mu, grads):
     scores = beta * sims + cos
     out, rescale_back = _rescale_with_grad(scores)
 
-    loss = 0.0
-    dout = np.zeros_like(out)
-    for p_idx in inst.positive_indices():
-        margins = mu - (out[p_idx] - out)
-        for n_idx in range(len(out)):
-            if n_idx == p_idx or inst.labels[n_idx] == 1:
-                continue
-            if margins[n_idx] > 0.0:
-                loss += margins[n_idx]
-                dout[p_idx] -= 1.0
-                dout[n_idx] += 1.0
+    loss, dout = margin_loss(out, inst.labels, mu)
     if grads is None or empty:
-        return loss
+        return loss, out
 
     dscores = rescale_back(dout)
     grads["raw_beta"] += (dscores * sims).sum() * sigmoid(raw["raw_beta"])
@@ -358,16 +341,13 @@ def _box_loss_grad(inst, geometry, cos, raw, mu, grads):
         from_hi = dhi * (hi_arg == peer_idx)
         grads["psi"] += from_lo + from_hi
         grads["raw_omega"] += (from_hi - from_lo) / 2.0 * sigmoid(raw["raw_omega"])
-    return loss
+    return loss, out
 
 
 def box_total_loss(ds: Dataset, params: BoxParams, mu: float, cos_column: str = "cos") -> float:
     """Summed margin loss of the joint box feature over peer-linked mentions."""
     raw = _raw_params(params)
-    total = 0.0
-    for inst, geometry, cos in _training_rows(ds, cos_column):
-        total += _box_loss_grad(inst, geometry, cos, raw, mu, grads=None)
-    return total
+    return sum(_box_loss_grad(*row, raw, mu, None)[0] for row in _training_rows(ds, cos_column))
 
 
 def box_gradients(ds: Dataset, params: BoxParams, mu: float, cos_column: str = "cos") -> dict:
@@ -408,16 +388,13 @@ def train_box_params(ds: Dataset, config, cos_column: str = "cos", init: BoxPara
     if not rows:
         logger.warning("no mention has an embedded peer; returning initial parameters")
         return _effective(raw)
-    rng = np.random.default_rng(config.seed)
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(rows))
-        for idx in order:
-            inst, geometry, cos = rows[idx]
-            grads = {k: np.zeros_like(v) for k, v in raw.items()}
-            _box_loss_grad(inst, geometry, cos, raw, config.mu, grads)
-            for key in raw:
-                raw[key] -= config.learning_rate * grads[key]
-        total = sum(_box_loss_grad(i, g, c, raw, config.mu, None) for i, g, c in rows)
-        if not np.isfinite(total) or total > 1e6:
-            raise TrainingDivergence(f"box training diverged at epoch {epoch}", log=[total])
+
+    def step(idx):
+        grads = {k: np.zeros_like(v) for k, v in raw.items()}
+        return _box_loss_grad(*rows[idx], raw, config.mu, grads)[1], grads
+
+    def epoch_stats():
+        return {"loss": sum(_box_loss_grad(*row, raw, config.mu, None)[0] for row in rows)}
+
+    descend(raw, len(rows), step, epoch_stats, config)
     return _effective(raw)

@@ -15,10 +15,9 @@ import json
 import logging
 import os
 import sys
-import tempfile
 
 from . import evaluation
-from .corpus import DEFAULT_DENYLIST, fetch_candidates, load_dataset
+from .corpus import DEFAULT_DENYLIST, atomic_write, fetch_candidates, load_dataset
 from .errors import (
     CompileError,
     DatasetError,
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .ruledsl import ast_leaves, builtin_templates, compile, find_root, parse
 from .simfeatures import FeatureTable, build_feature_table, default_catalog
-from .training import TrainConfig, load_config, load_model, train
+from .training import TrainConfig, load_config, load_model, save_model, train
 
 logger = logging.getLogger(__name__)
 
@@ -41,19 +40,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage()}")
-
-
-def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rulelink-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _require_file(path: str) -> str:
@@ -106,7 +92,7 @@ def _cmd_featurize(args) -> int:
     table = build_feature_table(ds, catalog, jobs=args.jobs)
     buf = io.StringIO()
     table.write_csv(buf)
-    _atomic_write(args.out, buf.getvalue())
+    atomic_write(args.out, buf.getvalue())
     logger.info("wrote %d feature rows to %s", len(table.rows), args.out)
     return 0
 
@@ -120,10 +106,7 @@ def _cmd_train(args) -> int:
     catalog = default_catalog().restricted(leaves)
     graph = compile(rules, catalog, mode=args.mode, alpha=config.alpha)
     model = train(ds, table, graph, config, catalog=catalog)
-    _atomic_write(
-        args.out,
-        json.dumps(model.to_json(), sort_keys=True, separators=(",", ":")),
-    )
+    save_model(model, args.out)
     final = model.training_log[-1] if model.training_log else {"loss": None, "violation": None}
     logger.info("model written to %s (final loss %s)", args.out, final["loss"])
     return 0
@@ -138,7 +121,7 @@ def _cmd_link(args) -> int:
         {"mention_id": p.mention_id, "ranked": [[cid, score] for cid, score in p.ranked]}
         for p in preds
     ]
-    _atomic_write(args.out, json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    atomic_write(args.out, json.dumps(payload, sort_keys=True, separators=(",", ":")))
     logger.info("wrote %d predictions to %s", len(preds), args.out)
     return 0
 
@@ -151,7 +134,7 @@ def _cmd_eval(args, transfer: bool = False) -> int:
     runner = evaluation.transfer_eval if transfer else evaluation.evaluate
     report = runner(model, ds, table, ks=ks)
     if args.out:
-        _atomic_write(args.out, evaluation.report_to_json_bytes(report).decode())
+        atomic_write(args.out, evaluation.report_to_json_bytes(report).decode())
     print(
         f"precision={report.precision:.4f} recall={report.recall:.4f} f1={report.f1:.4f} "
         + " ".join(f"R@{k}={v:.4f}" for k, v in sorted(report.recall_at.items()))
@@ -168,7 +151,7 @@ def _cmd_ablate(args) -> int:
     rows = evaluation.ablation(ds, table, subsets, config, catalog=catalog)
     text = evaluation.ablation_csv(rows) if args.format == "csv" else evaluation.ablation_markdown(rows)
     if args.out:
-        _atomic_write(args.out, text)
+        atomic_write(args.out, text)
     else:
         print(text, end="")
     return 0
@@ -178,9 +161,9 @@ def _cmd_inspect(args) -> int:
     model = load_model(_require_file(args.model))
     doc = evaluation.export_weights(model)
     if args.json:
-        _atomic_write(args.json, json.dumps(doc, sort_keys=True, indent=2))
+        atomic_write(args.json, json.dumps(doc, sort_keys=True, indent=2))
     if args.dot:
-        _atomic_write(args.dot, evaluation.weights_to_dot(doc))
+        atomic_write(args.dot, evaluation.weights_to_dot(doc))
     if not args.json and not args.dot:
         print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
@@ -194,7 +177,7 @@ def _cmd_fetch(args) -> int:
     ]
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
-        _atomic_write(args.out, text)
+        atomic_write(args.out, text)
     else:
         print(text)
     return 0

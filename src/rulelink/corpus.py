@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -58,9 +60,6 @@ class LabeledInstance:
     mention: Mention
     candidates: tuple[CandidateEntity, ...]
     labels: tuple[int, ...]
-
-    def positive_indices(self) -> list[int]:
-        return [i for i, l in enumerate(self.labels) if l == 1]
 
 
 @dataclass(frozen=True)
@@ -113,6 +112,13 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
     def fail(msg: str):
         raise DatasetError(f"line {line_no}: {msg}")
 
+    def check_id(what: str, ident: str) -> None:
+        # ids are written back to UTF-8 files, which cannot hold a lone surrogate
+        try:
+            ident.encode("utf-8")
+        except UnicodeEncodeError:
+            fail(f"{what} {ident!r} holds a lone surrogate")
+
     try:
         m = obj["mention"]
         mention = Mention(
@@ -132,6 +138,12 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
         fail(f"mention {mention.id!r} lists itself as context")
     if any(l not in (0, 1) for l in labels):
         fail("labels must be 0 or 1")
+    if not isinstance(mention.mention_type, (str, type(None))):
+        fail(f"mention type must be a string or null, not {mention.mention_type!r}")
+    check_id("mention id", mention.id)
+    check_id("text_id", mention.text_id)
+    for ctx_id in mention.context_ids:
+        check_id("context id", ctx_id)
 
     candidates = []
     cand_ids: set[str] = set()
@@ -149,6 +161,9 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
             )
         except (KeyError, TypeError, ValueError) as exc:
             fail(f"malformed candidate ({exc})")
+        check_id("candidate id", cand.id)
+        if not isinstance(cand.description, (str, type(None))):
+            fail(f"candidate {cand.id!r} description must be a string or null")
         if cand.indegree < 0:
             fail(f"candidate {cand.id!r} has negative indegree")
         if cand.embedding is not None and not all(math.isfinite(v) for v in cand.embedding):
@@ -240,10 +255,21 @@ def load_dataset(path) -> Dataset:
         logger.warning("load %s: %s", path, report.summary())
     else:
         logger.info("load %s: %s", path, report.summary())
-    import os
-
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return Dataset(instances=tuple(fixed), embedding_dim=dim, name=name, report=report)
+
+
+def atomic_write(path, data: str) -> None:
+    """Write ``data`` verbatim to ``path`` through a temp file and a rename."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".rulelink-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _instance_to_obj(inst: LabeledInstance) -> dict:

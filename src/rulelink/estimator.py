@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import inspect
 
-from .corpus import Dataset
-from .errors import CompileError
+from .corpus import Dataset, validate_dataset
+from .errors import CompileError, DatasetError
 from .evaluation import Prediction, evaluate, link
 from .ruledsl import ast_leaves, builtin_templates, compile, parse
 from .simfeatures import FeatureTable, build_feature_table, default_catalog
 from .training import TrainConfig, train
-from .validation import check_dataset, check_table_covers
 
 
 class RuleLinker:
@@ -97,7 +96,9 @@ class RuleLinker:
         return build_feature_table(ds, self.catalog_)
 
     def fit(self, ds: Dataset, feature_table: FeatureTable | None = None) -> "RuleLinker":
-        check_dataset(ds)
+        violations = validate_dataset(ds).violations
+        if violations:
+            raise DatasetError(f"dataset {ds.name!r} has {len(violations)} violations: " + "; ".join(violations[:5]))
         asts = self._resolve_asts()
         from .ruledsl import find_root
 
@@ -106,7 +107,6 @@ class RuleLinker:
         self.catalog_ = default_catalog().restricted(leaves)
         graph = compile(asts, self.catalog_, mode=self.mode, alpha=self.alpha)
         table = feature_table if feature_table is not None else self._build_table(ds)
-        check_table_covers(table, ds, graph.feature_names)
         self.model_ = train(ds, table, graph, self._config(), catalog=self.catalog_)
         self.training_log_ = self.model_.training_log
         return self

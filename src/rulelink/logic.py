@@ -26,7 +26,6 @@ slacks 0 (effective ln 2), gamma 0 (theta 0.5).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,21 +200,47 @@ def threshold_gate(f: float, t: ThresholdParams) -> float:
     return float(f * sigmoid(np.asarray(f - theta)))
 
 
-def constraint_residuals(g: GateParams, alpha: float) -> np.ndarray:
-    """Hinge residuals of the truth-semantics constraints; zero iff satisfied.
+def _hinge_inputs(g: GateParams, alpha: float):
+    """Pre-activations (r0, r_i) of the truth-semantics hinges of one gate.
 
-    r0 penalizes a bias too small for true inputs to stay true:
-        r0 = max(0, alpha - (beta - (1-alpha) sum w + Delta))
-    r_i penalizes a bias too large for a false input to pull the gate down:
-        r_i = max(0, (beta - alpha w_i) - (1 - alpha + delta_i))
+    r0 is positive when the bias is too small for true inputs to stay true,
+    r_i when it is too large for false input i to pull the gate down:
+        r0  = alpha - (beta - (1-alpha) sum w + Delta)
+        r_i = (beta - alpha w_i) - (1 - alpha + delta_i)
     """
-    if not 0.5 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [1/2, 1], got {alpha}")
     w = g.weights
     beta = float(g.bias)
-    r0 = max(0.0, alpha - (beta - (1.0 - alpha) * w.sum() + g.slack_big))
-    ri = np.maximum(0.0, (beta - alpha * w) - (1.0 - alpha + g.slacks))
-    return np.concatenate(([r0], ri))
+    r0 = alpha - (beta - (1.0 - alpha) * w.sum() + g.slack_big)
+    return r0, (beta - alpha * w) - (1.0 - alpha + g.slacks)
+
+
+def constraint_residuals(g: GateParams, alpha: float) -> np.ndarray:
+    """Hinge residuals max(0, r0), max(0, r_i); zero iff the gate is consistent."""
+    if not 0.5 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [1/2, 1], got {alpha}")
+    r0, ri = _hinge_inputs(g, alpha)
+    return np.concatenate(([max(0.0, r0)], np.maximum(0.0, ri)))
+
+
+def penalty_grads(graph: "ScoringGraph", lam: float, grads: dict) -> None:
+    """Add d(lam * residual sum)/d(raw parameter) to ``grads`` (lnn mode only)."""
+    if graph.mode != "lnn" or lam == 0.0:
+        return
+    for name, node in graph.gates():
+        gate = node.gate
+        r0, ri = _hinge_inputs(gate, graph.alpha)
+        r0_active = r0 > 0.0
+        ri_active = ri > 0.0
+        dbeta = lam * (-1.0 * r0_active + ri_active.sum())
+        drho = lam * (
+            r0_active * (1.0 - graph.alpha) - graph.alpha * ri_active
+        ) * sigmoid(gate.raw_weights)
+        ddelta = lam * (-1.0) * ri_active * sigmoid(gate.raw_slacks)
+        dbig = lam * (-1.0) * r0_active * sigmoid(gate.raw_slack_big)
+        grads[f"{name}.beta"] = grads.get(f"{name}.beta", 0.0) + dbeta
+        grads[f"{name}.rho"] = grads.get(f"{name}.rho", 0.0) + drho
+        grads[f"{name}.delta"] = grads.get(f"{name}.delta", 0.0) + ddelta
+        grads[f"{name}.Delta"] = grads.get(f"{name}.Delta", 0.0) + dbig
 
 
 def manual_score(rule_values, mw: ManualWeights) -> float:
@@ -473,27 +498,22 @@ class ScoringGraph:
     # -- serialization ----------------------------------------------------
 
     def _node_to_json(self, node: Node) -> dict:
+        """Raw parameters only; effective values are derived on load."""
         if isinstance(node, RawLeaf):
             return {"kind": "raw", "feature": node.feature}
         if isinstance(node, ThresholdLeaf):
-            obj = {"kind": "tl", "feature": node.feature, "theta": node.theta}
             if node.fixed_theta is not None:
-                obj["fixed_theta"] = node.fixed_theta
-            else:
-                obj["gamma"] = float(node.params.gamma)
-            return obj
+                return {"kind": "tl", "feature": node.feature, "fixed_theta": node.fixed_theta}
+            return {"kind": "tl", "feature": node.feature, "gamma": float(node.params.gamma)}
         if isinstance(node, NotNode):
             return {"kind": "not", "child": self._node_to_json(node.children[0])}
         gate = node.gate
         obj = {
             "kind": node.kind,
             "children": [self._node_to_json(c) for c in node.children],
-            "weights": [float(v) for v in gate.weights],
             "raw_weights": [float(v) for v in gate.raw_weights],
             "beta": float(gate.bias),
-            "slacks": [float(v) for v in gate.slacks],
             "raw_slacks": [float(v) for v in gate.raw_slacks],
-            "slack_big": float(gate.slack_big),
             "raw_slack_big": float(gate.raw_slack_big),
         }
         if node.manual_weights is not None:
@@ -505,42 +525,36 @@ class ScoringGraph:
 
     @classmethod
     def _node_from_json(cls, obj: dict) -> Node:
+        # Kind first; a missing field or wrong type is reported by load_model.
         kind = obj["kind"]
+        if kind in ("raw", "tl") and not isinstance(obj["feature"], str):
+            raise CompileError(f"{kind} node feature is not a string")
         if kind == "raw":
             return RawLeaf(obj["feature"])
         if kind == "tl":
-            if "fixed_theta" in obj:
-                return ThresholdLeaf(obj["feature"], fixed_theta=obj["fixed_theta"])
-            return ThresholdLeaf(obj["feature"], params=ThresholdParams(obj["gamma"]))
+            fixed = "fixed_theta" in obj
+            value = float(obj["fixed_theta" if fixed else "gamma"])
+            if not np.isfinite(value):
+                raise CompileError("tl node has a non-finite parameter")
+            if fixed:
+                return ThresholdLeaf(obj["feature"], fixed_theta=value)
+            return ThresholdLeaf(obj["feature"], params=ThresholdParams(value))
         if kind == "not":
             return NotNode(cls._node_from_json(obj["child"]))
-        children = [cls._node_from_json(c) for c in obj["children"]]
-        gate = GateParams(
-            len(children),
-            raw_weights=obj["raw_weights"],
-            bias=obj["beta"],
-            raw_slacks=obj["raw_slacks"],
-            raw_slack_big=obj["raw_slack_big"],
-        )
-        node_cls = AndNode if kind == "and" else OrNode
         if kind not in ("and", "or"):
             raise CompileError(f"unknown node kind {kind!r} in checkpoint")
-        return node_cls(children, gate=gate, manual_weights=obj.get("manual_weights"))
+        children = [cls._node_from_json(c) for c in obj["children"]]
+        gate = GateParams(len(children), raw_weights=obj["raw_weights"], bias=obj["beta"],
+                          raw_slacks=obj["raw_slacks"], raw_slack_big=obj["raw_slack_big"])
+        manual = obj.get("manual_weights")
+        if manual is not None and len(manual) != len(children):
+            raise CompileError(f"{kind} node has {len(manual)} manual weights for {len(children)} children")
+        values = [gate.raw_weights, gate.raw_slacks, [gate.bias, gate.raw_slack_big], manual or []]
+        if not np.isfinite(np.concatenate(values).astype(float)).all():
+            raise CompileError(f"{kind} node has a non-finite parameter")
+        node_cls = AndNode if kind == "and" else OrNode
+        return node_cls(children, gate=gate, manual_weights=manual)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScoringGraph":
         return cls(cls._node_from_json(obj["root"]), alpha=obj["alpha"], mode=obj["mode"])
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def load(cls, path) -> "ScoringGraph":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
-
-def evaluate_graph(graph: ScoringGraph, row: dict[str, float]) -> float:
-    """Score a single feature row with the compiled graph."""
-    return graph.evaluate(row)

@@ -461,25 +461,14 @@ def builtin_templates() -> TemplateLibrary:
     )
 
 
-def name_similarity_block():
-    """The shared (jacc? | lev? | jw? | spacy?) disjunction."""
-    return Or(
-        (
-            Pred("jacc", thresholded=True),
-            Pred("lev", thresholded=True),
-            Pred("jw", thresholded=True),
-            Pred("spacy", thresholded=True),
-        )
-    )
-
-
 def compose_with_external(base: RuleAST, column: str, thresholded: bool = False) -> RuleAST:
     """Extend a template with an extra score column.
 
     Follows the blink-rule pattern: the new disjunct conjoins the shared
     name-similarity block with the raw (or thresholded) extra signal.
     """
-    extra = And((name_similarity_block(), Pred(column, thresholded=thresholded)))
+    name_sim = next(r.body for r in parse(_BUILTIN_SOURCE) if r.name == "NameSim")
+    extra = And((name_sim, Pred(column, thresholded=thresholded)))
     return RuleAST(name=f"{base.name}_plus_{column}", body=Or((base.body, extra)), line=base.line)
 
 

@@ -224,10 +224,6 @@ def context_scores(inst: LabeledInstance, all_mentions: dict[str, Mention]) -> n
     return minmax_rescale(raws)
 
 
-def context_score(inst: LabeledInstance, candidate_index: int, all_mentions: dict[str, Mention]) -> float:
-    return float(context_scores(inst, all_mentions)[candidate_index])
-
-
 def type_score(m: Mention, e) -> float:
     """1 iff the mention has a type and it appears in the candidate domains."""
     if m.mention_type is None:
@@ -379,11 +375,6 @@ class FeatureTable:
                 raise FeatureError(f"feature table has no column {name!r}")
             out[name] = np.array([row[name] for row in rows], dtype=float)
         return out
-
-    def covers(self, ds: Dataset) -> bool:
-        return all(
-            (inst.mention.id, c.id) in self.rows for inst in ds.instances for c in inst.candidates
-        )
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

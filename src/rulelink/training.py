@@ -21,15 +21,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import Dataset
-from .errors import TrainingDivergence
-from .logic import ScoringGraph, sigmoid
+from .corpus import Dataset, atomic_write
+from .errors import CompileError, TrainingDivergence
+from .logic import ScoringGraph, penalty_grads
 from .simfeatures import FeatureCatalog, FeatureTable
 
 logger = logging.getLogger(__name__)
 
 LR_RANGE = (1e-5, 1e-1)
 MU_RANGE = (0.6, 0.95)
+FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class TrainConfig:
     alpha: float = 0.7
     penalty_lambda: float = 10.0
     seed: int = 0
-    batch: str = "per-mention"
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -53,8 +53,6 @@ class TrainConfig:
             raise ValueError("alpha must be in [1/2, 1)")
         if self.penalty_lambda < 0:
             raise ValueError("penalty_lambda must be >= 0")
-        if self.batch != "per-mention":
-            raise ValueError("only per-mention batching is supported")
 
     def to_json(self) -> dict:
         return {
@@ -64,7 +62,6 @@ class TrainConfig:
             "alpha": self.alpha,
             "penalty_lambda": self.penalty_lambda,
             "seed": self.seed,
-            "batch": self.batch,
         }
 
     @classmethod
@@ -79,7 +76,6 @@ _CONFIG_KEYS = {
     "alpha": float,
     "penalty_lambda": float,
     "seed": int,
-    "batch": str,
 }
 
 
@@ -112,6 +108,7 @@ class Model:
 
     def to_json(self) -> dict:
         return {
+            "format_version": FORMAT_VERSION,
             "graph": self.graph.to_json(),
             "config": self.config.to_json(),
             "catalog": self.catalog.to_json(),
@@ -119,7 +116,12 @@ class Model:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Model":
+    def from_json(cls, obj) -> "Model":
+        if not isinstance(obj, dict) or obj.get("format_version") != FORMAT_VERSION:
+            raise CompileError(
+                f"model format_version is not {FORMAT_VERSION}; "
+                "models saved before format_version 1 must be retrained"
+            )
         return cls(
             graph=ScoringGraph.from_json(obj["graph"]),
             config=TrainConfig.from_json(obj["config"]),
@@ -129,88 +131,90 @@ class Model:
 
 
 def save_model(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json(), fh, sort_keys=True, separators=(",", ":"))
+    """Write ``model.json`` atomically: sorted keys, compact separators."""
+    atomic_write(path, json.dumps(model.to_json(), sort_keys=True, separators=(",", ":")))
 
 
 def load_model(path) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Model.from_json(json.load(fh))
+    """Read ``model.json``; malformed content of any kind raises CompileError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return Model.from_json(json.load(fh))
+    except CompileError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise CompileError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
 
 
-def margin_loss(scores, labels, mu: float) -> float:
-    """sum over positives p and negatives n of max(0, -(s_p - s_n) + mu)."""
+def margin_loss(scores, labels, mu: float):
+    """Margin loss and its gradient d(loss)/d(scores) for one candidate list.
+
+    The loss sums max(0, mu - (s_p - s_n)) over every positive p and
+    negative n. The gradient counts active hinges, -1 on the positive and
+    +1 on the negative per active pair, with sub-gradient 0 at the kink;
+    being integer counts it does not depend on summation order.
+    """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     positives = np.flatnonzero(labels == 1)
     if positives.size == 0:
         raise ValueError("margin loss needs at least one positive label")
     negatives = np.flatnonzero(labels == 0)
-    if negatives.size == 0:
-        return 0.0
+    dscores = np.zeros_like(scores)
     total = 0.0
     for p in positives:
-        total += np.maximum(0.0, mu - (scores[p] - scores[negatives])).sum()
-    return float(total)
-
-
-def _margin_grad(scores: np.ndarray, labels, mu: float):
-    """Loss plus d(loss)/d(score); sub-gradient 0 at the hinge kink."""
-    labels = np.asarray(labels)
-    positives = np.flatnonzero(labels == 1)
-    negatives = np.flatnonzero(labels == 0)
-    dscores = np.zeros_like(scores)
-    loss = 0.0
-    for p in positives:
         margins = mu - (scores[p] - scores[negatives])
+        total += np.maximum(0.0, margins).sum()
         active = margins > 0.0
-        loss += margins[active].sum()
         dscores[p] -= active.sum()
         dscores[negatives] += active
-    return float(loss), dscores
+    return float(total), dscores
 
 
-def constraint_penalty(graph: ScoringGraph) -> float:
-    """Summed hinge residuals over all gates (lnn mode only)."""
-    return graph.residual_sum()
+def descend(params: dict, n_items: int, step, epoch_stats, config) -> list[dict]:
+    """Per-item gradient descent, shared by rule and box training.
+
+    Each epoch visits the ``n_items`` training items in an order drawn from
+    one generator seeded with ``config.seed``. ``step(i)`` returns item i's
+    scores and its raw-parameter gradients, applied in place as
+    ``params[name] -= learning_rate * g``. After each epoch
+    ``epoch_stats()`` supplies the log entry (with at least ``"loss"``).
+    A non-finite score stops the run at once; an epoch loss that is
+    non-finite or above 1e6 stops it once logged. Both raise
+    TrainingDivergence carrying the epochs logged so far.
+    """
+    rng = np.random.default_rng(config.seed)
+    log: list[dict] = []
+    for epoch in range(config.epochs):
+        for idx in rng.permutation(n_items):
+            scores, grads = step(idx)
+            if not np.isfinite(scores).all():
+                raise TrainingDivergence(f"non-finite score in epoch {epoch}, item {idx}", log=log)
+            for name, g in grads.items():
+                params[name] -= config.learning_rate * g
+        log.append({"epoch": epoch, **epoch_stats()})
+        loss = log[-1]["loss"]
+        if not np.isfinite(loss) or loss > 1e6:
+            raise TrainingDivergence(f"loss {loss} diverged at epoch {epoch}", log=log)
+    return log
 
 
-def _penalty_grads(graph: ScoringGraph, lam: float, grads: dict) -> None:
-    if graph.mode != "lnn" or lam == 0.0:
-        return
-    alpha = graph.alpha
-    for name, node in graph.gates():
-        gate = node.gate
-        w = gate.weights
-        beta = float(gate.bias)
-        r0_active = (alpha - (beta - (1.0 - alpha) * w.sum() + gate.slack_big)) > 0.0
-        ri_active = ((beta - alpha * w) - (1.0 - alpha + gate.slacks)) > 0.0
-        dbeta = lam * (-1.0 * r0_active + ri_active.sum())
-        drho = lam * (
-            r0_active * (1.0 - alpha) - alpha * ri_active
-        ) * sigmoid(gate.raw_weights)
-        ddelta = lam * (-1.0) * ri_active * sigmoid(gate.raw_slacks)
-        dbig = lam * (-1.0) * r0_active * sigmoid(gate.raw_slack_big)
-        grads[f"{name}.beta"] = grads.get(f"{name}.beta", 0.0) + dbeta
-        grads[f"{name}.rho"] = grads.get(f"{name}.rho", 0.0) + drho
-        grads[f"{name}.delta"] = grads.get(f"{name}.delta", 0.0) + ddelta
-        grads[f"{name}.Delta"] = grads.get(f"{name}.Delta", 0.0) + dbig
+def _mention_grads(graph: ScoringGraph, cols, labels, mu: float, grads: dict) -> np.ndarray:
+    """One mention's scores; adds its margin-loss gradients to ``grads``."""
+    scores = graph.evaluate_batch(cols)
+    _, dscores = margin_loss(scores, labels, mu)
+    if np.any(dscores != 0.0):
+        graph.backward(cols, dscores, grads)
+    return scores
 
 
 def total_loss(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: TrainConfig) -> float:
     """Margin loss summed over mentions plus the weighted constraint penalty."""
     total = 0.0
     for inst in ds.instances:
-        cols = table.columns(inst, graph.feature_names)
-        scores = graph.evaluate_batch(cols)
-        if np.any(~np.isfinite(scores)):
-            raise TrainingDivergence(
-                f"non-finite score for mention {inst.mention.id!r}", log=[]
-            )
-        total += margin_loss(scores, inst.labels, config.mu)
-    if graph.mode == "lnn":
-        total += config.penalty_lambda * constraint_penalty(graph)
-    return float(total)
+        scores = graph.evaluate_batch(table.columns(inst, graph.feature_names))
+        total += margin_loss(scores, inst.labels, config.mu)[0]
+    return float(total + config.penalty_lambda * graph.residual_sum())
 
 
 def gradients(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: TrainConfig) -> dict:
@@ -223,13 +227,8 @@ def gradients(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: Tra
     if not params:
         return grads
     for inst in ds.instances:
-        cols = table.columns(inst, graph.feature_names)
-        scores = graph.evaluate_batch(cols)
-        _, dscores = _margin_grad(scores, inst.labels, config.mu)
-        if np.any(dscores != 0.0):
-            graph.backward(cols, dscores, grads)
-    if graph.mode == "lnn":
-        _penalty_grads(graph, config.penalty_lambda, grads)
+        _mention_grads(graph, table.columns(inst, graph.feature_names), inst.labels, config.mu, grads)
+    penalty_grads(graph, config.penalty_lambda, grads)
     return {name: np.asarray(g) for name, g in grads.items()}
 
 
@@ -242,44 +241,30 @@ def train(
 ) -> Model:
     """Per-mention gradient descent for ``config.epochs`` passes.
 
-    Deterministic given the seed: the mention order is reshuffled each
-    epoch from one seeded generator and updates apply in that order. Each
+    Each step descends one mention's margin loss plus the full constraint
+    penalty (see :func:`descend` for the order and divergence policy). Each
     epoch appends the exact total loss and residual sum to the log.
     """
     if abs(graph.alpha - config.alpha) > 1e-12:
         raise ValueError(
             f"graph alpha {graph.alpha} differs from config alpha {config.alpha}"
         )
-    catalog_names = set(table.feature_names)
-    missing = [n for n in graph.feature_names if n not in catalog_names]
-    if missing:
-        raise ValueError(f"feature table lacks columns: {', '.join(missing)}")
-
     params = graph.parameters()
-    rng = np.random.default_rng(config.seed)
-    log: list[dict] = []
     instances = list(ds.instances)
     prefetched = [table.columns(inst, graph.feature_names) for inst in instances]
 
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(instances))
-        for idx in order:
-            inst = instances[idx]
-            cols = prefetched[idx]
-            grads: dict = {}
-            if params:
-                scores = graph.evaluate_batch(cols)
-                _, dscores = _margin_grad(scores, inst.labels, config.mu)
-                if np.any(dscores != 0.0):
-                    graph.backward(cols, dscores, grads)
-                _penalty_grads(graph, config.penalty_lambda, grads)
-            for name, g in grads.items():
-                params[name] -= config.learning_rate * g
-        loss = total_loss(graph, table, ds, config)
-        violation = graph.residual_sum()
-        log.append({"epoch": epoch, "loss": loss, "violation": violation})
-        if not np.isfinite(loss) or loss > 1e6:
-            raise TrainingDivergence(f"loss {loss} diverged at epoch {epoch}", log=log)
+    def step(idx):
+        grads: dict = {}
+        if not params:  # nothing learnable (manual mode): skip the forward pass
+            return (), grads
+        scores = _mention_grads(graph, prefetched[idx], instances[idx].labels, config.mu, grads)
+        penalty_grads(graph, config.penalty_lambda, grads)
+        return scores, grads
+
+    def epoch_stats():
+        return {"loss": total_loss(graph, table, ds, config), "violation": graph.residual_sum()}
+
+    log = descend(params, len(instances), step, epoch_stats, config)
     if log:
         logger.info(
             "trained %d epochs: loss %.6f, residual sum %.2e",

@@ -11,13 +11,12 @@ from rulelink.boxgeom import (
     box_of,
     box_similarity,
     intersect,
-    joint_box_feature,
     joint_box_feature_multi,
     neighborhood,
     train_box_params,
 )
 from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
-from rulelink.errors import FeatureError
+from rulelink.errors import FeatureError, TrainingDivergence
 from rulelink.training import TrainConfig
 
 
@@ -151,7 +150,7 @@ class TestJointBoxFeature:
         inst_b = ds.instances[1]
         params = BoxParams(psi=(2.0, 0.0), omega=(1.0, 1.0), beta_box=2.0)
         cos = np.zeros(2)
-        out = joint_box_feature(inst_b, list(ds.instances[0].candidates), params, cos)
+        out = joint_box_feature_multi(inst_b, [list(ds.instances[0].candidates)], params, cos)
         assert out[0] > out[1]
         # brute-force check: score = beta*sim(e, center(own ∩ projected peer))
         own = box_of([(2.0, 0.0), (-2.0, 3.0)])
@@ -166,7 +165,7 @@ class TestJointBoxFeature:
         inst_b = ds.instances[1]
         params = BoxParams(psi=(2.0, 0.0), omega=(1.0, 1.0), beta_box=0.0)
         cos = np.array([0.2, 0.9])
-        out = joint_box_feature(inst_b, list(ds.instances[0].candidates), params, cos)
+        out = joint_box_feature_multi(inst_b, [list(ds.instances[0].candidates)], params, cos)
         assert out.tolist() == [0.0, 1.0]
 
     def test_no_peer_returns_rescaled_cos(self):
@@ -183,7 +182,7 @@ class TestJointBoxFeature:
         )
         peer = _embedded_instance("p", "t", "peer", [(0.0, 0.0), (1.0, 1.0)], [1, 0])
         with pytest.raises(FeatureError, match="embedding"):
-            joint_box_feature(bare, list(peer.candidates), BoxParams.default(2), np.array([0.5]))
+            joint_box_feature_multi(bare, [list(peer.candidates)], BoxParams.default(2), np.array([0.5]))
 
 
 class TestBoxGradients:
@@ -209,7 +208,7 @@ class TestBoxGradients:
             def loss_at(raw_dict):
                 total = 0.0
                 for inst, geom, cos in _training_rows(ds, "cos"):
-                    total += _box_loss_grad(inst, geom, cos, raw_dict, 0.7, None)
+                    total += _box_loss_grad(inst, geom, cos, raw_dict, 0.7, None)[0]
                 return total
 
             for key in raw:
@@ -238,6 +237,13 @@ class TestTrainBoxParams:
         assert np.allclose(out.psi, init.psi)
         assert np.allclose(out.omega, init.omega)
         assert out.beta_box == pytest.approx(init.beta_box)
+
+    def test_nan_projection_stops_at_the_first_step(self):
+        init = BoxParams(psi=(float("nan"), 0.0), omega=(1.0, 1.0), beta_box=1.0)
+        config = TrainConfig(epochs=3, learning_rate=0.05, mu=0.6, seed=0)
+        with pytest.raises(TrainingDivergence, match="non-finite score in epoch 0") as info:
+            train_box_params(_two_mention_fixture(), config, init=init)
+        assert info.value.log == []
 
     def test_no_embeddings_error(self, toy_dataset):
         with pytest.raises(FeatureError, match="embedding"):

@@ -1,10 +1,15 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import instance_obj, write_jsonl
+from rulelink import errors
 from rulelink.cli import run
 from rulelink.corpus import save_dataset
 from rulelink.ruledsl import ast_leaves, find_root, parse
+from rulelink.training import load_model
 from synthgen import generate_dataset
 
 RULES = (
@@ -240,6 +245,115 @@ class TestUsageErrors:
              "--rules", str(workdir / "bad.elr"), "--out", str(workdir / "f.csv")]
         )
         assert code == 1
+
+
+class TestTypedFieldsCli:
+    @pytest.mark.parametrize(
+        "rule, edit",
+        [
+            ("ctx", lambda obj: obj["candidates"][0].update(description=5)),
+            ("type", lambda obj: obj["mention"].update(type=["Person"])),
+        ],
+    )
+    def test_non_string_field_exits_one(self, tmp_path, capsys, rule, edit):
+        objs = [instance_obj("m1", context_ids=["m2"]), instance_obj("m2", context_ids=["m1"])]
+        edit(objs[1])
+        write_jsonl(tmp_path / "d.jsonl", objs)
+        (tmp_path / "r.elr").write_text(f"rule Links = jacc? & {rule}?;\n")
+        code = run(["featurize", "--data", str(tmp_path / "d.jsonl"),
+                    "--rules", str(tmp_path / "r.elr"), "--out", str(tmp_path / "f.csv")])
+        assert code == 1
+        assert "line 2:" in capsys.readouterr().err
+
+
+_MODEL_COMMANDS = ("inspect", "link", "eval", "transfer")
+
+
+def _model_command(workdir, command, model):
+    if command == "inspect":
+        return ["inspect", "--model", str(model), "--json", str(workdir / "w.json")]
+    argv = [command, "--model", str(model), "--data", str(workdir / "data.jsonl"),
+            "--features", str(workdir / "features.csv")]
+    return argv + ["--out", str(workdir / "out.json")]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("trained")
+    save_dataset(generate_dataset(12, n_candidates=4, seed=3), workdir / "data.jsonl")
+    (workdir / "rules.elr").write_text(RULES)
+    _featurize(workdir)
+    _train(workdir)
+    return workdir
+
+
+class TestModelFileCli:
+    @pytest.mark.parametrize("command", _MODEL_COMMANDS)
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"graph": {"alpha": 0.7, "mode": "lnn"}}, "must be retrained"),
+            ({"format_version": 1, "graph": {"alpha": 0.7, "mode": "lnn"}, "config": {},
+              "catalog": {}, "training_log": []}, "'root'"),
+        ],
+    )
+    def test_truncated_model_exits_one(self, trained, tmp_path, capsys, command, doc, message):
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        assert run(_model_command(trained, command, tmp_path / "m.json")) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", _MODEL_COMMANDS)
+    def test_unknown_node_kind_exits_one(self, trained, tmp_path, capsys, command):
+        obj = json.loads((trained / "model.json").read_text())
+        obj["graph"]["root"] = {"kind": "xor", "children": obj["graph"]["root"]["children"]}
+        (tmp_path / "m.json").write_text(json.dumps(obj))
+        assert run(_model_command(trained, command, tmp_path / "m.json")) == 1
+        assert "unknown node kind 'xor'" in capsys.readouterr().err
+
+
+_PACKAGE_ERRORS = (errors.DatasetError, errors.FeatureError, errors.ParseError,
+                   errors.CompileError, errors.TrainingDivergence, errors.FetchError)
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-1e3, 1e3), st.text(max_size=4),
+    st.just([]), st.just({}), st.sampled_from(["and", "or", "not", "tl", "raw", "xor", "lnn", "tnorm"]),
+)
+
+
+def _paths(obj, prefix=()):
+    """The key path of every value nested in a JSON tree."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+class TestFuzzedModelFile:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_only_package_errors_and_exit_one(self, trained, data):
+        obj = json.loads((trained / "model.json").read_text())
+        path = data.draw(st.sampled_from(sorted(_paths(obj), key=repr)))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        action = data.draw(st.sampled_from(["drop", "replace", "truncate"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "truncate" and isinstance(parent[key], list):
+            parent[key] = parent[key][: data.draw(st.integers(0, max(0, len(parent[key]) - 1)))]
+        else:
+            parent[key] = data.draw(_JSON_VALUES)
+        model_path = trained / "fuzzed.json"
+        model_path.write_text(json.dumps(obj))
+        try:
+            load_model(model_path)
+            loaded = True
+        except _PACKAGE_ERRORS:
+            loaded = False
+        for command in ("inspect", "link"):
+            code = run(_model_command(trained, command, model_path))
+            assert code in ((0, 1) if loaded else (1,)), (command, path, action)
 
 
 class TestBoxFeaturizeCli:

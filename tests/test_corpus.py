@@ -82,6 +82,43 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="non-finite embedding"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [("candidate", "description", 5), ("candidate", "description", ["a thing"]),
+         ("mention", "type", ["Person"]), ("mention", "type", 3)],
+    )
+    def test_non_string_description_or_type_rejected(self, tmp_path, where, key, value):
+        bad = instance_obj("m2")
+        target = bad["candidates"][1] if where == "candidate" else bad["mention"]
+        target[key] = value
+        path = write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1"), bad])
+        with pytest.raises(DatasetError, match=f"line 2: .*{key}.* must be a string or null"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("field", ["mention id", "candidate id", "text_id", "context id"])
+    def test_lone_surrogate_id_rejected(self, tmp_path, field):
+        bad = instance_obj("m2", context_ids=["m1"])
+        if field == "mention id":
+            bad["mention"]["id"] = "m\ud800"
+        elif field == "candidate id":
+            bad["candidates"][0]["id"] = "e\udfff"
+        elif field == "text_id":
+            bad["mention"]["text_id"] = "t\ud800x"
+        else:
+            bad["mention"]["context_ids"] = ["m1", "c\udc00"]
+        # json.dumps writes the lone surrogate as a \uXXXX escape: valid JSON
+        path = write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1"), bad])
+        with pytest.raises(DatasetError, match=f"line 2: {field} .* lone surrogate"):
+            load_dataset(path)
+
+    def test_surrogate_pairs_and_unicode_ids_load(self, tmp_path):
+        obj = instance_obj("m\U0001f600", text_id="t\u00e9")
+        obj["candidates"][0]["id"] = "Z\u00fcrich,_CH"
+        path = write_jsonl(tmp_path / "d.jsonl", [obj])
+        ds = load_dataset(path)
+        assert ds.instances[0].mention.id == "m\U0001f600"
+        assert ds.instances[0].candidates[0].id == "Z\u00fcrich,_CH"
+
     def test_label_length_mismatch_is_malformed(self, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1", labels=[1])])
         with pytest.raises(DatasetError, match="line 1"):

@@ -17,7 +17,6 @@ from rulelink.logic import (
     ThresholdLeaf,
     ThresholdParams,
     constraint_residuals,
-    evaluate_graph,
     lnn_and,
     lnn_not,
     lnn_or,
@@ -186,7 +185,7 @@ class TestConstraintResiduals:
 class TestEvaluateGraph:
     def test_identity_graph(self):
         graph = ScoringGraph(RawLeaf("prom"))
-        assert evaluate_graph(graph, {"prom": 0.8}) == 0.8
+        assert graph.evaluate({"prom": 0.8}) == 0.8
 
     def test_composed_example_cross_checked(self):
         # independent calculator: sigma written out by hand
@@ -194,23 +193,23 @@ class TestEvaluateGraph:
         tl = 0.7 * sig(0.7 - 0.5)
         expected = min(1.0, max(0.0, 1.0 - (1.0 - tl) - (1.0 - tl)))
         graph = ScoringGraph(AndNode([ThresholdLeaf("jacc"), ThresholdLeaf("ctx")]))
-        got = evaluate_graph(graph, {"jacc": 0.7, "ctx": 0.7})
+        got = graph.evaluate({"jacc": 0.7, "ctx": 0.7})
         assert got == pytest.approx(expected)
         assert got == 0.0
 
     def test_tnorm_mode_ignores_gate_params(self):
         node = AndNode([RawLeaf("a"), RawLeaf("b")], gate=GateParams.from_effective([7.0, 0.2], bias=3.0))
         graph = ScoringGraph(node, mode="tnorm")
-        assert evaluate_graph(graph, {"a": 0.5, "b": 0.5}) == 0.25
+        assert graph.evaluate({"a": 0.5, "b": 0.5}) == 0.25
 
     def test_missing_feature_names_leaf(self):
         graph = ScoringGraph(RawLeaf("prom"))
         with pytest.raises(FeatureError, match="prom"):
-            evaluate_graph(graph, {"other": 0.5})
+            graph.evaluate({"other": 0.5})
 
     def test_not_node(self):
         graph = ScoringGraph(NotNode(RawLeaf("a")))
-        assert evaluate_graph(graph, {"a": 0.3}) == 0.7
+        assert graph.evaluate({"a": 0.3}) == 0.7
 
     def test_argmax_invariance_under_unused_columns(self):
         graph = ScoringGraph(ThresholdLeaf("jacc"))
@@ -246,12 +245,12 @@ class TestManualScore:
         expected = manual_score(
             [[0.7, 0.5], [0.9, 0.2]], ManualWeights([0.4, 0.6], [0.9, 0.8, 0.7, 0.6])
         )
-        assert evaluate_graph(graph, row) == pytest.approx(expected)
+        assert graph.evaluate(row) == pytest.approx(expected)
 
     def test_manual_threshold_is_hard_gate(self):
         graph = ScoringGraph(ThresholdLeaf("f", fixed_theta=0.5), mode="manual")
-        assert evaluate_graph(graph, {"f": 0.4}) == 0.0
-        assert evaluate_graph(graph, {"f": 0.6}) == 0.6
+        assert graph.evaluate({"f": 0.4}) == 0.0
+        assert graph.evaluate({"f": 0.6}) == 0.6
 
 
 class TestGraphSerialization:
@@ -267,7 +266,7 @@ class TestGraphSerialization:
         obj = graph.to_json()
         again = ScoringGraph.from_json(obj)
         row = {"jacc": 0.61, "prom": 0.37, "ctx": 0.52}
-        assert evaluate_graph(again, row) == evaluate_graph(graph, row)
+        assert again.evaluate(row) == graph.evaluate(row)
         assert again.to_json() == obj
 
 

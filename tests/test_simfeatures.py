@@ -16,7 +16,6 @@ from rulelink.simfeatures import (
     _window_distances,
     build_feature_table,
     char_jaccard,
-    context_score,
     context_scores,
     default_catalog,
     jaro_winkler,
@@ -295,7 +294,7 @@ class TestContextScore:
         raw = [oracle("a large ship"), oracle("film directed by James Cameron")]
         assert raw[1] > raw[0]
         assert scores.tolist() == [0.0, 1.0]
-        assert context_score(inst, 0, mentions) == 0.0
+        assert context_scores(inst, mentions)[0] == 0.0
 
     def test_null_description_is_minimum(self):
         mentions = {

@@ -1,13 +1,18 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
-from rulelink.errors import TrainingDivergence
+from rulelink.errors import CompileError, TrainingDivergence
 from rulelink.logic import softplus_inverse
 from rulelink.ruledsl import builtin_templates, compile, parse
 from rulelink.simfeatures import build_feature_table, default_catalog
 from rulelink.training import (
     TrainConfig,
+    descend,
     gradients,
     hyperparameter_search,
     load_config,
@@ -48,13 +53,13 @@ class TestTrainConfig:
 
 class TestMarginLoss:
     def test_active_hinge(self):
-        assert margin_loss([0.9, 0.4], [1, 0], mu=0.6) == pytest.approx(0.1)
+        assert margin_loss([0.9, 0.4], [1, 0], mu=0.6)[0] == pytest.approx(0.1)
 
     def test_satisfied_margin_is_zero(self):
-        assert margin_loss([0.95, 0.1, 0.3], [1, 0, 0], mu=0.6) == 0.0
+        assert margin_loss([0.95, 0.1, 0.3], [1, 0, 0], mu=0.6)[0] == 0.0
 
     def test_inverted_pair(self):
-        assert margin_loss([0.2, 0.9], [1, 0], mu=0.6) == pytest.approx(1.3)
+        assert margin_loss([0.2, 0.9], [1, 0], mu=0.6)[0] == pytest.approx(1.3)
 
     def test_requires_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -62,8 +67,68 @@ class TestMarginLoss:
 
     def test_multiple_positives_sum(self):
         # each positive contributes its own hinge against the negative
-        v = margin_loss([0.8, 0.7, 0.5], [1, 1, 0], mu=0.6)
+        v = margin_loss([0.8, 0.7, 0.5], [1, 1, 0], mu=0.6)[0]
         assert v == pytest.approx(max(0, 0.6 - 0.3) + max(0, 0.6 - 0.2))
+
+
+def _margin_grad_reference(scores, labels, mu):
+    """The former per-mention margin gradient: hinge sums over active pairs."""
+    labels = np.asarray(labels)
+    positives = np.flatnonzero(labels == 1)
+    negatives = np.flatnonzero(labels == 0)
+    dscores = np.zeros_like(scores)
+    loss = 0.0
+    for p in positives:
+        margins = mu - (scores[p] - scores[negatives])
+        active = margins > 0.0
+        loss += margins[active].sum()
+        dscores[p] -= active.sum()
+        dscores[negatives] += active
+    return float(loss), dscores
+
+
+def _box_margin_reference(out, labels, mu):
+    """The former box-training margin: a double loop over (positive, negative)."""
+    loss = 0.0
+    dout = np.zeros_like(out)
+    for p_idx in [i for i, l in enumerate(labels) if l == 1]:
+        margins = mu - (out[p_idx] - out)
+        for n_idx in range(len(out)):
+            if n_idx == p_idx or labels[n_idx] == 1:
+                continue
+            if margins[n_idx] > 0.0:
+                loss += margins[n_idx]
+                dout[p_idx] -= 1.0
+                dout[n_idx] += 1.0
+    return loss, dout
+
+
+@st.composite
+def _scored_lists(draw):
+    n = draw(st.integers(1, 24))
+    scores = draw(st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    labels[draw(st.integers(0, n - 1))] = 1
+    return np.array(scores), labels, draw(st.floats(0.6, 0.95))
+
+
+class TestMarginLossAgainstReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(_scored_lists())
+    def test_loss_and_gradient_match_both_references(self, case):
+        scores, labels, mu = case
+        loss, dscores = margin_loss(scores, labels, mu)
+        for ref_loss, ref_d in (
+            _margin_grad_reference(scores, labels, mu),
+            _box_margin_reference(scores, labels, mu),
+        ):
+            assert np.array_equal(dscores, ref_d)
+            if sum(labels) == 1 and len(labels) - 1 < 8:
+                # one positive and under 8 negatives: numpy sums left to right too
+                assert loss == ref_loss
+            else:
+                # the references add the same terms in another order
+                assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
 
 
 def _tiny_setup(rules_text="rule Links = jacc? & prom;", alpha=0.7, mode="lnn"):
@@ -79,7 +144,7 @@ class TestTotalLoss:
         ds, _, table, graph = _tiny_setup()
         config0 = TrainConfig(penalty_lambda=0.0)
         pure = sum(
-            margin_loss(graph.evaluate_batch(table.columns(i, graph.feature_names)), i.labels, config0.mu)
+            margin_loss(graph.evaluate_batch(table.columns(i, graph.feature_names)), i.labels, config0.mu)[0]
             for i in ds.instances
         )
         assert total_loss(graph, table, ds, config0) == pytest.approx(pure)
@@ -220,7 +285,7 @@ class TestGradients:
         table.add_row("m", "a", {"jacc": 1.0})
         table.add_row("m", "b", {"jacc": 0.0})
         config = TrainConfig(mu=0.6, penalty_lambda=0.0)
-        assert margin_loss([1.0, 0.0], (1, 0), 0.6) == 0.0
+        assert margin_loss([1.0, 0.0], (1, 0), 0.6)[0] == 0.0
         grads = gradients(graph, table, ds, config)
         assert all(np.allclose(g, 0.0) for g in grads.values())
 
@@ -376,6 +441,25 @@ class TestDivergenceAndSearch:
         with pytest.raises(TrainingDivergence):
             train(ds, table, graph, TrainConfig(epochs=1), catalog=catalog)
 
+    def test_nan_parameter_stops_the_first_epoch_at_once(self):
+        ds, catalog, table, graph = _tiny_setup()
+        graph.parameters()["n0.beta"][()] = float("nan")
+        with pytest.raises(TrainingDivergence, match="non-finite score in epoch 0") as info:
+            train(ds, table, graph, TrainConfig(epochs=3), catalog=catalog)
+        assert info.value.log == []
+
+    def test_non_finite_score_carries_the_completed_epochs(self):
+        calls = []
+
+        def step(idx):
+            calls.append(idx)
+            return np.array([np.nan if len(calls) == 7 else 0.5]), {}
+
+        with pytest.raises(TrainingDivergence) as info:
+            descend({}, 3, step, lambda: {"loss": 1.0}, TrainConfig(epochs=5))
+        assert info.value.log == [{"epoch": 0, "loss": 1.0}, {"epoch": 1, "loss": 1.0}]
+        assert len(calls) == 7
+
     def test_singleton_grid_returns_that_config(self):
         ds, catalog, table, graph = _tiny_setup()
 
@@ -415,6 +499,38 @@ class TestModelCheckpoint:
         assert again.training_log == model.training_log
         save_model(again, tmp_path / "model2.json")
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "model2.json").read_bytes()
+
+
+    def test_checkpoint_holds_raw_parameters_only(self, tmp_path):
+        ds, catalog, table, graph = _tiny_setup()
+        model = train(ds, table, graph, TrainConfig(epochs=1), catalog=catalog)
+        save_model(model, tmp_path / "model.json")
+        text = (tmp_path / "model.json").read_text()
+        obj = json.loads(text)
+        assert obj["format_version"] == 1
+        assert "batch" not in obj["config"]
+        for key in ('"weights"', '"slacks"', '"slack_big"', '"theta"'):
+            assert key not in text
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda obj: obj.pop("format_version"), "retrained"),
+            (lambda obj: obj["graph"].pop("root"), "'root'"),
+            (lambda obj: obj["graph"].update(mode="fuzzy"), "mode"),
+            (lambda obj: obj["graph"]["root"].update(kind="xor"), "unknown node kind"),
+            (lambda obj: obj["graph"]["root"]["raw_weights"].pop(), "raw_weights must have shape"),
+            (lambda obj: obj["config"].update(batch="per-mention"), "batch"),
+        ],
+    )
+    def test_malformed_checkpoint_raises_compile_error(self, tmp_path, edit, message):
+        ds, catalog, table, graph = _tiny_setup()
+        save_model(train(ds, table, graph, TrainConfig(epochs=0), catalog=catalog), tmp_path / "m.json")
+        obj = json.loads((tmp_path / "m.json").read_text())
+        edit(obj)
+        (tmp_path / "m.json").write_text(json.dumps(obj))
+        with pytest.raises(CompileError, match=message):
+            load_model(tmp_path / "m.json")
 
 
 class TestInitializationSensitivity:
