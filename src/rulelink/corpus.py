@@ -11,14 +11,16 @@ required for offline use.
 """
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import math
 import os
+import re
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import requests
 
@@ -33,6 +35,9 @@ DEFAULT_DENYLIST = (
     "http://dbpedia.org/resource/Template:",
     "http://dbpedia.org/resource/File:",
 )
+
+# A str holds a surrogate code point only where it is unpaired.
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -108,16 +113,55 @@ class ValidationReport:
         return not self.violations
 
 
+def instance_faults(inst: LabeledInstance) -> list[str]:
+    """Every fault of one built instance, in a fixed order.
+
+    The one set of per-instance checks: ``load_dataset`` raises the first
+    fault with its line number and ``validate_dataset`` reports all of
+    them under the mention id.
+    """
+    faults: list[str] = []
+    mention = inst.mention
+    if not mention.surface:
+        faults.append("mention surface is empty")
+    if mention.id in mention.context_ids:
+        faults.append(f"mention {mention.id!r} lists itself as context")
+    if any(l not in (0, 1) for l in inst.labels):
+        faults.append("labels must be 0 or 1")
+    if not isinstance(mention.mention_type, (str, type(None))):
+        faults.append(f"mention type must be a string or null, not {mention.mention_type!r}")
+    ids = [("mention id", mention.id), ("text_id", mention.text_id)]
+    ids += [("context id", c) for c in mention.context_ids]
+    ids += [("candidate id", c.id) for c in inst.candidates]
+    for what, ident in ids:
+        if not isinstance(ident, str):
+            faults.append(f"{what} {ident!r} must be a string")
+        elif _LONE_SURROGATE.search(ident):  # UTF-8 files cannot hold one
+            faults.append(f"{what} {ident!r} holds a lone surrogate")
+
+    cand_ids: set[str] = set()
+    for cand in inst.candidates:
+        if not isinstance(cand.description, (str, type(None))):
+            faults.append(f"candidate {cand.id!r} description must be a string or null")
+        if cand.indegree < 0:
+            faults.append(f"candidate {cand.id!r} has negative indegree")
+        if cand.embedding is not None and not all(math.isfinite(v) for v in cand.embedding):
+            faults.append(f"candidate {cand.id!r} has a non-finite embedding value")
+        if cand.id in cand_ids:
+            faults.append(f"duplicate candidate id {cand.id!r}")
+        cand_ids.add(cand.id)
+        for k, v in cand.external_scores.items():
+            if not 0.0 <= v <= 1.0:
+                faults.append(f"external score {k!r}={v} outside [0,1] on candidate {cand.id!r}")
+
+    if inst.candidates and len(inst.labels) != len(inst.candidates):
+        faults.append(f"{len(inst.labels)} labels for {len(inst.candidates)} candidates")
+    return faults
+
+
 def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
     def fail(msg: str):
         raise DatasetError(f"line {line_no}: {msg}")
-
-    def check_id(what: str, ident: str) -> None:
-        # ids are written back to UTF-8 files, which cannot hold a lone surrogate
-        try:
-            ident.encode("utf-8")
-        except UnicodeEncodeError:
-            fail(f"{what} {ident!r} holds a lone surrogate")
 
     try:
         m = obj["mention"]
@@ -128,29 +172,16 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
             context_ids=tuple(str(c) for c in m.get("context_ids", [])),
             mention_type=m.get("type"),
         )
-        raw_cands = obj["candidates"]
+        raw_cands = list(obj["candidates"])
         labels = tuple(int(l) for l in obj["labels"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         fail(f"missing or malformed field ({exc})")
-    if not mention.surface:
-        fail("mention surface is empty")
-    if mention.id in mention.context_ids:
-        fail(f"mention {mention.id!r} lists itself as context")
-    if any(l not in (0, 1) for l in labels):
-        fail("labels must be 0 or 1")
-    if not isinstance(mention.mention_type, (str, type(None))):
-        fail(f"mention type must be a string or null, not {mention.mention_type!r}")
-    check_id("mention id", mention.id)
-    check_id("text_id", mention.text_id)
-    for ctx_id in mention.context_ids:
-        check_id("context id", ctx_id)
 
     candidates = []
-    cand_ids: set[str] = set()
     for c in raw_cands:
         try:
             emb = c.get("embedding")
-            cand = CandidateEntity(
+            candidates.append(CandidateEntity(
                 id=str(c["id"]),
                 name=str(c["name"]),
                 description=c.get("description"),
@@ -158,27 +189,15 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
                 indegree=int(c.get("indegree", 0)),
                 embedding=None if emb is None else tuple(float(v) for v in emb),
                 external_scores={str(k): float(v) for k, v in c.get("external_scores", {}).items()},
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            ))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             fail(f"malformed candidate ({exc})")
-        check_id("candidate id", cand.id)
-        if not isinstance(cand.description, (str, type(None))):
-            fail(f"candidate {cand.id!r} description must be a string or null")
-        if cand.indegree < 0:
-            fail(f"candidate {cand.id!r} has negative indegree")
-        if cand.embedding is not None and not all(math.isfinite(v) for v in cand.embedding):
-            fail(f"candidate {cand.id!r} has a non-finite embedding value")
-        if cand.id in cand_ids:
-            fail(f"duplicate candidate id {cand.id!r}")
-        cand_ids.add(cand.id)
-        for k, v in cand.external_scores.items():
-            if not 0.0 <= v <= 1.0:
-                fail(f"external score {k!r}={v} outside [0,1] on candidate {cand.id!r}")
-        candidates.append(cand)
 
-    if candidates and len(labels) != len(candidates):
-        fail(f"{len(labels)} labels for {len(candidates)} candidates")
-    return LabeledInstance(mention=mention, candidates=tuple(candidates), labels=labels)
+    inst = LabeledInstance(mention=mention, candidates=tuple(candidates), labels=labels)
+    faults = instance_faults(inst)
+    if faults:
+        fail(faults[0])
+    return inst
 
 
 def load_dataset(path) -> Dataset:
@@ -234,14 +253,7 @@ def load_dataset(path) -> Dataset:
         ctx = tuple(c for c in inst.mention.context_ids if c in kept_ids)
         pruned += len(inst.mention.context_ids) - len(ctx)
         if ctx != inst.mention.context_ids:
-            mention = Mention(
-                id=inst.mention.id,
-                surface=inst.mention.surface,
-                text_id=inst.mention.text_id,
-                context_ids=ctx,
-                mention_type=inst.mention.mention_type,
-            )
-            inst = LabeledInstance(mention, inst.candidates, inst.labels)
+            inst = replace(inst, mention=replace(inst.mention, context_ids=ctx))
         fixed.append(inst)
 
     report = LoadReport(
@@ -314,7 +326,8 @@ def save_dataset(ds: Dataset, path) -> None:
 def merge_external_scores(ds: Dataset, scores_path, feature_name: str) -> Dataset:
     """Attach a precomputed score column to every candidate of ``ds``.
 
-    The scores file is CSV with header ``mention_id,candidate_id,score``.
+    The scores file is CSV with header ``mention_id,candidate_id,score``;
+    cells may be quoted as in RFC 4180, so ids can hold commas and quotes.
     Dataset pairs missing from the file default to 0.0 (counted); file keys
     naming unknown mentions or candidates are warned about, not fatal.
     Duplicate keys keep the last value. If a mention's resulting values
@@ -324,26 +337,31 @@ def merge_external_scores(ds: Dataset, scores_path, feature_name: str) -> Datase
 
     scores: dict[tuple[str, str], float] = {}
     duplicates = 0
-    with open(scores_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header and header.split(",")[:3] != ["mention_id", "candidate_id", "score"]:
-            raise DatasetError(
-                f"scores file {scores_path}: expected header mention_id,candidate_id,score"
-            )
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DatasetError(f"scores file line {line_no}: expected 3 columns")
-            key = (parts[0], parts[1])
-            if key in scores:
-                duplicates += 1
-            try:
-                scores[key] = float(parts[2])
-            except ValueError:
-                raise DatasetError(f"scores file line {line_no}: bad score {parts[2]!r}")
+    with open(scores_path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            if header and header[:3] != ["mention_id", "candidate_id", "score"]:
+                raise DatasetError(
+                    f"scores file {scores_path}: expected header mention_id,candidate_id,score"
+                )
+            for cells in reader:
+                if not cells:
+                    continue
+                if len(cells) != 3:
+                    raise DatasetError(f"scores file line {reader.line_num}: expected 3 columns")
+                key = (cells[0], cells[1])
+                if key in scores:
+                    duplicates += 1
+                try:
+                    value = float(cells[2])
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise DatasetError(f"scores file line {reader.line_num}: bad score {cells[2]!r}")
+                scores[key] = value
+        except csv.Error as exc:
+            raise DatasetError(f"scores file {scores_path} line {reader.line_num}: {exc}") from exc
     if duplicates:
         logger.warning("merge %s: %d duplicate keys, last value wins", feature_name, duplicates)
 
@@ -377,15 +395,7 @@ def merge_external_scores(ds: Dataset, scores_path, feature_name: str) -> Datase
         if values and (min(values) < 0.0 or max(values) > 1.0):
             values = list(minmax_rescale(values))
         new_cands = tuple(
-            CandidateEntity(
-                id=c.id,
-                name=c.name,
-                description=c.description,
-                domains=c.domains,
-                indegree=c.indegree,
-                embedding=c.embedding,
-                external_scores={**c.external_scores, feature_name: v},
-            )
+            replace(c, external_scores={**c.external_scores, feature_name: v})
             for c, v in zip(inst.candidates, values)
         )
         new_instances.append(LabeledInstance(inst.mention, new_cands, inst.labels))
@@ -472,7 +482,12 @@ def fetch_all(
 
 
 def validate_dataset(ds: Dataset) -> ValidationReport:
-    """Report invariant violations and per-field coverage; never mutates."""
+    """Report invariant violations and per-field coverage; never mutates.
+
+    Each instance gets the same checks as at load (:func:`instance_faults`),
+    plus the ones load settles by dropping or pruning: empty candidate
+    lists, no positive label and unknown context ids.
+    """
     violations: list[str] = []
     seen: set[str] = set()
     known = {i.mention.id for i in ds.instances}
@@ -489,25 +504,13 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
         if mid in seen:
             violations.append(f"duplicate mention id {mid!r}")
         seen.add(mid)
-        if not inst.mention.surface:
-            violations.append(f"mention {mid!r}: empty surface")
-        if mid in inst.mention.context_ids:
-            violations.append(f"mention {mid!r}: lists itself as context")
+        violations += (f"mention {mid!r}: {fault}" for fault in instance_faults(inst))
         for ctx in inst.mention.context_ids:
             if ctx not in known:
                 violations.append(f"mention {mid!r}: unknown context id {ctx!r}")
         if not inst.candidates:
             violations.append(f"mention {mid!r}: empty candidate list")
-        cand_ids: set[str] = set()
-        for cand in inst.candidates:
-            if cand.id in cand_ids:
-                violations.append(f"mention {mid!r}: duplicate candidate id {cand.id!r}")
-            cand_ids.add(cand.id)
-        if len(inst.labels) != len(inst.candidates):
-            violations.append(
-                f"mention {mid!r}: {len(inst.labels)} labels for {len(inst.candidates)} candidates"
-            )
-        elif inst.candidates and not any(inst.labels):
+        elif not any(inst.labels):
             violations.append(f"mention {mid!r}: no positive label")
         if inst.mention.mention_type is not None:
             with_type += 1
@@ -521,12 +524,8 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
                     violations.append(
                         f"candidate {cand.id!r}: embedding dim {len(cand.embedding)} != {dim}"
                     )
-            if cand.indegree < 0:
-                violations.append(f"candidate {cand.id!r}: negative indegree")
-            for k, v in cand.external_scores.items():
+            for k in cand.external_scores:
                 external_counts[k] = external_counts.get(k, 0) + 1
-                if not 0.0 <= v <= 1.0:
-                    violations.append(f"candidate {cand.id!r}: score {k}={v} outside [0,1]")
 
     denom = max(n_cands, 1)
     coverage = {

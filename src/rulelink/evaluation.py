@@ -147,14 +147,9 @@ def evaluate(model: Model, ds: Dataset, table: FeatureTable, ks=(5, 10, 64)) -> 
 def transfer_eval(model: Model, ds: Dataset, table: FeatureTable, ks=(5, 10, 64)) -> EvalReport:
     """Evaluate frozen parameters on a dataset the model never saw.
 
-    Identical to in-domain evaluation; the explicit entry point checks
-    feature compatibility up front and reports what is missing.
+    Identical to in-domain evaluation: a target table lacking a feature the
+    model reads raises FeatureError from :func:`link`, naming what is missing.
     """
-    missing = [n for n in model.graph.feature_names if n not in table.feature_names]
-    if missing:
-        raise FeatureError(
-            f"transfer target lacks features required by the model: {', '.join(missing)}"
-        )
     return evaluate(model, ds, table, ks=ks)
 
 

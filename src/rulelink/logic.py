@@ -385,11 +385,12 @@ class ScoringGraph:
 
     # -- evaluation ------------------------------------------------------
 
-    def evaluate_batch(self, cols: dict[str, np.ndarray]) -> np.ndarray:
+    def evaluate_batch(self, cols: dict[str, np.ndarray], cache: dict | None = None) -> np.ndarray:
+        """Score every row of ``cols``; ``cache`` receives what :meth:`backward` reads."""
         for name in self.feature_names:
             if name not in cols:
                 raise FeatureError(f"missing feature column {name!r}")
-        return self._forward(self.root, cols, {})
+        return self._forward(self.root, cols, {} if cache is None else cache)
 
     def evaluate(self, row: dict[str, float]) -> float:
         cols = {k: np.asarray([v], dtype=float) for k, v in row.items()}
@@ -434,19 +435,17 @@ class ScoringGraph:
                 cache[node.uid] = (xs, w)
         else:  # pragma: no cover
             raise TypeError(f"unknown node {node!r}")
-        cache[("value", node.uid)] = val
         return val
 
-    def backward(self, cols: dict[str, np.ndarray], dout: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+    def backward(self, cache: dict, dout: np.ndarray, grads: dict[str, np.ndarray]) -> None:
         """Accumulate d(loss)/d(raw parameter) into ``grads``.
 
-        ``dout`` is d(loss)/d(score) per row. Forward intermediates are
-        recomputed; the sub-gradient at clamp kinks is zero.
+        ``cache`` holds the intermediates of the :meth:`evaluate_batch` call
+        that produced the scores, made with the current parameters; ``dout``
+        is d(loss)/d(score) per row. The sub-gradient at clamp kinks is zero.
         """
         if self.mode == "manual":
             return
-        cache: dict = {}
-        self._forward(self.root, cols, cache)
         self._backward(self.root, np.asarray(dout, dtype=float), cache, grads)
 
     def _backward(self, node: Node, g: np.ndarray, cache, grads) -> None:

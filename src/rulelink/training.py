@@ -200,11 +200,12 @@ def descend(params: dict, n_items: int, step, epoch_stats, config) -> list[dict]
 
 
 def _mention_grads(graph: ScoringGraph, cols, labels, mu: float, grads: dict) -> np.ndarray:
-    """One mention's scores; adds its margin-loss gradients to ``grads``."""
-    scores = graph.evaluate_batch(cols)
+    """One mention's scores (one forward walk); adds its margin-loss gradients to ``grads``."""
+    cache: dict = {}
+    scores = graph.evaluate_batch(cols, cache)
     _, dscores = margin_loss(scores, labels, mu)
     if np.any(dscores != 0.0):
-        graph.backward(cols, dscores, grads)
+        graph.backward(cache, dscores, grads)
     return scores
 
 

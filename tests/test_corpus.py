@@ -1,11 +1,19 @@
+import csv
+import dataclasses
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import instance_obj, write_jsonl
 from rulelink.corpus import (
+    CandidateEntity,
+    Dataset,
+    LabeledInstance,
+    Mention,
     canonical_lines,
     fetch_candidates,
     load_dataset,
@@ -119,6 +127,13 @@ class TestLoadDataset:
         assert ds.instances[0].mention.id == "m\U0001f600"
         assert ds.instances[0].candidates[0].id == "Z\u00fcrich,_CH"
 
+    @pytest.mark.parametrize("candidates", [[5], 5, ["e1"]])
+    def test_non_object_candidates_rejected(self, tmp_path, candidates):
+        obj = instance_obj("m1")
+        obj["candidates"] = candidates
+        with pytest.raises(DatasetError, match="line 1: .*malformed"):
+            load_dataset(write_jsonl(tmp_path / "d.jsonl", [obj]))
+
     def test_label_length_mismatch_is_malformed(self, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1", labels=[1])])
         with pytest.raises(DatasetError, match="line 1"):
@@ -220,6 +235,61 @@ class TestMergeExternalScores:
             cand["external_scores"].pop("col")
         original = [json.loads(line)["candidates"][0] for line in canonical_lines(ds)]
         assert json.dumps(stripped, sort_keys=True) == json.dumps(original, sort_keys=True)
+
+    def test_quoted_cells_hold_commas_and_quotes(self, tmp_path):
+        obj = instance_obj("m1")
+        obj["candidates"][0]["id"] = "Washington,_D.C."
+        obj["candidates"][1]["id"] = 'The_"Boss"'
+        ds = load_dataset(write_jsonl(tmp_path / "d.jsonl", [obj]))
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            'mention_id,candidate_id,score\n'
+            'm1,"Washington,_D.C.",0.5\n'
+            '"m1","The_""Boss""",0.25\n'
+        )
+        merged = merge_external_scores(ds, path, "col")
+        assert [c.external_scores["col"] for c in merged.instances[0].candidates] == [0.5, 0.25]
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "x"])
+    def test_non_finite_or_bad_score_rejected(self, tmp_path, score):
+        ds = load_dataset(write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1")]))
+        path = tmp_path / "scores.csv"
+        path.write_text(f"mention_id,candidate_id,score\nm1,e1,0.5\nm1,e2,{score}\n")
+        with pytest.raises(DatasetError, match="line 3: bad score"):
+            merge_external_scores(ds, path, "col")
+
+    def test_csv_error_is_dataset_error(self, tmp_path):
+        ds = load_dataset(write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1")]))
+        path = tmp_path / "scores.csv"
+        path.write_text(f"mention_id,candidate_id,score\nm1,{'e' * 200_000},0.5\n")
+        with pytest.raises(DatasetError, match="field larger than field limit"):
+            merge_external_scores(ds, path, "col")
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_kg_ids_written_by_csv_writer_merge_onto_their_candidates(self, tmp_path, data):
+        # commas, quotes, line breaks and astral chars; no lone surrogates
+        chars = st.one_of(st.sampled_from(',"\r\n \u00e9\U0001f600'), st.characters(blacklist_categories=("Cs",)))
+        ident = st.text(chars, min_size=1, max_size=12)
+        mention_ids = data.draw(st.lists(ident, min_size=1, max_size=4, unique=True))
+        instances, rows = [], []
+        for mid in mention_ids:
+            cand_ids = data.draw(st.lists(ident, min_size=1, max_size=4, unique=True))
+            values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(cand_ids), max_size=len(cand_ids)))
+            cands = tuple(CandidateEntity(id=c, name="x") for c in cand_ids)
+            labels = (1,) + (0,) * (len(cands) - 1)
+            instances.append(LabeledInstance(Mention(id=mid, surface="s", text_id="t"), cands, labels))
+            rows += [(mid, c, v) for c, v in zip(cand_ids, values)]
+        path = tmp_path / "scores.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["mention_id", "candidate_id", "score"])
+            writer.writerows(data.draw(st.permutations(rows)))
+        merged = merge_external_scores(Dataset(instances=tuple(instances), name="kg"), path, "col")
+        expected = {(m, c): v for m, c, v in rows}
+        for inst in merged.instances:
+            for cand in inst.candidates:
+                assert cand.external_scores["col"] == expected[(inst.mention.id, cand.id)]
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -327,6 +397,33 @@ class TestValidateDataset:
         ds = Dataset(instances=(broken, toy_dataset.instances[1]), name="broken")
         report = validate_dataset(ds)
         assert any("m1" in v and "labels" in v for v in report.violations)
+
+    @pytest.mark.parametrize(
+        "field, value, fault",
+        [
+            ("description", 5, "candidate 'James_Cameron' description must be a string or null"),
+            ("embedding", (0.5, float("nan")), "candidate 'James_Cameron' has a non-finite embedding value"),
+            ("id", "James\ud800", "candidate id 'James\\ud800' holds a lone surrogate"),
+        ],
+    )
+    def test_in_code_faults_reported_as_at_load(self, toy_dataset, tmp_path, field, value, fault):
+        inst = toy_dataset.instances[0]
+        bad = dataclasses.replace(inst.candidates[0], **{field: value})
+        broken = LabeledInstance(inst.mention, (bad,) + inst.candidates[1:], inst.labels)
+        ds = Dataset(instances=(broken, toy_dataset.instances[1]), name="broken")
+        assert validate_dataset(ds).violations == (f"mention 'm1': {fault}",)
+        # the load boundary raises the same fault, with the line number
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(canonical_lines(ds)) + "\n")
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"line 1: {fault}"
+
+    def test_in_code_non_string_id_is_violation(self, toy_dataset):
+        inst = toy_dataset.instances[1]
+        broken = LabeledInstance(dataclasses.replace(inst.mention, text_id=7), inst.candidates, inst.labels)
+        report = validate_dataset(Dataset(instances=(toy_dataset.instances[0], broken), name="broken"))
+        assert report.violations == ("mention 'm2': text_id 7 must be a string",)
 
 
 class TestFetchAll:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from rulelink.errors import CompileError
+from rulelink.corpus import Dataset, LabeledInstance
+from rulelink.errors import CompileError, DatasetError
 from rulelink.estimator import RuleLinker
 from synthgen import generate_dataset
 
@@ -26,6 +29,14 @@ class TestParams:
         est = RuleLinker(rules="NoSuchTemplate")
         with pytest.raises(CompileError, match="neither a built-in"):
             est.fit(small_ds)
+
+    def test_in_code_non_string_description_fails_at_fit(self, toy_dataset):
+        inst = toy_dataset.instances[0]
+        bad = dataclasses.replace(inst.candidates[0], description=5)
+        broken = LabeledInstance(inst.mention, (bad,) + inst.candidates[1:], inst.labels)
+        ds = Dataset(instances=(broken, toy_dataset.instances[1]), name="broken")
+        with pytest.raises(DatasetError, match="description must be a string or null"):
+            RuleLinker(rules="rule Links = ctx?;", epochs=1).fit(ds)
 
 
 class TestFitPredict:

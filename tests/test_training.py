@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
 from rulelink.errors import CompileError, TrainingDivergence
 from rulelink.logic import softplus_inverse
-from rulelink.ruledsl import builtin_templates, compile, parse
+from rulelink.ruledsl import RuleAST, builtin_templates, compile, parse
 from rulelink.simfeatures import build_feature_table, default_catalog
 from rulelink.training import (
     TrainConfig,
@@ -316,6 +316,87 @@ class TestGradients:
 
         expected = -dtl_dgamma(f_pos) + dtl_dgamma(f_neg)
         assert float(grads["n0.gamma"]) == pytest.approx(expected)
+
+
+def _recomputing_mention_grads(graph, cols, labels, mu, grads):
+    """Reference step: score, then a fresh forward into a new cache for the
+    backward pass, as the training step did before it kept the forward's
+    intermediates."""
+    scores = graph.evaluate_batch(cols)
+    _, dscores = margin_loss(scores, labels, mu)
+    if np.any(dscores != 0.0) and graph.mode != "manual":
+        cache = {}
+        graph._forward(graph.root, cols, cache)
+        graph._backward(graph.root, np.asarray(dscores, dtype=float), cache, grads)
+    return scores
+
+
+def _fuzzed_graph_and_data(seed, mode):
+    """A random rule tree (``test_ruledsl._random_expr``) with jittered
+    parameters, plus random feature values for a few candidate lists."""
+    from rulelink.simfeatures import FeatureTable
+    from test_ruledsl import _random_expr
+
+    rng = np.random.default_rng(seed)
+    graph = compile([RuleAST(name="Fuzz", body=_random_expr(rng, 3))], default_catalog(), mode=mode)
+    for arr in graph.parameters().values():
+        arr += rng.normal(0, 0.6, size=arr.shape)
+    instances = []
+    for i in range(int(rng.integers(2, 5))):
+        k = int(rng.integers(2, 6))
+        labels = [0] * k
+        labels[int(rng.integers(0, k))] = 1
+        cands = tuple(CandidateEntity(id=f"m{i}c{j}", name="x") for j in range(k))
+        instances.append(LabeledInstance(Mention(id=f"m{i}", surface="s", text_id="t"), cands, tuple(labels)))
+    ds = Dataset(instances=tuple(instances), name="fuzz")
+    table = FeatureTable(graph.feature_names)
+    for inst in ds.instances:
+        for cand in inst.candidates:
+            table.add_row(inst.mention.id, cand.id, {n: float(rng.uniform(0, 1)) for n in graph.feature_names})
+    return graph, table, ds
+
+
+class TestOneForwardPerStep:
+    CONFIG = TrainConfig(epochs=3, learning_rate=0.05, mu=0.7, penalty_lambda=1.0, seed=5)
+
+    @pytest.mark.parametrize("mode", ["lnn", "tnorm"])
+    def test_matches_the_recomputing_step_bit_for_bit(self, mode, monkeypatch):
+        import rulelink.training as training
+
+        for seed in range(40):
+            runs = []
+            for step in (training._mention_grads, _recomputing_mention_grads):
+                graph, table, ds = _fuzzed_graph_and_data(seed, mode)
+                with monkeypatch.context() as patch:
+                    patch.setattr(training, "_mention_grads", step)
+                    grads = gradients(graph, table, ds, self.CONFIG)
+                    model = train(ds, table, graph, self.CONFIG)
+                params = model.graph.parameters()
+                runs.append((
+                    {k: np.asarray(g).tobytes() for k, g in grads.items()},
+                    {k: p.tobytes() for k, p in params.items()},
+                    json.dumps(model.training_log),
+                ))
+            assert runs[0] == runs[1], seed
+
+    @pytest.mark.parametrize("mode", ["lnn", "tnorm"])
+    def test_one_forward_walk_per_mention(self, mode, monkeypatch):
+        graph, table, ds = _fuzzed_graph_and_data(3, mode)
+        root_walks = []
+        forward = graph._forward
+
+        def counting(node, cols, cache):
+            if node is graph.root:
+                root_walks.append(1)
+            return forward(node, cols, cache)
+
+        monkeypatch.setattr(graph, "_forward", counting)
+        gradients(graph, table, ds, self.CONFIG)
+        assert len(root_walks) == len(ds.instances)
+        root_walks.clear()
+        train(ds, table, graph, self.CONFIG)
+        # one walk per step, one per mention for each epoch's logged loss
+        assert len(root_walks) == 2 * self.CONFIG.epochs * len(ds.instances)
 
 
 class TestTrain:
