@@ -159,6 +159,13 @@ def instance_faults(inst: LabeledInstance) -> list[str]:
     return faults
 
 
+def _as_list(value, what: str) -> list:
+    """A JSON array field; a string would otherwise iterate as characters."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
 def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
     def fail(msg: str):
         raise DatasetError(f"line {line_no}: {msg}")
@@ -169,11 +176,11 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
             id=str(m["id"]),
             surface=str(m["surface"]),
             text_id=str(m["text_id"]),
-            context_ids=tuple(str(c) for c in m.get("context_ids", [])),
+            context_ids=tuple(str(c) for c in _as_list(m.get("context_ids", []), "context_ids")),
             mention_type=m.get("type"),
         )
-        raw_cands = list(obj["candidates"])
-        labels = tuple(int(l) for l in obj["labels"])
+        raw_cands = _as_list(obj["candidates"], "candidates")
+        labels = tuple(int(l) for l in _as_list(obj["labels"], "labels"))
     except (KeyError, TypeError, AttributeError) as exc:
         fail(f"missing or malformed field ({exc})")
 
@@ -185,9 +192,9 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
                 id=str(c["id"]),
                 name=str(c["name"]),
                 description=c.get("description"),
-                domains=frozenset(str(d) for d in c.get("domains", [])),
+                domains=frozenset(str(d) for d in _as_list(c.get("domains", []), "domains")),
                 indegree=int(c.get("indegree", 0)),
-                embedding=None if emb is None else tuple(float(v) for v in emb),
+                embedding=None if emb is None else tuple(float(v) for v in _as_list(emb, "embedding")),
                 external_scores={str(k): float(v) for k, v in c.get("external_scores", {}).items()},
             ))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:

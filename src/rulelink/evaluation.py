@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corpus import Dataset
-from .errors import FeatureError
 from .logic import AndNode, NotNode, RawLeaf, ThresholdLeaf
 from .ruledsl import TemplateLibrary, builtin_templates, compile, disjoin
 from .simfeatures import FeatureTable
@@ -77,23 +76,21 @@ def report_to_json_bytes(report: EvalReport) -> bytes:
 def rank_candidates(candidate_ids, scores) -> tuple[tuple[str, float], ...]:
     """Sort descending by score; equal scores keep candidate list order."""
     scores = np.asarray(scores, dtype=float)
-    order = np.argsort(-scores, kind="stable")
-    return tuple((candidate_ids[i], float(scores[i])) for i in order)
+    values = scores.tolist()
+    return tuple((candidate_ids[i], values[i]) for i in np.argsort(-scores, kind="stable").tolist())
 
 
 def link(model: Model, ds: Dataset, table: FeatureTable) -> list[Prediction]:
-    """Score and rank every mention's candidates with the trained graph."""
-    graph = model.graph
-    missing = [n for n in graph.feature_names if n not in table.feature_names]
-    if missing:
-        raise FeatureError(f"feature table lacks columns: {', '.join(missing)}")
-    preds = []
-    for inst in ds.instances:
-        cols = table.columns(inst, graph.feature_names)
-        scores = graph.evaluate_batch(cols)
-        ids = [c.id for c in inst.candidates]
-        preds.append(Prediction(mention_id=inst.mention.id, ranked=rank_candidates(ids, scores)))
-    return preds
+    """Score every mention's candidates in one graph walk, then rank each list."""
+    cols, offsets = table.gather(ds.instances, model.graph.feature_names)
+    scores = model.graph.evaluate_batch(cols)
+    return [
+        Prediction(
+            mention_id=inst.mention.id,
+            ranked=rank_candidates([c.id for c in inst.candidates], scores[start:end]),
+        )
+        for inst, start, end in zip(ds.instances, offsets, offsets[1:])
+    ]
 
 
 def _gold_ids(ds: Dataset) -> dict[str, set[str]]:
@@ -148,7 +145,8 @@ def transfer_eval(model: Model, ds: Dataset, table: FeatureTable, ks=(5, 10, 64)
     """Evaluate frozen parameters on a dataset the model never saw.
 
     Identical to in-domain evaluation: a target table lacking a feature the
-    model reads raises FeatureError from :func:`link`, naming what is missing.
+    model reads raises FeatureError from :meth:`FeatureTable.gather`, naming
+    every missing column.
     """
     return evaluate(model, ds, table, ks=ks)
 

@@ -40,13 +40,16 @@ _NEG_CAP = -800.0
 
 def sigmoid(x):
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0:  # same two formulas as the masked path, without the masks
+        if x >= 0:
+            return float(1.0 / (1.0 + np.exp(-x)))
+        ex = np.exp(x)
+        return float(ex / (1.0 + ex))
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    if out.ndim == 0:
-        return float(out)
     return out
 
 
@@ -158,10 +161,20 @@ def _check_unit(values, what: str):
     return arr
 
 
+def _fold(op, terms):
+    """Reduce over the children axis left to right. numpy's ``sum`` pairs
+    terms up when that axis is contiguous (a one-row batch), which would
+    score a row differently alone than inside a larger batch."""
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = op(acc, term)
+    return acc
+
+
 def _and_core(inputs: np.ndarray, weights: np.ndarray, bias: float):
     """Pre-clamp activation and clamped value of the weighted conjunction."""
     w = weights[:, None] if inputs.ndim == 2 else weights
-    pre = bias - ((1.0 - inputs) * w).sum(axis=0)
+    pre = bias - _fold(np.add, (1.0 - inputs) * w)
     return pre, np.clip(pre, 0.0, 1.0)
 
 
@@ -423,7 +436,7 @@ class ScoringGraph:
                 cache[node.uid] = (inputs, pre)
             elif self.mode == "tnorm":
                 inputs = 1.0 - xs if flip else xs
-                prod = np.prod(inputs, axis=0)
+                prod = _fold(np.multiply, inputs)
                 val = 1.0 - prod if flip else prod
                 cache[node.uid] = (inputs, prod)
             else:
@@ -431,7 +444,7 @@ class ScoringGraph:
                 if w is None:
                     k = len(node.children)
                     w = np.full(k, 1.0 / k) if flip else np.ones(k)
-                val = (w[:, None] * xs).sum(axis=0) if flip else np.prod(w[:, None] * xs, axis=0)
+                val = _fold(np.add if flip else np.multiply, w[:, None] * xs)
                 cache[node.uid] = (xs, w)
         else:  # pragma: no cover
             raise TypeError(f"unknown node {node!r}")

@@ -359,22 +359,28 @@ class FeatureTable:
     def value(self, mention_id: str, candidate_id: str, name: str) -> float:
         return self.rows[(mention_id, candidate_id)][name]
 
-    def columns(self, inst: LabeledInstance, names=None) -> dict[str, np.ndarray]:
-        """Feature columns over the instance's candidates, in list order."""
+    def gather(self, instances, names=None) -> tuple[dict[str, np.ndarray], list[int]]:
+        """Feature columns over many instances' candidates, concatenated in
+        order, plus offsets: instance i owns rows ``offsets[i]:offsets[i+1]``."""
         names = list(names) if names is not None else self.feature_names
-        mid = inst.mention.id
+        missing = [n for n in names if n not in self.feature_names]
+        if missing:
+            raise FeatureError(f"feature table lacks columns: {', '.join(missing)}")
         rows = []
-        for cand in inst.candidates:
-            row = self.rows.get((mid, cand.id))
-            if row is None:
-                raise FeatureError(f"feature table lacks row ({mid!r}, {cand.id!r})")
-            rows.append(row)
-        out: dict[str, np.ndarray] = {}
-        for name in names:
-            if name not in self.feature_names:
-                raise FeatureError(f"feature table has no column {name!r}")
-            out[name] = np.array([row[name] for row in rows], dtype=float)
-        return out
+        offsets = [0]
+        for inst in instances:
+            mid = inst.mention.id
+            for cand in inst.candidates:
+                row = self.rows.get((mid, cand.id))
+                if row is None:
+                    raise FeatureError(f"feature table lacks row ({mid!r}, {cand.id!r})")
+                rows.append(row)
+            offsets.append(len(rows))
+        return {name: np.array([row[name] for row in rows], dtype=float) for name in names}, offsets
+
+    def columns(self, inst: LabeledInstance, names=None) -> dict[str, np.ndarray]:
+        """Feature columns over one instance's candidates, in list order."""
+        return self.gather([inst], names)[0]
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -210,11 +210,16 @@ def _mention_grads(graph: ScoringGraph, cols, labels, mu: float, grads: dict) ->
 
 
 def total_loss(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: TrainConfig) -> float:
-    """Margin loss summed over mentions plus the weighted constraint penalty."""
+    """Margin loss summed over mentions plus the weighted constraint penalty.
+
+    One graph walk scores every mention's rows; the per-mention losses are
+    then added in dataset order.
+    """
+    cols, offsets = table.gather(ds.instances, graph.feature_names)
+    scores = graph.evaluate_batch(cols)
     total = 0.0
-    for inst in ds.instances:
-        scores = graph.evaluate_batch(table.columns(inst, graph.feature_names))
-        total += margin_loss(scores, inst.labels, config.mu)[0]
+    for inst, start, end in zip(ds.instances, offsets, offsets[1:]):
+        total += margin_loss(scores[start:end], inst.labels, config.mu)[0]
     return float(total + config.penalty_lambda * graph.residual_sum())
 
 
@@ -252,7 +257,11 @@ def train(
         )
     params = graph.parameters()
     instances = list(ds.instances)
-    prefetched = [table.columns(inst, graph.feature_names) for inst in instances]
+    cols, offsets = table.gather(instances, graph.feature_names)
+    prefetched = [
+        {name: col[start:end] for name, col in cols.items()}
+        for start, end in zip(offsets, offsets[1:])
+    ]
 
     def step(idx):
         grads: dict = {}

@@ -266,6 +266,27 @@ class TestTypedFieldsCli:
         assert "line 2:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: obj["mention"].update(context_ids="m1"),
+            lambda obj: obj["candidates"][0].update(domains="Place"),
+            lambda obj: obj.update(labels="10"),
+            lambda obj: obj["candidates"][0].update(embedding="12"),
+        ],
+        ids=["context_ids", "domains", "labels", "embedding"],
+    )
+    def test_string_for_list_exits_one(self, tmp_path, capsys, edit):
+        objs = [instance_obj("m1", context_ids=["m2"]), instance_obj("m2", context_ids=["m1"])]
+        edit(objs[1])
+        write_jsonl(tmp_path / "d.jsonl", objs)
+        (tmp_path / "r.elr").write_text("rule Links = jacc? & type?;\n")
+        code = run(["featurize", "--data", str(tmp_path / "d.jsonl"),
+                    "--rules", str(tmp_path / "r.elr"), "--out", str(tmp_path / "f.csv")])
+        assert code == 1
+        assert "must be a list" in capsys.readouterr().err
+
+
 _MODEL_COMMANDS = ("inspect", "link", "eval", "transfer")
 
 

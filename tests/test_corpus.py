@@ -127,6 +127,20 @@ class TestLoadDataset:
         assert ds.instances[0].mention.id == "m\U0001f600"
         assert ds.instances[0].candidates[0].id == "Z\u00fcrich,_CH"
 
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [("mention", "context_ids", "m2"), ("candidate", "domains", "Place"),
+         ("instance", "labels", "10"), ("candidate", "embedding", "12")],
+    )
+    def test_string_for_list_rejected(self, tmp_path, where, key, value):
+        # iterated as characters, each would load as a wrong but plausible value
+        bad = instance_obj("m2", context_ids=["m1"])
+        target = {"mention": bad["mention"], "candidate": bad["candidates"][0], "instance": bad}[where]
+        target[key] = value
+        path = write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1"), bad])
+        with pytest.raises(DatasetError, match=f"line 2: .*{key} must be a list, not str"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("candidates", [[5], 5, ["e1"]])
     def test_non_object_candidates_rejected(self, tmp_path, candidates):
         obj = instance_obj("m1")

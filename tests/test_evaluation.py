@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
 from rulelink.errors import FeatureError
@@ -22,10 +24,10 @@ from rulelink.evaluation import (
     transfer_eval,
     weights_to_dot,
 )
-from rulelink.logic import softplus_inverse
-from rulelink.ruledsl import builtin_templates, compile, parse
-from rulelink.simfeatures import FeatureTable, build_feature_table, default_catalog
-from rulelink.training import Model, TrainConfig, load_model, save_model, train
+from rulelink.logic import AndNode, GateParams, OrNode, RawLeaf, ScoringGraph, ThresholdLeaf, softplus_inverse
+from rulelink.ruledsl import RuleAST, builtin_templates, compile, parse
+from rulelink.simfeatures import FeatureCatalog, FeatureTable, build_feature_table, default_catalog
+from rulelink.training import Model, TrainConfig, load_model, margin_loss, save_model, total_loss, train
 from synthgen import generate_dataset
 
 
@@ -186,6 +188,87 @@ class TestLink:
         thin = FeatureTable(["jacc"])
         with pytest.raises(FeatureError, match="lacks columns"):
             link(model, toy_dataset, thin)
+
+
+def _wide_graph(rng, mode):
+    """A hand-built gate of 8-12 children whose lnn pre-activation mostly
+    stays inside the clamp, so a change in its last bits shows."""
+    k = int(rng.integers(8, 13))
+    leaves = [ThresholdLeaf(f"f{i}") if rng.integers(0, 2) else RawLeaf(f"f{i}") for i in range(k)]
+    gate = GateParams(k, raw_weights=rng.normal(-2.5, 0.5, k), bias=rng.uniform(0.8, 1.5))
+    manual = rng.uniform(0.5, 1.5, k) if mode == "manual" else None
+    return ScoringGraph((AndNode if rng.integers(0, 2) else OrNode)(leaves, gate=gate, manual_weights=manual), mode=mode)
+
+
+def _ragged_case(seed, mode):
+    """A fuzzed graph (``test_ruledsl._random_expr`` with jittered
+    parameters, or a wide gate) over 1-6 mentions of 1-64 candidates each."""
+    from test_ruledsl import _random_expr
+
+    rng = np.random.default_rng(seed)
+    if rng.integers(0, 2):
+        graph = compile([RuleAST(name="Fuzz", body=_random_expr(rng, 3))], default_catalog(), mode=mode)
+        for arr in graph.parameters().values():
+            arr += rng.normal(0, 0.6, size=arr.shape)
+    else:
+        graph = _wide_graph(rng, mode)
+    instances = []
+    table = FeatureTable(graph.feature_names)
+    for i in range(int(rng.integers(1, 7))):
+        k = 1 if rng.random() < 0.4 else int(rng.integers(1, 65))  # one-row lists are the edge case
+        labels = [int(v) for v in rng.random(k) < 0.2]
+        labels[int(rng.integers(0, k))] = 1
+        cands = tuple(CandidateEntity(id=f"m{i}c{j}", name="x") for j in range(k))
+        instances.append(LabeledInstance(Mention(id=f"m{i}", surface="s", text_id="t"), cands, tuple(labels)))
+        for cand in cands:
+            values = np.where(rng.random(len(graph.feature_names)) < 0.2, 1.0, rng.random(len(graph.feature_names)))
+            table.add_row(f"m{i}", cand.id, dict(zip(graph.feature_names, values.tolist())))
+    ds = Dataset(instances=tuple(instances), name="ragged")
+    return Model(graph=graph, config=TrainConfig(), catalog=FeatureCatalog()), ds, table
+
+
+class TestBatchedScoring:
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["lnn", "tnorm", "manual"]))
+    def test_one_walk_equals_a_walk_per_mention(self, seed, mode):
+        model, ds, table = _ragged_case(seed, mode)
+        graph, config = model.graph, TrainConfig(penalty_lambda=0.5)
+        cols, offsets = table.gather(ds.instances, graph.feature_names)
+        batched = graph.evaluate_batch(cols)
+        expected_preds, expected_loss = [], 0.0
+        for inst, start, end in zip(ds.instances, offsets, offsets[1:]):
+            alone = graph.evaluate_batch(table.columns(inst, graph.feature_names))
+            assert alone.tobytes() == batched[start:end].tobytes()
+            expected_preds.append(Prediction(inst.mention.id, rank_candidates([c.id for c in inst.candidates], alone)))
+            expected_loss += margin_loss(alone, inst.labels, config.mu)[0]
+        assert link(model, ds, table) == expected_preds
+        expected_loss = float(expected_loss + config.penalty_lambda * graph.residual_sum())
+        assert np.float64(total_loss(graph, table, ds, config)).tobytes() == np.float64(expected_loss).tobytes()
+
+    @pytest.mark.parametrize("mode", ["lnn", "tnorm", "manual"])
+    def test_one_root_walk_per_call(self, mode, monkeypatch):
+        model, ds, table = _ragged_case(5, mode)
+        ds = Dataset(instances=ds.instances * 3, name="x")  # repeats are fine for scoring
+        graph = model.graph
+        root_walks = []
+        forward = graph._forward
+
+        def counting(node, cols, cache):
+            if node is graph.root:
+                root_walks.append(1)
+            return forward(node, cols, cache)
+
+        monkeypatch.setattr(graph, "_forward", counting)
+        for call in (lambda: link(model, ds, table), lambda: evaluate(model, ds, table),
+                     lambda: total_loss(graph, table, ds, TrainConfig())):
+            root_walks.clear()
+            call()
+            assert len(root_walks) == 1
+
+    def test_gather_names_every_missing_column(self, toy_dataset):
+        table = FeatureTable(["jacc"])
+        with pytest.raises(FeatureError, match="lacks columns: lev, prom"):
+            table.gather(toy_dataset.instances, ["jacc", "lev", "prom"])
 
 
 class TestTransfer:

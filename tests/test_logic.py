@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rulelink.errors import FeatureError
@@ -21,6 +21,7 @@ from rulelink.logic import (
     lnn_not,
     lnn_or,
     manual_score,
+    sigmoid,
     softplus,
     softplus_inverse,
     threshold_gate,
@@ -218,6 +219,38 @@ class TestEvaluateGraph:
         cols2 = {"jacc": cols["jacc"], "unused": cols["unused"] * 7.0}
         again = graph.evaluate_batch(cols2)
         assert np.argsort(-base).tolist() == np.argsort(-again).tolist()
+
+
+class TestSigmoid:
+    @given(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308]),
+    ))
+    def test_scalar_path_matches_array_path(self, x):
+        # the array path takes x through its boolean masks; 0-d input skips them
+        batch = sigmoid(np.array([x, 0.5, -x]))
+        assert np.float64(sigmoid(np.asarray(x))).tobytes() == batch[0].tobytes()
+        assert np.float64(sigmoid(-x)).tobytes() == batch[2].tobytes()
+        assert type(sigmoid(x)) is float
+
+
+class TestWideGateBatchIndependence:
+    @pytest.mark.parametrize("mode", ["lnn", "tnorm", "manual"])
+    @pytest.mark.parametrize("gate_cls", [AndNode, OrNode])
+    def test_one_row_scores_as_inside_a_batch(self, mode, gate_cls):
+        # numpy sums a single row's children pairwise from 8 terms on, but a
+        # batch's left to right; the gate must fold them the same way for both
+        rng = np.random.default_rng(11)
+        for k in range(8, 40):
+            gate = GateParams(k, raw_weights=rng.normal(0, 1, k), bias=rng.uniform(0.5, 0.5 * k))
+            manual = rng.uniform(0.5, 1.5, k) if mode == "manual" else None
+            leaves = [RawLeaf(f"f{i}") for i in range(k)]
+            graph = ScoringGraph(gate_cls(leaves, gate=gate, manual_weights=manual), mode=mode)
+            cols = {f"f{i}": np.where(rng.random(6) < 0.3, 1.0, rng.random(6)) for i in range(k)}
+            batch = graph.evaluate_batch(cols)
+            for row in range(6):
+                alone = graph.evaluate_batch({n: c[row:row + 1] for n, c in cols.items()})
+                assert alone.tobytes() == batch[row:row + 1].tobytes(), (k, row)
 
 
 class TestManualScore:

@@ -395,8 +395,8 @@ class TestOneForwardPerStep:
         assert len(root_walks) == len(ds.instances)
         root_walks.clear()
         train(ds, table, graph, self.CONFIG)
-        # one walk per step, one per mention for each epoch's logged loss
-        assert len(root_walks) == 2 * self.CONFIG.epochs * len(ds.instances)
+        # one walk per step, one per epoch for the logged loss over all mentions
+        assert len(root_walks) == self.CONFIG.epochs * len(ds.instances) + self.CONFIG.epochs
 
 
 class TestTrain:
