@@ -28,8 +28,8 @@ from .evaluation import (
     recall_at_k,
     transfer_eval,
 )
-from .logic import GateParams, ManualWeights, ScoringGraph, ThresholdParams
-from .ruledsl import RuleAST, builtin_templates, compile, format, parse
+from .logic import GateParams, ScoringGraph, ThresholdParams
+from .ruledsl import ManualWeights, RuleAST, builtin_templates, compile, format, parse
 from .simfeatures import (
     FeatureCatalog,
     FeatureTable,

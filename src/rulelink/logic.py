@@ -21,6 +21,12 @@ AND(x) = prod x_i, used by the thresholds-only training mode. Predicates
 
 so the comparison stays differentiable and theta stays inside (0, 1).
 
+A :class:`ScoringGraph` compiles its rule tree once into a tape of ops
+over a ``[n_nodes, rows]`` value matrix and a pre-activation matrix of the
+same shape; the backward pass runs the tape in reverse and reads both (the
+upward and downward passes of Riegel et al. 2020). Every raw parameter
+lives in one flat vector that the gate and threshold objects view.
+
 Default initialization for fresh gates: effective weights 1, bias 1, raw
 slacks 0 (effective ln 2), gamma 0 (theta 0.5).
 """
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompileError, FeatureError
+from .errors import FeatureError
 
 MODES = ("lnn", "tnorm", "manual")
 
@@ -39,26 +45,19 @@ _NEG_CAP = -800.0
 
 
 def sigmoid(x):
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) elsewhere,
+    both evaluated everywhere and selected: a float for 0-d input."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:  # same two formulas as the masked path, without the masks
-        if x >= 0:
-            return float(1.0 / (1.0 + np.exp(-x)))
-        ex = np.exp(x)
-        return float(ex / (1.0 + ex))
-    out = np.empty_like(x)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(np.where(pos, -x, x))
+    out = np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    return float(out) if out.ndim == 0 else out
 
 
 def softplus(x):
     x = np.asarray(x, dtype=float)
     out = np.logaddexp(0.0, x)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def softplus_inverse(y):
@@ -69,9 +68,14 @@ def softplus_inverse(y):
     with np.errstate(divide="ignore"):
         out = np.where(y > 0, y + np.log1p(-np.exp(-np.maximum(y, 1e-300))), _NEG_CAP)
     out = np.maximum(out, _NEG_CAP)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
+
+
+def _raw_vector(values, default: float, arity: int, what: str) -> np.ndarray:
+    arr = np.full(arity, default) if values is None else np.array(values, dtype=float)
+    if arr.shape != (arity,):
+        raise ValueError(f"{what} must have shape ({arity},)")
+    return arr
 
 
 class GateParams:
@@ -79,41 +83,23 @@ class GateParams:
 
     Stores raw (pre-softplus) weights and slacks plus a free bias; the
     effective values are exposed as properties. Raw arrays are mutated in
-    place by the optimizer.
+    place by the optimizer; a :class:`ScoringGraph` rebinds them to views
+    into its flat parameter vector.
     """
 
     def __init__(self, arity: int, raw_weights=None, bias: float = 1.0, raw_slacks=None, raw_slack_big: float = 0.0):
         if arity < 1:
             raise ValueError("gate arity must be >= 1")
-        self.raw_weights = (
-            np.full(arity, softplus_inverse(1.0), dtype=float)
-            if raw_weights is None
-            else np.asarray(raw_weights, dtype=float).copy()
-        )
-        if self.raw_weights.shape != (arity,):
-            raise ValueError(f"raw_weights must have shape ({arity},)")
+        self.raw_weights = _raw_vector(raw_weights, softplus_inverse(1.0), arity, "raw_weights")
         self.bias = np.asarray(float(bias))
-        self.raw_slacks = (
-            np.zeros(arity, dtype=float)
-            if raw_slacks is None
-            else np.asarray(raw_slacks, dtype=float).copy()
-        )
-        if self.raw_slacks.shape != (arity,):
-            raise ValueError(f"raw_slacks must have shape ({arity},)")
+        self.raw_slacks = _raw_vector(raw_slacks, 0.0, arity, "raw_slacks")
         self.raw_slack_big = np.asarray(float(raw_slack_big))
 
     @classmethod
     def from_effective(cls, weights, bias: float = 1.0, slacks=None, slack_big: float = 0.0) -> "GateParams":
         weights = np.asarray(weights, dtype=float)
-        arity = weights.shape[0]
-        slacks = np.zeros(arity) if slacks is None else np.asarray(slacks, dtype=float)
-        return cls(
-            arity,
-            raw_weights=softplus_inverse(weights),
-            bias=bias,
-            raw_slacks=softplus_inverse(slacks),
-            raw_slack_big=softplus_inverse(slack_big),
-        )
+        slacks = np.zeros(len(weights)) if slacks is None else np.asarray(slacks, dtype=float)
+        return cls(len(weights), softplus_inverse(weights), bias, softplus_inverse(slacks), softplus_inverse(slack_big))
 
     @property
     def arity(self) -> int:
@@ -146,19 +132,14 @@ class ThresholdParams:
         return sigmoid(self.gamma)
 
 
-@dataclass
-class ManualWeights:
-    """Hand-assigned rule and feature weights for the no-learning scorer."""
-
-    rule_weights: list[float]
-    feature_weights: list[float]
-
-
 def _check_unit(values, what: str):
     arr = np.asarray(values, dtype=float)
     if np.any(np.isnan(arr)):
         raise ValueError(f"{what} contains NaN")
     return arr
+
+
+# --- op kernels: the tape runs these, and the scalar gates below call them ---
 
 
 def _fold(op, terms):
@@ -173,9 +154,33 @@ def _fold(op, terms):
 
 def _and_core(inputs: np.ndarray, weights: np.ndarray, bias: float):
     """Pre-clamp activation and clamped value of the weighted conjunction."""
-    w = weights[:, None] if inputs.ndim == 2 else weights
+    w = weights[..., None] if inputs.ndim > weights.ndim else weights
     pre = bias - _fold(np.add, (1.0 - inputs) * w)
     return pre, np.clip(pre, 0.0, 1.0)
+
+
+def _threshold_core(f, theta):
+    """Smooth predicate value f * sigmoid(f - theta), and the sigmoid."""
+    s = sigmoid(f - theta)
+    return f * s, s
+
+
+def _hinges(alpha, w, wsum, beta, beta_per_w, slacks, slack_big):
+    """Pre-activations (r0, r_i) of the truth-semantics hinges.
+
+    r0 is positive when the bias is too small for true inputs to stay true,
+    r_i when it is too large for false input i to pull the gate down:
+        r0  = alpha - (beta - (1-alpha) sum w + Delta)
+        r_i = (beta - alpha w_i) - (1 - alpha + delta_i)
+    """
+    r0 = alpha - (beta - (1.0 - alpha) * wsum + slack_big)
+    return r0, (beta_per_w - alpha * w) - (1.0 - alpha + slacks)
+
+
+def _residuals(r0, ri):
+    """Hinge residuals max(0, r0), max(0, r_i) along the last axis, r0 first."""
+    r0 = np.where(r0 > 0.0, r0, 0.0)
+    return np.concatenate((r0[..., None], np.maximum(0.0, ri)), axis=-1)
 
 
 def lnn_and(inputs, g: GateParams) -> float:
@@ -183,14 +188,12 @@ def lnn_and(inputs, g: GateParams) -> float:
     arr = _check_unit(inputs, "lnn_and inputs")
     if arr.shape[0] != g.arity:
         raise ValueError(f"expected {g.arity} inputs, got {arr.shape[0]}")
-    _, val = _and_core(arr, g.weights, float(g.bias))
-    return float(val)
+    return float(_and_core(arr, g.weights, float(g.bias))[1])
 
 
 def lnn_or(inputs, g: GateParams) -> float:
     """De Morgan dual: 1 - lnn_and(1 - inputs, g)."""
-    arr = _check_unit(inputs, "lnn_or inputs")
-    return 1.0 - lnn_and(1.0 - arr, g)
+    return 1.0 - lnn_and(1.0 - _check_unit(inputs, "lnn_or inputs"), g)
 
 
 def lnn_not(x: float) -> float:
@@ -198,83 +201,38 @@ def lnn_not(x: float) -> float:
 
 
 def tnorm_and(inputs) -> float:
-    arr = _check_unit(inputs, "tnorm_and inputs")
-    return float(np.prod(arr))
+    return float(_fold(np.multiply, _check_unit(inputs, "tnorm_and inputs")))
 
 
 def tnorm_or(inputs) -> float:
-    arr = _check_unit(inputs, "tnorm_or inputs")
-    return float(1.0 - np.prod(1.0 - arr))
+    return float(1.0 - _fold(np.multiply, 1.0 - _check_unit(inputs, "tnorm_or inputs")))
 
 
 def threshold_gate(f: float, t: ThresholdParams) -> float:
     """Smooth predicate score TL(f, theta) = f * sigmoid(f - theta)."""
-    theta = t.theta
-    return float(f * sigmoid(np.asarray(f - theta)))
-
-
-def _hinge_inputs(g: GateParams, alpha: float):
-    """Pre-activations (r0, r_i) of the truth-semantics hinges of one gate.
-
-    r0 is positive when the bias is too small for true inputs to stay true,
-    r_i when it is too large for false input i to pull the gate down:
-        r0  = alpha - (beta - (1-alpha) sum w + Delta)
-        r_i = (beta - alpha w_i) - (1 - alpha + delta_i)
-    """
-    w = g.weights
-    beta = float(g.bias)
-    r0 = alpha - (beta - (1.0 - alpha) * w.sum() + g.slack_big)
-    return r0, (beta - alpha * w) - (1.0 - alpha + g.slacks)
+    return float(_threshold_core(f, t.theta)[0])
 
 
 def constraint_residuals(g: GateParams, alpha: float) -> np.ndarray:
     """Hinge residuals max(0, r0), max(0, r_i); zero iff the gate is consistent."""
     if not 0.5 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [1/2, 1], got {alpha}")
-    r0, ri = _hinge_inputs(g, alpha)
-    return np.concatenate(([max(0.0, r0)], np.maximum(0.0, ri)))
+    w, beta = g.weights, float(g.bias)
+    return _residuals(*_hinges(alpha, w, w.sum(), beta, beta, g.slacks, g.slack_big))
 
 
-def penalty_grads(graph: "ScoringGraph", lam: float, grads: dict) -> None:
-    """Add d(lam * residual sum)/d(raw parameter) to ``grads`` (lnn mode only)."""
-    if graph.mode != "lnn" or lam == 0.0:
+def penalty_grads(graph: "ScoringGraph", lam: float, grads: np.ndarray) -> None:
+    """Add d(lam * residual sum)/d(raw parameter) to the flat ``grads`` (lnn mode only)."""
+    if graph.mode != "lnn" or lam == 0.0 or not graph._arity:
         return
-    for name, node in graph.gates():
-        gate = node.gate
-        r0, ri = _hinge_inputs(gate, graph.alpha)
-        r0_active = r0 > 0.0
-        ri_active = ri > 0.0
-        dbeta = lam * (-1.0 * r0_active + ri_active.sum())
-        drho = lam * (
-            r0_active * (1.0 - graph.alpha) - graph.alpha * ri_active
-        ) * sigmoid(gate.raw_weights)
-        ddelta = lam * (-1.0) * ri_active * sigmoid(gate.raw_slacks)
-        dbig = lam * (-1.0) * r0_active * sigmoid(gate.raw_slack_big)
-        grads[f"{name}.beta"] = grads.get(f"{name}.beta", 0.0) + dbeta
-        grads[f"{name}.rho"] = grads.get(f"{name}.rho", 0.0) + drho
-        grads[f"{name}.delta"] = grads.get(f"{name}.delta", 0.0) + ddelta
-        grads[f"{name}.Delta"] = grads.get(f"{name}.Delta", 0.0) + dbig
-
-
-def manual_score(rule_values, mw: ManualWeights) -> float:
-    """Fixed-weight scorer: sum_i rw_i * prod_j (fw_ij * f_ij).
-
-    ``rule_values`` is one feature-value vector per rule; feature weights
-    are consumed flat, in rule order.
-    """
-    flat = list(mw.feature_weights)
-    needed = sum(len(vals) for vals in rule_values)
-    if len(mw.rule_weights) != len(rule_values) or len(flat) != needed:
-        raise ValueError("manual weight lengths do not match rule values")
-    total = 0.0
-    pos = 0
-    for rw, vals in zip(mw.rule_weights, rule_values):
-        prod = 1.0
-        for v in vals:
-            prod *= flat[pos] * v
-            pos += 1
-        total += rw * prod
-    return total
+    eff = graph._effective()
+    alpha, sig, (rho, delta, beta, big) = graph.alpha, eff["sig"], graph._blocks
+    r0_active, ri_active = eff["r0"] > 0.0, eff["ri"] > 0.0
+    counts = np.bincount(graph._gate_of_w, weights=ri_active, minlength=len(graph._arity))
+    grads[beta] += lam * (-1.0 * r0_active + counts)
+    grads[rho] += lam * (r0_active[graph._gate_of_w] * (1.0 - alpha) - alpha * ri_active) * sig[rho]
+    grads[delta] += lam * (-1.0) * ri_active * sig[delta]
+    grads[big] += lam * (-1.0) * r0_active * sig[big]
 
 
 # --- scoring graph nodes ----------------------------------------------------
@@ -290,9 +248,7 @@ class _GateNode(Node):
         self.children = tuple(children)
         self.gate = gate if gate is not None else GateParams(len(self.children))
         if self.gate.arity != len(self.children):
-            raise ValueError(
-                f"gate arity {self.gate.arity} does not match {len(self.children)} children"
-            )
+            raise ValueError(f"gate arity {self.gate.arity} does not match {len(self.children)} children")
         self.manual_weights = None if manual_weights is None else np.asarray(manual_weights, float)
 
 
@@ -328,9 +284,7 @@ class ThresholdLeaf(Node):
 
     @property
     def theta(self) -> float:
-        if self.fixed_theta is not None:
-            return self.fixed_theta
-        return self.params.theta
+        return self.params.theta if self.fixed_theta is None else self.fixed_theta
 
 
 class RawLeaf(Node):
@@ -341,13 +295,24 @@ class RawLeaf(Node):
         self.feature = feature
 
 
+# A tape op runs every inner node of one height (longest path down to a
+# leaf), kind and arity at once, children axis first: (code, uids [n], kids
+# [k, n] or [n] for NOT, extra, is-or), where extra is (weight slots [k, n],
+# bias slots [n]) into ScoringGraph.flat for _LNN, arange(k) for _TNORM and
+# the weights [k, n, 1] for _MANUAL. The leaves run first, in one block.
+_NOT, _LNN, _TNORM, _MANUAL = range(4)
+_BLOCK_ROWS = 512
+
+
 class ScoringGraph:
     """A compiled rule tree plus evaluation mode and truth semantics.
 
     ``mode`` selects operator behavior: ``lnn`` (weighted gates, all
     parameters learnable), ``tnorm`` (product t-norm gates, only thresholds
     learnable) or ``manual`` (fixed weights, hard thresholds, nothing
-    learnable).
+    learnable). Construction copies every raw parameter of the tree into
+    :attr:`flat` and rebinds the tree's parameter arrays to views into it,
+    so a node tree belongs to the one graph built over it.
     """
 
     def __init__(self, root: Node, alpha: float = 0.7, mode: str = "lnn"):
@@ -355,103 +320,208 @@ class ScoringGraph:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if not 0.5 <= alpha < 1.0:
             raise ValueError(f"alpha must be in [1/2, 1), got {alpha}")
-        self.root = root
-        self.alpha = float(alpha)
-        self.mode = mode
+        self.root, self.alpha, self.mode = root, float(alpha), mode
         self.nodes: list[Node] = []
-        self._index(root)
-        seen: list[str] = []
-        for node in self.nodes:
-            if isinstance(node, (ThresholdLeaf, RawLeaf)) and node.feature not in seen:
-                seen.append(node.feature)
-        self.feature_names = seen
+        self._index(root, set(), postorder := [])
+        leaves = [n for n in self.nodes if isinstance(n, (ThresholdLeaf, RawLeaf))]
+        self.feature_names = list(dict.fromkeys(n.feature for n in leaves))
+        self._bind()
+        self._compile(postorder)
+        self._eff_key = self._eff = None
 
-    def _index(self, node: Node) -> None:
+    def __reduce__(self):  # a copy or unpickled graph binds its own copied tree
+        return ScoringGraph, (self.root, self.alpha, self.mode)
+
+    def _index(self, node: Node, seen: set, postorder: list) -> None:
+        if id(node) in seen:
+            raise ValueError("a node may appear only once in a scoring graph")
+        seen.add(id(node))
         node.uid = len(self.nodes)
         self.nodes.append(node)
         for child in node.children:
-            self._index(child)
+            self._index(child, seen, postorder)
+        postorder.append(node)
 
-    # -- parameters -----------------------------------------------------
+    def _bind(self) -> None:
+        """Fill :attr:`flat`, laid out as weights | slacks | big slacks (the
+        softplus part) | biases | gammas, and rebind the tree to views."""
+        gates = [n for n in self.nodes if isinstance(n, _GateNode)]
+        tls = [n for n in self.nodes if isinstance(n, ThresholdLeaf) and n.fixed_theta is None]
+        self._arity = arity = [n.gate.arity for n in gates]
+        k, g = sum(arity), len(gates)
+        self.flat = np.array([v for n in gates for v in n.gate.raw_weights.tolist()]
+                             + [v for n in gates for v in n.gate.raw_slacks.tolist()]
+                             + [float(n.gate.raw_slack_big) for n in gates] + [float(n.gate.bias) for n in gates]
+                             + [float(n.params.gamma) for n in tls], dtype=float)
+        # (weights, slacks, biases, big slacks); gammas start at _gamma0
+        self._blocks = (slice(0, k), slice(k, 2 * k), slice(2 * k + g, 2 * k + 2 * g), slice(2 * k, 2 * k + g))
+        self._gamma0 = 2 * k + 2 * g
+        self._wstart = np.cumsum([0] + arity)[:-1]
+        self._gate_of_w = np.repeat(np.arange(g), arity)
+        # gates of one arity stacked: numpy sums each row of an [n, a] block
+        # exactly as it sums a lone length-a array
+        sizes = np.array(arity, dtype=np.intp)
+        self._by_arity = [(np.flatnonzero(sizes == a), self._wstart[sizes == a][:, None] + np.arange(a))
+                          for a in sorted(set(arity))]
+        slots = {}  # (name suffix, start, stop, shape) per parameter
+        for i, (node, lo, a) in enumerate(zip(gates, self._wstart.tolist(), arity)):
+            beta, big = 2 * k + g + i, 2 * k + i
+            slots[node.uid] = [(".rho", lo, lo + a, (a,)), (".beta", beta, beta + 1, ()),
+                               (".delta", k + lo, k + lo + a, (a,)), (".Delta", big, big + 1, ())]
+        for j, node in enumerate(tls, start=self._gamma0):
+            slots[node.uid] = [(".gamma", j, j + 1, ())]
+        learnable = {"lnn": (_GateNode, ThresholdLeaf), "tnorm": (ThresholdLeaf,), "manual": ()}[self.mode]
+        self._slots = [(f"n{n.uid}{suffix}", *slot) for n in self.nodes if isinstance(n, learnable)
+                       for suffix, *slot in slots.get(n.uid, ())]
+        views = {uid: [self.flat[lo:hi].reshape(shape) for _, lo, hi, shape in s] for uid, s in slots.items()}
+        for node in gates:
+            node.gate.raw_weights, node.gate.bias, node.gate.raw_slacks, node.gate.raw_slack_big = views[node.uid]
+        for node in tls:
+            node.params.gamma = views[node.uid][0]
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Raw parameter arrays in deterministic preorder, keyed by name.
+        """Raw parameter arrays in deterministic preorder, keyed by name:
+        live views into :attr:`flat`, which optimizers update in place."""
+        return self.unflatten(self.flat)
 
-        The arrays are the live storage; optimizers update them in place.
-        """
-        params: dict[str, np.ndarray] = {}
-        for node in self.nodes:
-            name = f"n{node.uid}"
-            if isinstance(node, (AndNode, OrNode)) and self.mode == "lnn":
-                params[f"{name}.rho"] = node.gate.raw_weights
-                params[f"{name}.beta"] = node.gate.bias
-                params[f"{name}.delta"] = node.gate.raw_slacks
-                params[f"{name}.Delta"] = node.gate.raw_slack_big
-            elif isinstance(node, ThresholdLeaf) and node.fixed_theta is None and self.mode != "manual":
-                params[f"{name}.gamma"] = node.params.gamma
-        return params
+    def unflatten(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of a vector laid out like :attr:`flat` (a gradient, say),
+        under the :meth:`parameters` names."""
+        return {name: vec[lo:hi].reshape(shape) for name, lo, hi, shape in self._slots}
 
     def gates(self) -> list[tuple[str, Node]]:
-        return [
-            (f"n{n.uid}", n) for n in self.nodes if isinstance(n, (AndNode, OrNode))
-        ]
+        return [(f"n{n.uid}", n) for n in self.nodes if isinstance(n, _GateNode)]
 
-    # -- evaluation ------------------------------------------------------
+    def _effective(self) -> dict:
+        """Effective parameters and hinge inputs of every gate, one vector
+        operation each, recomputed only when :attr:`flat` has changed."""
+        key = self.flat.tobytes()
+        if key == self._eff_key:
+            return self._eff
+        sig = sigmoid(self.flat)
+        theta = self._theta_fixed.copy()
+        theta[self._theta_learn] = sig[self._gamma0:]
+        eff = {"sig": sig, "theta": theta}
+        if self.mode == "lnn" and self._arity:
+            rho, delta, beta, big = self._blocks
+            eff["sp"] = sp = softplus(self.flat[:beta.start])
+            w, b = sp[rho], self.flat[beta].copy()
+            wsum = np.empty(len(self._arity))
+            for idx, cols in self._by_arity:
+                wsum[idx] = w[cols].sum(axis=1)
+            eff["r0"], eff["ri"] = _hinges(self.alpha, w, wsum, b, b[self._gate_of_w], sp[delta], sp[big])
+        self._eff_key, self._eff = key, eff
+        return eff
+
+    def _compile(self, postorder: list[Node]) -> None:
+        column = {name: i for i, name in enumerate(self.feature_names)}
+        raws = [n for n in self.nodes if isinstance(n, RawLeaf)]
+        tls = [n for n in self.nodes if isinstance(n, ThresholdLeaf)]
+        self._raw_uids, self._raw_cols = np.array([(n.uid, column[n.feature]) for n in raws], np.intp).reshape(-1, 2).T
+        self._tl_uids, self._tl_cols = np.array([(n.uid, column[n.feature]) for n in tls], np.intp).reshape(-1, 2).T
+        self._theta_fixed = np.array([np.nan if n.fixed_theta is None else n.fixed_theta for n in tls], dtype=float)
+        self._theta_learn = np.array([i for i, n in enumerate(tls) if n.fixed_theta is None], dtype=np.intp)
+        code = {"lnn": _LNN, "tnorm": _TNORM, "manual": _MANUAL}[self.mode]
+        gate_index = {n.uid: i for i, (_, n) in enumerate(self.gates())}
+        needs_grad = {n.uid: code != _MANUAL and n.fixed_theta is None for n in tls}
+        height, groups = {}, {}
+        for node in postorder:
+            kids = [c.uid for c in node.children]
+            height[node.uid] = 1 + max((height[c] for c in kids), default=-1)
+            if node.uid not in needs_grad:
+                own = code == _LNN and isinstance(node, _GateNode)
+                needs_grad[node.uid] = own or any(needs_grad[c] for c in kids)
+            if kids:
+                groups.setdefault((height[node.uid], type(node), len(kids)), []).append(node)
+        self._ops, self._back_ops = [], []
+        for (_, cls, k), nodes in sorted(groups.items(), key=lambda item: item[0][0]):
+            uids = np.array([n.uid for n in nodes], dtype=np.intp)
+            kids = np.array([[c.uid for c in n.children] for n in nodes], dtype=np.intp).T
+            flip = cls is OrNode
+            if cls is NotNode:
+                op = (_NOT, uids, kids[0], None, False)
+            elif code == _LNN:
+                index = np.array([gate_index[n.uid] for n in nodes])
+                slots = self._wstart[index] + np.arange(k)[:, None]
+                op = (_LNN, uids, kids, (slots, self._blocks[2].start + index), flip)
+            elif code == _TNORM:
+                op = (_TNORM, uids, kids, np.arange(k), flip)
+            else:
+                default = np.full(k, 1.0 / k) if flip else np.ones(k)
+                weights = [default if n.manual_weights is None else n.manual_weights for n in nodes]
+                op = (_MANUAL, uids, kids, np.array(weights).T[:, :, None], flip)
+            self._ops.append(op)
+            if any(needs_grad[n.uid] for n in nodes):
+                self._back_ops.insert(0, op)
+
+    def _run(self, cols, cache: dict | None = None) -> np.ndarray:
+        """Run the tape over ``cols``; the root's row of the value matrix.
+        ``cache`` receives what :meth:`backward` reads. Without one, rows (which
+        do not interact) go through in blocks small enough to stay in cache."""
+        eff = self._effective()
+        feats = np.stack([np.asarray(cols[name], dtype=float) for name in self.feature_names])
+        nan = np.isnan(feats).any(axis=1)
+        if nan.any():
+            raise ValueError(f"feature {self.feature_names[int(np.argmax(nan))]!r} contains NaN")
+        if cache is None:
+            blocks = range(0, max(feats.shape[1], 1), _BLOCK_ROWS)
+            return np.concatenate([self._tape(feats[:, i:i + _BLOCK_ROWS], eff)[0][0] for i in blocks])
+        values, pre = self._tape(feats, eff)
+        cache["tape"] = (feats, values, pre, eff)
+        return values[0].copy()
+
+    def _tape(self, feats: np.ndarray, eff: dict) -> tuple[np.ndarray, np.ndarray]:
+        """The value and pre-activation matrices over the rows of ``feats``."""
+        values = np.empty((len(self.nodes), feats.shape[1]))
+        pre = np.empty_like(values)
+        values[self._raw_uids] = feats[self._raw_cols]
+        f, theta = feats[self._tl_cols], eff["theta"][:, None]
+        if self.mode == "manual":
+            values[self._tl_uids] = np.where(f > theta, f, 0.0)
+        else:
+            values[self._tl_uids], pre[self._tl_uids] = _threshold_core(f, theta)
+        flat = self.flat
+        for code, u, kids, extra, flip in self._ops:
+            if code == _NOT:
+                values[u] = 1.0 - values[kids]
+                continue
+            xs = values[kids]
+            if code == _LNN:
+                slots, bias = extra
+                pre[u], out = _and_core(1.0 - xs if flip else xs, eff["sp"][slots], flat[bias][:, None])
+                values[u] = 1.0 - out if flip else out
+            elif code == _TNORM:
+                pre[u] = _fold(np.multiply, 1.0 - xs if flip else xs)
+                values[u] = 1.0 - pre[u] if flip else pre[u]
+            else:
+                values[u] = pre[u] = _fold(np.add if flip else np.multiply, extra * xs)
+        return values, pre
 
     def evaluate_batch(self, cols: dict[str, np.ndarray], cache: dict | None = None) -> np.ndarray:
         """Score every row of ``cols``; ``cache`` receives what :meth:`backward` reads."""
         for name in self.feature_names:
             if name not in cols:
                 raise FeatureError(f"missing feature column {name!r}")
-        return self._forward(self.root, cols, {} if cache is None else cache)
+        return self._run(cols, cache)
 
     def evaluate(self, row: dict[str, float]) -> float:
         cols = {k: np.asarray([v], dtype=float) for k, v in row.items()}
         return float(self.evaluate_batch(cols)[0])
 
-    def _forward(self, node: Node, cols, cache) -> np.ndarray:
-        if isinstance(node, RawLeaf):
-            val = np.asarray(cols[node.feature], dtype=float)
-            if np.any(np.isnan(val)):
-                raise ValueError(f"feature {node.feature!r} contains NaN")
-        elif isinstance(node, ThresholdLeaf):
-            f = np.asarray(cols[node.feature], dtype=float)
-            if np.any(np.isnan(f)):
-                raise ValueError(f"feature {node.feature!r} contains NaN")
-            if self.mode == "manual":
-                val = np.where(f > node.theta, f, 0.0)
-            else:
-                s = sigmoid(f - node.theta)
-                val = f * s
-                cache[node.uid] = (f, s)
-        elif isinstance(node, NotNode):
-            val = 1.0 - self._forward(node.children[0], cols, cache)
-        elif isinstance(node, (AndNode, OrNode)):
-            xs = np.stack([self._forward(c, cols, cache) for c in node.children])
-            flip = isinstance(node, OrNode)
-            if self.mode == "lnn":
-                inputs = 1.0 - xs if flip else xs
-                pre, out = _and_core(inputs, node.gate.weights, float(node.gate.bias))
-                val = 1.0 - out if flip else out
-                cache[node.uid] = (inputs, pre)
-            elif self.mode == "tnorm":
-                inputs = 1.0 - xs if flip else xs
-                prod = _fold(np.multiply, inputs)
-                val = 1.0 - prod if flip else prod
-                cache[node.uid] = (inputs, prod)
-            else:
-                w = node.manual_weights
-                if w is None:
-                    k = len(node.children)
-                    w = np.full(k, 1.0 / k) if flip else np.ones(k)
-                val = _fold(np.add if flip else np.multiply, w[:, None] * xs)
-                cache[node.uid] = (xs, w)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {node!r}")
-        return val
+    def _forward(self, node: Node, cols, cache: dict) -> np.ndarray:
+        """``node``'s values over ``cols``, filling ``cache[uid] = (inputs,
+        pre)`` for every gate (``pre`` is the product in tnorm mode and the
+        value in manual mode), for callers that inspect pre-activations."""
+        state: dict = {}
+        self._run(cols, state)
+        _, values, pre, _ = state["tape"]
+        for code, uids, kids, _, flip in self._ops:
+            for u, k in zip(uids.tolist(), kids.T if code != _NOT else ()):
+                cache[u] = (1.0 - values[k] if flip and code != _MANUAL else values[k], pre[u])
+        return values[node.uid]
 
-    def backward(self, cache: dict, dout: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-        """Accumulate d(loss)/d(raw parameter) into ``grads``.
+    def backward(self, cache: dict, dout: np.ndarray, grads: np.ndarray) -> None:
+        """Accumulate d(loss)/d(raw parameter) into the flat ``grads``.
 
         ``cache`` holds the intermediates of the :meth:`evaluate_batch` call
         that produced the scores, made with the current parameters; ``dout``
@@ -459,114 +529,42 @@ class ScoringGraph:
         """
         if self.mode == "manual":
             return
-        self._backward(self.root, np.asarray(dout, dtype=float), cache, grads)
-
-    def _backward(self, node: Node, g: np.ndarray, cache, grads) -> None:
-        name = f"n{node.uid}"
-        if isinstance(node, RawLeaf):
-            return
-        if isinstance(node, ThresholdLeaf):
-            if node.fixed_theta is None and self.mode != "manual":
-                f, s = cache[node.uid]
-                theta = node.params.theta
-                # d(f*s)/dgamma = f * s(1-s) * (-1) * theta(1-theta)
-                dgamma = (g * f * s * (1.0 - s)).sum() * (-(theta * (1.0 - theta)))
-                grads[f"{name}.gamma"] = grads.get(f"{name}.gamma", 0.0) + dgamma
-            return
-        if isinstance(node, NotNode):
-            self._backward(node.children[0], -g, cache, grads)
-            return
-        flip = isinstance(node, OrNode)
-        if self.mode == "lnn":
-            inputs, pre = cache[node.uid]
-            gate = node.gate
-            w = gate.weights
-            live = (pre > 0.0) & (pre < 1.0)
-            ge = (-g if flip else g) * live
-            grads[f"{name}.beta"] = grads.get(f"{name}.beta", 0.0) + ge.sum()
-            dw = -(ge[None, :] * (1.0 - inputs)).sum(axis=1)
-            grads[f"{name}.rho"] = grads.get(f"{name}.rho", 0.0) + dw * sigmoid(gate.raw_weights)
-            dx_inner = ge[None, :] * w[:, None]
-            dx = -dx_inner if flip else dx_inner
-        else:  # tnorm: for or, the two sign flips (1-x in, 1-prod out) cancel
-            inputs, _ = cache[node.uid]
-            k = inputs.shape[0]
-            dx = np.empty_like(inputs)
-            for i in range(k):
-                others = np.prod(np.delete(inputs, i, axis=0), axis=0) if k > 1 else np.ones_like(g)
-                dx[i] = g * others
-        for child, gc in zip(node.children, dx):
-            self._backward(child, gc, cache, grads)
-
-    # -- residuals -------------------------------------------------------
+        feats, values, pre, eff = cache["tape"]
+        dvalues = np.zeros_like(values)  # rows no gradient reaches stay 0
+        dvalues[0] = dout
+        for code, u, kids, extra, flip in self._back_ops:
+            g = dvalues[u]
+            if code == _NOT:
+                dvalues[kids] = -g
+                continue
+            inputs = 1.0 - values[kids] if flip else values[kids]
+            if code == _LNN:
+                slots, bias = extra
+                live = (pre[u] > 0.0) & (pre[u] < 1.0)
+                ge = (-g if flip else g) * live
+                grads[bias] += ge.sum(axis=1)
+                dw = -(ge[None] * (1.0 - inputs)).sum(axis=2)
+                grads[slots] += dw * eff["sig"][slots]
+                dx_inner = ge[None] * eff["sp"][slots][:, :, None]
+                dvalues[kids] = -dx_inner if flip else dx_inner
+            else:  # tnorm: for or, the two sign flips (1-x in, 1-prod out) cancel
+                # terms[i] is the inputs with input i set to 1.0; folding it
+                # multiplies the other inputs in order, exactly
+                terms = np.repeat(inputs[None], len(extra), axis=0)
+                terms[extra, extra] = 1.0
+                dvalues[kids] = g * _fold(np.multiply, terms.swapaxes(0, 1))
+        learn = self._theta_learn
+        if len(learn):
+            f, s, theta = feats[self._tl_cols[learn]], pre[self._tl_uids[learn]], eff["theta"][learn]
+            # d(f*s)/dgamma = f * s(1-s) * (-1) * theta(1-theta)
+            dtl = (dvalues[self._tl_uids[learn]] * f * s * (1.0 - s)).sum(axis=1)
+            grads[self._gamma0:] += dtl * (-(theta * (1.0 - theta)))
 
     def residual_sum(self) -> float:
-        if self.mode != "lnn":
+        if self.mode != "lnn" or not self._arity:
             return 0.0
-        return float(
-            sum(constraint_residuals(n.gate, self.alpha).sum() for _, n in self.gates())
-        )
-
-    # -- serialization ----------------------------------------------------
-
-    def _node_to_json(self, node: Node) -> dict:
-        """Raw parameters only; effective values are derived on load."""
-        if isinstance(node, RawLeaf):
-            return {"kind": "raw", "feature": node.feature}
-        if isinstance(node, ThresholdLeaf):
-            if node.fixed_theta is not None:
-                return {"kind": "tl", "feature": node.feature, "fixed_theta": node.fixed_theta}
-            return {"kind": "tl", "feature": node.feature, "gamma": float(node.params.gamma)}
-        if isinstance(node, NotNode):
-            return {"kind": "not", "child": self._node_to_json(node.children[0])}
-        gate = node.gate
-        obj = {
-            "kind": node.kind,
-            "children": [self._node_to_json(c) for c in node.children],
-            "raw_weights": [float(v) for v in gate.raw_weights],
-            "beta": float(gate.bias),
-            "raw_slacks": [float(v) for v in gate.raw_slacks],
-            "raw_slack_big": float(gate.raw_slack_big),
-        }
-        if node.manual_weights is not None:
-            obj["manual_weights"] = [float(v) for v in node.manual_weights]
-        return obj
-
-    def to_json(self) -> dict:
-        return {"alpha": self.alpha, "mode": self.mode, "root": self._node_to_json(self.root)}
-
-    @classmethod
-    def _node_from_json(cls, obj: dict) -> Node:
-        # Kind first; a missing field or wrong type is reported by load_model.
-        kind = obj["kind"]
-        if kind in ("raw", "tl") and not isinstance(obj["feature"], str):
-            raise CompileError(f"{kind} node feature is not a string")
-        if kind == "raw":
-            return RawLeaf(obj["feature"])
-        if kind == "tl":
-            fixed = "fixed_theta" in obj
-            value = float(obj["fixed_theta" if fixed else "gamma"])
-            if not np.isfinite(value):
-                raise CompileError("tl node has a non-finite parameter")
-            if fixed:
-                return ThresholdLeaf(obj["feature"], fixed_theta=value)
-            return ThresholdLeaf(obj["feature"], params=ThresholdParams(value))
-        if kind == "not":
-            return NotNode(cls._node_from_json(obj["child"]))
-        if kind not in ("and", "or"):
-            raise CompileError(f"unknown node kind {kind!r} in checkpoint")
-        children = [cls._node_from_json(c) for c in obj["children"]]
-        gate = GateParams(len(children), raw_weights=obj["raw_weights"], bias=obj["beta"],
-                          raw_slacks=obj["raw_slacks"], raw_slack_big=obj["raw_slack_big"])
-        manual = obj.get("manual_weights")
-        if manual is not None and len(manual) != len(children):
-            raise CompileError(f"{kind} node has {len(manual)} manual weights for {len(children)} children")
-        values = [gate.raw_weights, gate.raw_slacks, [gate.bias, gate.raw_slack_big], manual or []]
-        if not np.isfinite(np.concatenate(values).astype(float)).all():
-            raise CompileError(f"{kind} node has a non-finite parameter")
-        node_cls = AndNode if kind == "and" else OrNode
-        return node_cls(children, gate=gate, manual_weights=manual)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ScoringGraph":
-        return cls(cls._node_from_json(obj["root"]), alpha=obj["alpha"], mode=obj["mode"])
+        eff = self._effective()
+        per_gate = np.empty(len(self._arity))
+        for idx, cols in self._by_arity:
+            per_gate[idx] = _residuals(eff["r0"][idx], eff["ri"][cols]).sum(axis=1)
+        return float(sum(per_gate.tolist()))

@@ -26,7 +26,6 @@ from .errors import CompileError, ParseError
 from .logic import (
     AndNode,
     GateParams,
-    ManualWeights,
     NotNode,
     OrNode,
     RawLeaf,
@@ -318,6 +317,14 @@ def find_root(rules: list[RuleAST]) -> RuleAST:
         names = ", ".join(r.name for r in roots) or "none"
         raise CompileError(f"expected exactly one root rule, found: {names}")
     return roots[0]
+
+
+@dataclass
+class ManualWeights:
+    """Hand-assigned rule and feature weights for the no-learning scorer."""
+
+    rule_weights: list[float]
+    feature_weights: list[float]
 
 
 class _ManualStream:

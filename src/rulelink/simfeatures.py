@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import logging
 import re
+from itertools import chain
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -396,13 +397,16 @@ class FeatureTable:
 
     @classmethod
     def from_csv(cls, path) -> "FeatureTable":
+        """Read a feature CSV. A repeated (mention_id, candidate_id) row or a
+        non-finite cell raises FeatureError naming the file and line(s)."""
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader, [])
-                if header[:2] != ["mention_id", "candidate_id"]:
+                if header[:2] != ["mention_id", "candidate_id"] or len(set(header)) < len(header):
                     raise FeatureError(f"bad feature CSV header in {path}")
                 table = cls(header[2:])
+                names, rows, lines = table.feature_names, table.rows, []
                 for cells in reader:
                     if not cells:
                         continue
@@ -410,11 +414,20 @@ class FeatureTable:
                         raise FeatureError(
                             f"{path} line {reader.line_num}: expected {len(header)} cells"
                         )
-                    table.rows[(cells[0], cells[1])] = {
-                        n: float(v) for n, v in zip(header[2:], cells[2:])
-                    }
+                    key = (cells[0], cells[1])
+                    rows[key] = dict(zip(names, map(float, cells[2:])))
+                    lines.append(reader.line_num)
+                    if len(rows) < len(lines):
+                        raise FeatureError(f"{path} line {reader.line_num}: row {key!r} repeats "
+                                           f"line {lines[list(rows).index(key)]}")
             except csv.Error as exc:
                 raise FeatureError(f"{path} line {reader.line_num}: {exc}") from exc
+        cells = chain.from_iterable(row.values() for row in rows.values())
+        finite = np.isfinite(np.fromiter(cells, float, len(rows) * len(names)))
+        if not finite.all():
+            row, col = divmod(int(np.argmin(finite)), len(names))
+            value = list(rows.values())[row][names[col]]
+            raise FeatureError(f"{path} line {lines[row]}: column {names[col]!r} is {value!r}, not finite")
         return table
 
 

@@ -23,7 +23,18 @@ import numpy as np
 
 from .corpus import Dataset, atomic_write
 from .errors import CompileError, TrainingDivergence
-from .logic import ScoringGraph, penalty_grads
+from .logic import (
+    AndNode,
+    GateParams,
+    Node,
+    NotNode,
+    OrNode,
+    RawLeaf,
+    ScoringGraph,
+    ThresholdLeaf,
+    ThresholdParams,
+    penalty_grads,
+)
 from .simfeatures import FeatureCatalog, FeatureTable
 
 logger = logging.getLogger(__name__)
@@ -97,6 +108,72 @@ def load_config(path) -> TrainConfig:
     return TrainConfig(**values)
 
 
+def _node_to_json(node: Node) -> dict:
+    """Raw parameters only; effective values are derived on load."""
+    if isinstance(node, RawLeaf):
+        return {"kind": "raw", "feature": node.feature}
+    if isinstance(node, ThresholdLeaf):
+        if node.fixed_theta is not None:
+            return {"kind": "tl", "feature": node.feature, "fixed_theta": node.fixed_theta}
+        return {"kind": "tl", "feature": node.feature, "gamma": float(node.params.gamma)}
+    if isinstance(node, NotNode):
+        return {"kind": "not", "child": _node_to_json(node.children[0])}
+    gate = node.gate
+    obj = {
+        "kind": node.kind,
+        "children": [_node_to_json(c) for c in node.children],
+        "raw_weights": [float(v) for v in gate.raw_weights],
+        "beta": float(gate.bias),
+        "raw_slacks": [float(v) for v in gate.raw_slacks],
+        "raw_slack_big": float(gate.raw_slack_big),
+    }
+    if node.manual_weights is not None:
+        obj["manual_weights"] = [float(v) for v in node.manual_weights]
+    return obj
+
+
+def graph_to_json(graph: ScoringGraph) -> dict:
+    """The ``graph`` object of ``model.json``."""
+    return {"alpha": graph.alpha, "mode": graph.mode, "root": _node_to_json(graph.root)}
+
+
+def _node_from_json(obj: dict) -> Node:
+    # Kind first; a missing field or wrong type is reported by load_model.
+    kind = obj["kind"]
+    if kind in ("raw", "tl") and not isinstance(obj["feature"], str):
+        raise CompileError(f"{kind} node feature is not a string")
+    if kind == "raw":
+        return RawLeaf(obj["feature"])
+    if kind == "tl":
+        fixed = "fixed_theta" in obj
+        value = float(obj["fixed_theta" if fixed else "gamma"])
+        if not np.isfinite(value):
+            raise CompileError("tl node has a non-finite parameter")
+        if fixed:
+            return ThresholdLeaf(obj["feature"], fixed_theta=value)
+        return ThresholdLeaf(obj["feature"], params=ThresholdParams(value))
+    if kind == "not":
+        return NotNode(_node_from_json(obj["child"]))
+    if kind not in ("and", "or"):
+        raise CompileError(f"unknown node kind {kind!r} in checkpoint")
+    children = [_node_from_json(c) for c in obj["children"]]
+    gate = GateParams(len(children), raw_weights=obj["raw_weights"], bias=obj["beta"],
+                      raw_slacks=obj["raw_slacks"], raw_slack_big=obj["raw_slack_big"])
+    manual = obj.get("manual_weights")
+    if manual is not None and len(manual) != len(children):
+        raise CompileError(f"{kind} node has {len(manual)} manual weights for {len(children)} children")
+    values = [gate.raw_weights, gate.raw_slacks, [gate.bias, gate.raw_slack_big], manual or []]
+    if not np.isfinite(np.concatenate(values).astype(float)).all():
+        raise CompileError(f"{kind} node has a non-finite parameter")
+    node_cls = AndNode if kind == "and" else OrNode
+    return node_cls(children, gate=gate, manual_weights=manual)
+
+
+def graph_from_json(obj: dict) -> ScoringGraph:
+    """Rebuild a graph from :func:`graph_to_json` output."""
+    return ScoringGraph(_node_from_json(obj["root"]), alpha=obj["alpha"], mode=obj["mode"])
+
+
 @dataclass
 class Model:
     """A scoring graph bound to the configuration and catalog it was fit with."""
@@ -109,7 +186,7 @@ class Model:
     def to_json(self) -> dict:
         return {
             "format_version": FORMAT_VERSION,
-            "graph": self.graph.to_json(),
+            "graph": graph_to_json(self.graph),
             "config": self.config.to_json(),
             "catalog": self.catalog.to_json(),
             "training_log": self.training_log,
@@ -123,7 +200,7 @@ class Model:
                 "models saved before format_version 1 must be retrained"
             )
         return cls(
-            graph=ScoringGraph.from_json(obj["graph"]),
+            graph=graph_from_json(obj["graph"]),
             config=TrainConfig.from_json(obj["config"]),
             catalog=FeatureCatalog.from_json(obj["catalog"]),
             training_log=list(obj["training_log"]),
@@ -199,8 +276,9 @@ def descend(params: dict, n_items: int, step, epoch_stats, config) -> list[dict]
     return log
 
 
-def _mention_grads(graph: ScoringGraph, cols, labels, mu: float, grads: dict) -> np.ndarray:
-    """One mention's scores (one forward walk); adds its margin-loss gradients to ``grads``."""
+def _mention_grads(graph: ScoringGraph, cols, labels, mu: float, grads: np.ndarray) -> np.ndarray:
+    """One mention's scores (one tape run); adds its margin-loss gradients
+    to the flat ``grads`` (laid out like ``graph.flat``)."""
     cache: dict = {}
     scores = graph.evaluate_batch(cols, cache)
     _, dscores = margin_loss(scores, labels, mu)
@@ -228,14 +306,13 @@ def gradients(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: Tra
 
     Matches central finite differences away from clamp and hinge kinks.
     """
-    params = graph.parameters()
-    grads: dict = {name: np.zeros_like(arr) for name, arr in params.items()}
-    if not params:
-        return grads
+    if not graph.parameters():
+        return {}
+    grads = np.zeros_like(graph.flat)
     for inst in ds.instances:
         _mention_grads(graph, table.columns(inst, graph.feature_names), inst.labels, config.mu, grads)
     penalty_grads(graph, config.penalty_lambda, grads)
-    return {name: np.asarray(g) for name, g in grads.items()}
+    return graph.unflatten(grads)
 
 
 def train(
@@ -255,7 +332,7 @@ def train(
         raise ValueError(
             f"graph alpha {graph.alpha} differs from config alpha {config.alpha}"
         )
-    params = graph.parameters()
+    learnable = bool(graph.parameters())
     instances = list(ds.instances)
     cols, offsets = table.gather(instances, graph.feature_names)
     prefetched = [
@@ -264,17 +341,17 @@ def train(
     ]
 
     def step(idx):
-        grads: dict = {}
-        if not params:  # nothing learnable (manual mode): skip the forward pass
-            return (), grads
+        if not learnable:  # manual mode: skip the forward pass
+            return (), {}
+        grads = np.zeros_like(graph.flat)
         scores = _mention_grads(graph, prefetched[idx], instances[idx].labels, config.mu, grads)
         penalty_grads(graph, config.penalty_lambda, grads)
-        return scores, grads
+        return scores, {"flat": grads}
 
     def epoch_stats():
         return {"loss": total_loss(graph, table, ds, config), "violation": graph.residual_sum()}
 
-    log = descend(params, len(instances), step, epoch_stats, config)
+    log = descend({"flat": graph.flat}, len(instances), step, epoch_stats, config)
     if log:
         logger.info(
             "trained %d epochs: loss %.6f, residual sum %.2e",

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -285,6 +286,52 @@ class TestTypedFieldsCli:
                     "--rules", str(tmp_path / "r.elr"), "--out", str(tmp_path / "f.csv")])
         assert code == 1
         assert "must be a list" in capsys.readouterr().err
+
+
+class TestFeatureCsvFaults:
+    """A feature CSV that repeats a row or holds a non-finite cell fails
+    ``link`` with exit 1, naming the file and line, on the demo data."""
+
+    @pytest.fixture
+    def demo(self, tmp_path):
+        data = Path(__file__).resolve().parent.parent / "demo" / "toy.jsonl"
+        rules = data.parent / "rules.elr"
+        feats, model = tmp_path / "features.csv", tmp_path / "model.json"
+        assert run(["featurize", "--data", str(data), "--rules", str(rules), "--out", str(feats)]) == 0
+        assert run(["train", "--data", str(data), "--features", str(feats), "--rules", str(rules),
+                    "--epochs", "3", "--out", str(model)]) == 0
+        return data, feats, model
+
+    def _link(self, demo):
+        data, feats, model = demo
+        return run(["link", "--model", str(model), "--data", str(data), "--features", str(feats),
+                    "--out", str(feats.parent / "preds.json")])
+
+    def test_clean_features_link(self, demo):
+        assert self._link(demo) == 0
+
+    def test_repeated_row_exits_one(self, demo, capsys):
+        feats = demo[1]
+        lines = feats.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("m1,James_Cameron,"))
+        cells = lines[first].split(",")
+        lines.append(",".join(cells[:2] + ["0.0"] * (len(cells) - 2)))
+        feats.write_text("\n".join(lines) + "\n")
+        assert self._link(demo) == 1
+        err = capsys.readouterr().err
+        assert f"line {len(lines)}: row ('m1', 'James_Cameron') repeats line {first + 1}" in err
+
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_cell_exits_one(self, demo, capsys, cell):
+        feats = demo[1]
+        lines = feats.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[2].split(",")
+        cells[2] = cell
+        lines[2] = ",".join(cells)
+        feats.write_text("\n".join(lines) + "\n")
+        assert self._link(demo) == 1
+        assert f"features.csv line 3: column {header[2]!r} is {cell}, not finite" in capsys.readouterr().err
 
 
 _MODEL_COMMANDS = ("inspect", "link", "eval", "transfer")

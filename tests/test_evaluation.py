@@ -251,14 +251,13 @@ class TestBatchedScoring:
         ds = Dataset(instances=ds.instances * 3, name="x")  # repeats are fine for scoring
         graph = model.graph
         root_walks = []
-        forward = graph._forward
+        run = graph._run
 
-        def counting(node, cols, cache):
-            if node is graph.root:
-                root_walks.append(1)
-            return forward(node, cols, cache)
+        def counting(cols, cache=None):
+            root_walks.append(1)
+            return run(cols, cache)
 
-        monkeypatch.setattr(graph, "_forward", counting)
+        monkeypatch.setattr(graph, "_run", counting)
         for call in (lambda: link(model, ds, table), lambda: evaluate(model, ds, table),
                      lambda: total_loss(graph, table, ds, TrainConfig())):
             root_walks.clear()

@@ -9,7 +9,6 @@ from rulelink.errors import FeatureError
 from rulelink.logic import (
     AndNode,
     GateParams,
-    ManualWeights,
     NotNode,
     OrNode,
     RawLeaf,
@@ -20,7 +19,6 @@ from rulelink.logic import (
     lnn_and,
     lnn_not,
     lnn_or,
-    manual_score,
     sigmoid,
     softplus,
     softplus_inverse,
@@ -28,6 +26,7 @@ from rulelink.logic import (
     tnorm_and,
     tnorm_or,
 )
+from rulelink.training import graph_from_json, graph_to_json
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -234,6 +233,21 @@ class TestSigmoid:
         assert type(sigmoid(x)) is float
 
 
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, float("nan"), -float("nan")]),
+    ), min_size=1, max_size=40))
+    def test_array_path_matches_the_masked_formulas(self, xs):
+        # each formula applied to its own elements only, as sigmoid once did
+        x = np.array(xs).reshape(1, -1)
+        expected = np.empty_like(x)
+        pos = x >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        assert sigmoid(x).tobytes() == expected.tobytes()
+
+
 class TestWideGateBatchIndependence:
     @pytest.mark.parametrize("mode", ["lnn", "tnorm", "manual"])
     @pytest.mark.parametrize("gate_cls", [AndNode, OrNode])
@@ -253,20 +267,28 @@ class TestWideGateBatchIndependence:
                 assert alone.tobytes() == batch[row:row + 1].tobytes(), (k, row)
 
 
+def _manual_rules(rule_weights, rules):
+    """A manual-mode graph: an OR of weighted AND rules over raw features.
+    ``rules`` holds one list of (feature, weight) pairs per rule."""
+    ands = [AndNode([RawLeaf(f) for f, _ in rule], manual_weights=[w for _, w in rule]) for rule in rules]
+    return ScoringGraph(OrNode(ands, manual_weights=rule_weights), mode="manual")
+
+
 class TestManualScore:
+    # sum_i rw_i * prod_j (fw_ij * f_ij), written out by hand
+
     def test_single_rule(self):
-        mw = ManualWeights(rule_weights=[1.0], feature_weights=[1.0, 1.0])
-        assert manual_score([[0.7, 0.5]], mw) == pytest.approx(0.35)
+        graph = _manual_rules([1.0], [[("jacc", 1.0), ("ctx", 1.0)]])
+        assert graph.evaluate({"jacc": 0.7, "ctx": 0.5}) == pytest.approx(0.35)
 
     def test_zero_rule_weights(self):
-        mw = ManualWeights(rule_weights=[0.0, 0.0], feature_weights=[1.0, 1.0])
-        assert manual_score([[0.9], [0.4]], mw) == 0.0
+        graph = _manual_rules([0.0, 0.0], [[("jacc", 1.0)], [("ctx", 1.0)]])
+        assert graph.evaluate({"jacc": 0.9, "ctx": 0.4}) == 0.0
 
     def test_split_rule_weight_linearity(self):
-        one = manual_score([[0.7, 0.5]], ManualWeights([1.0], [1.0, 1.0]))
-        two = manual_score(
-            [[0.7, 0.5], [0.7, 0.5]], ManualWeights([0.5, 0.5], [1.0, 1.0, 1.0, 1.0])
-        )
+        row = {"jacc": 0.7, "ctx": 0.5, "lev": 0.7, "prom": 0.5}
+        one = _manual_rules([1.0], [[("jacc", 1.0), ("ctx", 1.0)]]).evaluate(row)
+        two = _manual_rules([0.5, 0.5], [[("jacc", 1.0), ("ctx", 1.0)], [("lev", 1.0), ("prom", 1.0)]]).evaluate(row)
         assert one == pytest.approx(two)
 
     def test_manual_graph_matches_flat_formula(self):
@@ -275,9 +297,7 @@ class TestManualScore:
         root = OrNode([r1, r2], manual_weights=[0.4, 0.6])
         graph = ScoringGraph(root, mode="manual")
         row = {"jacc": 0.7, "ctx": 0.5, "lev": 0.9, "prom": 0.2}
-        expected = manual_score(
-            [[0.7, 0.5], [0.9, 0.2]], ManualWeights([0.4, 0.6], [0.9, 0.8, 0.7, 0.6])
-        )
+        expected = 0.4 * (0.9 * 0.7) * (0.8 * 0.5) + 0.6 * (0.7 * 0.9) * (0.6 * 0.2)
         assert graph.evaluate(row) == pytest.approx(expected)
 
     def test_manual_threshold_is_hard_gate(self):
@@ -296,11 +316,11 @@ class TestGraphSerialization:
         )
         graph = ScoringGraph(root, alpha=0.8)
         graph.parameters()["n1.rho"][0] = 0.33
-        obj = graph.to_json()
-        again = ScoringGraph.from_json(obj)
+        obj = graph_to_json(graph)
+        again = graph_from_json(obj)
         row = {"jacc": 0.61, "prom": 0.37, "ctx": 0.52}
         assert again.evaluate(row) == graph.evaluate(row)
-        assert again.to_json() == obj
+        assert graph_to_json(again) == obj
 
 
 class TestRandomizedOperatorSuite:

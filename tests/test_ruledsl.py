@@ -248,7 +248,7 @@ class TestCompile:
         assert float(p2["n0.beta"]) == 1.0
 
     def test_manual_mode_carries_fixed_weights(self):
-        from rulelink.logic import ManualWeights
+        from rulelink.ruledsl import ManualWeights
 
         text = "rule R1 = jacc & ctx;\nrule R2 = lev & prom;\nrule Links = R1 | R2;\n"
         manual = ManualWeights(rule_weights=[0.4, 0.6], feature_weights=[0.9, 0.8, 0.7, 0.6])

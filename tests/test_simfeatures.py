@@ -414,7 +414,7 @@ class TestFeatureTableCsv:
             max_size=5,
             unique=True,
         ),
-        st.floats(allow_nan=False),
+        st.floats(allow_nan=False, allow_infinity=False),
     )
     @settings(max_examples=100)
     def test_any_unicode_id_round_trips(self, tmp_path_factory, keys, value):
@@ -429,6 +429,25 @@ class TestFeatureTableCsv:
         path = tmp_path / "features.csv"
         path.write_text('mention_id,candidate_id,f\nm1,"a,b",0.5\nm2,c,0.1,0.2\n')
         with pytest.raises(FeatureError, match="line 3: expected 3 cells"):
+            FeatureTable.from_csv(path)
+
+    def test_repeated_column_is_a_bad_header(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("mention_id,candidate_id,f,f\nm1,a,1.0,0.5\n")
+        with pytest.raises(FeatureError, match="bad feature CSV header"):
+            FeatureTable.from_csv(path)
+
+    def test_repeated_row_names_both_lines(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("mention_id,candidate_id,f\nm1,a,1.0\nm1,b,0.5\nm1,a,0.0\n")
+        with pytest.raises(FeatureError, match=r"line 4: row \('m1', 'a'\) repeats line 2"):
+            FeatureTable.from_csv(path)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_cell_names_file_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "features.csv"
+        path.write_text(f"mention_id,candidate_id,f,g\nm1,a,1.0,0.5\nm1,b,0.5,{cell}\n")
+        with pytest.raises(FeatureError, match=rf"features.csv line 3: column 'g' is {cell}, not finite"):
             FeatureTable.from_csv(path)
 
     def test_csv_parser_error_is_feature_error(self, tmp_path):

@@ -14,6 +14,7 @@ from rulelink.training import (
     TrainConfig,
     descend,
     gradients,
+    graph_to_json,
     hyperparameter_search,
     load_config,
     load_model,
@@ -22,6 +23,7 @@ from rulelink.training import (
     total_loss,
     train,
 )
+import tree_reference
 from synthgen import generate_dataset
 
 
@@ -318,19 +320,6 @@ class TestGradients:
         assert float(grads["n0.gamma"]) == pytest.approx(expected)
 
 
-def _recomputing_mention_grads(graph, cols, labels, mu, grads):
-    """Reference step: score, then a fresh forward into a new cache for the
-    backward pass, as the training step did before it kept the forward's
-    intermediates."""
-    scores = graph.evaluate_batch(cols)
-    _, dscores = margin_loss(scores, labels, mu)
-    if np.any(dscores != 0.0) and graph.mode != "manual":
-        cache = {}
-        graph._forward(graph.root, cols, cache)
-        graph._backward(graph.root, np.asarray(dscores, dtype=float), cache, grads)
-    return scores
-
-
 def _fuzzed_graph_and_data(seed, mode):
     """A random rule tree (``test_ruledsl._random_expr``) with jittered
     parameters, plus random feature values for a few candidate lists."""
@@ -360,37 +349,39 @@ class TestOneForwardPerStep:
     CONFIG = TrainConfig(epochs=3, learning_rate=0.05, mu=0.7, penalty_lambda=1.0, seed=5)
 
     @pytest.mark.parametrize("mode", ["lnn", "tnorm"])
-    def test_matches_the_recomputing_step_bit_for_bit(self, mode, monkeypatch):
-        import rulelink.training as training
-
+    def test_matches_the_recomputing_step_bit_for_bit(self, mode):
+        # the reference walks the tree recursively and evaluates it afresh
+        # for every backward pass
         for seed in range(40):
-            runs = []
-            for step in (training._mention_grads, _recomputing_mention_grads):
-                graph, table, ds = _fuzzed_graph_and_data(seed, mode)
-                with monkeypatch.context() as patch:
-                    patch.setattr(training, "_mention_grads", step)
-                    grads = gradients(graph, table, ds, self.CONFIG)
-                    model = train(ds, table, graph, self.CONFIG)
-                params = model.graph.parameters()
-                runs.append((
-                    {k: np.asarray(g).tobytes() for k, g in grads.items()},
-                    {k: p.tobytes() for k, p in params.items()},
-                    json.dumps(model.training_log),
-                ))
-            assert runs[0] == runs[1], seed
+            graph, table, ds = _fuzzed_graph_and_data(seed, mode)
+            grads = gradients(graph, table, ds, self.CONFIG)
+            model = train(ds, table, graph, self.CONFIG)
+            tape = (
+                {k: np.asarray(g).tobytes() for k, g in grads.items()},
+                {k: p.tobytes() for k, p in model.graph.parameters().items()},
+                json.dumps(model.training_log),
+            )
+            graph, table, ds = _fuzzed_graph_and_data(seed, mode)
+            grads = tree_reference.gradients(graph, table, ds, self.CONFIG)
+            log = tree_reference.train(ds, table, graph, self.CONFIG, recompute=True)
+            reference = (
+                {k: np.asarray(g).tobytes() for k, g in grads.items()},
+                {k: p.tobytes() for k, p in graph.parameters().items()},
+                json.dumps(log),
+            )
+            assert tape == reference, seed
 
     @pytest.mark.parametrize("mode", ["lnn", "tnorm"])
     def test_one_forward_walk_per_mention(self, mode, monkeypatch):
         graph, table, ds = _fuzzed_graph_and_data(3, mode)
         root_walks = []
-        forward = graph._forward
+        run = graph._run
 
-        def counting(node, cols, cache):
-            if node is graph.root:
-                root_walks.append(1)
-            return forward(node, cols, cache)
+        def counting(cols, cache=None):
+            root_walks.append(1)
+            return run(cols, cache)
 
-        monkeypatch.setattr(graph, "_forward", counting)
+        monkeypatch.setattr(graph, "_run", counting)
         gradients(graph, table, ds, self.CONFIG)
         assert len(root_walks) == len(ds.instances)
         root_walks.clear()
@@ -576,7 +567,7 @@ class TestModelCheckpoint:
         save_model(model, path)
         again = load_model(path)
         assert again.config == model.config
-        assert again.graph.to_json() == model.graph.to_json()
+        assert graph_to_json(again.graph) == graph_to_json(model.graph)
         assert again.training_log == model.training_log
         save_model(again, tmp_path / "model2.json")
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "model2.json").read_bytes()
