@@ -15,13 +15,16 @@ sim_box = 0 for every candidate.
 
 ``train_box_params`` fits psi, omega and beta_box by per-mention gradient
 descent on the margin-ranking loss, with omega and beta_box kept
-non-negative by softplus reparameterization.
+non-negative by softplus reparameterization; the raw parameters are one
+flat vector ``[psi (d) | raw_omega (d) | raw_beta (1)]`` with named views,
+and each peer-linked mention is compiled once into arrays.
 """
 from __future__ import annotations
 
 import json
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .corpus import Dataset, LabeledInstance
 from .errors import FeatureError
 from .logic import sigmoid, softplus, softplus_inverse
 from .simfeatures import minmax_rescale
-from .training import descend, margin_loss
+from .training import descend, margin_loss_prepared, prepare_labels
 
 logger = logging.getLogger(__name__)
 
@@ -254,112 +257,24 @@ def joint_box_feature_multi(
 # --- training ----------------------------------------------------------
 
 
-def _raw_params(init: BoxParams) -> dict[str, np.ndarray]:
-    return {
-        "psi": np.asarray(init.psi, dtype=float).copy(),
-        "raw_omega": np.asarray(softplus_inverse(init.omega), dtype=float).copy(),
-        "raw_beta": np.asarray(softplus_inverse(init.beta_box)),
-    }
+class _Stack(NamedTuple):
+    """R peer-linked mentions of n candidates and P peers each: embeddings
+    [R, n, d], own box corners [R, 1, d], peer box corners [R, P, d], peer
+    numbers 1..P [P, 1] (their rows in a corner stack under the own box),
+    cos columns [R, n] and :func:`prepare_labels` indices."""
+
+    emb: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    peer_lower: np.ndarray
+    peer_upper: np.ndarray
+    peer_index: np.ndarray
+    cos: np.ndarray
+    labels: tuple
 
 
-def _effective(raw: dict[str, np.ndarray]) -> BoxParams:
-    return BoxParams(
-        psi=raw["psi"].copy(),
-        omega=softplus(raw["raw_omega"]),
-        beta_box=float(softplus(raw["raw_beta"])),
-    )
-
-
-def _instance_geometry(inst: LabeledInstance, peer_instances: list[LabeledInstance]):
-    own_emb = _candidate_embeddings(inst.candidates)
-    own = box_of(own_emb)
-    peer_boxes = [box_of(_candidate_embeddings(p.candidates)) for p in peer_instances]
-    return own_emb, own, peer_boxes
-
-
-def _rescale_with_grad(scores: np.ndarray):
-    """Min-max rescale plus a closure mapping d(out) to d(scores)."""
-    lo_i = int(np.argmin(scores))
-    hi_i = int(np.argmax(scores))
-    span = scores[hi_i] - scores[lo_i]
-    if span == 0.0:
-        return np.ones_like(scores), lambda dout: np.zeros_like(scores)
-    out = (scores - scores[lo_i]) / span
-
-    def backward(dout: np.ndarray) -> np.ndarray:
-        ds = dout / span
-        total = dout.sum()
-        ds[lo_i] -= total / span
-        coeff = (dout * (scores - scores[lo_i])).sum() / span**2
-        ds[hi_i] -= coeff
-        ds[lo_i] += coeff
-        return ds
-
-    return out, backward
-
-
-def _box_loss_grad(inst, geometry, cos, raw, mu, grads):
-    """Margin loss and rescaled joint scores of one mention; adds the
-    raw-parameter gradients to ``grads`` unless it is None."""
-    own_emb, own, peer_boxes = geometry
-    psi = raw["psi"]
-    omega = softplus(raw["raw_omega"])
-    beta = float(softplus(raw["raw_beta"]))
-
-    stacked_lo = [own.lower] + [b.lower + psi - omega / 2.0 for b in peer_boxes]
-    stacked_hi = [own.upper] + [b.upper + psi + omega / 2.0 for b in peer_boxes]
-    lo_stack = np.stack(stacked_lo)
-    hi_stack = np.stack(stacked_hi)
-    lo_arg = lo_stack.argmax(axis=0)
-    hi_arg = hi_stack.argmin(axis=0)
-    lo = lo_stack.max(axis=0)
-    hi = hi_stack.min(axis=0)
-    empty = bool(np.any(lo > hi))
-
-    if empty:
-        sims = np.zeros(len(inst.candidates))
-    else:
-        center = (lo + hi) / 2.0
-        dists = np.abs(own_emb - center).sum(axis=1)
-        sims = 1.0 / (1.0 + dists)
-    scores = beta * sims + cos
-    out, rescale_back = _rescale_with_grad(scores)
-
-    loss, dout = margin_loss(out, inst.labels, mu)
-    if grads is None or empty:
-        return loss, out
-
-    dscores = rescale_back(dout)
-    grads["raw_beta"] += (dscores * sims).sum() * sigmoid(raw["raw_beta"])
-    dsims = dscores * beta
-    # sim = 1/(1+L1): d sim / d center_k = sim^2 * sign(e_k - center_k)
-    dcenter = (dsims[:, None] * sims[:, None] ** 2 * np.sign(own_emb - (lo + hi) / 2.0)).sum(axis=0)
-    dlo = dcenter / 2.0
-    dhi = dcenter / 2.0
-    for peer_idx in range(1, len(stacked_lo)):
-        from_lo = dlo * (lo_arg == peer_idx)
-        from_hi = dhi * (hi_arg == peer_idx)
-        grads["psi"] += from_lo + from_hi
-        grads["raw_omega"] += (from_hi - from_lo) / 2.0 * sigmoid(raw["raw_omega"])
-    return loss, out
-
-
-def box_total_loss(ds: Dataset, params: BoxParams, mu: float, cos_column: str = "cos") -> float:
-    """Summed margin loss of the joint box feature over peer-linked mentions."""
-    raw = _raw_params(params)
-    return sum(_box_loss_grad(*row, raw, mu, None)[0] for row in _training_rows(ds, cos_column))
-
-
-def box_gradients(ds: Dataset, params: BoxParams, mu: float, cos_column: str = "cos") -> dict:
-    """Analytic d(loss)/d(raw parameter) for the box training objective."""
-    raw = _raw_params(params)
-    grads = {k: np.zeros_like(v) for k, v in raw.items()}
-    for inst, geometry, cos in _training_rows(ds, cos_column):
-        _box_loss_grad(inst, geometry, cos, raw, mu, grads)
-    return grads
-
-
-def _training_rows(ds: Dataset, cos_column: str):
+def _training_rows(ds: Dataset, cos_column: str) -> list[_Stack]:
+    """One single-mention stack per mention with an embedded peer."""
     by_text = ds.instances_by_text()
     rows = []
     for inst in ds.instances:
@@ -370,9 +285,127 @@ def _training_rows(ds: Dataset, cos_column: str):
         ]
         if not peers:
             continue
-        cos = np.array([c.external_scores.get(cos_column, 0.0) for c in inst.candidates])
-        rows.append((inst, _instance_geometry(inst, peers), cos))
+        emb = _candidate_embeddings(inst.candidates)
+        own = box_of(emb)
+        peer_boxes = [box_of(_candidate_embeddings(p.candidates)) for p in peers]
+        rows.append(_Stack(
+            emb=emb[None],
+            lower=own.lower[None, None],
+            upper=own.upper[None, None],
+            peer_lower=np.stack([b.lower for b in peer_boxes])[None],
+            peer_upper=np.stack([b.upper for b in peer_boxes])[None],
+            peer_index=np.arange(1, len(peers) + 1)[:, None],
+            cos=np.array([[c.external_scores.get(cos_column, 0.0) for c in inst.candidates]]),
+            labels=(prepare_labels(inst.labels),),
+        ))
     return rows
+
+
+def _by_shape(rows: list[_Stack]) -> list[tuple[list[int], _Stack]]:
+    """Rows of one candidate and peer count stacked together, each stack
+    with its rows' positions."""
+    positions: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows):
+        positions.setdefault((row.emb.shape, row.peer_lower.shape), []).append(i)
+    stacks = []
+    for idx in positions.values():
+        members = [rows[i] for i in idx]
+        arrays = {name: np.concatenate([getattr(row, name) for row in members])
+                  for name in ("emb", "lower", "upper", "peer_lower", "peer_upper", "cos")}
+        labels = tuple(row.labels[0] for row in members)
+        stacks.append((idx, _Stack(**arrays, peer_index=members[0].peer_index, labels=labels)))
+    return stacks
+
+
+def _pack(p: BoxParams) -> np.ndarray:
+    """The raw vector ``[psi (d) | raw_omega (d) | raw_beta (1)]``."""
+    return np.concatenate((p.psi, softplus_inverse(p.omega), [softplus_inverse(p.beta_box)]))
+
+
+def _named(vec: np.ndarray) -> dict[str, np.ndarray]:
+    """Named views into a raw vector (``raw_beta`` is 0-d)."""
+    d = (vec.size - 1) // 2
+    return {"psi": vec[:d], "raw_omega": vec[d : 2 * d], "raw_beta": vec[2 * d :].reshape(())}
+
+
+def _unpack(vec: np.ndarray) -> BoxParams:
+    raw = _named(vec)
+    return BoxParams(psi=raw["psi"].copy(), omega=softplus(raw["raw_omega"]),
+                     beta_box=softplus(raw["raw_beta"]))
+
+
+def _forward(s: _Stack, raw: dict[str, np.ndarray], grad: dict | None = None, mu: float = 0.0) -> np.ndarray:
+    """Joint scores of every mention in a stack, min-max rescaled per
+    mention: [R, n]. Given ``grad`` (named views like ``raw``), a
+    single-mention stack also adds the gradient of its margin loss at ``mu``.
+
+    The parameter work (omega / 2, beta_box, the sigmoids) is done once per
+    call, and every peer box is projected in one broadcast op.
+    """
+    psi, half, beta = raw["psi"], softplus(raw["raw_omega"]) / 2.0, softplus(raw["raw_beta"])
+    lower = np.concatenate((s.lower, (s.peer_lower + psi) - half), axis=1)
+    upper = np.concatenate((s.upper, (s.peer_upper + psi) + half), axis=1)
+    lo, hi = lower.max(axis=1), upper.min(axis=1)
+    empty = (lo > hi).any(axis=1)  # an empty intersection scores sim_box 0
+    offset = s.emb - ((lo + hi) / 2.0)[:, None, :]
+    sims = 1.0 / (1.0 + np.abs(offset).sum(axis=2))
+    sims[empty] = 0.0
+    scores = beta * sims + s.cos
+    each = np.arange(len(scores))
+    lo_i, hi_i = scores.argmin(axis=1), scores.argmax(axis=1)
+    low = scores[each, lo_i]
+    span = scores[each, hi_i] - low
+    diff = scores - low[:, None]
+    flat = span == 0.0  # all ones
+    out = diff / np.where(flat, 1.0, span)[:, None]
+    out[flat] = 1.0
+    if grad is None or empty[0]:  # no gradient reaches an empty intersection
+        return out
+    sims, span, lo_i, hi_i = sims[0], span[0], lo_i[0], hi_i[0]
+    if span == 0.0:
+        dscores = np.zeros_like(sims)
+    else:
+        dout = margin_loss_prepared(out[0], s.labels[0], mu)[1]
+        dscores = dout / span
+        dscores[lo_i] -= dout.sum() / span
+        coeff = (dout * diff[0]).sum() / span**2
+        dscores[hi_i] -= coeff
+        dscores[lo_i] += coeff
+    grad["raw_beta"] += (dscores * sims).sum() * sigmoid(raw["raw_beta"])
+    dsims = dscores * beta
+    # sim = 1/(1+L1): d sim / d center_k = sim^2 * sign(e_k - center_k)
+    dcenter = (dsims[:, None] * sims[:, None] ** 2 * np.sign(offset[0])).sum(axis=0)
+    # each corner of the intersection is one row of its stack (row 0 is the
+    # own box, which has no parameters) and moves the center by half as much
+    dcorner = dcenter / 2.0
+    from_lo = dcorner * (lower[0].argmax(axis=0) == s.peer_index)
+    from_hi = dcorner * (upper[0].argmin(axis=0) == s.peer_index)
+    grad["psi"] += np.add.reduce(from_lo + from_hi, axis=0)
+    grad["raw_omega"] += np.add.reduce((from_hi - from_lo) / 2.0 * sigmoid(raw["raw_omega"]), axis=0)
+    return out
+
+
+def _summed_loss(stacks: list[tuple[list[int], _Stack]], raw: dict, mu: float) -> float:
+    """Margin loss summed over the rows in their order, from shape stacks."""
+    losses = [0.0] * sum(len(idx) for idx, _ in stacks)
+    for idx, stack in stacks:
+        for i, out, labels in zip(idx, _forward(stack, raw), stack.labels):
+            losses[i] = margin_loss_prepared(out, labels, mu)[0]
+    return sum(losses)
+
+
+def box_total_loss(ds: Dataset, params: BoxParams, mu: float, cos_column: str = "cos") -> float:
+    """Summed margin loss of the joint box feature over peer-linked mentions."""
+    return _summed_loss(_by_shape(_training_rows(ds, cos_column)), _named(_pack(params)), mu)
+
+
+def box_gradients(ds: Dataset, params: BoxParams, mu: float, cos_column: str = "cos") -> dict:
+    """Analytic d(loss)/d(raw parameter) for the box training objective."""
+    raw = _named(_pack(params))
+    grad = {name: np.zeros_like(view) for name, view in raw.items()}
+    for row in _training_rows(ds, cos_column):
+        _forward(row, raw, grad, mu)
+    return grad
 
 
 def train_box_params(ds: Dataset, config, cos_column: str = "cos", init: BoxParams | None = None) -> BoxParams:
@@ -383,18 +416,25 @@ def train_box_params(ds: Dataset, config, cos_column: str = "cos", init: BoxPara
     """
     if ds.embedding_dim is None:
         raise FeatureError("dataset has no embeddings; cannot train box parameters")
-    raw = _raw_params(init if init is not None else BoxParams.default(ds.embedding_dim))
+    vec = _pack(init if init is not None else BoxParams.default(ds.embedding_dim))
     rows = _training_rows(ds, cos_column)
     if not rows:
         logger.warning("no mention has an embedded peer; returning initial parameters")
-        return _effective(raw)
+        return _unpack(vec)
+    stacks = _by_shape(rows)
+    raw = _named(vec)
+    grad_vec = np.zeros_like(vec)
+    grad = _named(grad_vec)
 
     def step(idx):
-        grads = {k: np.zeros_like(v) for k, v in raw.items()}
-        return _box_loss_grad(*rows[idx], raw, config.mu, grads)[1], grads
+        grad_vec.fill(0.0)
+        return _forward(rows[idx], raw, grad, config.mu)[0], {"flat": grad_vec}
 
     def epoch_stats():
-        return {"loss": sum(_box_loss_grad(*row, raw, config.mu, None)[0] for row in rows)}
+        return {"loss": _summed_loss(stacks, raw, config.mu)}
 
-    descend(raw, len(rows), step, epoch_stats, config)
-    return _effective(raw)
+    log = descend({"flat": vec}, len(rows), step, epoch_stats, config)
+    if log:
+        logger.info("trained box parameters %d epochs over %d mentions: loss %.6f",
+                    config.epochs, len(rows), log[-1]["loss"])
+    return _unpack(vec)

@@ -398,7 +398,8 @@ class FeatureTable:
     @classmethod
     def from_csv(cls, path) -> "FeatureTable":
         """Read a feature CSV. A repeated (mention_id, candidate_id) row or a
-        non-finite cell raises FeatureError naming the file and line(s)."""
+        cell that is not a finite number raises FeatureError naming the file
+        and line(s)."""
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -415,7 +416,15 @@ class FeatureTable:
                             f"{path} line {reader.line_num}: expected {len(header)} cells"
                         )
                     key = (cells[0], cells[1])
-                    rows[key] = dict(zip(names, map(float, cells[2:])))
+                    try:
+                        rows[key] = dict(zip(names, map(float, cells[2:])))
+                    except ValueError:  # find the cell float() refused
+                        for name, cell in zip(names, cells[2:]):
+                            try:
+                                float(cell)
+                            except ValueError:
+                                raise FeatureError(f"{path} line {reader.line_num}: column {name!r} is "
+                                                   f"{cell!r}, not a number") from None
                     lines.append(reader.line_num)
                     if len(rows) < len(lines):
                         raise FeatureError(f"{path} line {reader.line_num}: row {key!r} repeats "

@@ -223,29 +223,41 @@ def load_model(path) -> Model:
         raise CompileError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
 
 
-def margin_loss(scores, labels, mu: float):
-    """Margin loss and its gradient d(loss)/d(scores) for one candidate list.
+def prepare_labels(labels) -> tuple[np.ndarray, np.ndarray]:
+    """The positive and negative candidate indices of one list's 0/1 labels,
+    made once per list for :func:`margin_loss_prepared`."""
+    labels = np.asarray(labels)
+    return np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
+
+
+def margin_loss_prepared(scores: np.ndarray, prepared, mu: float):
+    """Margin loss and its gradient d(loss)/d(scores) for one candidate list
+    of float ``scores``, given its :func:`prepare_labels` indices.
 
     The loss sums max(0, mu - (s_p - s_n)) over every positive p and
-    negative n. The gradient counts active hinges, -1 on the positive and
-    +1 on the negative per active pair, with sub-gradient 0 at the kink;
-    being integer counts it does not depend on summation order.
+    negative n, positive by positive. The gradient counts active hinges, -1
+    on the positive and +1 on the negative per active pair, with
+    sub-gradient 0 at the kink; being integer counts it does not depend on
+    summation order.
     """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    positives = np.flatnonzero(labels == 1)
+    positives, negatives = prepared
     if positives.size == 0:
         raise ValueError("margin loss needs at least one positive label")
-    negatives = np.flatnonzero(labels == 0)
+    negative_scores = scores[negatives]
     dscores = np.zeros_like(scores)
     total = 0.0
     for p in positives:
-        margins = mu - (scores[p] - scores[negatives])
-        total += np.maximum(0.0, margins).sum()
+        margins = mu - (scores[p] - negative_scores)
+        total += np.add.reduce(np.maximum(0.0, margins))
         active = margins > 0.0
-        dscores[p] -= active.sum()
+        dscores[p] -= np.count_nonzero(active)
         dscores[negatives] += active
     return float(total), dscores
+
+
+def margin_loss(scores, labels, mu: float):
+    """:func:`margin_loss_prepared` for one list's scores and 0/1 labels."""
+    return margin_loss_prepared(np.asarray(scores, dtype=float), prepare_labels(labels), mu)
 
 
 def descend(params: dict, n_items: int, step, epoch_stats, config) -> list[dict]:
@@ -276,28 +288,33 @@ def descend(params: dict, n_items: int, step, epoch_stats, config) -> list[dict]
     return log
 
 
-def _mention_grads(graph: ScoringGraph, cols, labels, mu: float, grads: np.ndarray) -> np.ndarray:
-    """One mention's scores (one tape run); adds its margin-loss gradients
-    to the flat ``grads`` (laid out like ``graph.flat``)."""
+def _mention_grads(graph: ScoringGraph, cols, prepared, mu: float, grads: np.ndarray) -> np.ndarray:
+    """One mention's scores (one tape run); adds the gradients of its margin
+    loss (labels as :func:`prepare_labels` indices) to the flat ``grads``
+    (laid out like ``graph.flat``)."""
     cache: dict = {}
     scores = graph.evaluate_batch(cols, cache)
-    _, dscores = margin_loss(scores, labels, mu)
+    _, dscores = margin_loss_prepared(scores, prepared, mu)
     if np.any(dscores != 0.0):
         graph.backward(cache, dscores, grads)
     return scores
 
 
-def total_loss(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: TrainConfig) -> float:
+def total_loss(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: TrainConfig,
+               labels: list | None = None) -> float:
     """Margin loss summed over mentions plus the weighted constraint penalty.
 
     One graph walk scores every mention's rows; the per-mention losses are
-    then added in dataset order.
+    then added in dataset order. ``labels`` may hold each mention's
+    :func:`prepare_labels` indices, made once by a caller that sums often.
     """
     cols, offsets = table.gather(ds.instances, graph.feature_names)
     scores = graph.evaluate_batch(cols)
+    if labels is None:
+        labels = [prepare_labels(inst.labels) for inst in ds.instances]
     total = 0.0
-    for inst, start, end in zip(ds.instances, offsets, offsets[1:]):
-        total += margin_loss(scores[start:end], inst.labels, config.mu)[0]
+    for prepared, start, end in zip(labels, offsets, offsets[1:]):
+        total += margin_loss_prepared(scores[start:end], prepared, config.mu)[0]
     return float(total + config.penalty_lambda * graph.residual_sum())
 
 
@@ -310,7 +327,8 @@ def gradients(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: Tra
         return {}
     grads = np.zeros_like(graph.flat)
     for inst in ds.instances:
-        _mention_grads(graph, table.columns(inst, graph.feature_names), inst.labels, config.mu, grads)
+        _mention_grads(graph, table.columns(inst, graph.feature_names), prepare_labels(inst.labels),
+                       config.mu, grads)
     penalty_grads(graph, config.penalty_lambda, grads)
     return graph.unflatten(grads)
 
@@ -339,17 +357,18 @@ def train(
         {name: col[start:end] for name, col in cols.items()}
         for start, end in zip(offsets, offsets[1:])
     ]
+    labels = [prepare_labels(inst.labels) for inst in instances]
 
     def step(idx):
         if not learnable:  # manual mode: skip the forward pass
             return (), {}
         grads = np.zeros_like(graph.flat)
-        scores = _mention_grads(graph, prefetched[idx], instances[idx].labels, config.mu, grads)
+        scores = _mention_grads(graph, prefetched[idx], labels[idx], config.mu, grads)
         penalty_grads(graph, config.penalty_lambda, grads)
         return scores, {"flat": grads}
 
     def epoch_stats():
-        return {"loss": total_loss(graph, table, ds, config), "violation": graph.residual_sum()}
+        return {"loss": total_loss(graph, table, ds, config, labels), "violation": graph.residual_sum()}
 
     log = descend({"flat": graph.flat}, len(instances), step, epoch_stats, config)
     if log:

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rulelink.boxgeom as boxgeom
 from rulelink.boxgeom import (
     Box,
     BoxParams,
-    _box_loss_grad,
-    _raw_params,
+    _by_shape,
+    _forward,
+    _named,
+    _pack,
+    _summed_loss,
     _training_rows,
     box_gradients,
     box_of,
+    box_total_loss,
     box_similarity,
     intersect,
     joint_box_feature_multi,
@@ -18,6 +25,7 @@ from rulelink.boxgeom import (
 from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
 from rulelink.errors import FeatureError, TrainingDivergence
 from rulelink.training import TrainConfig
+import box_reference
 
 
 def _random_box(rng, dim=3):
@@ -202,30 +210,25 @@ class TestBoxGradients:
                 beta_box=float(rng.uniform(0.5, 2)),
             )
             analytic = box_gradients(ds, params, mu=0.7)
-            raw = _raw_params(params)
+            an = np.concatenate([np.atleast_1d(analytic[key]) for key in ("psi", "raw_omega", "raw_beta")])
+            vec = _pack(params)
+            stacks = _by_shape(_training_rows(ds, "cos"))
             h = 1e-6
 
-            def loss_at(raw_dict):
-                total = 0.0
-                for inst, geom, cos in _training_rows(ds, "cos"):
-                    total += _box_loss_grad(inst, geom, cos, raw_dict, 0.7, None)[0]
-                return total
+            def loss_at(v):
+                return _summed_loss(stacks, _named(v), 0.7)
 
-            for key in raw:
-                arr = raw[key]
-                flat = np.atleast_1d(arr)
-                an = np.atleast_1d(np.asarray(analytic[key], dtype=float))
-                for i in range(flat.size):
-                    old = flat[i]
-                    flat[i] = old + h
-                    up = loss_at(raw)
-                    flat[i] = old - h
-                    dn = loss_at(raw)
-                    flat[i] = old
-                    fd = (up - dn) / (2 * h)
-                    if abs(fd) < 1e-9 and abs(an[i]) < 1e-9:
-                        continue
-                    assert an[i] == pytest.approx(fd, rel=2e-3, abs=2e-6), (trial, key, i)
+            for i in range(vec.size):
+                old = vec[i]
+                vec[i] = old + h
+                up = loss_at(vec)
+                vec[i] = old - h
+                dn = loss_at(vec)
+                vec[i] = old
+                fd = (up - dn) / (2 * h)
+                if abs(fd) < 1e-9 and abs(an[i]) < 1e-9:
+                    continue
+                assert an[i] == pytest.approx(fd, rel=2e-3, abs=2e-6), (trial, i)
 
 
 class TestTrainBoxParams:
@@ -263,6 +266,220 @@ class TestTrainBoxParams:
         config = TrainConfig(epochs=60, learning_rate=0.05, mu=0.6, seed=3)
         trained = train_box_params(ds, config)
         assert _ranking_accuracy(ds, trained) == 1.0
+
+
+def _golden_box_dataset():
+    """Seeded inputs for the golden-bytes box test.
+
+    Ragged candidate counts (1 to 7), a text of 11 mentions (10 peers
+    each), a two-mention text whose boxes sit far apart (empty
+    intersection), one-candidate lists and a list of identical candidates
+    (rescale span 0), lists with two positives, and a mention with no peer.
+    """
+    rng = np.random.default_rng(20261018)
+    dim = 4
+    specs = []  # (text, embeddings [n, dim], cos [n], labels)
+
+    def labels_for(n, n_pos=1):
+        labels = [0] * n
+        for j in rng.choice(n, size=n_pos, replace=False):
+            labels[int(j)] = 1
+        return labels
+
+    center = rng.uniform(-1, 1, size=dim)
+    for _ in range(11):
+        n = int(rng.integers(1, 8))
+        specs.append(("wide", center + rng.normal(scale=0.12, size=(n, dim)), rng.uniform(size=n), labels_for(n)))
+    for t in range(5):
+        c = rng.uniform(-2, 2, size=dim)
+        for _ in range(int(rng.integers(2, 4))):
+            n = int(rng.integers(2, 6))
+            specs.append((f"pair{t}", c + rng.normal(scale=0.3, size=(n, dim)), rng.uniform(size=n),
+                          labels_for(n, 2 if n > 3 else 1)))
+    specs.append(("far", rng.normal(scale=0.2, size=(3, dim)), rng.uniform(size=3), labels_for(3)))
+    specs.append(("far", 10.0 + rng.normal(scale=0.2, size=(4, dim)), rng.uniform(size=4), labels_for(4)))
+    same = rng.uniform(-1, 1, size=dim)
+    specs.append(("flat", np.stack([same] * 3), np.full(3, 0.25), [0, 1, 0]))
+    specs.append(("flat", same + rng.normal(scale=0.3, size=(1, dim)), np.array([0.5]), [1]))
+    specs.append(("flat", same + rng.normal(scale=0.3, size=(5, dim)), rng.uniform(size=5), labels_for(5)))
+    specs.append(("alone", rng.normal(size=(3, dim)), rng.uniform(size=3), labels_for(3)))
+
+    instances = []
+    for i, (text, emb, cos, labels) in enumerate(specs):
+        cands = tuple(
+            CandidateEntity(id=f"m{i}_c{j}", name=f"c{j}", embedding=tuple(float(v) for v in emb[j]),
+                            external_scores={"cos": float(cos[j])})
+            for j in range(len(labels))
+        )
+        instances.append(LabeledInstance(Mention(id=f"m{i}", surface=f"s{i}", text_id=text), cands, tuple(labels)))
+    return Dataset(instances=tuple(instances), embedding_dim=dim, name="golden")
+
+
+# (config, init, then hex of psi, omega, beta_box, box_total_loss and the
+# box_gradients at the trained parameters), recorded from the per-peer,
+# dict-parameter implementation this training replaced
+GOLDEN_BOX_RUNS = [
+    (
+        TrainConfig(epochs=6, learning_rate=0.05, mu=0.6, seed=4),
+        None,
+        "94501ae606b9de3f70c395f75218afbf459e5005f6e9a43f0000000000000000",
+        "d29f1d067e2ced3f755e45404b08f23f0d31e9c816a4f03f000000000000f03f",
+        "cccc2ae92121f83f",
+        "35931a84138b4740",
+        {
+            "psi": "2c9f373c17c7f2bf54f561effb180dc06c4dce5f8aafccbf0000000000000000",
+            "raw_omega": "787ee5bebd76d63facd93b68016ee43f474a7deb168cb23f0000000000000000",
+            "raw_beta": "1908cecfe60cfebf",
+        },
+    ),
+    (
+        TrainConfig(epochs=3, learning_rate=0.1, mu=0.8, seed=11),
+        BoxParams(psi=(0.05, -0.1, 0.0, 0.2), omega=(0.1, 0.3, 0.05, 0.2), beta_box=0.8),
+        "e30de58abc05e23fcc18550576ddc1bf3a59b5c19a24b33fa1117ead27bfbdbf",
+        "60e9d3b0d85bb93f6802cdce875dd33f7edd6b484995a93fef59f7ba2edec93f",
+        "b48e3bdd11ceef3f",
+        "82611c1e12094e40",
+        {
+            "psi": "0000000000000000a01aa98d5c71c73f8a1998b8e6cdd5bfa01aa98d5c71c73f",
+            "raw_omega": "000000000000000097023f65a97b983f1e2d0ab1ec00813f750d0e9a8a28913f",
+            "raw_beta": "1913a1818deeb7bf",
+        },
+    ),
+    (
+        TrainConfig(epochs=8, learning_rate=0.03, mu=0.7, seed=2),
+        BoxParams(psi=(0.013, -0.071, 0.029, 0.11), omega=(0.07, 0.11, 0.09, 0.13), beta_box=1.3),
+        "82abe1175178db3fa5f72f4dd9b5c4bfd4d68657f66395bfa9c037b6c189c2bf",
+        "4244bec64ad9b13fd5db09a1735dbc3fde0c2d456fc2b63fdd3ce16ef8cfc03f",
+        "6c30d7200d39f83f",
+        "541aa521018f4940",
+        {
+            "psi": "8a540146359bd63f5b3befcbb9cdc43f4857dce48ddde13f97ea2728b618edbf",
+            "raw_omega": "7dbea352fc148a3f6f6f9f13a174813f83aabd4b3427b33f90048478317c843f",
+            "raw_beta": "53b585ad3daeeebf",
+        },
+    ),
+    (
+        TrainConfig(epochs=5, learning_rate=0.07, mu=0.9, seed=5),
+        BoxParams(psi=(-0.031, 0.047, 0.0123, -0.019), omega=(0.21, 0.17, 0.33, 0.27), beta_box=2.1),
+        "5ccc7f193459ea3f574946732381cdbf260e00b87a36d2bf802c2ae0210d4e3f",
+        "96f1584f3e58ca3fddb34cc4ecc2c53f1bba858ad603d43fff13cd169b5cd13f",
+        "357c7380f5780140",
+        "1edf65644d745040",
+        {
+            "psi": "0000000000000000ea5e4297d8c6da3f00000000000000000000000000000000",
+            "raw_omega": "0000000000000000b3ea413edfbea03f00000000000000000000000000000000",
+            "raw_beta": "95fffa18ea2997bf",
+        },
+    ),
+]
+
+
+class TestGoldenBoxTraining:
+    def test_dataset_covers_the_edge_cases(self):
+        ds = _golden_box_dataset()
+        rows = _training_rows(ds, "cos")
+        assert len(rows) == len(ds.instances) - 1  # the "alone" mention has no peer
+        assert max(len(row.peer_index) for row in rows) >= 9
+        assert len({row.emb.shape[1] for row in rows}) >= 5
+        params = BoxParams.default(4)
+        empties, flats = [], []
+        for row in rows:
+            lo = np.maximum(row.lower[0, 0], (row.peer_lower[0] + params.psi - params.omega / 2).max(axis=0))
+            hi = np.minimum(row.upper[0, 0], (row.peer_upper[0] + params.psi + params.omega / 2).min(axis=0))
+            empties.append(bool((lo > hi).any()))
+            flats.append(bool((_forward(row, _named(_pack(params)))[0] == 1.0).all()))  # rescale span 0
+        assert any(empties) and not all(empties)
+        assert any(flat and not empty for flat, empty in zip(flats, empties))
+
+    @pytest.mark.parametrize("run", range(len(GOLDEN_BOX_RUNS)))
+    def test_reproduces_recorded_bytes(self, run):
+        config, init, psi, omega, beta, loss, grads = GOLDEN_BOX_RUNS[run]
+        ds = _golden_box_dataset()
+        trained = train_box_params(ds, config, init=init)
+        assert trained.psi.tobytes().hex() == psi
+        assert trained.omega.tobytes().hex() == omega
+        assert np.float64(trained.beta_box).tobytes().hex() == beta
+        assert np.float64(box_total_loss(ds, trained, config.mu)).tobytes().hex() == loss
+        got = box_gradients(ds, trained, config.mu)
+        assert {k: np.asarray(v, dtype=float).tobytes().hex() for k, v in got.items()} == grads
+
+    def test_logs_epochs_and_final_loss(self, caplog):
+        config, init = GOLDEN_BOX_RUNS[0][:2]
+        ds = _golden_box_dataset()
+        with caplog.at_level("INFO", logger="rulelink.boxgeom"):
+            trained = train_box_params(ds, config, init=init)
+        loss = box_total_loss(ds, trained, config.mu)
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"trained box parameters 6 epochs over {len(ds.instances) - 1} mentions: loss {loss:.6f}"
+        ]
+
+    def test_zero_epochs_log_nothing(self, caplog):
+        with caplog.at_level("INFO", logger="rulelink.boxgeom"):
+            train_box_params(_golden_box_dataset(), TrainConfig(epochs=0, mu=0.6))
+        assert caplog.records == []
+
+
+@st.composite
+def _box_training_cases(draw):
+    """Seeded datasets of 1-4 texts with 1-11 mentions each, 1-8 candidates
+    per list (1..k positives), clustered or scattered embeddings and
+    random start parameters, plus a short training config."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 5))
+    instances = []
+    for t in range(draw(st.integers(1, 4))):
+        center, scale = rng.uniform(-2, 2, size=dim), draw(st.sampled_from([0.05, 0.3, 1.5]))
+        for _ in range(draw(st.integers(1, 11))):
+            i = len(instances)
+            n = int(rng.integers(1, 9))
+            emb = center + rng.normal(scale=scale, size=(n, dim))
+            labels = [1] * int(rng.integers(1, n + 1)) + [0] * n
+            labels = rng.permutation(labels[:n]).tolist()
+            cands = tuple(
+                CandidateEntity(id=f"m{i}_c{j}", name=f"c{j}", embedding=tuple(float(v) for v in emb[j]),
+                                external_scores={"cos": float(rng.choice([0.5, rng.uniform()]))})
+                for j in range(n)
+            )
+            instances.append(LabeledInstance(Mention(id=f"m{i}", surface="s", text_id=f"t{t}"), cands,
+                                             tuple(labels)))
+    init = BoxParams(psi=rng.uniform(-0.5, 0.5, size=dim), omega=rng.uniform(0.05, 3.0, size=dim),
+                     beta_box=float(rng.uniform(0.1, 3.0)))
+    config = TrainConfig(epochs=draw(st.integers(1, 4)), learning_rate=draw(st.sampled_from([1e-3, 0.05, 0.1])),
+                         mu=draw(st.floats(0.6, 0.95)), seed=draw(st.integers(0, 100)))
+    return Dataset(instances=tuple(instances), embedding_dim=dim, name="fuzz"), init, config
+
+
+class TestAgainstPerPeerReference:
+    @settings(max_examples=120, deadline=None)
+    @given(_box_training_cases())
+    def test_training_loss_and_gradients_match(self, case):
+        ds, init, config = case
+        descend, logs = boxgeom.descend, []
+
+        def recording_descend(*args):
+            logs.append(descend(*args))
+            return logs[-1]
+
+        boxgeom.descend = recording_descend
+        try:
+            trained = train_box_params(ds, config, init=init)
+        finally:
+            boxgeom.descend = descend
+        ref, ref_log = box_reference.train_box_params(ds, config, init=init)
+        assert trained.psi.tobytes() == ref.psi.tobytes()
+        assert trained.omega.tobytes() == ref.omega.tobytes()
+        assert np.float64(trained.beta_box).tobytes() == np.float64(ref.beta_box).tobytes()
+        if logs:
+            assert repr(logs) == repr([ref_log])
+        else:  # no mention has a peer: nothing to train
+            assert all(entry["loss"] == 0 for entry in ref_log)
+        loss = box_total_loss(ds, init, config.mu)
+        assert np.float64(loss).tobytes() == np.float64(box_reference.box_total_loss(ds, init, config.mu)).tobytes()
+        # a row adds its peers' terms into the running sum as one reduction
+        # where the reference added them peer by peer: equal up to rounding
+        got, want = box_gradients(ds, init, config.mu), box_reference.box_gradients(ds, init, config.mu)
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-12)
 
 
 def _separable_box_dataset(seed, n_texts):

@@ -1,3 +1,4 @@
+import csv
 import functools
 
 import numpy as np
@@ -449,6 +450,16 @@ class TestFeatureTableCsv:
         path.write_text(f"mention_id,candidate_id,f,g\nm1,a,1.0,0.5\nm1,b,0.5,{cell}\n")
         with pytest.raises(FeatureError, match=rf"features.csv line 3: column 'g' is {cell}, not finite"):
             FeatureTable.from_csv(path)
+
+    @pytest.mark.parametrize("cell", ["abc", "", "1,5", "0x1"])
+    def test_non_numeric_cell_names_file_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "features.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([["mention_id", "candidate_id", "f", "g"], ["m1", "a", "1.0", "0.5"],
+                                      ["m1", "b", "0.5", cell]])
+        with pytest.raises(FeatureError) as info:
+            FeatureTable.from_csv(path)
+        assert str(info.value) == f"{path} line 3: column 'g' is {cell!r}, not a number"
 
     def test_csv_parser_error_is_feature_error(self, tmp_path):
         path = tmp_path / "features.csv"

@@ -19,6 +19,8 @@ from rulelink.training import (
     load_config,
     load_model,
     margin_loss,
+    margin_loss_prepared,
+    prepare_labels,
     save_model,
     total_loss,
     train,
@@ -131,6 +133,56 @@ class TestMarginLossAgainstReferences:
             else:
                 # the references add the same terms in another order
                 assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+
+
+def _margin_loss_before_split(scores, labels, mu):
+    """margin_loss as it was before label preparation moved out of it."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    positives = np.flatnonzero(labels == 1)
+    negatives = np.flatnonzero(labels == 0)
+    dscores = np.zeros_like(scores)
+    total = 0.0
+    for p in positives:
+        margins = mu - (scores[p] - scores[negatives])
+        total += np.maximum(0.0, margins).sum()
+        active = margins > 0.0
+        dscores[p] -= active.sum()
+        dscores[negatives] += active
+    return float(total), dscores
+
+
+@st.composite
+def _labelled_lists(draw):
+    """1..k positives among k candidates; scores drawn from a few values
+    (ties, exact margins) or anywhere in [-2, 2]."""
+    k = draw(st.integers(1, 24))
+    n_pos = draw(st.integers(1, k))
+    labels = [1] * n_pos + [0] * (k - n_pos)
+    labels = draw(st.permutations(labels))
+    value = st.one_of(st.sampled_from([0.0, 0.25, 0.4, 0.6, 1.0]), st.floats(-2.0, 2.0, allow_nan=False))
+    scores = draw(st.lists(value, min_size=k, max_size=k))
+    mu = draw(st.one_of(st.sampled_from([0.6, 0.95]), st.floats(0.6, 0.95)))
+    return scores, list(labels), mu
+
+
+class TestPreparedMarginLoss:
+    @settings(max_examples=400, deadline=None)
+    @given(_labelled_lists())
+    def test_prepared_core_matches_margin_loss_by_bytes(self, case):
+        scores, labels, mu = case
+        loss, dscores = margin_loss_prepared(np.asarray(scores, dtype=float), prepare_labels(labels), mu)
+        for ref_loss, ref_d in (margin_loss(scores, labels, mu), _margin_loss_before_split(scores, labels, mu)):
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert dscores.tobytes() == ref_d.tobytes()
+
+    def test_preparation_splits_labels(self):
+        positives, negatives = prepare_labels((0, 1, 0, 1, 0))
+        assert positives.tolist() == [1, 3] and negatives.tolist() == [0, 2, 4]
+
+    def test_core_requires_a_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            margin_loss_prepared(np.array([0.2, 0.9]), prepare_labels([0, 0]), 0.6)
 
 
 def _tiny_setup(rules_text="rule Links = jacc? & prom;", alpha=0.7, mode="lnn"):
