@@ -2,15 +2,18 @@
 inspect, fetch.
 
 Feature generation and training are separate stages so features can be
-cached between runs. Outputs are written atomically (temp file + rename);
-no subcommand mutates its inputs. Exit codes: 0 success, 1 validation
-error (bad flags, missing files), 2 runtime error. Set ELR_LOG to a level
-name (DEBUG, INFO, ...) to control verbosity.
+cached between runs. ``featurize --out F`` also writes the sidecar
+``F.npz``: the rows ``link``, ``eval`` and ``transfer`` score, keyed on the
+sha256 of the data file and of ``F``. Those commands score from it when both
+digests match and it passes its checks; otherwise they log why and read the
+JSONL and the CSV, with the same outputs. Outputs are written atomically
+(temp file + rename); no subcommand mutates its inputs. Exit codes: 0
+success, 1 validation error (bad flags, missing files), 2 runtime error. Set
+ELR_LOG to a level name (DEBUG, INFO, ...) to control verbosity.
 """
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import logging
 import os
@@ -27,7 +30,7 @@ from .errors import (
     TrainingDivergence,
 )
 from .ruledsl import ast_leaves, builtin_templates, compile, find_root, parse
-from .simfeatures import FeatureTable, build_feature_table, default_catalog
+from .simfeatures import FeatureTable, build_feature_table, default_catalog, read_sidecar, write_features
 from .training import TrainConfig, load_config, load_model, save_model, train
 
 logger = logging.getLogger(__name__)
@@ -90,9 +93,7 @@ def _cmd_featurize(args) -> int:
         box_params = load_box_params(_require_file(args.box_params))
     catalog = default_catalog(box_params=box_params).restricted(leaves)
     table = build_feature_table(ds, catalog, jobs=args.jobs)
-    buf = io.StringIO()
-    table.write_csv(buf)
-    atomic_write(args.out, buf.getvalue())
+    write_features(args.out, ds, table)
     logger.info("wrote %d feature rows to %s", len(table.rows), args.out)
     return 0
 
@@ -112,29 +113,34 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _scoring_input(args, names: list[str]):
+    """What ``link``, ``eval`` and ``transfer`` score, as ``evaluation``
+    takes it: the ``--features`` sidecar when it matches the two files, else
+    the dataset and the feature CSV."""
+    data, features = _require_file(args.data), _require_file(args.features)
+    block = read_sidecar(features, data, names)
+    if block is None:
+        return load_dataset(data), FeatureTable.from_csv(features)
+    block.report.log(data)
+    return block, None
+
+
 def _cmd_link(args) -> int:
     model = load_model(_require_file(args.model))
-    ds = load_dataset(_require_file(args.data))
-    table = FeatureTable.from_csv(_require_file(args.features))
-    preds = evaluation.link(model, ds, table)
-    payload = [
-        {"mention_id": p.mention_id, "ranked": [[cid, score] for cid, score in p.ranked]}
-        for p in preds
-    ]
+    preds = evaluation.link(model, *_scoring_input(args, model.graph.feature_names))
+    payload = [{"mention_id": p.mention_id, "ranked": p.ranked} for p in preds]
     atomic_write(args.out, json.dumps(payload, sort_keys=True, separators=(",", ":")))
     logger.info("wrote %d predictions to %s", len(preds), args.out)
     return 0
 
 
-def _cmd_eval(args, transfer: bool = False) -> int:
+def _cmd_eval(args) -> int:
     model = load_model(_require_file(args.model))
-    ds = load_dataset(_require_file(args.data))
-    table = FeatureTable.from_csv(_require_file(args.features))
+    inputs = _scoring_input(args, model.graph.feature_names)
     ks = [int(k) for k in args.ks.split(",")] if args.ks else (5, 10, 64)
-    runner = evaluation.transfer_eval if transfer else evaluation.evaluate
-    report = runner(model, ds, table, ks=ks)
+    report = evaluation.evaluate(model, *inputs, ks=ks)
     if args.out:
-        atomic_write(args.out, evaluation.report_to_json_bytes(report).decode())
+        atomic_write(args.out, evaluation.report_to_json_bytes(report))
     print(
         f"precision={report.precision:.4f} recall={report.recall:.4f} f1={report.f1:.4f} "
         + " ".join(f"R@{k}={v:.4f}" for k, v in sorted(report.recall_at.items()))
@@ -222,14 +228,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_link)
 
-    for name, transfer in (("eval", False), ("transfer", True)):
+    for name in ("eval", "transfer"):
         p = subs.add_parser(name, help="evaluate a trained model")
         p.add_argument("--model", required=True)
         p.add_argument("--data", required=True)
         p.add_argument("--features", required=True)
         p.add_argument("--ks", help="comma-separated recall@k cutoffs")
         p.add_argument("--out")
-        p.set_defaults(func=lambda a, t=transfer: _cmd_eval(a, transfer=t))
+        p.set_defaults(func=_cmd_eval)
 
     p = subs.add_parser("ablate", help="train and score template subsets")
     p.add_argument("--data", required=True)

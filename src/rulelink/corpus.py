@@ -12,6 +12,8 @@ required for offline use.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import logging
 import math
@@ -21,6 +23,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import requests
 
@@ -69,11 +72,15 @@ class LabeledInstance:
 
 @dataclass(frozen=True)
 class LoadReport:
+    """What one :func:`load_dataset` call read (``sha256`` of the file's
+    bytes) and dropped."""
+
     total_lines: int = 0
     kept: int = 0
     empty_candidates: int = 0
     all_negative: int = 0
     pruned_context_ids: int = 0
+    sha256: str = ""
 
     def summary(self) -> str:
         parts = [f"kept {self.kept} of {self.total_lines} instances"]
@@ -85,6 +92,11 @@ class LoadReport:
             parts.append(f"pruned {self.pruned_context_ids} dangling context ids")
         return "; ".join(parts)
 
+    def log(self, path) -> None:
+        """The load line for ``path``: a warning when anything was dropped."""
+        dropped = self.empty_candidates or self.all_negative or self.pruned_context_ids
+        logger.log(logging.WARNING if dropped else logging.INFO, "load %s: %s", path, self.summary())
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -95,6 +107,17 @@ class Dataset:
 
     def mentions_by_id(self) -> dict[str, Mention]:
         return {inst.mention.id: inst.mention for inst in self.instances}
+
+    def row_keys(self) -> tuple[list[str], list[int], list[str], list[int]]:
+        """Mention ids and list offsets, then candidate ids and 0/1 labels
+        row by row: instance i owns rows ``offsets[i]:offsets[i+1]`` of the
+        candidate lists concatenated in dataset order."""
+        return (
+            [inst.mention.id for inst in self.instances],
+            [0, *accumulate(len(inst.candidates) for inst in self.instances)],
+            [c.id for inst in self.instances for c in inst.candidates],
+            [l for inst in self.instances for l in inst.labels],
+        )
 
     def instances_by_text(self) -> dict[str, list[LabeledInstance]]:
         by_text: dict[str, list[LabeledInstance]] = {}
@@ -207,6 +230,21 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
     return inst
 
 
+class _HashingReader(io.RawIOBase):
+    """Reads ``fh`` and feeds every byte read to ``sha256``."""
+
+    def __init__(self, fh):
+        self.fh, self.sha256 = fh, hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self.fh.readinto(buf)
+        self.sha256.update(memoryview(buf)[:n])
+        return n
+
+
 def load_dataset(path) -> Dataset:
     """Load a JSONL linking dataset, dropping instances that cannot rank.
 
@@ -217,8 +255,12 @@ def load_dataset(path) -> Dataset:
     """
     parsed: list[LabeledInstance] = []
     total = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    # The digest is taken from the very bytes parsed, read once, with
+    # open()'s decoding and newline rules.
+    with open(path, "rb", buffering=0) as fh:
+        source = _HashingReader(fh)
+        text = io.TextIOWrapper(io.BufferedReader(source), encoding="utf-8")
+        for line_no, line in enumerate(text, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -269,20 +311,21 @@ def load_dataset(path) -> Dataset:
         empty_candidates=empty,
         all_negative=negative,
         pruned_context_ids=pruned,
+        sha256=source.sha256.hexdigest(),
     )
-    if empty or negative or pruned:
-        logger.warning("load %s: %s", path, report.summary())
-    else:
-        logger.info("load %s: %s", path, report.summary())
+    report.log(path)
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return Dataset(instances=tuple(fixed), embedding_dim=dim, name=name, report=report)
 
 
-def atomic_write(path, data: str) -> None:
-    """Write ``data`` verbatim to ``path`` through a temp file and a rename."""
+def atomic_write(path, data: str | bytes | memoryview) -> None:
+    """Write ``data`` verbatim (text as UTF-8) to ``path`` through a temp file
+    and a rename."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".rulelink-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .corpus import Dataset
 from .logic import AndNode, NotNode, RawLeaf, ThresholdLeaf
 from .ruledsl import TemplateLibrary, builtin_templates, compile, disjoin
-from .simfeatures import FeatureTable
+from .simfeatures import FeatureTable, ScoringBlock
 from .training import Model, TrainConfig, train
 
 logger = logging.getLogger(__name__)
@@ -80,27 +81,41 @@ def rank_candidates(candidate_ids, scores) -> tuple[tuple[str, float], ...]:
     return tuple((candidate_ids[i], values[i]) for i in np.argsort(-scores, kind="stable").tolist())
 
 
-def link(model: Model, ds: Dataset, table: FeatureTable) -> list[Prediction]:
-    """Score every mention's candidates in one graph walk, then rank each list."""
-    cols, offsets = table.gather(ds.instances, model.graph.feature_names)
-    scores = model.graph.evaluate_batch(cols)
+def _columns(model: Model, ds, table: FeatureTable | None) -> dict[str, np.ndarray]:
+    names = model.graph.feature_names
+    return ds.columns(names) if table is None else table.gather(ds.instances, names)[0]
+
+
+def link(model: Model, ds: Dataset | ScoringBlock, table: FeatureTable | None = None) -> list[Prediction]:
+    """Score every mention's candidates in one graph walk and rank every
+    list at once.
+
+    ``ds`` is a Dataset scored against the rows of ``table``, or a
+    ScoringBlock, which holds its own rows (``table`` stays None). One stable
+    sort keyed on (list, -score) ranks each list as :func:`rank_candidates`
+    does.
+    """
+    mention_ids, offsets, candidate_ids, _ = ds.row_keys()
+    scores = model.graph.evaluate_batch(_columns(model, ds, table))
+    lengths = [end - start for start, end in zip(offsets, offsets[1:])]
+    order = np.lexsort((-scores, np.arange(len(lengths)).repeat(lengths)))
+    values = scores.tolist()
+    ranked = [(candidate_ids[i], values[i]) for i in order.tolist()]
     return [
-        Prediction(
-            mention_id=inst.mention.id,
-            ranked=rank_candidates([c.id for c in inst.candidates], scores[start:end]),
-        )
-        for inst, start, end in zip(ds.instances, offsets, offsets[1:])
+        Prediction(mention_id=mid, ranked=tuple(ranked[start:end]))
+        for mid, start, end in zip(mention_ids, offsets, offsets[1:])
     ]
 
 
-def _gold_ids(ds: Dataset) -> dict[str, set[str]]:
-    return {
-        inst.mention.id: {c.id for c, l in zip(inst.candidates, inst.labels) if l == 1}
-        for inst in ds.instances
-    }
+def _gold_ids(ds: Dataset | ScoringBlock) -> dict[str, set[str]]:
+    mention_ids, offsets, candidate_ids, labels = ds.row_keys()
+    gold = {mid: set() for mid in mention_ids}
+    for row in np.flatnonzero(np.asarray(labels) == 1).tolist():
+        gold[mention_ids[bisect_right(offsets, row) - 1]].add(candidate_ids[row])
+    return gold
 
 
-def prf1(preds: list[Prediction], ds: Dataset) -> EvalReport:
+def prf1(preds: list[Prediction], ds: Dataset | ScoringBlock) -> EvalReport:
     """Top-1 precision/recall/F1; (0,0,0) when nothing was predicted."""
     gold = _gold_ids(ds)
     per_mention = []
@@ -117,7 +132,7 @@ def prf1(preds: list[Prediction], ds: Dataset) -> EvalReport:
     return EvalReport(precision=precision, recall=recall, f1=f1, per_mention=tuple(per_mention))
 
 
-def recall_at_k(preds: list[Prediction], ds: Dataset, ks) -> dict[int, float]:
+def recall_at_k(preds: list[Prediction], ds: Dataset | ScoringBlock, ks) -> dict[int, float]:
     """Fraction of mentions with a gold candidate inside the top k."""
     ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
@@ -134,7 +149,8 @@ def recall_at_k(preds: list[Prediction], ds: Dataset, ks) -> dict[int, float]:
     return out
 
 
-def evaluate(model: Model, ds: Dataset, table: FeatureTable, ks=(5, 10, 64)) -> EvalReport:
+def evaluate(model: Model, ds: Dataset | ScoringBlock, table: FeatureTable | None = None,
+             ks=(5, 10, 64)) -> EvalReport:
     """Link then score: P/R/F1 plus recall@k in one report."""
     preds = link(model, ds, table)
     report = prf1(preds, ds)

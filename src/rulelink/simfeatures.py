@@ -19,16 +19,22 @@ candidate is never penalized for lacking competition.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
+import json
 import logging
+import os
 import re
+import zipfile
 from itertools import chain
+from operator import itemgetter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import Dataset, LabeledInstance, Mention
+from .corpus import Dataset, LabeledInstance, LoadReport, Mention, atomic_write
 from .errors import FeatureError
 
 logger = logging.getLogger(__name__)
@@ -377,7 +383,7 @@ class FeatureTable:
                     raise FeatureError(f"feature table lacks row ({mid!r}, {cand.id!r})")
                 rows.append(row)
             offsets.append(len(rows))
-        return {name: np.array([row[name] for row in rows], dtype=float) for name in names}, offsets
+        return {name: np.fromiter(map(itemgetter(name), rows), float, len(rows)) for name in names}, offsets
 
     def columns(self, inst: LabeledInstance, names=None) -> dict[str, np.ndarray]:
         """Feature columns over one instance's candidates, in list order."""
@@ -438,6 +444,182 @@ class FeatureTable:
             value = list(rows.values())[row][names[col]]
             raise FeatureError(f"{path} line {lines[row]}: column {names[col]!r} is {value!r}, not finite")
         return table
+
+
+# --- scoring sidecar ------------------------------------------------------
+#
+# ``write_features`` puts an npz archive beside the CSV: the rows that
+# ``link`` and ``eval`` score, keyed on the sha256 of the data file and of
+# the CSV. Strings travel as JSON text in uint8 arrays, because numpy ``U``
+# arrays drop trailing NULs, and ``np.load`` runs with pickles refused.
+
+SIDECAR_VERSION = 1
+_SIDECAR_KEYS = ("header", "ids", "offsets", "labels", "matrix")
+_COUNT_FIELDS = tuple(f.name for f in fields(LoadReport) if f.name != "sha256")
+
+
+def sidecar_path(features_path) -> str:
+    """The scoring sidecar of the feature CSV at ``features_path``."""
+    return f"{features_path}.npz"
+
+
+def _file_sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@dataclass(frozen=True)
+class ScoringBlock:
+    """The rows a dataset's candidate lists score, in dataset order: list i
+    of mention ``mention_ids[i]`` owns rows ``offsets[i]:offsets[i+1]``.
+    ``matrix`` has one column per name in ``feature_names``; ``labels``
+    holds each row's 0/1 gold label; ``report`` is the dataset's load."""
+
+    mention_ids: list[str]
+    candidate_ids: list[str]
+    offsets: list[int]
+    labels: np.ndarray
+    matrix: np.ndarray
+    feature_names: list[str]
+    report: LoadReport
+
+    @property
+    def instances(self) -> list[str]:
+        """The mention ids, one per candidate list: ``evaluation`` counts a
+        block's mentions as it counts a Dataset's."""
+        return self.mention_ids
+
+    def row_keys(self) -> tuple[list[str], list[int], list[str], np.ndarray]:
+        """As :meth:`Dataset.row_keys` gives them for the block's dataset."""
+        return self.mention_ids, self.offsets, self.candidate_ids, self.labels
+
+    def columns(self, names) -> dict[str, np.ndarray]:
+        """The named columns, as :meth:`FeatureTable.gather` gives them."""
+        index = {name: j for j, name in enumerate(self.feature_names)}
+        return {name: np.ascontiguousarray(self.matrix[:, index[name]]) for name in names}
+
+
+class _Unusable(Exception):
+    """Why a sidecar cannot stand in for the files it was made from."""
+
+
+def _blob(obj) -> np.ndarray:
+    return np.frombuffer(json.dumps(obj).encode("ascii"), dtype=np.uint8)
+
+
+def _expect(arr: np.ndarray, dtype, shape: tuple, what: str) -> None:
+    if arr.dtype != dtype or arr.shape != shape:
+        raise _Unusable(f"{what} is {arr.dtype} {arr.shape}, not {np.dtype(dtype)} {shape}")
+
+
+def _unblob(arr: np.ndarray, what: str):
+    _expect(arr, np.uint8, (arr.size,), what)
+    return json.loads(arr.tobytes())
+
+
+def _str_list(obj) -> bool:
+    return isinstance(obj, list) and set(map(type, obj)) <= {str}
+
+
+def _write_csv(path, table: FeatureTable) -> str:
+    """Write the CSV through a temp file and a rename; returns its sha256."""
+    with io.StringIO() as buf:
+        table.write_csv(buf)
+        text = buf.getvalue()
+    data = text.encode("utf-8")
+    atomic_write(path, data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_features(path, ds: Dataset, table: FeatureTable) -> None:
+    """Write ``table`` as the feature CSV at ``path`` and, at
+    :func:`sidecar_path`, the scoring block of ``ds`` (as loaded by
+    :func:`load_dataset`) over it; each through a temp file and a rename."""
+    features_sha256 = _write_csv(path, table)
+    names = table.feature_names
+    mention_ids, offsets, candidate_ids, labels = ds.row_keys()
+    rows = [table.rows[(inst.mention.id, c.id)] for inst in ds.instances for c in inst.candidates]
+    header = {
+        "format_version": SIDECAR_VERSION,
+        "data_sha256": ds.report.sha256,
+        "features_sha256": features_sha256,
+        "load_report": {name: getattr(ds.report, name) for name in _COUNT_FIELDS},
+        "feature_names": names,
+    }
+    out = io.BytesIO()
+    np.savez(
+        out,
+        header=_blob(header),
+        ids=_blob([mention_ids, candidate_ids]),
+        offsets=np.array(offsets, dtype=np.int64),
+        labels=np.array(labels, dtype=np.int8),
+        matrix=np.stack([np.fromiter(map(itemgetter(name), rows), np.float64, len(rows)) for name in names], axis=1),
+    )
+    atomic_write(sidecar_path(path), out.getbuffer())
+
+
+def _load_block(path: str, data_sha256: str, features_sha256: str, needed: list[str]) -> ScoringBlock:
+    npz = np.load(path, allow_pickle=False)
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise _Unusable("not an npz archive")
+    with npz:
+        missing = [key for key in _SIDECAR_KEYS if key not in npz.files]
+        if missing:
+            raise _Unusable(f"lacks {', '.join(missing)}")
+        header = _unblob(npz["header"], "header")
+        if not isinstance(header, dict) or header.get("format_version") != SIDECAR_VERSION:
+            raise _Unusable(f"format version is not {SIDECAR_VERSION}")
+        if (header.get("data_sha256"), header.get("features_sha256")) != (data_sha256, features_sha256):
+            raise _Unusable("stale: the data file or the feature CSV changed since it was written")
+        names, counts = header.get("feature_names"), header.get("load_report")
+        if not _str_list(names) or len(set(names)) < len(names):
+            raise _Unusable("bad feature names")
+        missing = [name for name in needed if name not in names]
+        if missing:
+            raise _Unusable(f"lacks columns {', '.join(missing)}")
+        if not isinstance(counts, dict) or sorted(counts) != sorted(_COUNT_FIELDS) or not all(
+                type(v) is int and v >= 0 for v in counts.values()):
+            raise _Unusable("bad load report")
+        ids = _unblob(npz["ids"], "ids")
+        if not (isinstance(ids, list) and len(ids) == 2 and all(map(_str_list, ids))):
+            raise _Unusable("bad ids")
+        offsets, labels, matrix = npz["offsets"], npz["labels"], npz["matrix"]
+    mention_ids, candidate_ids = ids
+    rows = len(candidate_ids)
+    _expect(offsets, np.int64, (len(mention_ids) + 1,), "offsets")
+    _expect(labels, np.int8, (rows,), "labels")
+    _expect(matrix, np.float64, (rows, len(names)), "matrix")
+    if offsets[0] != 0 or offsets[-1] != rows or np.any(np.diff(offsets) <= 0):
+        raise _Unusable("offsets do not rise from 0 to the row count")
+    if counts["kept"] != len(mention_ids):
+        raise _Unusable("load report does not count the mentions")
+    if not np.isin(labels, (0, 1)).all():
+        raise _Unusable("labels outside {0, 1}")
+    if not np.isfinite(matrix).all():
+        raise _Unusable("non-finite feature value")
+    return ScoringBlock(mention_ids, candidate_ids, offsets.tolist(), labels, matrix, names,
+                        LoadReport(**counts, sha256=data_sha256))
+
+
+def read_sidecar(features_path, data_path, names: list[str]) -> ScoringBlock | None:
+    """The scoring block :func:`write_features` left beside
+    ``features_path``, if it was made from exactly these data and CSV bytes,
+    passes its structural checks and holds the columns ``names``. Otherwise
+    None, logged at INFO when there is no sidecar and at WARNING when it is
+    stale, damaged or short of a column, and the caller reads the two files
+    themselves."""
+    path = sidecar_path(features_path)
+    if not os.path.exists(path):
+        logger.info("no feature sidecar %s; reading %s and %s", path, data_path, features_path)
+        return None
+    digests = _file_sha256(data_path), _file_sha256(features_path)
+    try:
+        return _load_block(path, *digests, list(names))
+    except (_Unusable, OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        reason = exc if isinstance(exc, _Unusable) else f"{type(exc).__name__}: {exc}"
+        logger.warning("feature sidecar %s not used (%s); reading %s and %s",
+                       path, reason, data_path, features_path)
+        return None
 
 
 def _instance_rows(

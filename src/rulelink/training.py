@@ -300,22 +300,30 @@ def _mention_grads(graph: ScoringGraph, cols, prepared, mu: float, grads: np.nda
     return scores
 
 
-def total_loss(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: TrainConfig,
-               labels: list | None = None) -> float:
-    """Margin loss summed over mentions plus the weighted constraint penalty.
-
-    One graph walk scores every mention's rows; the per-mention losses are
-    then added in dataset order. ``labels`` may hold each mention's
-    :func:`prepare_labels` indices, made once by a caller that sums often.
-    """
-    cols, offsets = table.gather(ds.instances, graph.feature_names)
+def _summed_loss(graph: ScoringGraph, cols: dict[str, np.ndarray], offsets: list[int], labels: list,
+                 config: TrainConfig) -> float:
+    """:func:`total_loss` over gathered rows: list i owns rows
+    ``offsets[i]:offsets[i+1]`` and has :func:`prepare_labels` indices
+    ``labels[i]``. One graph walk scores every row; the per-list losses are
+    then added in list order."""
     scores = graph.evaluate_batch(cols)
-    if labels is None:
-        labels = [prepare_labels(inst.labels) for inst in ds.instances]
     total = 0.0
     for prepared, start, end in zip(labels, offsets, offsets[1:]):
         total += margin_loss_prepared(scores[start:end], prepared, config.mu)[0]
     return float(total + config.penalty_lambda * graph.residual_sum())
+
+
+def total_loss(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: TrainConfig,
+               rows: tuple | None = None) -> float:
+    """Margin loss summed over mentions plus the weighted constraint penalty.
+
+    ``rows`` may hold ``ds``'s gathered columns, offsets and per-list
+    :func:`prepare_labels` indices, made once by a caller that sums often.
+    """
+    if rows is None:
+        cols, offsets = table.gather(ds.instances, graph.feature_names)
+        rows = cols, offsets, [prepare_labels(inst.labels) for inst in ds.instances]
+    return _summed_loss(graph, *rows, config)
 
 
 def gradients(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: TrainConfig) -> dict:
@@ -368,7 +376,7 @@ def train(
         return scores, {"flat": grads}
 
     def epoch_stats():
-        return {"loss": total_loss(graph, table, ds, config, labels), "violation": graph.residual_sum()}
+        return {"loss": total_loss(graph, table, ds, config, (cols, offsets, labels)), "violation": graph.residual_sum()}
 
     log = descend({"flat": graph.flat}, len(instances), step, epoch_stats, config)
     if log:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
+from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, LoadReport, Mention
 from rulelink.errors import FeatureError
 from rulelink.evaluation import (
     EvalReport,
@@ -26,7 +26,7 @@ from rulelink.evaluation import (
 )
 from rulelink.logic import AndNode, GateParams, OrNode, RawLeaf, ScoringGraph, ThresholdLeaf, softplus_inverse
 from rulelink.ruledsl import RuleAST, builtin_templates, compile, parse
-from rulelink.simfeatures import FeatureCatalog, FeatureTable, build_feature_table, default_catalog
+from rulelink.simfeatures import FeatureCatalog, FeatureTable, ScoringBlock, build_feature_table, default_catalog
 from rulelink.training import Model, TrainConfig, load_model, margin_loss, save_model, total_loss, train
 from synthgen import generate_dataset
 
@@ -66,6 +66,27 @@ class TestRanking:
             base = [cid for cid, _ in rank_candidates(ids, scores)]
             squashed = [cid for cid, _ in rank_candidates(ids, np.exp(3 * scores) + 1)]
             assert base == squashed
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(lists=st.lists(st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.5000000000000001, 1.0]),
+                                   min_size=1, max_size=9), max_size=12))
+    def test_one_sort_ranks_like_one_argsort_per_list(self, lists):
+        # A raw-leaf graph scores each row with its feature value, signed
+        # zeros included, so link ranks exactly the drawn scores.
+        model = Model(ScoringGraph(RawLeaf("f"), mode="manual"), TrainConfig(), FeatureCatalog())
+        scores = [s for lst in lists for s in lst]
+        cids = [f"c{j}" for lst in lists for j in range(len(lst))]
+        offsets = np.cumsum([0] + [len(lst) for lst in lists]).tolist()
+        mids = [f"m{i}" for i in range(len(lists))]
+        block = ScoringBlock(mids, cids, offsets, np.zeros(len(cids), np.int8),
+                             np.array(scores).reshape(-1, 1), ["f"], LoadReport())
+        preds = link(model, block)
+        assert [p.mention_id for p in preds] == mids
+        for pred, start, end in zip(preds, offsets, offsets[1:]):
+            expected = rank_candidates(cids[start:end], scores[start:end])
+            assert pred.ranked == expected
+            assert [np.signbit(v) for _, v in pred.ranked] == [np.signbit(v) for _, v in expected]
 
 
 class TestPrf1:

@@ -9,7 +9,7 @@ from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
 from rulelink.errors import CompileError, TrainingDivergence
 from rulelink.logic import softplus_inverse
 from rulelink.ruledsl import RuleAST, builtin_templates, compile, parse
-from rulelink.simfeatures import build_feature_table, default_catalog
+from rulelink.simfeatures import FeatureTable, build_feature_table, default_catalog
 from rulelink.training import (
     TrainConfig,
     descend,
@@ -474,6 +474,23 @@ class TestTrain:
         model = train(ds, table, graph, TrainConfig(epochs=4), catalog=catalog)
         assert len(model.training_log) == 4
         assert {"epoch", "loss", "violation"} <= set(model.training_log[0])
+
+    def test_one_gather_per_run(self, monkeypatch):
+        ds, catalog, table, graph = _tiny_setup()
+        gathers = []
+        gather = FeatureTable.gather
+
+        def counting(self, *args, **kwargs):
+            gathers.append(1)
+            return gather(self, *args, **kwargs)
+
+        monkeypatch.setattr(FeatureTable, "gather", counting)
+        config = TrainConfig(epochs=5)
+        model = train(ds, table, graph, config, catalog=catalog)
+        assert len(gathers) == 1
+        # the logged loss comes from the same core as total_loss
+        last = np.float64(model.training_log[-1]["loss"]).tobytes()
+        assert last == np.float64(total_loss(model.graph, table, ds, config)).tobytes()
 
     def test_final_loss_not_above_initial_on_fixture(self):
         ds, catalog, table, graph = _tiny_setup()
