@@ -16,19 +16,20 @@ sim_box = 0 for every candidate.
 ``train_box_params`` fits psi, omega and beta_box by per-mention gradient
 descent on the margin-ranking loss, with omega and beta_box kept
 non-negative by softplus reparameterization; the raw parameters are one
-flat vector ``[psi (d) | raw_omega (d) | raw_beta (1)]`` with named views,
-and each peer-linked mention is compiled once into arrays.
+flat vector ``[psi (d) | raw_omega (d) | raw_beta (1)]`` with named views.
+It and ``box_feature`` compile each peer-linked mention once into arrays
+and score it with one kernel.
 """
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Dataset, LabeledInstance
+from .corpus import Dataset
 from .errors import FeatureError
 from .logic import sigmoid, softplus, softplus_inverse
 from .simfeatures import minmax_rescale
@@ -70,8 +71,11 @@ class BoxParams:
     beta_box: float
 
     def __post_init__(self):
-        object.__setattr__(self, "psi", np.asarray(self.psi, dtype=float))
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
+        for name in ("psi", "omega"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.ndim != 1 or not np.isfinite(value).all():
+                raise FeatureError(f"{name} must be a 1-D vector of finite numbers")
+            object.__setattr__(self, name, value)
         if self.psi.shape != self.omega.shape:
             raise FeatureError("psi and omega must share a dimension")
         if np.any(self.omega < 0):
@@ -91,8 +95,25 @@ class BoxParams:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "BoxParams":
+    def from_json(cls, obj) -> "BoxParams":
+        """Inverse of :meth:`to_json`. A missing field, or one that is not a
+        list of numbers (``psi``, ``omega``) or a number (``beta_box``),
+        raises FeatureError naming it."""
+        if not isinstance(obj, dict):
+            raise FeatureError(f"box params must be a JSON object, not {type(obj).__name__}")
+        for name in ("psi", "omega", "beta_box"):
+            if name not in obj:
+                raise FeatureError(f"box params lack the field {name!r}")
+        for name in ("psi", "omega"):
+            if not (isinstance(obj[name], list) and all(map(_is_number, obj[name]))):
+                raise FeatureError(f"box params field {name!r} is not a list of numbers")
+        if not _is_number(obj["beta_box"]):
+            raise FeatureError("box params field 'beta_box' is not a number")
         return cls(psi=obj["psi"], omega=obj["omega"], beta_box=obj["beta_box"])
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_embeddings(path) -> dict[str, np.ndarray]:
@@ -131,8 +152,6 @@ def attach_embeddings(ds: Dataset, path) -> Dataset:
     Candidates absent from the file keep ``embedding=None`` (counted in a
     warning); present embeddings must match any dimension already set.
     """
-    from .corpus import CandidateEntity, LabeledInstance
-
     table = load_embeddings(path)
     if not table:
         logger.warning("embedding file %s is empty; dataset unchanged", path)
@@ -148,26 +167,14 @@ def attach_embeddings(ds: Dataset, path) -> Dataset:
         cands = []
         for c in inst.candidates:
             if c.id in table:
-                cands.append(
-                    CandidateEntity(
-                        id=c.id,
-                        name=c.name,
-                        description=c.description,
-                        domains=c.domains,
-                        indegree=c.indegree,
-                        embedding=tuple(float(v) for v in table[c.id]),
-                        external_scores=dict(c.external_scores),
-                    )
-                )
+                cands.append(replace(c, embedding=tuple(float(v) for v in table[c.id])))
             else:
                 missing += 1
                 cands.append(c)
-        new_instances.append(LabeledInstance(inst.mention, tuple(cands), inst.labels))
+        new_instances.append(replace(inst, candidates=tuple(cands)))
     if missing:
         logger.warning("attach_embeddings: %d candidates not in %s", missing, path)
-    return Dataset(
-        instances=tuple(new_instances), embedding_dim=dim, name=ds.name, report=ds.report
-    )
+    return replace(ds, instances=tuple(new_instances), embedding_dim=dim)
 
 
 def save_box_params(p: BoxParams, path) -> None:
@@ -176,8 +183,13 @@ def save_box_params(p: BoxParams, path) -> None:
 
 
 def load_box_params(path) -> BoxParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return BoxParams.from_json(json.load(fh))
+    """Read a :func:`save_box_params` file; malformed content raises
+    FeatureError naming the file (and the field, if it parsed as JSON)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return BoxParams.from_json(json.load(fh))
+    except (json.JSONDecodeError, UnicodeDecodeError, OverflowError, FeatureError) as exc:
+        raise FeatureError(f"{path}: {exc}") from None
 
 
 def box_of(embeddings) -> Box:
@@ -218,43 +230,18 @@ def box_similarity(e, b: Box) -> float:
     return float(1.0 / (1.0 + np.abs(point - b.center).sum()))
 
 
-def _candidate_embeddings(candidates) -> np.ndarray:
+def _candidate_embeddings(candidates, dim: int) -> np.ndarray:
     rows = []
     for c in candidates:
         if c.embedding is None:
             raise FeatureError(f"candidate {c.id!r} has no embedding")
+        if len(c.embedding) != dim:
+            raise FeatureError(f"candidate {c.id!r} has a {len(c.embedding)}-d embedding, not {dim}-d like the box parameters")
         rows.append(c.embedding)
     return np.asarray(rows, dtype=float)
 
 
-def joint_box_feature_multi(
-    inst: LabeledInstance,
-    peers: list[list],
-    p: BoxParams,
-    cos_scores,
-) -> np.ndarray:
-    """Joint score against every peer mention's projected neighborhood.
-
-    The mention's own box is intersected with each peer's projected box in
-    turn; with no peers the (rescaled) cosine column is returned unchanged
-    in rank.
-    """
-    cos = np.asarray(cos_scores, dtype=float)
-    if cos.shape[0] != len(inst.candidates):
-        raise FeatureError("cos_scores must align with the candidate list")
-    peers = [peer for peer in peers if peer]
-    if not peers:
-        return minmax_rescale(cos)
-    own = box_of(_candidate_embeddings(inst.candidates))
-    region = own
-    for peer in peers:
-        region = intersect(region, neighborhood(box_of(_candidate_embeddings(peer)), p))
-    emb = _candidate_embeddings(inst.candidates)
-    sims = np.array([box_similarity(e, region) for e in emb])
-    return minmax_rescale(p.beta_box * sims + cos)
-
-
-# --- training ----------------------------------------------------------
+# --- compiled rows and the scoring kernel --------------------------------
 
 
 class _Stack(NamedTuple):
@@ -273,11 +260,13 @@ class _Stack(NamedTuple):
     labels: tuple
 
 
-def _training_rows(ds: Dataset, cos_column: str) -> list[_Stack]:
-    """One single-mention stack per mention with an embedded peer."""
+def _training_rows(ds: Dataset, cos_column: str, dim: int) -> tuple[list[int], list[_Stack]]:
+    """One single-mention stack per mention with an embedded peer, and each
+    stack's mention position in ``ds``. Every embedding read must be
+    ``dim``-d."""
     by_text = ds.instances_by_text()
-    rows = []
-    for inst in ds.instances:
+    positions, rows = [], []
+    for i, inst in enumerate(ds.instances):
         peers = [
             other
             for other in by_text.get(inst.mention.text_id, [])
@@ -285,9 +274,10 @@ def _training_rows(ds: Dataset, cos_column: str) -> list[_Stack]:
         ]
         if not peers:
             continue
-        emb = _candidate_embeddings(inst.candidates)
+        emb = _candidate_embeddings(inst.candidates, dim)
         own = box_of(emb)
-        peer_boxes = [box_of(_candidate_embeddings(p.candidates)) for p in peers]
+        peer_boxes = [box_of(_candidate_embeddings(p.candidates, dim)) for p in peers]
+        positions.append(i)
         rows.append(_Stack(
             emb=emb[None],
             lower=own.lower[None, None],
@@ -298,7 +288,7 @@ def _training_rows(ds: Dataset, cos_column: str) -> list[_Stack]:
             cos=np.array([[c.external_scores.get(cos_column, 0.0) for c in inst.candidates]]),
             labels=(prepare_labels(inst.labels),),
         ))
-    return rows
+    return positions, rows
 
 
 def _by_shape(rows: list[_Stack]) -> list[tuple[list[int], _Stack]]:
@@ -334,15 +324,22 @@ def _unpack(vec: np.ndarray) -> BoxParams:
                      beta_box=softplus(raw["raw_beta"]))
 
 
-def _forward(s: _Stack, raw: dict[str, np.ndarray], grad: dict | None = None, mu: float = 0.0) -> np.ndarray:
-    """Joint scores of every mention in a stack, min-max rescaled per
-    mention: [R, n]. Given ``grad`` (named views like ``raw``), a
-    single-mention stack also adds the gradient of its margin loss at ``mu``.
+def _effective(raw: dict[str, np.ndarray]) -> tuple:
+    """``(psi, omega / 2, beta_box)`` of a raw vector's named views."""
+    return raw["psi"], softplus(raw["raw_omega"]) / 2.0, softplus(raw["raw_beta"])
 
-    The parameter work (omega / 2, beta_box, the sigmoids) is done once per
-    call, and every peer box is projected in one broadcast op.
+
+def _forward(s: _Stack, effective: tuple, raw: dict | None = None, grad: dict | None = None, mu: float = 0.0) -> np.ndarray:
+    """Joint scores of every mention in a stack, min-max rescaled per
+    mention: [R, n], at the effective parameters ``(psi, omega / 2,
+    beta_box)``. Given ``grad`` (named views like ``raw``, the raw vector
+    behind ``effective``), a single-mention stack also adds the gradient of
+    its margin loss at ``mu``.
+
+    Every peer box is projected in one broadcast op, and the sigmoids are
+    taken once per call.
     """
-    psi, half, beta = raw["psi"], softplus(raw["raw_omega"]) / 2.0, softplus(raw["raw_beta"])
+    psi, half, beta = effective
     lower = np.concatenate((s.lower, (s.peer_lower + psi) - half), axis=1)
     upper = np.concatenate((s.upper, (s.peer_upper + psi) + half), axis=1)
     lo, hi = lower.max(axis=1), upper.min(axis=1)
@@ -388,23 +385,50 @@ def _forward(s: _Stack, raw: dict[str, np.ndarray], grad: dict | None = None, mu
 def _summed_loss(stacks: list[tuple[list[int], _Stack]], raw: dict, mu: float) -> float:
     """Margin loss summed over the rows in their order, from shape stacks."""
     losses = [0.0] * sum(len(idx) for idx, _ in stacks)
+    effective = _effective(raw)
     for idx, stack in stacks:
-        for i, out, labels in zip(idx, _forward(stack, raw), stack.labels):
+        for i, out, labels in zip(idx, _forward(stack, effective), stack.labels):
             losses[i] = margin_loss_prepared(out, labels, mu)[0]
     return sum(losses)
 
 
+def box_feature(ds: Dataset, params: BoxParams, cos_column: str = "cos") -> list[np.ndarray]:
+    """Every instance's box column, in dataset order.
+
+    A mention with an embedded peer in its text scores
+    ``minmax_rescale(beta_box * sim_box + cos)`` with the kernel training
+    uses, at ``params`` as given; one without scores ``minmax_rescale(cos)``.
+    Every candidate needs an embedding of the parameters' dimension, peers
+    or not, and a non-finite score raises FeatureError naming the mention.
+    """
+    positions, rows = _training_rows(ds, cos_column, params.psi.size)
+    columns: list = [None] * len(ds.instances)
+    effective = (params.psi, params.omega / 2.0, params.beta_box)
+    for idx, stack in _by_shape(rows):
+        for i, out in zip(idx, _forward(stack, effective)):
+            if not np.isfinite(out).all():
+                raise FeatureError(f"box feature of mention {ds.instances[positions[i]].mention.id!r} is not finite")
+            columns[positions[i]] = out
+    for i, inst in enumerate(ds.instances):
+        if columns[i] is None:
+            _candidate_embeddings(inst.candidates, params.psi.size)
+            columns[i] = minmax_rescale([c.external_scores.get(cos_column, 0.0) for c in inst.candidates])
+    return columns
+
+
 def box_total_loss(ds: Dataset, params: BoxParams, mu: float, cos_column: str = "cos") -> float:
     """Summed margin loss of the joint box feature over peer-linked mentions."""
-    return _summed_loss(_by_shape(_training_rows(ds, cos_column)), _named(_pack(params)), mu)
+    rows = _training_rows(ds, cos_column, params.psi.size)[1]
+    return _summed_loss(_by_shape(rows), _named(_pack(params)), mu)
 
 
 def box_gradients(ds: Dataset, params: BoxParams, mu: float, cos_column: str = "cos") -> dict:
     """Analytic d(loss)/d(raw parameter) for the box training objective."""
     raw = _named(_pack(params))
     grad = {name: np.zeros_like(view) for name, view in raw.items()}
-    for row in _training_rows(ds, cos_column):
-        _forward(row, raw, grad, mu)
+    effective = _effective(raw)
+    for row in _training_rows(ds, cos_column, params.psi.size)[1]:
+        _forward(row, effective, raw, grad, mu)
     return grad
 
 
@@ -412,12 +436,14 @@ def train_box_params(ds: Dataset, config, cos_column: str = "cos", init: BoxPara
     """Fit the neighborhood projection by per-mention gradient descent.
 
     Deterministic given ``config.seed``; mentions without embedded peers in
-    the same text carry no box signal and are skipped.
+    the same text carry no box signal and are skipped. Every embedding a
+    peer-linked mention reads must have the dimension of ``init``.
     """
     if ds.embedding_dim is None:
         raise FeatureError("dataset has no embeddings; cannot train box parameters")
-    vec = _pack(init if init is not None else BoxParams.default(ds.embedding_dim))
-    rows = _training_rows(ds, cos_column)
+    init = init if init is not None else BoxParams.default(ds.embedding_dim)
+    vec = _pack(init)
+    rows = _training_rows(ds, cos_column, init.psi.size)[1]
     if not rows:
         logger.warning("no mention has an embedded peer; returning initial parameters")
         return _unpack(vec)
@@ -428,7 +454,7 @@ def train_box_params(ds: Dataset, config, cos_column: str = "cos", init: BoxPara
 
     def step(idx):
         grad_vec.fill(0.0)
-        return _forward(rows[idx], raw, grad, config.mu)[0], {"flat": grad_vec}
+        return _forward(rows[idx], _effective(raw), raw, grad, config.mu)[0], {"flat": grad_vec}
 
     def epoch_stats():
         return {"loss": _summed_loss(stacks, raw, config.mu)}

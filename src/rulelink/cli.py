@@ -20,6 +20,7 @@ import os
 import sys
 
 from . import evaluation
+from .boxgeom import attach_embeddings, load_box_params
 from .corpus import DEFAULT_DENYLIST, atomic_write, fetch_candidates, load_dataset
 from .errors import (
     CompileError,
@@ -81,16 +82,10 @@ def _config_from_args(args) -> TrainConfig:
 def _cmd_featurize(args) -> int:
     ds = load_dataset(_require_file(args.data))
     if args.embeddings:
-        from .boxgeom import attach_embeddings
-
         ds = attach_embeddings(ds, _require_file(args.embeddings))
     rules = _load_rules(args.rules)
     leaves = ast_leaves(find_root(rules), rules)
-    box_params = None
-    if args.box_params:
-        from .boxgeom import load_box_params
-
-        box_params = load_box_params(_require_file(args.box_params))
+    box_params = load_box_params(_require_file(args.box_params)) if args.box_params else None
     catalog = default_catalog(box_params=box_params).restricted(leaves)
     table = build_feature_table(ds, catalog, jobs=args.jobs)
     write_features(args.out, ds, table)

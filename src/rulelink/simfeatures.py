@@ -389,17 +389,18 @@ class FeatureTable:
         """Feature columns over one instance's candidates, in list order."""
         return self.gather([inst], names)[0]
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            self.write_csv(fh)
-
-    def write_csv(self, fh) -> None:
-        """Header ``mention_id,candidate_id,<features>``, then one row per
-        pair with each value's ``repr``; ``from_csv`` reads it back."""
-        fh.write(",".join(map(_csv_cell, ["mention_id", "candidate_id"] + self.feature_names)) + "\n")
+    def to_csv(self, path) -> str:
+        """Write the table to ``path`` through a temp file and a rename:
+        header ``mention_id,candidate_id,<features>``, then one row per pair
+        with each value's ``repr``; ``from_csv`` reads it back. Returns the
+        sha256 hex of the bytes written."""
+        names = self.feature_names
+        lines = [",".join(map(_csv_cell, ["mention_id", "candidate_id"] + names))]
         for (mid, cid), values in self.rows.items():
-            cells = [_csv_cell(mid), _csv_cell(cid)] + [repr(values[n]) for n in self.feature_names]
-            fh.write(",".join(cells) + "\n")
+            lines.append(",".join([_csv_cell(mid), _csv_cell(cid)] + [repr(values[n]) for n in names]))
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+        atomic_write(path, data)
+        return hashlib.sha256(data).hexdigest()
 
     @classmethod
     def from_csv(cls, path) -> "FeatureTable":
@@ -521,21 +522,11 @@ def _str_list(obj) -> bool:
     return isinstance(obj, list) and set(map(type, obj)) <= {str}
 
 
-def _write_csv(path, table: FeatureTable) -> str:
-    """Write the CSV through a temp file and a rename; returns its sha256."""
-    with io.StringIO() as buf:
-        table.write_csv(buf)
-        text = buf.getvalue()
-    data = text.encode("utf-8")
-    atomic_write(path, data)
-    return hashlib.sha256(data).hexdigest()
-
-
 def write_features(path, ds: Dataset, table: FeatureTable) -> None:
     """Write ``table`` as the feature CSV at ``path`` and, at
     :func:`sidecar_path`, the scoring block of ``ds`` (as loaded by
     :func:`load_dataset`) over it; each through a temp file and a rename."""
-    features_sha256 = _write_csv(path, table)
+    features_sha256 = table.to_csv(path)
     names = table.feature_names
     mention_ids, offsets, candidate_ids, labels = ds.row_keys()
     rows = [table.rows[(inst.mention.id, c.id)] for inst in ds.instances for c in inst.candidates]
@@ -626,8 +617,9 @@ def _instance_rows(
     inst: LabeledInstance,
     catalog: FeatureCatalog,
     mentions: dict[str, Mention],
-    by_text: dict[str, list[LabeledInstance]],
+    boxes: dict[str, np.ndarray],
 ) -> tuple[list[dict[str, float]], dict[str, int]]:
+    """One instance's feature rows; ``boxes`` holds its column of each box feature."""
     n = len(inst.candidates)
     missing_external: dict[str, int] = {}
     values: dict[str, list[float] | np.ndarray] = {}
@@ -656,57 +648,42 @@ def _instance_rows(
                     missing_external[name] = missing_external.get(name, 0) + 1
             values[name] = col
         elif spec.kind == "box":
-            from .boxgeom import BoxParams, joint_box_feature_multi
-
-            params = spec.box_params or BoxParams.default(_embedding_dim(inst))
-            peers = [
-                [c for c in other.candidates]
-                for other in by_text.get(inst.mention.text_id, [])
-                if other.mention.id != inst.mention.id
-            ]
-            cos = np.array(
-                [c.external_scores.get(spec.cos_column, 0.0) for c in inst.candidates]
-            )
-            values[name] = joint_box_feature_multi(inst, peers, params, cos)
+            values[name] = boxes[name]
         else:  # pragma: no cover - guarded by FeatureSpec
             raise FeatureError(f"unknown feature kind {spec.kind!r}")
     rows = [{name: float(values[name][j]) for name in catalog.entries} for j in range(n)]
     return rows, missing_external
 
 
-def _embedding_dim(inst: LabeledInstance) -> int:
-    for c in inst.candidates:
-        if c.embedding is not None:
-            return len(c.embedding)
-    raise FeatureError("box features need candidate embeddings")
+def _box_column(ds: Dataset, spec: FeatureSpec) -> list[np.ndarray]:
+    """Every instance's column of a box feature; without parameters, the
+    default ones of the first embedding's dimension."""
+    from .boxgeom import BoxParams, box_feature
+
+    dims = (len(c.embedding) for inst in ds.instances for c in inst.candidates if c.embedding is not None)
+    return box_feature(ds, spec.box_params or BoxParams.default(next(dims, 0)), spec.cos_column)
 
 
 def build_feature_table(ds: Dataset, catalog: FeatureCatalog, jobs: int = 1) -> FeatureTable:
     """Evaluate every catalog feature for every (mention, candidate) pair.
 
-    Pure given its inputs: repeated calls produce identical tables. Rows may
-    be computed in parallel per mention; assembly order is always dataset
+    Pure given its inputs: repeated calls produce identical tables. Box
+    columns are scored for the whole dataset first; the other rows may be
+    computed in parallel per mention; assembly order is always dataset
     order, then candidate position.
     """
-    if any(spec.kind == "box" for spec in catalog.entries.values()):
-        for inst in ds.instances:
-            for cand in inst.candidates:
-                if cand.embedding is None:
-                    raise FeatureError(
-                        f"catalog includes box features but candidate {cand.id!r} has no embedding"
-                    )
+    boxes = {name: _box_column(ds, spec) for name, spec in catalog.entries.items() if spec.kind == "box"}
     mentions = ds.mentions_by_id()
-    by_text = ds.instances_by_text()
     table = FeatureTable(catalog.names())
 
-    def compute(inst):
-        return _instance_rows(inst, catalog, mentions, by_text)
+    def compute(i):
+        return _instance_rows(ds.instances[i], catalog, mentions, {name: col[i] for name, col in boxes.items()})
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(compute, ds.instances))
+            results = list(pool.map(compute, range(len(ds.instances))))
     else:
-        results = [compute(inst) for inst in ds.instances]
+        results = [compute(i) for i in range(len(ds.instances))]
 
     missing_external: dict[str, int] = {}
     for inst, (rows, missing) in zip(ds.instances, results):

@@ -1,17 +1,66 @@
-"""Reference oracle: the per-peer box training that the flat vector replaced.
+"""Reference oracles: the per-peer box training that the flat vector
+replaced, and the per-mention box feature that ``boxgeom.box_feature``
+replaced.
 
 Each mention's own box and peer boxes are ``Box`` objects, the raw
 parameters a dict of three arrays, and the gradient walks the peers one at
-a time, recomputing ``sigmoid(raw_omega)`` for each. The exactness tests
-compare ``rulelink.boxgeom`` against it by ``tobytes()``.
+a time, recomputing ``sigmoid(raw_omega)`` for each. The feature intersects
+the mention's box with each projected peer box in turn and scores each
+candidate with ``box_similarity``. The exactness tests compare
+``rulelink.boxgeom`` against them by ``tobytes()``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from rulelink.boxgeom import BoxParams, _candidate_embeddings, box_of
+from rulelink.boxgeom import BoxParams, box_of, box_similarity, intersect, neighborhood
+from rulelink.errors import FeatureError
 from rulelink.logic import sigmoid, softplus, softplus_inverse
+from rulelink.simfeatures import minmax_rescale
 from rulelink.training import descend, margin_loss
+
+
+def _candidate_embeddings(candidates) -> np.ndarray:
+    rows = []
+    for c in candidates:
+        if c.embedding is None:
+            raise FeatureError(f"candidate {c.id!r} has no embedding")
+        rows.append(c.embedding)
+    return np.asarray(rows, dtype=float)
+
+
+def joint_box_feature_multi(inst, peers: list[list], p: BoxParams, cos_scores) -> np.ndarray:
+    """Joint score against every peer mention's projected neighborhood.
+
+    The mention's own box is intersected with each peer's projected box in
+    turn; with no peers the (rescaled) cosine column is returned unchanged
+    in rank.
+    """
+    cos = np.asarray(cos_scores, dtype=float)
+    if cos.shape[0] != len(inst.candidates):
+        raise FeatureError("cos_scores must align with the candidate list")
+    peers = [peer for peer in peers if peer]
+    if not peers:
+        return minmax_rescale(cos)
+    own = box_of(_candidate_embeddings(inst.candidates))
+    region = own
+    for peer in peers:
+        region = intersect(region, neighborhood(box_of(_candidate_embeddings(peer)), p))
+    emb = _candidate_embeddings(inst.candidates)
+    sims = np.array([box_similarity(e, region) for e in emb])
+    return minmax_rescale(p.beta_box * sims + cos)
+
+
+def box_feature(ds, p: BoxParams, cos_column="cos") -> list[np.ndarray]:
+    """Each instance's column from :func:`joint_box_feature_multi`, with the
+    other mentions of its text as peers."""
+    by_text = ds.instances_by_text()
+    columns = []
+    for inst in ds.instances:
+        peers = [list(o.candidates) for o in by_text[inst.mention.text_id] if o.mention.id != inst.mention.id]
+        cos = np.array([c.external_scores.get(cos_column, 0.0) for c in inst.candidates])
+        columns.append(joint_box_feature_multi(inst, peers, p, cos))
+    return columns
 
 
 def _raw_params(init: BoxParams) -> dict[str, np.ndarray]:

@@ -437,12 +437,12 @@ class TestFuzzedModelFile:
 
 
 class TestBoxFeaturizeCli:
-    def test_embeddings_and_box_params_flags(self, workdir):
-        import json as _json
-
+    @staticmethod
+    def _featurize_box(workdir, box_params_text: str) -> int:
+        """CLI featurize of a rule reading ``box``, with 2-d embeddings for
+        every candidate and ``box_params_text`` as the --box-params file."""
         import numpy as np
 
-        from rulelink.boxgeom import BoxParams, save_box_params
         from rulelink.corpus import load_dataset
 
         ds = load_dataset(workdir / "data.jsonl")
@@ -451,16 +451,42 @@ class TestBoxFeaturizeCli:
         with open(emb_path, "w") as fh:
             for inst in ds.instances:
                 for cand in inst.candidates:
-                    fh.write(_json.dumps({"id": cand.id, "vec": rng.normal(size=2).tolist()}) + "\n")
-        save_box_params(BoxParams(psi=(0.5, 0.0), omega=(1.0, 1.0), beta_box=2.0), workdir / "box.json")
+                    fh.write(json.dumps({"id": cand.id, "vec": rng.normal(size=2).tolist()}) + "\n")
+        (workdir / "box.json").write_text(box_params_text)
         (workdir / "box_rules.elr").write_text("rule Links = (jacc? | box?) & prom;\n")
-        code = run(
+        return run(
             ["featurize", "--data", str(workdir / "data.jsonl"),
              "--rules", str(workdir / "box_rules.elr"),
              "--embeddings", str(emb_path),
              "--box-params", str(workdir / "box.json"),
              "--out", str(workdir / "fbox.csv")]
         )
-        assert code == 0
+
+    def test_embeddings_and_box_params_flags(self, workdir):
+        from rulelink.boxgeom import BoxParams
+
+        params = BoxParams(psi=(0.5, 0.0), omega=(1.0, 1.0), beta_box=2.0)
+        assert self._featurize_box(workdir, json.dumps(params.to_json())) == 0
         header = (workdir / "fbox.csv").read_text().splitlines()[0]
         assert header == "mention_id,candidate_id,jacc,box,prom"
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"psi": [0.0]}', "box params lack the field 'omega'"),
+        ("[1, 2]", "box params must be a JSON object, not list"),
+        ('{"psi": [NaN, 0.0], "omega": [1.0, 1.0], "beta_box": 1.0}', "psi must be a 1-D vector of finite numbers"),
+        ('{"psi": [0.0, 0.0], "omega": [[1.0], [1.0]], "beta_box": 1.0}', "box params field 'omega' is not a list of numbers"),
+        ('{"psi": [0.0, 0.0], "omega": [1.0, 1.0], "beta_box": true}', "box params field 'beta_box' is not a number"),
+        ('{"psi": [0.0, 0.0], "omega": [1.0, 1.0], "beta_box": 1e400}', "beta_box must be finite"),
+        ('{"psi": ', "Expecting value: line 1 column 9"),
+        ('{"psi": [1' + "0" * 400 + '], "omega": [1.0], "beta_box": 1.0}', "int too large to convert to float"),
+    ])
+    def test_malformed_box_params_exit_one(self, workdir, capsys, text, message):
+        assert self._featurize_box(workdir, text) == 1
+        err = capsys.readouterr().err
+        assert f"{workdir / 'box.json'}: {message}" in err
+        assert "Traceback" not in err
+
+    def test_wrong_dimension_box_params_exit_one(self, workdir, capsys):
+        assert self._featurize_box(workdir, '{"psi": [0, 0, 0], "omega": [1, 1, 1], "beta_box": 1}') == 1
+        err = capsys.readouterr().err
+        assert "has a 2-d embedding, not 3-d" in err and "Traceback" not in err

@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -371,6 +372,18 @@ class TestBuildFeatureTable:
         with pytest.raises(FeatureError, match="embedding"):
             build_feature_table(toy_dataset, catalog)
 
+    def test_box_embedding_of_another_dimension_is_error(self):
+        # "lone" has no peer, so it scores from cos alone, but its 3-d
+        # embedding is still an error
+        def inst(mid, text, dims):
+            cands = tuple(CandidateEntity(id=f"{mid}{j}", name="n", embedding=(0.5,) * d)
+                          for j, d in enumerate(dims))
+            return LabeledInstance(Mention(id=mid, surface="s", text_id=text), cands, (1,) + (0,) * (len(dims) - 1))
+
+        ds = Dataset(instances=(inst("a", "t", (2, 2)), inst("b", "t", (2,)), inst("lone", "u", (2, 3))))
+        with pytest.raises(FeatureError, match="candidate 'lone1' has a 3-d embedding, not 2-d like the box parameters"):
+            build_feature_table(ds, FeatureCatalog({"box": FeatureSpec("box")}))
+
     def test_deterministic_and_pure(self, toy_dataset):
         catalog = default_catalog().restricted(["jacc", "lev", "jw", "ctx", "prom", "type"])
         t1 = build_feature_table(toy_dataset, catalog)
@@ -400,7 +413,8 @@ class TestFeatureTableCsv:
     def test_plain_ids_write_plain_comma_joined_lines(self, toy_dataset, tmp_path):
         table = build_feature_table(toy_dataset, default_catalog().restricted(["jacc", "prom"]))
         path = tmp_path / "features.csv"
-        table.to_csv(path)
+        digest = table.to_csv(path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         expected = "mention_id,candidate_id,jacc,prom\n" + "".join(
             f"{mid},{cid},{vals['jacc']!r},{vals['prom']!r}\n" for (mid, cid), vals in table.rows.items()
         )
