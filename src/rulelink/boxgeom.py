@@ -262,29 +262,32 @@ class _Stack(NamedTuple):
 
 def _training_rows(ds: Dataset, cos_column: str, dim: int) -> tuple[list[int], list[_Stack]]:
     """One single-mention stack per mention with an embedded peer, and each
-    stack's mention position in ``ds``. Every embedding read must be
-    ``dim``-d."""
-    by_text = ds.instances_by_text()
-    positions, rows = [], []
+    stack's mention position in ``ds``. The embeddings of these mentions and
+    of their peers are read, checked to be ``dim``-d and boxed once per
+    mention, in dataset order."""
+    texts: dict[str, list[int]] = {}
     for i, inst in enumerate(ds.instances):
-        peers = [
-            other
-            for other in by_text.get(inst.mention.text_id, [])
-            if other.mention.id != inst.mention.id and other.candidates
-        ]
-        if not peers:
-            continue
-        emb = _candidate_embeddings(inst.candidates, dim)
-        own = box_of(emb)
-        peer_boxes = [box_of(_candidate_embeddings(p.candidates, dim)) for p in peers]
-        positions.append(i)
+        if inst.candidates:
+            texts.setdefault(inst.mention.text_id, []).append(i)
+    peers = [[p for p in texts.get(inst.mention.text_id, []) if ds.instances[p].mention.id != inst.mention.id]
+             for inst in ds.instances]
+    positions = [i for i, linked in enumerate(peers) if linked]
+    geometry = {}
+    for i in sorted(set(positions).union(*(peers[i] for i in positions))):
+        emb = _candidate_embeddings(ds.instances[i].candidates, dim)
+        geometry[i] = emb, box_of(emb)
+    rows = []
+    for i in positions:
+        inst = ds.instances[i]
+        emb, own = geometry[i]
+        peer_boxes = [geometry[p][1] for p in peers[i]]
         rows.append(_Stack(
             emb=emb[None],
             lower=own.lower[None, None],
             upper=own.upper[None, None],
             peer_lower=np.stack([b.lower for b in peer_boxes])[None],
             peer_upper=np.stack([b.upper for b in peer_boxes])[None],
-            peer_index=np.arange(1, len(peers) + 1)[:, None],
+            peer_index=np.arange(1, len(peer_boxes) + 1)[:, None],
             cos=np.array([[c.external_scores.get(cos_column, 0.0) for c in inst.candidates]]),
             labels=(prepare_labels(inst.labels),),
         ))

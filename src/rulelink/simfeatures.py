@@ -26,7 +26,8 @@ import logging
 import os
 import re
 import zipfile
-from itertools import chain
+from bisect import bisect_right
+from itertools import chain, repeat
 from operator import itemgetter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -42,100 +43,167 @@ logger = logging.getLogger(__name__)
 FEATURE_KINDS = ("jacc", "lev", "jw", "pr", "ctx", "type", "prom", "external", "box")
 
 
-def char_jaccard(a: str, b: str) -> float:
-    """|chars(a) & chars(b)| / |chars(a) | chars(b)| over case-folded sets."""
-    sa, sb = set(a.casefold()), set(b.casefold())
-    if not sa and not sb:
-        return 1.0
-    return len(sa & sb) / len(sa | sb)
+def _codes(s: str) -> np.ndarray:
+    """Code points of ``s``; lone surrogates stay single code points."""
+    return np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype="<i4")
 
 
-def _levenshtein(a: str, b: str) -> int:
-    """Edit distance by the bit-parallel algorithm of Myers (1999) in
-    Hyyrö's (2001) formulation.
+_BLOCK = 512  # pairs per step of the column kernels, so temporaries stay small
 
-    Bit i of the Python-int column vectors holds the vertical delta at
-    character i of the longer string; one pass over the shorter string
-    updates them. Characters are dict keys, so any code point is exact.
+
+def _padded(strings, fill: int, width: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Code points of ``strings`` as the rows of an int32 matrix of at least
+    ``width`` columns, padded with ``fill``, and each string's length."""
+    lens = np.fromiter(map(len, strings), np.int64, len(strings))
+    out = np.full((len(strings), max(width, int(lens.max(initial=0)))), fill, dtype=np.int32)
+    out[np.arange(out.shape[1]) < lens[:, None]] = _codes("".join(strings))
+    return out, lens
+
+
+def _blockwise(kernel, a: list[str], b: list[str]) -> np.ndarray:
+    """``kernel`` over the pairs ``(a[k], b[k])``, ``_BLOCK`` pairs at a time."""
+    if not a:
+        return np.empty(0)
+    return np.concatenate([kernel(a[s : s + _BLOCK], b[s : s + _BLOCK]) for s in range(0, len(a), _BLOCK)])
+
+
+def _myers_block(a: list[str], b: list[str]) -> np.ndarray:
+    """Edit distance per pair by the bit-parallel algorithm of Myers (1999)
+    in Hyyrö's (2001) formulation, one lane per pair.
+
+    Each pair's shorter string is the pattern: bit i of a lane holds the
+    vertical delta at its character i, and one step per character of the
+    longer string updates every lane. Lanes are uint64 when every pattern
+    of the block fits in 64 bits, else Python ints in an object array; the
+    recurrence is the same code for both. A lane's distance is read at the
+    step of its text's last character.
     """
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    peq: dict[str, int] = {}
-    for i, ca in enumerate(a):
-        peq[ca] = peq.get(ca, 0) | (1 << i)
-    mask = (1 << len(a)) - 1
-    last = 1 << (len(a) - 1)
-    pv, mv, dist = mask, 0, len(a)
-    for cb in b:
-        eq = peq.get(cb, 0)
+    pairs = [(x, y) if len(x) <= len(y) else (y, x) for x, y in zip(a, b)]
+    short, long = [p[0] for p in pairs], [p[1] for p in pairs]
+    words = max(1, -(-max(map(len, short)) // 64))
+    pattern, m = _padded(short, -1, 64 * words)
+    text, n = _padded(long, -2)
+    top = np.maximum(m, 1) - 1  # an empty pattern runs as one char that never matches
+    if words == 1:
+        one = np.uint64(1)
+        last = one << top.astype(np.uint64)
+        mv = np.zeros(len(m), dtype=np.uint64)
+    else:
+        one = 1
+        last = np.array([1 << int(t) for t in top], dtype=object)
+        mv = np.zeros(len(m), dtype=object)
+    mask = (last - one) | last
+    pv = mask
+    dist = top + 1
+    out = n.copy()  # the distance to an empty pattern
+    order = np.argsort(n, kind="stable")
+    ends = np.searchsorted(n[order], np.arange(text.shape[1] + 1), side="right")
+    for j in range(text.shape[1]):
+        hits = np.packbits(pattern == text[:, j, None], axis=1, bitorder="little").view("<u8")
+        eq = hits[:, 0]
+        for w in range(1, words):
+            eq = eq | (hits[:, w].astype(object) << 64 * w)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        if ph & last:
-            dist += 1
-        elif mh & last:
-            dist -= 1
-        ph = (ph << 1) | 1
-        pv = ((mh << 1) | ~(xv | ph)) & mask
+        dist += (ph & last) != 0
+        dist -= (mh & last) != 0
+        ph = (ph << one) | one
+        pv = ((mh << one) | ~(xv | ph)) & mask
         mv = ph & xv
-    return dist
+        done = order[ends[j] : ends[j + 1]]
+        out[done] = dist[done]
+    return np.where(m == 0, n, out)
+
+
+def _edit_distances(a: list[str], b: list[str]) -> np.ndarray:
+    """Levenshtein distance of every pair ``(a[k], b[k])``."""
+    return _blockwise(_myers_block, a, b)
+
+
+def _lev_column(a: list[str], b: list[str]) -> np.ndarray:
+    """``lev_sim`` of every pair ``(a[k], b[k])``."""
+    longest = np.fromiter(map(max, map(len, a), map(len, b)), np.int64, len(a))
+    return 1.0 - _edit_distances(a, b) / np.maximum(longest, 1)
 
 
 def lev_sim(a: str, b: str) -> float:
     """1 - editdistance(a, b) / max(|a|, |b|); 1.0 when both empty."""
-    if not a and not b:
-        return 1.0
-    return 1.0 - _levenshtein(a, b) / max(len(a), len(b))
+    return float(_lev_column([a], [b])[0])
+
+
+def _jw_block(a: list[str], b: list[str]) -> np.ndarray:
+    """Jaro-Winkler similarity per pair: greedy window matching with one
+    step per position of ``a``, where every pair takes the first free
+    equal character of its window in ``b``."""
+    sa, la = _padded(a, -1, 4)
+    sb, lb = _padded(b, -2, 4)
+    rows = np.arange(len(a))
+    window = np.maximum(np.maximum(la, lb) // 2 - 1, 0)[:, None]
+    reach = np.abs(np.arange(sb.shape[1]) - np.arange(sa.shape[1])[:, None])
+    a_hit = np.zeros(sa.shape, dtype=bool)
+    b_hit = np.zeros(sb.shape, dtype=bool)
+    for i in range(int(la.max(initial=0))):
+        free = (sb == sa[:, i, None]) & ~b_hit & (reach[i] <= window)
+        j = free.argmax(axis=1)
+        a_hit[:, i] = free[rows, j]
+        b_hit[rows[a_hit[:, i]], j[a_hit[:, i]]] = True
+    m = a_hit.sum(axis=1)
+    # the matched characters of each side in order, compared position by position
+    seq_a = np.take_along_axis(sa, np.argsort(~a_hit, axis=1, kind="stable"), axis=1)
+    seq_b = np.take_along_axis(sb, np.argsort(~b_hit, axis=1, kind="stable"), axis=1)
+    w = min(sa.shape[1], sb.shape[1])
+    t = ((seq_a[:, :w] != seq_b[:, :w]) & (np.arange(w) < m[:, None])).sum(axis=1) // 2
+    prefix = np.cumprod(sa[:, :4] == sb[:, :4], axis=1).sum(axis=1)
+    jaro = (m / np.maximum(la, 1) + m / np.maximum(lb, 1) + (m - t) / np.maximum(m, 1)) / 3.0
+    out = jaro + prefix * 0.1 * (1.0 - jaro)
+    out[m == 0] = 0.0
+    out[np.fromiter(map(str.__eq__, a, b), bool, len(a))] = 1.0
+    return out
+
+
+def _jw_column(a: list[str], b: list[str]) -> np.ndarray:
+    """``jaro_winkler`` of every pair ``(a[k], b[k])``."""
+    return _blockwise(_jw_block, a, b)
 
 
 def jaro_winkler(a: str, b: str) -> float:
     """Jaro-Winkler similarity with prefix scale 0.1 and max prefix 4."""
-    if not a and not b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    if a == b:
-        return 1.0
-    window = max(len(a), len(b)) // 2 - 1
-    window = max(window, 0)
-    a_flags = [False] * len(a)
-    b_flags = [False] * len(b)
-    matches = 0
-    for i, ca in enumerate(a):
-        lo = max(0, i - window)
-        hi = min(len(b), i + window + 1)
-        for j in range(lo, hi):
-            if not b_flags[j] and b[j] == ca:
-                a_flags[i] = b_flags[j] = True
-                matches += 1
-                break
-    if matches == 0:
-        return 0.0
-    transpositions = 0
-    j = 0
-    for i in range(len(a)):
-        if a_flags[i]:
-            while not b_flags[j]:
-                j += 1
-            if a[i] != b[j]:
-                transpositions += 1
-            j += 1
-    t = transpositions // 2
-    jaro = (matches / len(a) + matches / len(b) + (matches - t) / matches) / 3.0
-    prefix = 0
-    for ca, cb in zip(a, b):
-        if ca != cb or prefix == 4:
-            break
-        prefix += 1
-    return jaro + prefix * 0.1 * (1.0 - jaro)
+    return float(_jw_column([a], [b])[0])
 
 
-def _codes(s: str) -> np.ndarray:
-    """Code points of ``s``; lone surrogates stay single code points."""
-    return np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype="<i4")
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """Sorts each row of a padded code matrix in place; marks the first of
+    each run of equal code points (the negative fill is none)."""
+    codes.sort(axis=1)
+    first = codes >= 0
+    first[:, 1:] &= codes[:, 1:] != codes[:, :-1]
+    return first
+
+
+def _jacc_block(a: list[str], b: list[str]) -> np.ndarray:
+    sa, sb = _padded([s.casefold() for s in a], -1)[0], _padded([s.casefold() for s in b], -2)[0]
+    first_a, first_b = _distinct(sa), _distinct(sb)
+    # each code point both sets hold appears twice among the merged sets
+    merged = np.concatenate((np.where(first_a, sa, -1), np.where(first_b, sb, -2)), axis=1)
+    merged.sort(axis=1)
+    common = ((merged[:, 1:] == merged[:, :-1]) & (merged[:, 1:] >= 0)).sum(axis=1)
+    union = first_a.sum(axis=1) + first_b.sum(axis=1) - common
+    return np.where(union == 0, 1.0, common / np.maximum(union, 1))
+
+
+def _jacc_column(a: list[str], b: list[str]) -> np.ndarray:
+    """``char_jaccard`` of every pair ``(a[k], b[k])``."""
+    return _blockwise(_jacc_block, a, b)
+
+
+def char_jaccard(a: str, b: str) -> float:
+    """|chars(a) & chars(b)| / |chars(a) | chars(b)| over case-folded sets."""
+    return float(_jacc_column([a], [b])[0])
+
+
+_NAME_KERNELS = {"jacc": _jacc_column, "lev": _lev_column, "jw": _jw_column}
 
 
 def _window_distances(short: str, longs: list[str]) -> np.ndarray:
@@ -198,25 +266,37 @@ def _partial_ratios(surface: str, texts: list[str]) -> np.ndarray:
     return out
 
 
-def minmax_rescale(values) -> np.ndarray:
-    """(v - min) / (max - min); all ones when the range is degenerate."""
+def _rescalable(values) -> np.ndarray:
+    """``values`` as floats; FeatureError if they cannot be min-max rescaled."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise FeatureError("cannot rescale an empty vector")
     if not np.all(np.isfinite(arr)):
         raise FeatureError("cannot rescale non-finite values")
-    lo, hi = arr.min(), arr.max()
-    if hi == lo:
-        return np.ones_like(arr)
-    return (arr - lo) / (hi - lo)
+    return arr
 
 
-def context_scores(inst: LabeledInstance, all_mentions: dict[str, Mention]) -> np.ndarray:
-    """Raw context score per candidate, min-max rescaled over the list.
+def _rescale_lists(values: np.ndarray, offsets) -> np.ndarray:
+    """``minmax_rescale`` of each list ``values[offsets[i]:offsets[i+1]]``
+    (non-empty and finite), in one pass over all of them."""
+    if not values.size:
+        return values
+    counts = np.diff(offsets)
+    lo = np.repeat(np.minimum.reduceat(values, offsets[:-1]), counts)
+    span = np.repeat(np.maximum.reduceat(values, offsets[:-1]), counts) - lo
+    flat = span == 0.0  # all ones
+    out = (values - lo) / np.where(flat, 1.0, span)
+    out[flat] = 1.0
+    return out
 
-    raw(e) = sum over context mentions m_k of partial_ratio(m_k.surface,
-    e.description); candidates without a description contribute raw 0.
-    """
+
+def minmax_rescale(values) -> np.ndarray:
+    """(v - min) / (max - min); all ones when the range is degenerate."""
+    arr = _rescalable(values)
+    return _rescale_lists(arr, [0, arr.size])
+
+
+def _context_raws(inst: LabeledInstance, all_mentions: dict[str, Mention]) -> np.ndarray:
     surfaces = []
     for ctx_id in inst.mention.context_ids:
         if ctx_id not in all_mentions:
@@ -228,7 +308,16 @@ def context_scores(inst: LabeledInstance, all_mentions: dict[str, Mention]) -> n
         descriptions = [inst.candidates[k].description for k in described]
         for s in surfaces:
             raws[described] += _partial_ratios(s, descriptions)
-    return minmax_rescale(raws)
+    return raws
+
+
+def context_scores(inst: LabeledInstance, all_mentions: dict[str, Mention]) -> np.ndarray:
+    """Raw context score per candidate, min-max rescaled over the list.
+
+    raw(e) = sum over context mentions m_k of partial_ratio(m_k.surface,
+    e.description); candidates without a description contribute raw 0.
+    """
+    return minmax_rescale(_context_raws(inst, all_mentions))
 
 
 def type_score(m: Mention, e) -> float:
@@ -238,11 +327,15 @@ def type_score(m: Mention, e) -> float:
     return 1.0 if m.mention_type in e.domains else 0.0
 
 
-def prominence_score(inst: LabeledInstance) -> np.ndarray:
-    """Min-max rescaled in-degrees over the instance's candidate list."""
+def _indegrees(inst: LabeledInstance) -> list:
     if not inst.candidates:
         raise FeatureError("prominence needs a non-empty candidate list")
-    return minmax_rescale([c.indegree for c in inst.candidates])
+    return [c.indegree for c in inst.candidates]
+
+
+def prominence_score(inst: LabeledInstance) -> np.ndarray:
+    """Min-max rescaled in-degrees over the instance's candidate list."""
+    return minmax_rescale(_indegrees(inst))
 
 
 @dataclass(frozen=True)
@@ -350,6 +443,11 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+def _in_unit_range(values: np.ndarray) -> np.ndarray:
+    """Where ``values`` lie in [0, 1]; NaN does not."""
+    return (values >= 0.0) & (values <= 1.0)
+
+
 class FeatureTable:
     """Per (mention, candidate) feature vectors, keyed by feature name."""
 
@@ -405,8 +503,8 @@ class FeatureTable:
     @classmethod
     def from_csv(cls, path) -> "FeatureTable":
         """Read a feature CSV. A repeated (mention_id, candidate_id) row or a
-        cell that is not a finite number raises FeatureError naming the file
-        and line(s)."""
+        cell that is not a number in [0, 1], the range of every built-in
+        feature kind, raises FeatureError naming the file and line(s)."""
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -439,11 +537,12 @@ class FeatureTable:
             except csv.Error as exc:
                 raise FeatureError(f"{path} line {reader.line_num}: {exc}") from exc
         cells = chain.from_iterable(row.values() for row in rows.values())
-        finite = np.isfinite(np.fromiter(cells, float, len(rows) * len(names)))
-        if not finite.all():
-            row, col = divmod(int(np.argmin(finite)), len(names))
+        valid = _in_unit_range(np.fromiter(cells, float, len(rows) * len(names)))
+        if not valid.all():
+            row, col = divmod(int(np.argmin(valid)), len(names))
             value = list(rows.values())[row][names[col]]
-            raise FeatureError(f"{path} line {lines[row]}: column {names[col]!r} is {value!r}, not finite")
+            fault = "outside [0, 1]" if np.isfinite(value) else "not finite"
+            raise FeatureError(f"{path} line {lines[row]}: column {names[col]!r} is {value!r}, {fault}")
         return table
 
 
@@ -586,8 +685,8 @@ def _load_block(path: str, data_sha256: str, features_sha256: str, needed: list[
         raise _Unusable("load report does not count the mentions")
     if not np.isin(labels, (0, 1)).all():
         raise _Unusable("labels outside {0, 1}")
-    if not np.isfinite(matrix).all():
-        raise _Unusable("non-finite feature value")
+    if not _in_unit_range(matrix).all():
+        raise _Unusable("feature value outside [0, 1]")
     return ScoringBlock(mention_ids, candidate_ids, offsets.tolist(), labels, matrix, names,
                         LoadReport(**counts, sha256=data_sha256))
 
@@ -613,46 +712,25 @@ def read_sidecar(features_path, data_path, names: list[str]) -> ScoringBlock | N
         return None
 
 
-def _instance_rows(
-    inst: LabeledInstance,
-    catalog: FeatureCatalog,
-    mentions: dict[str, Mention],
-    boxes: dict[str, np.ndarray],
-) -> tuple[list[dict[str, float]], dict[str, int]]:
-    """One instance's feature rows; ``boxes`` holds its column of each box feature."""
-    n = len(inst.candidates)
-    missing_external: dict[str, int] = {}
-    values: dict[str, list[float] | np.ndarray] = {}
+def _instance_columns(
+    inst: LabeledInstance, catalog: FeatureCatalog, mentions: dict[str, Mention]
+) -> dict[str, np.ndarray]:
+    """The features of one instance that are computed list by list, in
+    catalog order: ``pr``, and the raw ``ctx`` scores and ``prom``
+    in-degrees, checked as ``minmax_rescale`` checks them."""
+    out = {}
     for name, spec in catalog.entries.items():
-        if spec.kind == "jacc":
-            values[name] = [char_jaccard(inst.mention.surface, c.name) for c in inst.candidates]
-        elif spec.kind == "lev":
-            values[name] = [lev_sim(inst.mention.surface, c.name) for c in inst.candidates]
-        elif spec.kind == "jw":
-            values[name] = [jaro_winkler(inst.mention.surface, c.name) for c in inst.candidates]
-        elif spec.kind == "pr":
-            values[name] = _partial_ratios(inst.mention.surface, [c.name for c in inst.candidates])
+        if spec.kind == "pr":
+            out[name] = _partial_ratios(inst.mention.surface, [c.name for c in inst.candidates])
         elif spec.kind == "ctx":
-            values[name] = context_scores(inst, mentions)
-        elif spec.kind == "type":
-            values[name] = [type_score(inst.mention, c) for c in inst.candidates]
+            out[name] = _rescalable(_context_raws(inst, mentions))
         elif spec.kind == "prom":
-            values[name] = prominence_score(inst)
-        elif spec.kind == "external":
-            col = []
-            for c in inst.candidates:
-                if spec.source in c.external_scores:
-                    col.append(c.external_scores[spec.source])
-                else:
-                    col.append(0.0)
-                    missing_external[name] = missing_external.get(name, 0) + 1
-            values[name] = col
-        elif spec.kind == "box":
-            values[name] = boxes[name]
-        else:  # pragma: no cover - guarded by FeatureSpec
-            raise FeatureError(f"unknown feature kind {spec.kind!r}")
-    rows = [{name: float(values[name][j]) for name in catalog.entries} for j in range(n)]
-    return rows, missing_external
+            out[name] = _rescalable(_indegrees(inst))
+    return out
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.empty(0)
 
 
 def _box_column(ds: Dataset, spec: FeatureSpec) -> list[np.ndarray]:
@@ -668,29 +746,54 @@ def build_feature_table(ds: Dataset, catalog: FeatureCatalog, jobs: int = 1) -> 
     """Evaluate every catalog feature for every (mention, candidate) pair.
 
     Pure given its inputs: repeated calls produce identical tables. Box
-    columns are scored for the whole dataset first; the other rows may be
-    computed in parallel per mention; assembly order is always dataset
-    order, then candidate position.
+    columns are scored for the whole dataset first, then the list-by-list
+    inputs of ``pr``, ``ctx`` and ``prom``, in parallel per mention when
+    ``jobs > 1``. Every feature is then one column over all pairs in
+    dataset order, then candidate position (``jacc``, ``lev`` and ``jw``
+    from the column kernels, ``ctx`` and ``prom`` rescaled list by list in
+    one pass), and each row is read from the columns.
     """
     boxes = {name: _box_column(ds, spec) for name, spec in catalog.entries.items() if spec.kind == "box"}
     mentions = ds.mentions_by_id()
-    table = FeatureTable(catalog.names())
 
-    def compute(i):
-        return _instance_rows(ds.instances[i], catalog, mentions, {name: col[i] for name, col in boxes.items()})
+    def compute(inst):
+        return _instance_columns(inst, catalog, mentions)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(compute, range(len(ds.instances))))
+            lists = list(pool.map(compute, ds.instances))
     else:
-        results = [compute(i) for i in range(len(ds.instances))]
+        lists = [compute(inst) for inst in ds.instances]
 
-    missing_external: dict[str, int] = {}
-    for inst, (rows, missing) in zip(ds.instances, results):
-        for cand, row in zip(inst.candidates, rows):
-            table.add_row(inst.mention.id, cand.id, row)
-        for name, count in missing.items():
-            missing_external[name] = missing_external.get(name, 0) + count
-    for name, count in missing_external.items():
+    _, offsets, candidate_ids, _ = ds.row_keys()
+    pairs = [(inst.mention, c) for inst in ds.instances for c in inst.candidates]
+    surfaces, names = [m.surface for m, _ in pairs], [c.name for _, c in pairs]
+    columns: dict[str, np.ndarray] = {}
+    missing_external: dict[str, tuple[int, int]] = {}  # name -> (first instance lacking it, count)
+    for name, spec in catalog.entries.items():
+        if spec.kind in _NAME_KERNELS:
+            columns[name] = _NAME_KERNELS[spec.kind](surfaces, names)
+        elif spec.kind == "pr":
+            columns[name] = _joined([cols[name] for cols in lists])
+        elif spec.kind in ("ctx", "prom"):
+            columns[name] = _rescale_lists(_joined([cols[name] for cols in lists]), offsets)
+        elif spec.kind == "type":
+            columns[name] = np.fromiter((type_score(m, c) for m, c in pairs), float, len(pairs))
+        elif spec.kind == "external":
+            scores = [c.external_scores for _, c in pairs]
+            columns[name] = np.fromiter((s.get(spec.source, 0.0) for s in scores), float, len(pairs))
+            lacking = [k for k, s in enumerate(scores) if spec.source not in s]
+            if lacking:
+                missing_external[name] = (bisect_right(offsets, lacking[0]) - 1, len(lacking))
+        elif spec.kind == "box":
+            columns[name] = _joined(boxes[name])
+        else:  # pragma: no cover - guarded by FeatureSpec
+            raise FeatureError(f"unknown feature kind {spec.kind!r}")
+    for name, (_, count) in sorted(missing_external.items(), key=lambda item: item[1][0]):
         logger.warning("feature %s: %d candidates lacked the source column, used 0.0", name, count)
+
+    table = FeatureTable(catalog.names())
+    keys = zip([m.id for m, _ in pairs], candidate_ids)
+    rows = zip(*(columns[n].tolist() for n in table.feature_names)) if columns else repeat(())
+    table.rows = {key: dict(zip(table.feature_names, row)) for key, row in zip(keys, rows)}
     return table

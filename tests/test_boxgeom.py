@@ -210,6 +210,29 @@ class TestJointBoxFeature:
         with pytest.raises(FeatureError, match="candidate 'a_c0' has a 2-d embedding, not 3-d like the box parameters"):
             train_box_params(ds, config, init=BoxParams.default(3))
 
+    def test_first_bad_embedding_in_dataset_order_is_named(self):
+        # a's peer c and b (of another text) are both 3-d; b comes first in
+        # the dataset, though a's peers are read before b's list
+        a = _embedded_instance("a", "t", "alpha", [(0.0, 0.0), (0.0, 3.0)], [1, 0])
+        b = _embedded_instance("b", "u", "beta", [(0.0, 0.0, 0.0)], [1])
+        c = _embedded_instance("c", "t", "gamma", [(1.0, 1.0, 1.0)], [1])
+        d = _embedded_instance("d", "u", "delta", [(1.0, 1.0)], [1])
+        ds = Dataset(instances=(a, b, c, d), embedding_dim=2)
+        expected = "candidate 'b_c0' has a 3-d embedding, not 2-d like the box parameters"
+        with pytest.raises(FeatureError, match=expected):
+            box_feature(ds, BoxParams.default(2))
+        with pytest.raises(FeatureError, match=expected):
+            train_box_params(ds, TrainConfig(epochs=1, seed=0))
+
+    def test_one_box_per_mention(self, monkeypatch):
+        # a text of k mentions boxes each candidate list once, not once per co-mention
+        insts = tuple(_embedded_instance(m, "t", m, [(float(k), 0.0), (0.0, float(k))], [1, 0])
+                      for k, m in enumerate("abcde"))
+        calls = []
+        monkeypatch.setattr(boxgeom, "box_of", lambda emb: calls.append(1) or box_of(emb))
+        box_feature(Dataset(instances=insts, embedding_dim=2), BoxParams.default(2))
+        assert len(calls) == len(insts)
+
     def test_non_finite_score_names_the_mention(self):
         inst_a, _ = _two_mention_fixture().instances
         inst_b = _embedded_instance("b", "t", "beta", [(2.0, 0.0), (-2.0, 3.0)], [1, 0], cos=[0.2, float("nan")])

@@ -334,6 +334,17 @@ class TestFeatureCsvFaults:
         assert f"features.csv line 3: column {header[2]!r} is {cell}, not finite" in capsys.readouterr().err
 
 
+    def test_out_of_range_cell_exits_one(self, demo, capsys):
+        feats = demo[1]
+        lines = feats.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[2].split(",")
+        cells[2] = "7.5"
+        lines[2] = ",".join(cells)
+        feats.write_text("\n".join(lines) + "\n")
+        assert self._link(demo) == 1
+        assert f"features.csv line 3: column {header[2]!r} is 7.5, outside [0, 1]" in capsys.readouterr().err
+
     def test_non_numeric_cell_exits_one(self, demo, capsys):
         feats = demo[1]
         lines = feats.read_text().splitlines()

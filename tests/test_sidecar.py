@@ -199,6 +199,7 @@ _BLOCK_FAULTS = {
     "label-two": _set("labels", lambda a: _poke(a, 0, 2)),
     "matrix-nan": _set("matrix", lambda a: _poke(a, (1, 0), np.nan)),
     "matrix-inf": _set("matrix", lambda a: _poke(a, (0, 1), np.inf)),
+    "matrix-above-one": _set("matrix", lambda a: _poke(a, (1, 0), 1.5)),
     "version": _edit_header(format_version=SIDECAR_VERSION + 1),
     "header-not-json": _set("header", lambda a: np.frombuffer(b"{", dtype=np.uint8)),
     "header-2d": _set("header", lambda a: a.reshape(1, -1)),

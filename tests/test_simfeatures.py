@@ -1,20 +1,27 @@
 import csv
 import functools
 import hashlib
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import string_reference
 from conftest import toy_instances
+from rulelink import simfeatures
 from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
 from rulelink.errors import FeatureError
 from rulelink.simfeatures import (
     FeatureCatalog,
     FeatureSpec,
     FeatureTable,
-    _levenshtein,
+    _edit_distances,
+    _jacc_column,
+    _jw_column,
+    _lev_column,
     _window_distances,
     build_feature_table,
     char_jaccard,
@@ -185,7 +192,7 @@ class TestKernelsMatchReferences:
     @given(st.text(any_char, max_size=20), st.text(any_char, max_size=20))
     @settings(max_examples=300)
     def test_levenshtein(self, a, b):
-        assert _levenshtein(a, b) == levenshtein_reference(a, b)
+        assert _edit_distances([a], [b])[0] == levenshtein_reference(a, b)
         assert lev_sim(a, b) == (
             1.0 if not a and not b else 1.0 - levenshtein_reference(a, b) / max(len(a), len(b))
         )
@@ -193,7 +200,7 @@ class TestKernelsMatchReferences:
     def test_levenshtein_beyond_one_machine_word(self):
         a = "ab" * 70 + "\U0001F600"
         b = "ba" * 65 + "\ud800"
-        assert _levenshtein(a, b) == levenshtein_reference(a, b)
+        assert _edit_distances([a], [b])[0] == levenshtein_reference(a, b)
 
     @given(st.text(any_char, max_size=8), st.text(any_char, max_size=24))
     @settings(max_examples=300)
@@ -243,6 +250,118 @@ class TestKernelsMatchReferences:
         assert [table.value("m", c.id, "pr") for c in cands] == [
             partial_ratio_reference(surface, name) for name in names
         ]
+
+
+_KERNELS = [
+    (_jacc_column, string_reference.char_jaccard),
+    (_lev_column, string_reference.lev_sim),
+    (_jw_column, string_reference.jaro_winkler),
+]
+# Short strings, and strings past one 64-bit word built by repeating a short one.
+_strings = st.text(any_char, max_size=10) | st.builds(
+    lambda s, n: (s * n)[:n], st.text(any_char, min_size=1, max_size=10), st.integers(62, 90))
+_pairs = st.lists(st.tuples(_strings, _strings) | _strings.map(lambda s: (s, s)), min_size=1, max_size=12)
+
+
+@st.composite
+def _ragged_dataset(draw):
+    """1-4 mentions of one text with 1-64 candidates each; names are drawn,
+    and types, descriptions, in-degrees and external scores vary by a drawn
+    random source."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 4))
+    mids = [f"m{i}" for i in range(n)]
+    instances = []
+    for i, mid in enumerate(mids):
+        names = draw(st.lists(st.text(any_char, max_size=12), min_size=1, max_size=64))
+        cands = tuple(
+            CandidateEntity(
+                id=f"{mid}_c{j}",
+                name=name,
+                description=rnd.choice([None, name, "ab " + name[:3], "c a b"]),
+                domains=frozenset(rnd.sample(["P", "Q"], rnd.randint(0, 2))),
+                indegree=rnd.randint(0, 5),
+                external_scores={src: rnd.random() for src in ("spacy", "blink") if rnd.random() < 0.7},
+            )
+            for j, name in enumerate(names)
+        )
+        others = mids[:i] + mids[i + 1:]
+        mention = Mention(id=mid, surface=draw(st.text(any_char, min_size=1, max_size=10)), text_id="t",
+                          context_ids=tuple(rnd.sample(others, rnd.randint(0, len(others)))),
+                          mention_type=rnd.choice([None, "P", "Q"]))
+        instances.append(LabeledInstance(mention, cands, (1,) + (0,) * (len(cands) - 1)))
+    return Dataset(instances=tuple(instances))
+
+
+def reference_rows(ds: Dataset, catalog: FeatureCatalog) -> dict:
+    """Every row built pair by pair from the per-pair references."""
+    mentions = ds.mentions_by_id()
+    rows = {}
+    for inst in ds.instances:
+        surface, cands = inst.mention.surface, inst.candidates
+        cols = {}
+        for name, spec in catalog.entries.items():
+            if spec.kind == "jacc":
+                cols[name] = [string_reference.char_jaccard(surface, c.name) for c in cands]
+            elif spec.kind == "lev":
+                cols[name] = [string_reference.lev_sim(surface, c.name) for c in cands]
+            elif spec.kind == "jw":
+                cols[name] = [string_reference.jaro_winkler(surface, c.name) for c in cands]
+            elif spec.kind == "pr":
+                cols[name] = [partial_ratio(surface, c.name) for c in cands]
+            elif spec.kind == "ctx":
+                cols[name] = context_scores(inst, mentions)
+            elif spec.kind == "type":
+                cols[name] = [type_score(inst.mention, c) for c in cands]
+            elif spec.kind == "prom":
+                cols[name] = prominence_score(inst)
+            elif spec.kind == "external":
+                cols[name] = [c.external_scores.get(spec.source, 0.0) for c in cands]
+        for j, c in enumerate(cands):
+            rows[(inst.mention.id, c.id)] = {name: float(col[j]) for name, col in cols.items()}
+    return rows
+
+
+class TestColumnKernels:
+    """The column kernels equal the per-pair references of
+    ``string_reference`` by ``tobytes()``, and a table built from columns
+    equals one built pair by pair, cell by cell."""
+
+    @given(_pairs, st.sampled_from([2, 512]))
+    @settings(max_examples=200, deadline=None)
+    def test_kernels_match_references(self, pairs, block):
+        a, b = [x for x, _ in pairs], [y for _, y in pairs]
+        with mock.patch.object(simfeatures, "_BLOCK", block):
+            for column, reference in _KERNELS:
+                assert column(a, b).tobytes() == np.array([reference(x, y) for x, y in pairs]).tobytes()
+            assert _edit_distances(a, b).tolist() == [string_reference.levenshtein(x, y) for x, y in pairs]
+
+    def test_batches_across_block_boundaries(self):
+        rng = random.Random(7)
+        alphabet = "abAB \u00e9\u00df\U0001F600\ud800\udc00"
+        words = ["".join(rng.choice(alphabet) for _ in range(rng.choice([0, 1, 3, 8, 16, 70])))
+                 for _ in range(2 * 1100)]
+        a, b = words[::2], words[1::2]
+        b[::9] = a[::9]  # some equal pairs
+        for column, reference in _KERNELS:
+            assert column(a, b).tobytes() == np.array([reference(x, y) for x, y in zip(a, b)]).tobytes()
+
+    def test_one_row_calls(self):
+        for (column, reference), public in zip(_KERNELS, (char_jaccard, lev_sim, jaro_winkler)):
+            for x, y in [("", ""), ("", "ab"), ("MARTHA", "MARHTA"), ("a" * 70, "a" * 69 + "b")]:
+                assert type(public(x, y)) is float
+                assert public(x, y) == reference(x, y)
+
+    @given(_ragged_dataset(), st.sampled_from([1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_table_matches_pair_by_pair_build(self, ds, jobs):
+        catalog = default_catalog().restricted(["jacc", "lev", "jw", "pr", "ctx", "type", "prom", "spacy", "blink"])
+        table = build_feature_table(ds, catalog, jobs=jobs)
+        expected = reference_rows(ds, catalog)
+        assert list(table.rows) == list(expected)
+        assert {k: {n: repr(v) for n, v in row.items()} for k, row in table.rows.items()} == (
+            {k: {n: repr(v) for n, v in row.items()} for k, row in expected.items()}
+        )
 
 
 class TestMinmaxRescale:
@@ -367,6 +486,22 @@ class TestBuildFeatureTable:
         assert table.value("m1", "James_Cameron", "blink") == 0.0
         assert any("blink" in rec.message for rec in caplog.records)
 
+    def test_missing_external_warnings_in_first_seen_order(self, caplog):
+        def inst(mid, scores):
+            m = Mention(id=mid, surface="s", text_id=mid)
+            cands = tuple(CandidateEntity(id=f"e{k}", name="x", external_scores=s) for k, s in enumerate(scores))
+            return LabeledInstance(m, cands, (1,) + (0,) * (len(cands) - 1))
+
+        ds = Dataset(instances=(inst("m1", [{"spacy": 0.5}, {"spacy": 0.1}]), inst("m2", [{}, {"blink": 0.2}])))
+        catalog = FeatureCatalog({"spacy": FeatureSpec("external", source="spacy"),
+                                  "blink": FeatureSpec("external", source="blink")})
+        with caplog.at_level("WARNING"):
+            build_feature_table(ds, catalog)
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "feature blink: 3 candidates lacked the source column, used 0.0",
+            "feature spacy: 2 candidates lacked the source column, used 0.0",
+        ]
+
     def test_box_without_embeddings_is_error(self, toy_dataset):
         catalog = FeatureCatalog({"box": FeatureSpec("box")})
         with pytest.raises(FeatureError, match="embedding"):
@@ -429,7 +564,7 @@ class TestFeatureTableCsv:
             max_size=5,
             unique=True,
         ),
-        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(0, 1),
     )
     @settings(max_examples=100)
     def test_any_unicode_id_round_trips(self, tmp_path_factory, keys, value):
@@ -464,6 +599,14 @@ class TestFeatureTableCsv:
         path.write_text(f"mention_id,candidate_id,f,g\nm1,a,1.0,0.5\nm1,b,0.5,{cell}\n")
         with pytest.raises(FeatureError, match=rf"features.csv line 3: column 'g' is {cell}, not finite"):
             FeatureTable.from_csv(path)
+
+    @pytest.mark.parametrize("cell", ["7.5", "-0.25", "1.0000000000000002", "-1e-300"])
+    def test_out_of_range_cell_names_file_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "features.csv"
+        path.write_text(f"mention_id,candidate_id,f,g\nm1,a,1.0,0.0\nm1,b,0.5,{cell}\n")
+        with pytest.raises(FeatureError) as info:
+            FeatureTable.from_csv(path)
+        assert str(info.value) == f"{path} line 3: column 'g' is {float(cell)!r}, outside [0, 1]"
 
     @pytest.mark.parametrize("cell", ["abc", "", "1,5", "0x1"])
     def test_non_numeric_cell_names_file_line_and_column(self, tmp_path, cell):
