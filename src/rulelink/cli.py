@@ -89,7 +89,7 @@ def _cmd_featurize(args) -> int:
     catalog = default_catalog(box_params=box_params).restricted(leaves)
     table = build_feature_table(ds, catalog, jobs=args.jobs)
     write_features(args.out, ds, table)
-    logger.info("wrote %d feature rows to %s", len(table.rows), args.out)
+    logger.info("wrote %d feature rows to %s", len(table.candidate_ids), args.out)
     return 0
 
 
@@ -116,7 +116,6 @@ def _scoring_input(args, names: list[str]):
     block = read_sidecar(features, data, names)
     if block is None:
         return load_dataset(data), FeatureTable.from_csv(features)
-    block.report.log(data)
     return block, None
 
 

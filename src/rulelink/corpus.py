@@ -39,7 +39,7 @@ DEFAULT_DENYLIST = (
     "http://dbpedia.org/resource/File:",
 )
 
-# A str holds a surrogate code point only where it is unpaired.
+# A str holds a surrogate only where it is unpaired, or where surrogateescape decoded a bad byte.
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
@@ -204,23 +204,25 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
         )
         raw_cands = _as_list(obj["candidates"], "candidates")
         labels = tuple(int(l) for l in _as_list(obj["labels"], "labels"))
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         fail(f"missing or malformed field ({exc})")
 
     candidates = []
     for c in raw_cands:
         try:
             emb = c.get("embedding")
+            indegree = int(c.get("indegree", 0))
+            float(indegree)  # OverflowError if no float holds it: prom rescales in-degrees as floats
             candidates.append(CandidateEntity(
                 id=str(c["id"]),
                 name=str(c["name"]),
                 description=c.get("description"),
                 domains=frozenset(str(d) for d in _as_list(c.get("domains", []), "domains")),
-                indegree=int(c.get("indegree", 0)),
+                indegree=indegree,
                 embedding=None if emb is None else tuple(float(v) for v in _as_list(emb, "embedding")),
                 external_scores={str(k): float(v) for k, v in c.get("external_scores", {}).items()},
             ))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             fail(f"malformed candidate ({exc})")
 
     inst = LabeledInstance(mention=mention, candidates=tuple(candidates), labels=labels)
@@ -260,16 +262,21 @@ def load_dataset(path) -> Dataset:
     with open(path, "rb", buffering=0) as fh:
         source = _HashingReader(fh)
         text = io.TextIOWrapper(io.BufferedReader(source), encoding="utf-8")
-        for line_no, line in enumerate(text, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            total += 1
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            parsed.append(_parse_instance(obj, line_no))
+        try:
+            for line_no, line in enumerate(text, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                total += 1
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
+                    raise DatasetError(f"line {line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+                parsed.append(_parse_instance(obj, line_no))
+        except UnicodeDecodeError as exc:  # find the bad byte's line, counted as above
+            with open(path, encoding="utf-8", errors="surrogateescape") as again:
+                bad = next(n for n, line in enumerate(again, start=1) if _LONE_SURROGATE.search(line))
+            raise DatasetError(f"{path} line {bad}: not UTF-8 ({exc.reason})") from exc
 
     seen_ids: set[str] = set()
     for inst in parsed:

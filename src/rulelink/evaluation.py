@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import Dataset
 from .logic import AndNode, NotNode, RawLeaf, ThresholdLeaf
 from .ruledsl import TemplateLibrary, builtin_templates, compile, disjoin
-from .simfeatures import FeatureTable, ScoringBlock
+from .simfeatures import FeatureTable, ScoringBlock, default_catalog
 from .training import Model, TrainConfig, train
 
 logger = logging.getLogger(__name__)
@@ -81,22 +81,19 @@ def rank_candidates(candidate_ids, scores) -> tuple[tuple[str, float], ...]:
     return tuple((candidate_ids[i], values[i]) for i in np.argsort(-scores, kind="stable").tolist())
 
 
-def _columns(model: Model, ds, table: FeatureTable | None) -> dict[str, np.ndarray]:
-    names = model.graph.feature_names
-    return ds.columns(names) if table is None else table.gather(ds.instances, names)[0]
-
-
 def link(model: Model, ds: Dataset | ScoringBlock, table: FeatureTable | None = None) -> list[Prediction]:
     """Score every mention's candidates in one graph walk and rank every
     list at once.
 
     ``ds`` is a Dataset scored against the rows of ``table``, or a
-    ScoringBlock, which holds its own rows (``table`` stays None). One stable
+    ScoringBlock, whose table holds its rows (``table`` stays None). One stable
     sort keyed on (list, -score) ranks each list as :func:`rank_candidates`
     does.
     """
     mention_ids, offsets, candidate_ids, _ = ds.row_keys()
-    scores = model.graph.evaluate_batch(_columns(model, ds, table))
+    names = model.graph.feature_names
+    cols = ds.table.select(names) if table is None else table.gather(ds.instances, names)[0]
+    scores = model.graph.evaluate_batch(cols)
     lengths = [end - start for start, end in zip(offsets, offsets[1:])]
     order = np.lexsort((-scores, np.arange(len(lengths)).repeat(lengths)))
     values = scores.tolist()
@@ -195,8 +192,6 @@ def ablation(
     eval_ds = eval_ds or ds
     eval_table = eval_table or table
     if catalog is None:
-        from .simfeatures import default_catalog
-
         catalog = default_catalog()
     rows = []
     for subset in subsets:

@@ -27,10 +27,11 @@ import os
 import re
 import zipfile
 from bisect import bisect_right
-from itertools import chain, repeat
-from operator import itemgetter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import cached_property, partial
+from itertools import chain, repeat
+from types import MappingProxyType
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -297,6 +298,8 @@ def minmax_rescale(values) -> np.ndarray:
 
 
 def _context_raws(inst: LabeledInstance, all_mentions: dict[str, Mention]) -> np.ndarray:
+    """Per candidate, the summed ``partial_ratio`` of the context mentions'
+    surfaces against its description; 0 for a candidate without one."""
     surfaces = []
     for ctx_id in inst.mention.context_ids:
         if ctx_id not in all_mentions:
@@ -311,31 +314,11 @@ def _context_raws(inst: LabeledInstance, all_mentions: dict[str, Mention]) -> np
     return raws
 
 
-def context_scores(inst: LabeledInstance, all_mentions: dict[str, Mention]) -> np.ndarray:
-    """Raw context score per candidate, min-max rescaled over the list.
-
-    raw(e) = sum over context mentions m_k of partial_ratio(m_k.surface,
-    e.description); candidates without a description contribute raw 0.
-    """
-    return minmax_rescale(_context_raws(inst, all_mentions))
-
-
 def type_score(m: Mention, e) -> float:
     """1 iff the mention has a type and it appears in the candidate domains."""
     if m.mention_type is None:
         return 0.0
     return 1.0 if m.mention_type in e.domains else 0.0
-
-
-def _indegrees(inst: LabeledInstance) -> list:
-    if not inst.candidates:
-        raise FeatureError("prominence needs a non-empty candidate list")
-    return [c.indegree for c in inst.candidates]
-
-
-def prominence_score(inst: LabeledInstance) -> np.ndarray:
-    """Min-max rescaled in-degrees over the instance's candidate list."""
-    return minmax_rescale(_indegrees(inst))
 
 
 @dataclass(frozen=True)
@@ -449,39 +432,73 @@ def _in_unit_range(values: np.ndarray) -> np.ndarray:
 
 
 class FeatureTable:
-    """Per (mention, candidate) feature vectors, keyed by feature name."""
+    """Per (mention, candidate) feature vectors: the row keys as two columns,
+    ``mention_ids`` and ``candidate_ids``, in table order; ``index`` from each
+    key to its row; one float64 ``[rows, features]`` matrix with columns
+    ``feature_names``, the first rows of a buffer that ``add_row`` doubles."""
 
-    def __init__(self, feature_names: list[str]):
+    def __init__(self, feature_names: list[str], mention_ids=(), candidate_ids=(), matrix: np.ndarray | None = None):
         self.feature_names = list(feature_names)
-        self.rows: dict[tuple[str, str], dict[str, float]] = {}
+        self.mention_ids: list[str] = list(mention_ids)
+        self.candidate_ids: list[str] = list(candidate_ids)
+        self._buffer = np.empty((0, len(self.feature_names))) if matrix is None else matrix
+
+    @cached_property
+    def index(self) -> dict[tuple[str, str], int]:
+        """Each key ``(mention_id, candidate_id)``'s row, made on first use."""
+        return dict(zip(zip(self.mention_ids, self.candidate_ids), range(len(self.candidate_ids))))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._buffer[: len(self.candidate_ids)]
+
+    @property
+    def rows(self) -> MappingProxyType[tuple[str, str], dict[str, float]]:
+        """Read-only: each key's row as ``{name: value}``, made from the matrix."""
+        rows = zip(self.mention_ids, self.candidate_ids, self.matrix.tolist())
+        return MappingProxyType({(mid, cid): dict(zip(self.feature_names, row)) for mid, cid, row in rows})
 
     def add_row(self, mention_id: str, candidate_id: str, values: dict[str, float]) -> None:
+        """Set the row of a key: in place when the table holds it, else last."""
         missing = [n for n in self.feature_names if n not in values]
         if missing:
             raise FeatureError(f"row ({mention_id},{candidate_id}) missing {missing}")
-        self.rows[(mention_id, candidate_id)] = {n: float(values[n]) for n in self.feature_names}
+        row = [float(values[n]) for n in self.feature_names]
+        at = self.index.setdefault((mention_id, candidate_id), len(self.candidate_ids))
+        if at == len(self.candidate_ids):
+            if at == len(self._buffer):
+                self._buffer = np.concatenate((self._buffer, np.empty((max(at, 8), len(row)))))
+            self.mention_ids.append(mention_id)
+            self.candidate_ids.append(candidate_id)
+        self._buffer[at] = row
 
-    def value(self, mention_id: str, candidate_id: str, name: str) -> float:
-        return self.rows[(mention_id, candidate_id)][name]
-
-    def gather(self, instances, names=None) -> tuple[dict[str, np.ndarray], list[int]]:
-        """Feature columns over many instances' candidates, concatenated in
-        order, plus offsets: instance i owns rows ``offsets[i]:offsets[i+1]``."""
+    def _positions(self, names) -> tuple[list[str], list[int]]:
         names = list(names) if names is not None else self.feature_names
         missing = [n for n in names if n not in self.feature_names]
         if missing:
             raise FeatureError(f"feature table lacks columns: {', '.join(missing)}")
-        rows = []
-        offsets = [0]
+        return names, [self.feature_names.index(n) for n in names]
+
+    def select(self, names=None) -> dict[str, np.ndarray]:
+        """The named columns over every row, in table order."""
+        names, positions = self._positions(names)
+        return dict(zip(names, self.matrix.T[positions]))
+
+    def gather(self, instances, names=None) -> tuple[dict[str, np.ndarray], list[int]]:
+        """Feature columns over many instances' candidates, concatenated in
+        order, plus offsets: instance i owns rows ``offsets[i]:offsets[i+1]``."""
+        names, positions = self._positions(names)
+        index, rows, offsets = self.index, [], [0]
         for inst in instances:
             mid = inst.mention.id
             for cand in inst.candidates:
-                row = self.rows.get((mid, cand.id))
+                row = index.get((mid, cand.id))
                 if row is None:
                     raise FeatureError(f"feature table lacks row ({mid!r}, {cand.id!r})")
                 rows.append(row)
             offsets.append(len(rows))
-        return {name: np.fromiter(map(itemgetter(name), rows), float, len(rows)) for name in names}, offsets
+        # the block np.ix_(positions, rows) picks, at half the cost for one short list
+        return dict(zip(names, self.matrix.T[np.array(positions, dtype=np.intp)[:, None], rows])), offsets
 
     def columns(self, inst: LabeledInstance, names=None) -> dict[str, np.ndarray]:
         """Feature columns over one instance's candidates, in list order."""
@@ -489,13 +506,12 @@ class FeatureTable:
 
     def to_csv(self, path) -> str:
         """Write the table to ``path`` through a temp file and a rename:
-        header ``mention_id,candidate_id,<features>``, then one row per pair
-        with each value's ``repr``; ``from_csv`` reads it back. Returns the
-        sha256 hex of the bytes written."""
-        names = self.feature_names
-        lines = [",".join(map(_csv_cell, ["mention_id", "candidate_id"] + names))]
-        for (mid, cid), values in self.rows.items():
-            lines.append(",".join([_csv_cell(mid), _csv_cell(cid)] + [repr(values[n]) for n in names]))
+        header ``mention_id,candidate_id,<features>``, then one row per key
+        in table order with each value's ``repr``; ``from_csv`` reads it
+        back. Returns the sha256 hex of the bytes written."""
+        lines = [",".join(map(_csv_cell, ["mention_id", "candidate_id"] + self.feature_names))]
+        for mid, cid, values in zip(self.mention_ids, self.candidate_ids, self.matrix.tolist()):
+            lines.append(",".join([_csv_cell(mid), _csv_cell(cid), *map(repr, values)]))
         data = ("\n".join(lines) + "\n").encode("utf-8")
         atomic_write(path, data)
         return hashlib.sha256(data).hexdigest()
@@ -511,8 +527,7 @@ class FeatureTable:
                 header = next(reader, [])
                 if header[:2] != ["mention_id", "candidate_id"] or len(set(header)) < len(header):
                     raise FeatureError(f"bad feature CSV header in {path}")
-                table = cls(header[2:])
-                names, rows, lines = table.feature_names, table.rows, []
+                names, values, lines = header[2:], [], {}  # lines: each key's line
                 for cells in reader:
                     if not cells:
                         continue
@@ -520,9 +535,8 @@ class FeatureTable:
                         raise FeatureError(
                             f"{path} line {reader.line_num}: expected {len(header)} cells"
                         )
-                    key = (cells[0], cells[1])
                     try:
-                        rows[key] = dict(zip(names, map(float, cells[2:])))
+                        values.extend(map(float, cells[2:]))
                     except ValueError:  # find the cell float() refused
                         for name, cell in zip(names, cells[2:]):
                             try:
@@ -530,20 +544,20 @@ class FeatureTable:
                             except ValueError:
                                 raise FeatureError(f"{path} line {reader.line_num}: column {name!r} is "
                                                    f"{cell!r}, not a number") from None
-                    lines.append(reader.line_num)
-                    if len(rows) < len(lines):
+                    key = (cells[0], cells[1])
+                    if lines.setdefault(key, reader.line_num) != reader.line_num:
                         raise FeatureError(f"{path} line {reader.line_num}: row {key!r} repeats "
-                                           f"line {lines[list(rows).index(key)]}")
+                                           f"line {lines[key]}")
             except csv.Error as exc:
                 raise FeatureError(f"{path} line {reader.line_num}: {exc}") from exc
-        cells = chain.from_iterable(row.values() for row in rows.values())
-        valid = _in_unit_range(np.fromiter(cells, float, len(rows) * len(names)))
+        matrix = np.array(values, dtype=np.float64).reshape(len(lines), len(names))
+        valid = _in_unit_range(matrix)
         if not valid.all():
             row, col = divmod(int(np.argmin(valid)), len(names))
-            value = list(rows.values())[row][names[col]]
+            value, line = matrix[row, col].item(), list(lines.values())[row]
             fault = "outside [0, 1]" if np.isfinite(value) else "not finite"
-            raise FeatureError(f"{path} line {lines[row]}: column {names[col]!r} is {value!r}, {fault}")
-        return table
+            raise FeatureError(f"{path} line {line}: column {names[col]!r} is {value!r}, {fault}")
+        return cls(names, [mid for mid, _ in lines], [cid for _, cid in lines], matrix)
 
 
 # --- scoring sidecar ------------------------------------------------------
@@ -570,33 +584,19 @@ def _file_sha256(path) -> str:
 
 @dataclass(frozen=True)
 class ScoringBlock:
-    """The rows a dataset's candidate lists score, in dataset order: list i
-    of mention ``mention_ids[i]`` owns rows ``offsets[i]:offsets[i+1]``.
-    ``matrix`` has one column per name in ``feature_names``; ``labels``
-    holds each row's 0/1 gold label; ``report`` is the dataset's load."""
+    """A dataset's candidate lists over the rows of ``table``, which holds
+    them in dataset order: list i of mention ``mention_ids[i]`` owns rows
+    ``offsets[i]:offsets[i+1]``; ``labels`` holds each row's 0/1 gold label."""
 
     mention_ids: list[str]
-    candidate_ids: list[str]
     offsets: list[int]
     labels: np.ndarray
-    matrix: np.ndarray
-    feature_names: list[str]
-    report: LoadReport
-
-    @property
-    def instances(self) -> list[str]:
-        """The mention ids, one per candidate list: ``evaluation`` counts a
-        block's mentions as it counts a Dataset's."""
-        return self.mention_ids
+    table: FeatureTable
+    instances = property(lambda self: self.mention_ids)  # counted as a Dataset's instances are
 
     def row_keys(self) -> tuple[list[str], list[int], list[str], np.ndarray]:
         """As :meth:`Dataset.row_keys` gives them for the block's dataset."""
-        return self.mention_ids, self.offsets, self.candidate_ids, self.labels
-
-    def columns(self, names) -> dict[str, np.ndarray]:
-        """The named columns, as :meth:`FeatureTable.gather` gives them."""
-        index = {name: j for j, name in enumerate(self.feature_names)}
-        return {name: np.ascontiguousarray(self.matrix[:, index[name]]) for name in names}
+        return self.mention_ids, self.offsets, self.table.candidate_ids, self.labels
 
 
 class _Unusable(Exception):
@@ -624,17 +624,19 @@ def _str_list(obj) -> bool:
 def write_features(path, ds: Dataset, table: FeatureTable) -> None:
     """Write ``table`` as the feature CSV at ``path`` and, at
     :func:`sidecar_path`, the scoring block of ``ds`` (as loaded by
-    :func:`load_dataset`) over it; each through a temp file and a rename."""
-    features_sha256 = table.to_csv(path)
-    names = table.feature_names
+    :func:`load_dataset`) with the table's matrix as it is; each through a
+    temp file and a rename. The table's rows must be the pairs of ``ds`` in
+    dataset order, as :func:`build_feature_table` makes them."""
     mention_ids, offsets, candidate_ids, labels = ds.row_keys()
-    rows = [table.rows[(inst.mention.id, c.id)] for inst in ds.instances for c in inst.candidates]
+    rows_of = [inst.mention.id for inst in ds.instances for _ in inst.candidates]
+    if (table.mention_ids, table.candidate_ids) != (rows_of, candidate_ids):
+        raise FeatureError("feature table rows are not the dataset's pairs in dataset order")
     header = {
         "format_version": SIDECAR_VERSION,
         "data_sha256": ds.report.sha256,
-        "features_sha256": features_sha256,
+        "features_sha256": table.to_csv(path),
         "load_report": {name: getattr(ds.report, name) for name in _COUNT_FIELDS},
-        "feature_names": names,
+        "feature_names": table.feature_names,
     }
     out = io.BytesIO()
     np.savez(
@@ -643,12 +645,12 @@ def write_features(path, ds: Dataset, table: FeatureTable) -> None:
         ids=_blob([mention_ids, candidate_ids]),
         offsets=np.array(offsets, dtype=np.int64),
         labels=np.array(labels, dtype=np.int8),
-        matrix=np.stack([np.fromiter(map(itemgetter(name), rows), np.float64, len(rows)) for name in names], axis=1),
+        matrix=table.matrix,
     )
     atomic_write(sidecar_path(path), out.getbuffer())
 
 
-def _load_block(path: str, data_sha256: str, features_sha256: str, needed: list[str]) -> ScoringBlock:
+def _load_block(path: str, data_path, data_sha256: str, features_sha256: str, needed: list[str]) -> ScoringBlock:
     npz = np.load(path, allow_pickle=False)
     if not isinstance(npz, np.lib.npyio.NpzFile):
         raise _Unusable("not an npz archive")
@@ -687,24 +689,27 @@ def _load_block(path: str, data_sha256: str, features_sha256: str, needed: list[
         raise _Unusable("labels outside {0, 1}")
     if not _in_unit_range(matrix).all():
         raise _Unusable("feature value outside [0, 1]")
-    return ScoringBlock(mention_ids, candidate_ids, offsets.tolist(), labels, matrix, names,
-                        LoadReport(**counts, sha256=data_sha256))
+    lists = map(repeat, mention_ids, np.diff(offsets).tolist())
+    table = FeatureTable(names, chain.from_iterable(lists), candidate_ids, matrix)
+    LoadReport(**counts, sha256=data_sha256).log(data_path)
+    return ScoringBlock(mention_ids, offsets.tolist(), labels, table)
 
 
 def read_sidecar(features_path, data_path, names: list[str]) -> ScoringBlock | None:
-    """The scoring block :func:`write_features` left beside
-    ``features_path``, if it was made from exactly these data and CSV bytes,
-    passes its structural checks and holds the columns ``names``. Otherwise
-    None, logged at INFO when there is no sidecar and at WARNING when it is
-    stale, damaged or short of a column, and the caller reads the two files
-    themselves."""
+    """The scoring block, and in it the feature table, that
+    :func:`write_features` left beside ``features_path``, if it was made
+    from exactly these data and CSV bytes, passes its structural checks and
+    holds the columns ``names``; it then logs the dataset's load line as
+    :func:`load_dataset` does. Otherwise None, logged at INFO when there is
+    no sidecar and at WARNING when it is stale, damaged or short of a
+    column, and the caller reads the two files themselves."""
     path = sidecar_path(features_path)
     if not os.path.exists(path):
         logger.info("no feature sidecar %s; reading %s and %s", path, data_path, features_path)
         return None
     digests = _file_sha256(data_path), _file_sha256(features_path)
     try:
-        return _load_block(path, *digests, list(names))
+        return _load_block(path, data_path, *digests, list(names))
     except (_Unusable, OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         reason = exc if isinstance(exc, _Unusable) else f"{type(exc).__name__}: {exc}"
         logger.warning("feature sidecar %s not used (%s); reading %s and %s",
@@ -725,7 +730,9 @@ def _instance_columns(
         elif spec.kind == "ctx":
             out[name] = _rescalable(_context_raws(inst, mentions))
         elif spec.kind == "prom":
-            out[name] = _rescalable(_indegrees(inst))
+            if not inst.candidates:
+                raise FeatureError("prominence needs a non-empty candidate list")
+            out[name] = _rescalable([c.indegree for c in inst.candidates])
     return out
 
 
@@ -751,14 +758,10 @@ def build_feature_table(ds: Dataset, catalog: FeatureCatalog, jobs: int = 1) -> 
     ``jobs > 1``. Every feature is then one column over all pairs in
     dataset order, then candidate position (``jacc``, ``lev`` and ``jw``
     from the column kernels, ``ctx`` and ``prom`` rescaled list by list in
-    one pass), and each row is read from the columns.
+    one pass), written into the table's matrix.
     """
     boxes = {name: _box_column(ds, spec) for name, spec in catalog.entries.items() if spec.kind == "box"}
-    mentions = ds.mentions_by_id()
-
-    def compute(inst):
-        return _instance_columns(inst, catalog, mentions)
-
+    compute = partial(_instance_columns, catalog=catalog, mentions=ds.mentions_by_id())
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             lists = list(pool.map(compute, ds.instances))
@@ -768,32 +771,27 @@ def build_feature_table(ds: Dataset, catalog: FeatureCatalog, jobs: int = 1) -> 
     _, offsets, candidate_ids, _ = ds.row_keys()
     pairs = [(inst.mention, c) for inst in ds.instances for c in inst.candidates]
     surfaces, names = [m.surface for m, _ in pairs], [c.name for _, c in pairs]
-    columns: dict[str, np.ndarray] = {}
+    matrix = np.empty((len(pairs), len(catalog.entries)))
     missing_external: dict[str, tuple[int, int]] = {}  # name -> (first instance lacking it, count)
-    for name, spec in catalog.entries.items():
+    for column, (name, spec) in zip(matrix.T, catalog.entries.items()):
         if spec.kind in _NAME_KERNELS:
-            columns[name] = _NAME_KERNELS[spec.kind](surfaces, names)
+            column[:] = _NAME_KERNELS[spec.kind](surfaces, names)
         elif spec.kind == "pr":
-            columns[name] = _joined([cols[name] for cols in lists])
+            column[:] = _joined([cols[name] for cols in lists])
         elif spec.kind in ("ctx", "prom"):
-            columns[name] = _rescale_lists(_joined([cols[name] for cols in lists]), offsets)
+            column[:] = _rescale_lists(_joined([cols[name] for cols in lists]), offsets)
         elif spec.kind == "type":
-            columns[name] = np.fromiter((type_score(m, c) for m, c in pairs), float, len(pairs))
+            column[:] = np.fromiter((type_score(m, c) for m, c in pairs), float, len(pairs))
         elif spec.kind == "external":
             scores = [c.external_scores for _, c in pairs]
-            columns[name] = np.fromiter((s.get(spec.source, 0.0) for s in scores), float, len(pairs))
+            column[:] = np.fromiter((s.get(spec.source, 0.0) for s in scores), float, len(pairs))
             lacking = [k for k, s in enumerate(scores) if spec.source not in s]
             if lacking:
                 missing_external[name] = (bisect_right(offsets, lacking[0]) - 1, len(lacking))
         elif spec.kind == "box":
-            columns[name] = _joined(boxes[name])
+            column[:] = _joined(boxes[name])
         else:  # pragma: no cover - guarded by FeatureSpec
             raise FeatureError(f"unknown feature kind {spec.kind!r}")
     for name, (_, count) in sorted(missing_external.items(), key=lambda item: item[1][0]):
         logger.warning("feature %s: %d candidates lacked the source column, used 0.0", name, count)
-
-    table = FeatureTable(catalog.names())
-    keys = zip([m.id for m, _ in pairs], candidate_ids)
-    rows = zip(*(columns[n].tolist() for n in table.feature_names)) if columns else repeat(())
-    table.rows = {key: dict(zip(table.feature_names, row)) for key, row in zip(keys, rows)}
-    return table
+    return FeatureTable(catalog.names(), [m.id for m, _ in pairs], candidate_ids, matrix)

@@ -97,3 +97,28 @@ def write_jsonl(path, objects):
         for obj in objects:
             fh.write(json.dumps(obj) + "\n")
     return path
+
+
+# JSON numbers no float can hold: 400 digits, or a literal that parses to inf;
+# past 4300 digits json.loads refuses an integer outright.
+_OVERSIZED = {
+    "embedding": lambda obj: obj["candidates"][0].update(embedding=["BIG", 0.5]),
+    "external_scores": lambda obj: obj["candidates"][0].update(external_scores={"spacy": "BIG"}),
+    "indegree": lambda obj: obj["candidates"][0].update(indegree="BIG"),
+    "indegree_inf": lambda obj: obj["candidates"][0].update(indegree="INF"),
+    "labels": lambda obj: obj.update(labels=["INF", 0]),
+    "mention_id": lambda obj: obj["mention"].update(id="HUGE"),
+}
+
+
+def write_oversized_number(path, field):
+    """Two instances in JSONL; the second holds an oversized number in ``field``
+    (a key of ``_OVERSIZED``)."""
+    objs = [instance_obj("m1"), instance_obj("m2")]
+    _OVERSIZED[field](objs[1])
+    text = "".join(json.dumps(obj) + "\n" for obj in objs)
+    for token, number in (("BIG", "9" * 400), ("INF", "1e400"), ("HUGE", "9" * 5000)):
+        text = text.replace(f'"{token}"', number)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path

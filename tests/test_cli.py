@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import instance_obj, write_jsonl
+from conftest import instance_obj, write_jsonl, write_oversized_number
 from rulelink import errors
 from rulelink.cli import run
 from rulelink.corpus import save_dataset
@@ -286,6 +286,28 @@ class TestTypedFieldsCli:
                     "--rules", str(tmp_path / "r.elr"), "--out", str(tmp_path / "f.csv")])
         assert code == 1
         assert "must be a list" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("field", ["embedding", "external_scores", "indegree", "indegree_inf", "labels",
+                                       "mention_id"])
+    def test_oversized_number_exits_one(self, tmp_path, capsys, field):
+        write_oversized_number(tmp_path / "d.jsonl", field)
+        (tmp_path / "r.elr").write_text("rule Links = jacc? & prom;\n")
+        code = run(["featurize", "--data", str(tmp_path / "d.jsonl"),
+                    "--rules", str(tmp_path / "r.elr"), "--out", str(tmp_path / "f.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("rulelink: line 2: ") and "Traceback" not in err
+
+    def test_non_utf8_dataset_exits_one(self, tmp_path, capsys):
+        path = write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1")])
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\n")
+        (tmp_path / "r.elr").write_text("rule Links = jacc? & prom;\n")
+        code = run(["featurize", "--data", str(path), "--rules", str(tmp_path / "r.elr"),
+                    "--out", str(tmp_path / "f.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"rulelink: {path} line 2: not UTF-8 (invalid start byte)\n"
 
 
 class TestFeatureCsvFaults:

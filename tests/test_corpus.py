@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import instance_obj, write_jsonl
+from conftest import instance_obj, write_jsonl, write_oversized_number
 from rulelink.corpus import (
     CandidateEntity,
     Dataset,
@@ -60,6 +60,28 @@ class TestLoadDataset:
         path.write_text(json.dumps(instance_obj("m1")) + "\n{not json\n")
         with pytest.raises(DatasetError, match="line 2"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("field, message", [
+        ("embedding", "malformed candidate (int too large to convert to float)"),
+        ("external_scores", "malformed candidate (int too large to convert to float)"),
+        ("indegree", "malformed candidate (int too large to convert to float)"),
+        ("indegree_inf", "malformed candidate (cannot convert float infinity to integer)"),
+        ("labels", "missing or malformed field (cannot convert float infinity to integer)"),
+        ("mention_id", "invalid JSON (Exceeds the limit (4300 digits) for integer string conversion"),
+    ])
+    def test_oversized_number_names_line(self, tmp_path, field, message):
+        path = write_oversized_number(tmp_path / "d.jsonl", field)
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert str(info.value).startswith(f"line 2: {message}")
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        path = write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1"), instance_obj("m2")])
+        with open(path, "ab") as fh:
+            fh.write(b"\n" + json.dumps(instance_obj("m3")).encode()[:-2] + b"\xff}\n")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path} line 4: not UTF-8 (invalid start byte)"
 
     def test_duplicate_mention_id_rejected(self, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1"), instance_obj("m1")])

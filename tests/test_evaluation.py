@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, LoadReport, Mention
+from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
 from rulelink.errors import FeatureError
 from rulelink.evaluation import (
     EvalReport,
@@ -79,8 +79,9 @@ class TestRanking:
         cids = [f"c{j}" for lst in lists for j in range(len(lst))]
         offsets = np.cumsum([0] + [len(lst) for lst in lists]).tolist()
         mids = [f"m{i}" for i in range(len(lists))]
-        block = ScoringBlock(mids, cids, offsets, np.zeros(len(cids), np.int8),
-                             np.array(scores).reshape(-1, 1), ["f"], LoadReport())
+        rows_of = [mid for mid, lst in zip(mids, lists) for _ in lst]
+        table = FeatureTable(["f"], rows_of, cids, np.array(scores).reshape(-1, 1))
+        block = ScoringBlock(mids, offsets, np.zeros(len(cids), np.int8), table)
         preds = link(model, block)
         assert [p.mention_id for p in preds] == mids
         for pred, start, end in zip(preds, offsets, offsets[1:]):

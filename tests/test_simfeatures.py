@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import string_reference
+import table_reference
 from conftest import toy_instances
 from rulelink import simfeatures
-from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
+from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, LoadReport, Mention
 from rulelink.errors import FeatureError
 from rulelink.simfeatures import (
     FeatureCatalog,
@@ -25,13 +26,11 @@ from rulelink.simfeatures import (
     _window_distances,
     build_feature_table,
     char_jaccard,
-    context_scores,
     default_catalog,
     jaro_winkler,
     lev_sim,
     minmax_rescale,
     partial_ratio,
-    prominence_score,
     type_score,
 )
 
@@ -80,6 +79,21 @@ def context_scores_reference(inst: LabeledInstance, mentions: dict) -> np.ndarra
         else:
             raws.append(sum(partial_ratio_reference(s, cand.description) for s in surfaces))
     return minmax_rescale(raws)
+
+
+def context_column(inst: LabeledInstance, mentions: dict) -> np.ndarray:
+    """The ``ctx`` column ``build_feature_table`` gives ``inst`` in a dataset
+    of it and, with one candidate each, the other ``mentions``."""
+    others = tuple(LabeledInstance(m, (CandidateEntity(id="x", name="x"),), (1,))
+                   for mid, m in mentions.items() if mid != inst.mention.id)
+    table = build_feature_table(Dataset(instances=(inst, *others)), default_catalog().restricted(["ctx"]))
+    return table.columns(inst, ["ctx"])["ctx"]
+
+
+def prominence_column(inst: LabeledInstance) -> np.ndarray:
+    """The ``prom`` column ``build_feature_table`` gives ``inst`` alone."""
+    table = build_feature_table(Dataset(instances=(inst,)), default_catalog().restricted(["prom"]))
+    return table.columns(inst, ["prom"])["prom"]
 
 
 def edit_distance_oracle(a: str, b: str) -> int:
@@ -236,7 +250,7 @@ class TestKernelsMatchReferences:
             CandidateEntity(id=f"e{k}", name="e", description=d) for k, d in enumerate(descriptions)
         )
         inst = LabeledInstance(target, cands, (1,) + (0,) * (len(cands) - 1))
-        assert context_scores(inst, mentions).tolist() == (
+        assert context_column(inst, mentions).tolist() == (
             context_scores_reference(inst, mentions).tolist()
         )
 
@@ -247,7 +261,7 @@ class TestKernelsMatchReferences:
         cands = tuple(CandidateEntity(id=f"e{k}", name=name) for k, name in enumerate(names))
         ds = Dataset(instances=(LabeledInstance(m, cands, (1,) + (0,) * (len(cands) - 1)),))
         table = build_feature_table(ds, default_catalog().restricted(["pr"]))
-        assert [table.value("m", c.id, "pr") for c in cands] == [
+        assert [table.rows[("m", c.id)]["pr"] for c in cands] == [
             partial_ratio_reference(surface, name) for name in names
         ]
 
@@ -310,11 +324,11 @@ def reference_rows(ds: Dataset, catalog: FeatureCatalog) -> dict:
             elif spec.kind == "pr":
                 cols[name] = [partial_ratio(surface, c.name) for c in cands]
             elif spec.kind == "ctx":
-                cols[name] = context_scores(inst, mentions)
+                cols[name] = context_scores_reference(inst, mentions)
             elif spec.kind == "type":
                 cols[name] = [type_score(inst.mention, c) for c in cands]
             elif spec.kind == "prom":
-                cols[name] = prominence_score(inst)
+                cols[name] = minmax_rescale([c.indegree for c in cands])
             elif spec.kind == "external":
                 cols[name] = [c.external_scores.get(spec.source, 0.0) for c in cands]
         for j, c in enumerate(cands):
@@ -391,7 +405,7 @@ class TestContextScore:
         lone = LabeledInstance(
             Mention(id="m9", surface="Cameron", text_id="t9"), inst.candidates, inst.labels
         )
-        assert context_scores(lone, {"m9": lone.mention}).tolist() == [1.0, 1.0]
+        assert context_column(lone, {"m9": lone.mention}).tolist() == [1.0, 1.0]
 
     def test_descriptions_separate_candidates(self):
         mentions = {
@@ -403,7 +417,7 @@ class TestContextScore:
             CandidateEntity(id="film", name="film", description="film directed by James Cameron"),
         )
         inst = LabeledInstance(mentions["m1"], cands, (0, 1))
-        scores = context_scores(inst, mentions)
+        scores = context_column(inst, mentions)
         # brute-force oracle over every equal-length window of each description
         def oracle(desc):
             n = len("Cameron")
@@ -415,7 +429,7 @@ class TestContextScore:
         raw = [oracle("a large ship"), oracle("film directed by James Cameron")]
         assert raw[1] > raw[0]
         assert scores.tolist() == [0.0, 1.0]
-        assert context_scores(inst, mentions)[0] == 0.0
+        assert context_column(inst, mentions)[0] == 0.0
 
     def test_null_description_is_minimum(self):
         mentions = {
@@ -427,13 +441,13 @@ class TestContextScore:
             CandidateEntity(id="b", name="b", description="Cameron film"),
         )
         inst = LabeledInstance(mentions["m1"], cands, (0, 1))
-        assert context_scores(inst, mentions)[0] == 0.0
+        assert context_column(inst, mentions)[0] == 0.0
 
     def test_unknown_context_id_is_error(self):
         m = Mention(id="m1", surface="x", text_id="t", context_ids=("ghost",))
         inst = LabeledInstance(m, (CandidateEntity(id="a", name="a"),), (1,))
         with pytest.raises(FeatureError, match="ghost"):
-            context_scores(inst, {"m1": m})
+            context_column(inst, {"m1": m})
 
 
 class TestTypeAndProminence:
@@ -446,23 +460,23 @@ class TestTypeAndProminence:
 
     def test_prominence_toy_values(self):
         inst1, inst2 = toy_instances()
-        assert prominence_score(inst1).tolist() == [1.0, 0.0]  # indegrees 30, 10
-        assert prominence_score(inst2).tolist() == [0.0, 1.0]  # indegrees 44, 52
+        assert prominence_column(inst1).tolist() == [1.0, 0.0]  # indegrees 30, 10
+        assert prominence_column(inst2).tolist() == [0.0, 1.0]  # indegrees 44, 52
 
     def test_single_candidate_scores_one(self):
         m = Mention(id="m", surface="s", text_id="t")
         inst = LabeledInstance(m, (CandidateEntity(id="e", name="e", indegree=7),), (1,))
-        assert prominence_score(inst).tolist() == [1.0]
+        assert prominence_column(inst).tolist() == [1.0]
 
 
 class TestBuildFeatureTable:
     def test_toy_rows_match_individual_functions(self, toy_dataset):
         catalog = default_catalog().restricted(["jacc", "prom"])
         table = build_feature_table(toy_dataset, catalog)
-        assert table.value("m1", "James_Cameron", "jacc") == 0.7
-        assert table.value("m1", "James_Cameron", "prom") == 1.0
-        assert table.value("m2", "Titanic_(1997_film)", "jacc") == 5 / 14
-        assert table.value("m2", "Titanic_(1997_film)", "prom") == 1.0
+        assert table.rows[("m1", "James_Cameron")]["jacc"] == 0.7
+        assert table.rows[("m1", "James_Cameron")]["prom"] == 1.0
+        assert table.rows[("m2", "Titanic_(1997_film)")]["jacc"] == 5 / 14
+        assert table.rows[("m2", "Titanic_(1997_film)")]["prom"] == 1.0
 
     def test_empty_dataset_gives_empty_table(self):
         table = build_feature_table(Dataset(instances=(), name="e"), default_catalog().restricted(["jacc"]))
@@ -477,13 +491,13 @@ class TestBuildFeatureTable:
         ds = Dataset(instances=(LabeledInstance(m, cands, (1, 0, 0)),), name="d")
         catalog = FeatureCatalog({"blinkscore": FeatureSpec("external", source="blinkscore")})
         table = build_feature_table(ds, catalog)
-        assert [table.value("m", f"e{i}", "blinkscore") for i in range(3)] == [0.9, 0.3, 0.0]
+        assert [table.rows[("m", f"e{i}")]["blinkscore"] for i in range(3)] == [0.9, 0.3, 0.0]
 
     def test_missing_external_defaults_zero_with_warning(self, toy_dataset, caplog):
         catalog = FeatureCatalog({"blink": FeatureSpec("external", source="blink")})
         with caplog.at_level("WARNING"):
             table = build_feature_table(toy_dataset, catalog)
-        assert table.value("m1", "James_Cameron", "blink") == 0.0
+        assert table.rows[("m1", "James_Cameron")]["blink"] == 0.0
         assert any("blink" in rec.message for rec in caplog.records)
 
     def test_missing_external_warnings_in_first_seen_order(self, caplog):
@@ -623,3 +637,129 @@ class TestFeatureTableCsv:
         path.write_text("mention_id,candidate_id,f\nm1," + "x" * 200_000 + ",0.5\n")
         with pytest.raises(FeatureError, match="line 2: field larger than field limit"):
             FeatureTable.from_csv(path)
+
+
+# Real knowledge-graph ids: commas, quotes, line breaks, NUL, astral
+# characters and lone surrogates (which UTF-8 cannot hold).
+_KG_PARTS = [",", '"', "\n", "\r", "\r\n", "a", "é", " ", "\x00", "\U0001F600"]
+_KG_IDS = {surrogates: st.lists(st.sampled_from(_KG_PARTS + ["\ud800", "\udfff"] * surrogates), max_size=4).map("".join)
+           for surrogates in (False, True)}
+_UNIT = st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.1, 1 / 3, 5e-324, 1 - 2**-53]) | st.floats(0, 1)
+_CSV_FAULTS = {
+    "repeat": None,
+    "not-a-number": ["abc", "", "0x1", "1,5"],
+    "non-finite": ["nan", "inf", "-inf"],
+    "out-of-range": ["1.5", "-0.25", "1.0000000000000002", "-1e-300"],
+    "short": None,
+    "bad-header": None,
+}
+
+
+@st.composite
+def _codec_case(draw):
+    """Feature names, ragged (mention, candidates) lists and each key's
+    values, in add_row order; some keys are set twice. Half the cases may
+    hold lone surrogates, which no feature CSV can."""
+    kg_id = _KG_IDS[draw(st.booleans())]
+    names = draw(st.lists(st.sampled_from(["jacc", "prom", "f,g", 'q"t', "é\n"]), min_size=1, max_size=4,
+                          unique=True))
+    lists = [(mid, draw(st.lists(kg_id, min_size=1, max_size=6, unique=True)))
+             for mid in draw(st.lists(kg_id, min_size=1, max_size=5, unique=True))]
+    keys = [(mid, cid) for mid, cids in lists for cid in cids]
+    keys += draw(st.lists(st.sampled_from(keys), max_size=3))
+    return names, lists, [(key, {n: draw(_UNIT) for n in names}) for key in keys]
+
+
+def _keys(table):
+    return list(zip(table.mention_ids, table.candidate_ids))
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+class TestTableCodec:
+    """The matrix table's codec equals the dict-of-rows codec it replaced
+    (``table_reference``) byte for byte: CSV bytes and sha256, the table
+    ``from_csv`` reads, the sidecar matrix, ``gather`` columns and offsets,
+    and the FeatureError that a malformed CSV raises."""
+
+    @staticmethod
+    def _tables(names, rows):
+        table, reference = FeatureTable(names), table_reference.ReferenceTable(names)
+        for (mid, cid), values in rows:
+            table.add_row(mid, cid, values)
+            reference.add_row(mid, cid, values)
+        return table, reference
+
+    @staticmethod
+    def _instances(lists):
+        return tuple(LabeledInstance(Mention(mid, "s", "t"), tuple(CandidateEntity(cid, "n") for cid in cids),
+                                     (1,) + (0,) * (len(cids) - 1)) for mid, cids in lists)
+
+    @given(_codec_case(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matrix_codec_equals_reference(self, tmp_path_factory, case, data):
+        names, lists, rows = case
+        table, reference = self._tables(names, rows)
+        assert _keys(table) == list(reference.rows)
+        work = tmp_path_factory.mktemp("codec")
+        written = _outcome(table.to_csv, work / "t.csv")
+        assert written == _outcome(reference.to_csv, work / "r.csv")
+        if isinstance(written, str):
+            assert (work / "t.csv").read_bytes() == (work / "r.csv").read_bytes()
+            assert written == hashlib.sha256((work / "t.csv").read_bytes()).hexdigest()
+            loaded = FeatureTable.from_csv(work / "t.csv")
+            expected = table_reference.ReferenceTable.from_csv(work / "r.csv")
+            assert (loaded.feature_names, _keys(loaded)) == (expected.feature_names, list(expected.rows))
+            assert loaded.matrix.tobytes() == np.array([list(r.values()) for r in expected.rows.values()]).tobytes()
+
+            data_path = work / "data.jsonl"
+            data_path.write_bytes(b"{}\n")
+            report = LoadReport(len(lists), len(lists), sha256=hashlib.sha256(b"{}\n").hexdigest())
+            ds = Dataset(self._instances(lists), report=report)
+            simfeatures.write_features(work / "t.csv", ds, table)
+            block = simfeatures.read_sidecar(work / "t.csv", data_path, names)
+            assert block.table.matrix.tobytes() == table_reference.sidecar_matrix(ds, reference).tobytes()
+            assert _keys(block.table) == _keys(table)
+
+        order = data.draw(st.lists(st.sampled_from(self._instances(lists)), max_size=6))
+        if data.draw(st.booleans()):
+            order.append(LabeledInstance(Mention(lists[0][0], "s", "t"), (CandidateEntity("absent", "n"),), (1,)))
+        wanted = data.draw(st.lists(st.sampled_from(names + ["absent"]), max_size=5))
+        got, want = _outcome(table.gather, order, wanted), _outcome(reference.gather, order, wanted)
+        if isinstance(want, tuple) and isinstance(want[0], dict):
+            assert list(got[0]) == list(want[0]) and got[1] == want[1]
+            assert [col.tobytes() for col in got[0].values()] == [col.tobytes() for col in want[0].values()]
+        else:
+            assert got == want
+
+    @given(_codec_case(), st.lists(st.tuples(st.sampled_from(sorted(_CSV_FAULTS)), st.data()), min_size=1,
+                                   max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_csv_raises_as_reference(self, tmp_path_factory, case, faults):
+        names, _, rows = case
+        _, reference = self._tables(names, rows)
+        header = ["mention_id", "candidate_id"] + names
+        lines = [[mid, cid] + [repr(v) for v in values.values()] for (mid, cid), values in reference.rows.items()]
+        for fault, data in faults:
+            at = data.draw(st.integers(0, len(lines) - 1))
+            if fault == "repeat":
+                lines.insert(data.draw(st.integers(at + 1, len(lines))), list(lines[at]))
+            elif fault == "short":
+                lines[at] = lines[at][:-1]
+            elif fault == "bad-header":
+                header = data.draw(st.sampled_from([header + [names[0]], ["mention"] + header[1:], []]))
+            elif len(lines[at]) > 2:  # a value cell, unless a short row lost them all
+                lines[at][data.draw(st.integers(2, len(lines[at]) - 1))] = data.draw(
+                    st.sampled_from(_CSV_FAULTS[fault]))
+        path = tmp_path_factory.mktemp("faults") / "f.csv"
+        with open(path, "w", encoding="utf-8", errors="surrogatepass", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header] + lines if header else lines)
+        got = _outcome(FeatureTable.from_csv, path)
+        assert got == _outcome(table_reference.ReferenceTable.from_csv, path)
+        assert isinstance(got, tuple) and got[0] in (FeatureError, UnicodeDecodeError)
