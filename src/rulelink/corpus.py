@@ -247,6 +247,14 @@ class _HashingReader(io.RawIOBase):
         return n
 
 
+def not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """The message for a file that is not UTF-8: the file, and the line of
+    its first bad byte, with lines split as open() splits them."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as again:
+        bad = next(n for n, line in enumerate(again, start=1) if _LONE_SURROGATE.search(line))
+    return f"{path} line {bad}: not UTF-8 ({exc.reason})"
+
+
 def load_dataset(path) -> Dataset:
     """Load a JSONL linking dataset, dropping instances that cannot rank.
 
@@ -273,10 +281,8 @@ def load_dataset(path) -> Dataset:
                 except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
                     raise DatasetError(f"line {line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
                 parsed.append(_parse_instance(obj, line_no))
-        except UnicodeDecodeError as exc:  # find the bad byte's line, counted as above
-            with open(path, encoding="utf-8", errors="surrogateescape") as again:
-                bad = next(n for n, line in enumerate(again, start=1) if _LONE_SURROGATE.search(line))
-            raise DatasetError(f"{path} line {bad}: not UTF-8 ({exc.reason})") from exc
+        except UnicodeDecodeError as exc:
+            raise DatasetError(not_utf8(path, exc)) from exc
 
     seen_ids: set[str] = set()
     for inst in parsed:

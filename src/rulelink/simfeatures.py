@@ -27,7 +27,9 @@ import os
 import re
 import zipfile
 from bisect import bisect_right
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from itertools import chain, repeat
@@ -36,7 +38,7 @@ from types import MappingProxyType
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import Dataset, LabeledInstance, LoadReport, Mention, atomic_write
+from .corpus import Dataset, LabeledInstance, LoadReport, Mention, atomic_write, not_utf8
 from .errors import FeatureError
 
 logger = logging.getLogger(__name__)
@@ -77,7 +79,10 @@ def _myers_block(a: list[str], b: list[str]) -> np.ndarray:
     longer string updates every lane. Lanes are uint64 when every pattern
     of the block fits in 64 bits, else Python ints in an object array; the
     recurrence is the same code for both. A lane's distance is read at the
-    step of its text's last character.
+    step of its text's last character. With one word per lane, every
+    step's equality words are built up front, one pattern position at a
+    time, as the rows of a ``[text_len, lanes]`` matrix; with more, each
+    step packs its own from the pattern's matches.
     """
     pairs = [(x, y) if len(x) <= len(y) else (y, x) for x, y in zip(a, b)]
     short, long = [p[0] for p in pairs], [p[1] for p in pairs]
@@ -89,6 +94,10 @@ def _myers_block(a: list[str], b: list[str]) -> np.ndarray:
         one = np.uint64(1)
         last = one << top.astype(np.uint64)
         mv = np.zeros(len(m), dtype=np.uint64)
+        eqs = np.zeros(text.shape, dtype=np.uint64)
+        for i in range(int(m.max())):
+            eqs |= np.left_shift(pattern[:, i, None] == text, np.uint64(i), dtype=np.uint64)
+        eqs = np.ascontiguousarray(eqs.T)
     else:
         one = 1
         last = np.array([1 << int(t) for t in top], dtype=object)
@@ -100,10 +109,13 @@ def _myers_block(a: list[str], b: list[str]) -> np.ndarray:
     order = np.argsort(n, kind="stable")
     ends = np.searchsorted(n[order], np.arange(text.shape[1] + 1), side="right")
     for j in range(text.shape[1]):
-        hits = np.packbits(pattern == text[:, j, None], axis=1, bitorder="little").view("<u8")
-        eq = hits[:, 0]
-        for w in range(1, words):
-            eq = eq | (hits[:, w].astype(object) << 64 * w)
+        if words == 1:
+            eq = eqs[j]
+        else:
+            hits = np.packbits(pattern == text[:, j, None], axis=1, bitorder="little").view("<u8")
+            eq = hits[:, 0]
+            for w in range(1, words):
+                eq = eq | (hits[:, w].astype(object) << 64 * w)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
@@ -300,18 +312,39 @@ def minmax_rescale(values) -> np.ndarray:
 def _context_raws(inst: LabeledInstance, all_mentions: dict[str, Mention]) -> np.ndarray:
     """Per candidate, the summed ``partial_ratio`` of the context mentions'
     surfaces against its description; 0 for a candidate without one."""
-    surfaces = []
+    surfaces = [all_mentions[ctx_id].surface for ctx_id in inst.mention.context_ids]
+    raws = np.zeros(len(inst.candidates))
+    described = [k for k, c in enumerate(inst.candidates) if c.description is not None]
+    descriptions = [inst.candidates[k].description for k in described]
+    for s in surfaces:
+        raws[described] += _partial_ratios(s, descriptions)
+    return raws
+
+
+def _context_fault(inst: LabeledInstance, all_mentions: dict[str, Mention]) -> None:
+    """Raise as ``ctx`` refuses one list: an unknown context id, else no candidates."""
     for ctx_id in inst.mention.context_ids:
         if ctx_id not in all_mentions:
             raise FeatureError(f"unknown context mention id {ctx_id!r}")
-        surfaces.append(all_mentions[ctx_id].surface)
-    raws = np.zeros(len(inst.candidates))
-    described = [k for k, c in enumerate(inst.candidates) if c.description is not None]
-    if described:
-        descriptions = [inst.candidates[k].description for k in described]
-        for s in surfaces:
-            raws[described] += _partial_ratios(s, descriptions)
-    return raws
+    if not inst.candidates:
+        raise FeatureError("cannot rescale an empty vector")
+
+
+def _indegrees(inst: LabeledInstance) -> np.ndarray:
+    """One list's in-degrees, checked as ``minmax_rescale`` checks them."""
+    if not inst.candidates:
+        raise FeatureError("prominence needs a non-empty candidate list")
+    return _rescalable([c.indegree for c in inst.candidates])
+
+
+def _first_fault(instances, check) -> tuple[int, Exception] | None:
+    """The first instance that ``check`` raises on, and the error."""
+    for i, inst in enumerate(instances):
+        try:
+            check(inst)
+        except (FeatureError, TypeError, ValueError, OverflowError) as exc:
+            return i, exc
+    return None
 
 
 def type_score(m: Mention, e) -> float:
@@ -426,6 +459,11 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+def _csv_cells(ids: list[str]) -> list[str]:
+    """``ids`` as CSV cells; one search finds whether any needs quoting."""
+    return list(map(_csv_cell, ids)) if _CSV_SPECIAL.search("".join(ids)) else ids
+
+
 def _in_unit_range(values: np.ndarray) -> np.ndarray:
     """Where ``values`` lie in [0, 1]; NaN does not."""
     return (values >= 0.0) & (values <= 1.0)
@@ -508,19 +546,27 @@ class FeatureTable:
         """Write the table to ``path`` through a temp file and a rename:
         header ``mention_id,candidate_id,<features>``, then one row per key
         in table order with each value's ``repr``; ``from_csv`` reads it
-        back. Returns the sha256 hex of the bytes written."""
-        lines = [",".join(map(_csv_cell, ["mention_id", "candidate_id"] + self.feature_names))]
-        for mid, cid, values in zip(self.mention_ids, self.candidate_ids, self.matrix.tolist()):
-            lines.append(",".join([_csv_cell(mid), _csv_cell(cid), *map(repr, values)]))
-        data = ("\n".join(lines) + "\n").encode("utf-8")
+        back. Returns the sha256 hex of the bytes written.
+
+        The cells are made a column at a time: an id column is quoted id by
+        id only when one search of it joined finds a character to quote, and
+        a feature column formats each distinct bit pattern once (so ``-0.0``
+        and ``0.0`` stay apart)."""
+        cells = [_csv_cells(self.mention_ids), _csv_cells(self.candidate_ids)]
+        for column in self.matrix.T:
+            bits, at = np.unique(column.view(np.int64), return_inverse=True)
+            cells.append(np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[at].tolist())
+        header = ",".join(map(_csv_cell, ["mention_id", "candidate_id"] + self.feature_names))
+        data = ("\n".join([header, *map(",".join, zip(*cells))]) + "\n").encode("utf-8")
         atomic_write(path, data)
         return hashlib.sha256(data).hexdigest()
 
     @classmethod
     def from_csv(cls, path) -> "FeatureTable":
-        """Read a feature CSV. A repeated (mention_id, candidate_id) row or a
-        cell that is not a number in [0, 1], the range of every built-in
-        feature kind, raises FeatureError naming the file and line(s)."""
+        """Read a feature CSV. A byte that is not UTF-8, a repeated
+        (mention_id, candidate_id) row or a cell that is not a number in
+        [0, 1], the range of every built-in feature kind, raises
+        FeatureError naming the file and line(s)."""
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -550,6 +596,8 @@ class FeatureTable:
                                            f"line {lines[key]}")
             except csv.Error as exc:
                 raise FeatureError(f"{path} line {reader.line_num}: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise FeatureError(not_utf8(path, exc)) from exc
         matrix = np.array(values, dtype=np.float64).reshape(len(lines), len(names))
         valid = _in_unit_range(matrix)
         if not valid.all():
@@ -717,25 +765,6 @@ def read_sidecar(features_path, data_path, names: list[str]) -> ScoringBlock | N
         return None
 
 
-def _instance_columns(
-    inst: LabeledInstance, catalog: FeatureCatalog, mentions: dict[str, Mention]
-) -> dict[str, np.ndarray]:
-    """The features of one instance that are computed list by list, in
-    catalog order: ``pr``, and the raw ``ctx`` scores and ``prom``
-    in-degrees, checked as ``minmax_rescale`` checks them."""
-    out = {}
-    for name, spec in catalog.entries.items():
-        if spec.kind == "pr":
-            out[name] = _partial_ratios(inst.mention.surface, [c.name for c in inst.candidates])
-        elif spec.kind == "ctx":
-            out[name] = _rescalable(_context_raws(inst, mentions))
-        elif spec.kind == "prom":
-            if not inst.candidates:
-                raise FeatureError("prominence needs a non-empty candidate list")
-            out[name] = _rescalable([c.indegree for c in inst.candidates])
-    return out
-
-
 def _joined(arrays: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(arrays) if arrays else np.empty(0)
 
@@ -749,37 +778,97 @@ def _box_column(ds: Dataset, spec: FeatureSpec) -> list[np.ndarray]:
     return box_feature(ds, spec.box_params or BoxParams.default(next(dims, 0)), spec.cos_column)
 
 
+def _check_keys(mention_ids: list[str], row_mentions: list[str], candidate_ids: list[str]) -> None:
+    """FeatureError on a repeated mention id, or a candidate id repeated in
+    one list: a table keyed on both would hold a row twice."""
+    if len(set(mention_ids)) < len(mention_ids):
+        mid = next(key for key, n in Counter(mention_ids).items() if n > 1)
+        raise FeatureError(f"duplicate mention id {mid!r}")
+    if len(set(candidate_ids)) < len(candidate_ids):
+        repeated = [key for key, n in Counter(zip(row_mentions, candidate_ids)).items() if n > 1]
+        if repeated:
+            raise FeatureError(f"mention {repeated[0][0]!r}: duplicate candidate id {repeated[0][1]!r}")
+
+
+def _checked_lists(instances, catalog: FeatureCatalog, mentions: dict[str, Mention], counts: list[int]):
+    """Check the lists that ``ctx`` and ``prom`` rescale a column at a time,
+    and return the in-degrees of every pair when ``catalog`` has ``prom``.
+    When a check fails, the lists are walked to raise the first failing
+    one's error, in dataset then catalog order, as each list was checked
+    on its own."""
+    kinds = {spec.kind for spec in catalog.entries.values()}
+    faults, indegrees = {}, None
+    if "ctx" in kinds:
+        unknown = set(chain.from_iterable(inst.mention.context_ids for inst in instances)).difference(mentions)
+        if unknown or 0 in counts:
+            faults["ctx"] = _first_fault(instances, partial(_context_fault, all_mentions=mentions))
+    if "prom" in kinds:
+        try:
+            indegrees = np.array([c.indegree for inst in instances for c in inst.candidates], dtype=float)
+            clean = 0 not in counts and np.isfinite(indegrees).all()
+        except (TypeError, ValueError, OverflowError):  # as one of the lists' own conversions fails
+            clean = False
+        if not clean:
+            faults["prom"] = _first_fault(instances, _indegrees)
+    first = [(*faults[spec.kind], pos) for pos, spec in enumerate(catalog.entries.values()) if faults.get(spec.kind)]
+    if first:
+        raise min(first, key=lambda fault: (fault[0], fault[2]))[1]
+    return indegrees
+
+
+def _partial_ratio_list(inst: LabeledInstance) -> np.ndarray:
+    return _partial_ratios(inst.mention.surface, [c.name for c in inst.candidates])
+
+
 def build_feature_table(ds: Dataset, catalog: FeatureCatalog, jobs: int = 1) -> FeatureTable:
     """Evaluate every catalog feature for every (mention, candidate) pair.
 
-    Pure given its inputs: repeated calls produce identical tables. Box
-    columns are scored for the whole dataset first, then the list-by-list
-    inputs of ``pr``, ``ctx`` and ``prom``, in parallel per mention when
-    ``jobs > 1``. Every feature is then one column over all pairs in
-    dataset order, then candidate position (``jacc``, ``lev`` and ``jw``
-    from the column kernels, ``ctx`` and ``prom`` rescaled list by list in
-    one pass), written into the table's matrix.
+    Pure given its inputs: repeated calls produce identical tables. A
+    repeated mention id, or a candidate id repeated in one list, raises
+    FeatureError. Box columns are scored for the whole dataset first, then
+    the lists of ``ctx`` and ``prom`` are checked (:func:`_checked_lists`).
+    Only ``pr``, and the raw ``ctx`` scores of mentions with context and a
+    described candidate, run mention by mention, in parallel when
+    ``jobs > 1``; every other ``ctx`` list is zeros. Every feature is one
+    column over all pairs in dataset order, then candidate position
+    (``jacc``, ``lev`` and ``jw`` from the column kernels, ``ctx`` and
+    ``prom`` rescaled list by list in one pass), written into the table's
+    matrix.
     """
+    instances = ds.instances
+    mention_ids, offsets, candidate_ids, _ = ds.row_keys()
+    counts = np.diff(offsets).tolist()
+    row_mentions = list(chain.from_iterable(map(repeat, mention_ids, counts)))
+    _check_keys(mention_ids, row_mentions, candidate_ids)
     boxes = {name: _box_column(ds, spec) for name, spec in catalog.entries.items() if spec.kind == "box"}
-    compute = partial(_instance_columns, catalog=catalog, mentions=ds.mentions_by_id())
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            lists = list(pool.map(compute, ds.instances))
-    else:
-        lists = [compute(inst) for inst in ds.instances]
+    mentions = ds.mentions_by_id()
+    kinds = {spec.kind for spec in catalog.entries.values()}
+    indegrees = _checked_lists(instances, catalog, mentions, counts)
+    lists = {}
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        if "pr" in kinds:
+            lists["pr"] = _joined(list(run(_partial_ratio_list, instances)))
+        if "ctx" in kinds:
+            raws = np.zeros(len(candidate_ids))
+            scored = [i for i, inst in enumerate(instances) if inst.mention.context_ids
+                      and any(c.description is not None for c in inst.candidates)]
+            scores = run(partial(_context_raws, all_mentions=mentions), [instances[i] for i in scored])
+            for i, values in zip(scored, scores):
+                raws[offsets[i] : offsets[i + 1]] = values
+            lists["ctx"] = _rescale_lists(raws, offsets)
+    if indegrees is not None:
+        lists["prom"] = _rescale_lists(indegrees, offsets)
 
-    _, offsets, candidate_ids, _ = ds.row_keys()
-    pairs = [(inst.mention, c) for inst in ds.instances for c in inst.candidates]
+    pairs = [(inst.mention, c) for inst in instances for c in inst.candidates]
     surfaces, names = [m.surface for m, _ in pairs], [c.name for _, c in pairs]
     matrix = np.empty((len(pairs), len(catalog.entries)))
     missing_external: dict[str, tuple[int, int]] = {}  # name -> (first instance lacking it, count)
     for column, (name, spec) in zip(matrix.T, catalog.entries.items()):
         if spec.kind in _NAME_KERNELS:
             column[:] = _NAME_KERNELS[spec.kind](surfaces, names)
-        elif spec.kind == "pr":
-            column[:] = _joined([cols[name] for cols in lists])
-        elif spec.kind in ("ctx", "prom"):
-            column[:] = _rescale_lists(_joined([cols[name] for cols in lists]), offsets)
+        elif spec.kind in lists:
+            column[:] = lists[spec.kind]
         elif spec.kind == "type":
             column[:] = np.fromiter((type_score(m, c) for m, c in pairs), float, len(pairs))
         elif spec.kind == "external":
@@ -794,4 +883,4 @@ def build_feature_table(ds: Dataset, catalog: FeatureCatalog, jobs: int = 1) -> 
             raise FeatureError(f"unknown feature kind {spec.kind!r}")
     for name, (_, count) in sorted(missing_external.items(), key=lambda item: item[1][0]):
         logger.warning("feature %s: %d candidates lacked the source column, used 0.0", name, count)
-    return FeatureTable(catalog.names(), [m.id for m, _ in pairs], candidate_ids, matrix)
+    return FeatureTable(catalog.names(), row_mentions, candidate_ids, matrix)

@@ -367,6 +367,15 @@ class TestFeatureCsvFaults:
         assert self._link(demo) == 1
         assert f"features.csv line 3: column {header[2]!r} is 7.5, outside [0, 1]" in capsys.readouterr().err
 
+    def test_non_utf8_byte_exits_one(self, demo, capsys):
+        feats = demo[1]
+        lines = feats.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        feats.write_bytes(b"\n".join(lines))
+        assert self._link(demo) == 1
+        err = capsys.readouterr().err
+        assert err == f"rulelink: {feats} line 3: not UTF-8 (invalid start byte)\n"
+
     def test_non_numeric_cell_exits_one(self, demo, capsys):
         feats = demo[1]
         lines = feats.read_text().splitlines()

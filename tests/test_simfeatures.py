@@ -2,6 +2,7 @@ import csv
 import functools
 import hashlib
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import list_reference
 import string_reference
 import table_reference
 from conftest import toy_instances
@@ -19,6 +21,7 @@ from rulelink.simfeatures import (
     FeatureCatalog,
     FeatureSpec,
     FeatureTable,
+    _BLOCK,
     _edit_distances,
     _jacc_column,
     _jw_column,
@@ -360,6 +363,31 @@ class TestColumnKernels:
         for column, reference in _KERNELS:
             assert column(a, b).tobytes() == np.array([reference(x, y) for x, y in zip(a, b)]).tobytes()
 
+    @pytest.mark.parametrize("m", [63, 64, 65])
+    def test_myers_word_boundary(self, m):
+        rng = random.Random(m)
+        alphabet = "ab\u00e9\U0001F600\ud800"
+        pattern = "".join(rng.choice(alphabet) for _ in range(m))
+        texts = ["".join(rng.choice(alphabet) for _ in range(n)) for n in range(m, 201, 7)]
+        texts += [pattern, pattern[1:] + "b", "a" * 200, pattern + "a" * (200 - m)]
+        a, b = [pattern] * len(texts), texts
+        expected = np.array([string_reference.lev_sim(x, y) for x, y in zip(a, b)])
+        assert _lev_column(a, b).tobytes() == expected.tobytes()
+        assert _lev_column(b, a).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("long_first", [False, True])
+    def test_one_word_and_multi_word_blocks(self, long_first):
+        # 513 pairs make two blocks: one whose patterns fit one 64-bit word,
+        # and one holding a 70-char pattern, which runs on Python-int lanes
+        rng = random.Random(513)
+        a = ["".join(rng.choice("abc") for _ in range(rng.randint(0, 12))) for _ in range(513)]
+        b = ["".join(rng.choice("abc") for _ in range(rng.randint(0, 90))) for _ in range(513)]
+        at = 0 if long_first else 512
+        a[at], b[at] = "abc" * 23 + "a", "cab" * 30
+        assert _BLOCK == 512
+        expected = np.array([string_reference.lev_sim(x, y) for x, y in zip(a, b)])
+        assert _lev_column(a, b).tobytes() == expected.tobytes()
+
     def test_one_row_calls(self):
         for (column, reference), public in zip(_KERNELS, (char_jaccard, lev_sim, jaro_winkler)):
             for x, y in [("", ""), ("", "ab"), ("MARTHA", "MARHTA"), ("a" * 70, "a" * 69 + "b")]:
@@ -376,6 +404,67 @@ class TestColumnKernels:
         assert {k: {n: repr(v) for n, v in row.items()} for k, row in table.rows.items()} == (
             {k: {n: repr(v) for n, v in row.items()} for k, row in expected.items()}
         )
+
+
+_INDEGREES = st.sampled_from([0, 1, 2, 7, 30, 2.5]) | st.sampled_from(
+    [-3, float("nan"), float("inf"), -float("inf"), 10**400])
+
+
+@st.composite
+def _list_case(draw):
+    """1-5 mentions whose lists may be empty, hold NaN, infinite, negative
+    or (past any float) oversized in-degrees, name unknown context ids and
+    mix described and undescribed candidates; a catalog of some of ``pr``,
+    ``ctx``, ``prom`` and ``jacc`` in drawn order."""
+    mids = [f"m{i}" for i in range(draw(st.integers(1, 5)))]
+    instances = []
+    for mid in mids:
+        cands = tuple(
+            CandidateEntity(id=f"{mid}_c{j}", name=draw(st.text("ab ", max_size=5)),
+                            description=draw(st.none() | st.text("ab ", max_size=8)), indegree=draw(_INDEGREES))
+            for j in range(draw(st.sampled_from([0, 1, 1, 2, 3, 4, 6]))))
+        context = draw(st.lists(st.sampled_from([m for m in mids if m != mid] + ["ghost"]), max_size=3, unique=True))
+        mention = Mention(id=mid, surface=draw(st.text("ab ", min_size=1, max_size=4)), text_id="t",
+                          context_ids=tuple(context))
+        instances.append(LabeledInstance(mention, cands, (1,) + (0,) * (len(cands) - 1) if cands else ()))
+    kinds = draw(st.permutations(["pr", "ctx", "prom", "jacc"]))[: draw(st.integers(1, 4))]
+    return Dataset(instances=tuple(instances)), default_catalog().restricted(kinds)
+
+
+class TestListColumns:
+    """``pr``, ``ctx`` and ``prom`` built a column at a time equal the
+    per-mention build of ``list_reference`` by ``tobytes()``, or raise the
+    same first error: type and message."""
+
+    @given(_list_case(), st.sampled_from([1, 2]))
+    @settings(max_examples=300, deadline=None)
+    def test_columns_and_first_error_match_reference(self, case, jobs):
+        ds, catalog = case
+        want = _outcome(list_reference.list_columns, ds, catalog)
+        got = _outcome(build_feature_table, ds, catalog, jobs)
+        if isinstance(want, dict):
+            assert isinstance(got, FeatureTable)
+            assert {n: col.tobytes() for n, col in got.select(list(want)).items()} == (
+                {n: col.tobytes() for n, col in want.items()})
+        else:
+            assert got == want
+
+    def test_first_error_in_dataset_then_catalog_order(self):
+        def inst(mid, context=(), indegrees=(1, 2)):
+            cands = tuple(CandidateEntity(id=f"{mid}{j}", name="n", indegree=d) for j, d in enumerate(indegrees))
+            return LabeledInstance(Mention(id=mid, surface="s", text_id="t", context_ids=context), cands,
+                                   (1,) + (0,) * (len(cands) - 1) if cands else ())
+
+        ds = Dataset(instances=(inst("a"), inst("b", ("ghost",), (1, float("nan"))), inst("c", indegrees=())))
+        with pytest.raises(FeatureError, match="^unknown context mention id 'ghost'$"):
+            build_feature_table(ds, default_catalog().restricted(["ctx", "prom"]))
+        with pytest.raises(FeatureError, match="^cannot rescale non-finite values$"):
+            build_feature_table(ds, default_catalog().restricted(["prom", "ctx"]))
+        with pytest.raises(FeatureError, match="^prominence needs a non-empty candidate list$"):
+            build_feature_table(Dataset(instances=ds.instances[::2]), default_catalog().restricted(["prom", "ctx"]))
+        with pytest.raises(OverflowError):
+            build_feature_table(Dataset(instances=(inst("a", indegrees=(1, 10**400)),)),
+                                default_catalog().restricted(["prom"]))
 
 
 class TestMinmaxRescale:
@@ -532,6 +621,20 @@ class TestBuildFeatureTable:
         ds = Dataset(instances=(inst("a", "t", (2, 2)), inst("b", "t", (2,)), inst("lone", "u", (2, 3))))
         with pytest.raises(FeatureError, match="candidate 'lone1' has a 3-d embedding, not 2-d like the box parameters"):
             build_feature_table(ds, FeatureCatalog({"box": FeatureSpec("box")}))
+
+    def test_repeated_mention_id_is_error(self, toy_dataset):
+        # a table keyed on (mention, candidate) would write a CSV that from_csv refuses
+        first = toy_dataset.instances[0]
+        again = LabeledInstance(first.mention, (CandidateEntity(id="Other", name="x"),), (1,))
+        ds = Dataset(instances=(*toy_dataset.instances, again))
+        with pytest.raises(FeatureError, match=f"^duplicate mention id {first.mention.id!r}$"):
+            build_feature_table(ds, default_catalog().restricted(["jacc"]))
+
+    def test_repeated_candidate_in_a_list_is_error(self):
+        cands = tuple(CandidateEntity(id=cid, name="x") for cid in ("e1", "e2", "e1"))
+        ds = Dataset(instances=(LabeledInstance(Mention(id="m", surface="s", text_id="t"), cands, (1, 0, 0)),))
+        with pytest.raises(FeatureError, match="^mention 'm': duplicate candidate id 'e1'$"):
+            build_feature_table(ds, default_catalog().restricted(["jacc"]))
 
     def test_deterministic_and_pure(self, toy_dataset):
         catalog = default_catalog().restricted(["jacc", "lev", "jw", "ctx", "prom", "type"])
@@ -760,6 +863,13 @@ class TestTableCodec:
         path = tmp_path_factory.mktemp("faults") / "f.csv"
         with open(path, "w", encoding="utf-8", errors="surrogatepass", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows([header] + lines if header else lines)
-        got = _outcome(FeatureTable.from_csv, path)
-        assert got == _outcome(table_reference.ReferenceTable.from_csv, path)
-        assert isinstance(got, tuple) and got[0] in (FeatureError, UnicodeDecodeError)
+        got, want = _outcome(FeatureTable.from_csv, path), _outcome(table_reference.ReferenceTable.from_csv, path)
+        if want[0] is UnicodeDecodeError:  # the reference let it escape; it names the first bad byte's line
+            raw = path.read_bytes()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = len(re.findall(rb"\r\n|\r|\n", raw[: exc.start])) + 1
+                want = (FeatureError, f"{path} line {line}: not UTF-8 ({exc.reason})")
+        assert got == want
+        assert isinstance(got, tuple) and got[0] is FeatureError
