@@ -391,7 +391,7 @@ def _summed_loss(stacks: list[tuple[list[int], _Stack]], raw: dict, mu: float) -
     effective = _effective(raw)
     for idx, stack in stacks:
         for i, out, labels in zip(idx, _forward(stack, effective), stack.labels):
-            losses[i] = margin_loss_prepared(out, labels, mu)[0]
+            losses[i] = margin_loss_prepared(out, labels, mu, grad=False)[0]
     return sum(losses)
 
 

@@ -14,6 +14,7 @@ ELR_LOG to a level name (DEBUG, INFO, ...) to control verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -257,12 +258,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built on first use and shared by every later run() in the process: parsing
+# reads the parser and fills a fresh namespace, so no call sees another's values.
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
     level = os.environ.get("ELR_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"rulelink: {exc}", file=sys.stderr)

@@ -203,15 +203,20 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
             mention_type=m.get("type"),
         )
         raw_cands = _as_list(obj["candidates"], "candidates")
-        labels = tuple(int(l) for l in _as_list(obj["labels"], "labels"))
+        raw_labels = _as_list(obj["labels"], "labels")
+        labels = tuple(int(l) for l in raw_labels)
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         fail(f"missing or malformed field ({exc})")
+    kinds = set(map(type, raw_labels)) - {int}  # int() would load true, 0.7 or "1" as 1, 0 or 1
+    if kinds:
+        fail(f"labels must be JSON integers 0 or 1, not {', '.join(sorted(k.__name__ for k in kinds))}")
 
     candidates = []
     for c in raw_cands:
         try:
             emb = c.get("embedding")
-            indegree = int(c.get("indegree", 0))
+            raw_indegree = c.get("indegree", 0)
+            indegree = int(raw_indegree)
             float(indegree)  # OverflowError if no float holds it: prom rescales in-degrees as floats
             candidates.append(CandidateEntity(
                 id=str(c["id"]),
@@ -224,6 +229,9 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
             ))
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             fail(f"malformed candidate ({exc})")
+        if type(raw_indegree) is not int:  # int() would load 3.9 as 3 and true as 1
+            fail(f"candidate {candidates[-1].id!r} indegree must be a non-negative JSON integer, "
+                 f"not {type(raw_indegree).__name__}")
 
     inst = LabeledInstance(mention=mention, candidates=tuple(candidates), labels=labels)
     faults = instance_faults(inst)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -135,15 +135,18 @@ def recall_at_k(preds: list[Prediction], ds: Dataset | ScoringBlock, ks) -> dict
     if any(k < 1 for k in ks):
         raise ValueError("k values must be positive")
     gold = _gold_ids(ds)
-    out = {}
-    for k in ks:
-        hits = 0
-        for pred in preds:
-            top = {cid for cid, _ in pred.ranked[:k]}
-            if top & gold.get(pred.mention_id, set()):
-                hits += 1
-        out[k] = hits / len(ds.instances) if ds.instances else 0.0
-    return out
+    # the rank of each prediction's first gold candidate: its top k holds a
+    # gold one exactly when that rank is below k
+    ranks = []
+    for pred in preds:
+        wanted = gold.get(pred.mention_id)
+        if wanted:
+            rank = next((r for r, (cid, _) in enumerate(pred.ranked) if cid in wanted), None)
+            if rank is not None:
+                ranks.append(rank)
+    ranks.sort()
+    n = len(ds.instances)
+    return {k: bisect_left(ranks, k) / n if n else 0.0 for k in ks}
 
 
 def evaluate(model: Model, ds: Dataset | ScoringBlock, table: FeatureTable | None = None,

@@ -22,8 +22,8 @@ AND(x) = prod x_i, used by the thresholds-only training mode. Predicates
 so the comparison stays differentiable and theta stays inside (0, 1).
 
 A :class:`ScoringGraph` compiles its rule tree once into a tape of ops
-over a ``[n_nodes, rows]`` value matrix and a pre-activation matrix of the
-same shape; the backward pass runs the tape in reverse and reads both (the
+over a ``[n_nodes, rows]`` value matrix; each op keeps what its backward
+reads, and the backward pass runs the tape in reverse over those (the
 upward and downward passes of Riegel et al. 2020). Every raw parameter
 lives in one flat vector that the gate and threshold objects view.
 
@@ -50,7 +50,8 @@ def sigmoid(x):
     x = np.asarray(x, dtype=float)
     pos = x >= 0
     ex = np.exp(np.where(pos, -x, x))
-    out = np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    denom = 1.0 + ex
+    out = np.where(pos, 1.0 / denom, ex / denom)
     return float(out) if out.ndim == 0 else out
 
 
@@ -153,10 +154,14 @@ def _fold(op, terms):
 
 
 def _and_core(inputs: np.ndarray, weights: np.ndarray, bias: float):
-    """Pre-clamp activation and clamped value of the weighted conjunction."""
+    """Pre-clamp activation, clamped value and ``1 - inputs`` (what the
+    backward pass multiplies by) of the weighted conjunction."""
     w = weights[..., None] if inputs.ndim > weights.ndim else weights
-    pre = bias - _fold(np.add, (1.0 - inputs) * w)
-    return pre, np.clip(pre, 0.0, 1.0)
+    comp = 1.0 - inputs
+    pre = bias - _fold(np.add, comp * w)
+    # the method is np.clip's result, bit for bit (NaN payloads and signed
+    # zeros included), without its Python-level dispatch
+    return pre, pre.clip(0.0, 1.0), comp
 
 
 def _threshold_core(f, theta):
@@ -297,9 +302,10 @@ class RawLeaf(Node):
 
 # A tape op runs every inner node of one height (longest path down to a
 # leaf), kind and arity at once, children axis first: (code, uids [n], kids
-# [k, n] or [n] for NOT, extra, is-or), where extra is (weight slots [k, n],
-# bias slots [n]) into ScoringGraph.flat for _LNN, arange(k) for _TNORM and
-# the weights [k, n, 1] for _MANUAL. The leaves run first, in one block.
+# [k, n] or [n] for NOT, extra, is-or), where extra is the op's position
+# among the lnn ops for _LNN (its parameters are ScoringGraph._effective's
+# "ops" entry of that position), arange(k) for _TNORM and the weights
+# [k, n, 1] for _MANUAL. The leaves run first, in one block.
 _NOT, _LNN, _TNORM, _MANUAL = range(4)
 _BLOCK_ROWS = 512
 
@@ -394,22 +400,33 @@ class ScoringGraph:
 
     def _effective(self) -> dict:
         """Effective parameters and hinge inputs of every gate, one vector
-        operation each, recomputed only when :attr:`flat` has changed."""
+        operation each, recomputed only when :attr:`flat` has changed.
+
+        ``theta`` is a column per threshold leaf and ``dgamma`` the negated
+        d(theta)/d(gamma) per learnable one. In lnn mode ``ops`` holds each
+        lnn op's weights ``[k, n, 1]`` and biases ``[n, 1]``, views of one
+        gather over every op's slots laid end to end, and ``dsig`` the
+        weights' softplus derivatives in that order."""
         key = self.flat.tobytes()
         if key == self._eff_key:
             return self._eff
         sig = sigmoid(self.flat)
-        theta = self._theta_fixed.copy()
-        theta[self._theta_learn] = sig[self._gamma0:]
-        eff = {"sig": sig, "theta": theta}
+        theta = learned = sig[self._gamma0:]
+        if len(learned) < len(self._theta_fixed):  # some thresholds are fixed
+            theta = self._theta_fixed.copy()
+            theta[self._theta_learn] = learned
+        eff = {"sig": sig, "theta": theta[:, None], "dgamma": -(learned * (1.0 - learned))}
         if self.mode == "lnn" and self._arity:
             rho, delta, beta, big = self._blocks
-            eff["sp"] = sp = softplus(self.flat[:beta.start])
+            sp = softplus(self.flat[:beta.start])
             w, b = sp[rho], self.flat[beta].copy()
             wsum = np.empty(len(self._arity))
             for idx, cols in self._by_arity:
                 wsum[idx] = w[cols].sum(axis=1)
             eff["r0"], eff["ri"] = _hinges(self.alpha, w, wsum, b, b[self._gate_of_w], sp[delta], sp[big])
+            weights, biases = sp[self._lnn_slots], self.flat[self._lnn_bias]
+            eff["ops"] = [(weights[at].reshape(shape), biases[bt, None]) for at, shape, bt in self._lnn_views]
+            eff["dsig"] = sig[self._lnn_slots]
         self._eff_key, self._eff = key, eff
         return eff
 
@@ -421,6 +438,9 @@ class ScoringGraph:
         self._tl_uids, self._tl_cols = np.array([(n.uid, column[n.feature]) for n in tls], np.intp).reshape(-1, 2).T
         self._theta_fixed = np.array([np.nan if n.fixed_theta is None else n.fixed_theta for n in tls], dtype=float)
         self._theta_learn = np.array([i for i, n in enumerate(tls) if n.fixed_theta is None], dtype=np.intp)
+        # the learnable leaves among all threshold leaves: a view when they are all of them
+        self._learn = slice(None) if len(self._theta_learn) == len(tls) else self._theta_learn
+        self._learn_uids = self._tl_uids[self._theta_learn]
         code = {"lnn": _LNN, "tnorm": _TNORM, "manual": _MANUAL}[self.mode]
         gate_index = {n.uid: i for i, (_, n) in enumerate(self.gates())}
         needs_grad = {n.uid: code != _MANUAL and n.fixed_theta is None for n in tls}
@@ -433,7 +453,7 @@ class ScoringGraph:
                 needs_grad[node.uid] = own or any(needs_grad[c] for c in kids)
             if kids:
                 groups.setdefault((height[node.uid], type(node), len(kids)), []).append(node)
-        self._ops, self._back_ops = [], []
+        self._ops, self._back_ops, lnn = [], [], []
         for (_, cls, k), nodes in sorted(groups.items(), key=lambda item: item[0][0]):
             uids = np.array([n.uid for n in nodes], dtype=np.intp)
             kids = np.array([[c.uid for c in n.children] for n in nodes], dtype=np.intp).T
@@ -442,8 +462,8 @@ class ScoringGraph:
                 op = (_NOT, uids, kids[0], None, False)
             elif code == _LNN:
                 index = np.array([gate_index[n.uid] for n in nodes])
-                slots = self._wstart[index] + np.arange(k)[:, None]
-                op = (_LNN, uids, kids, (slots, self._blocks[2].start + index), flip)
+                lnn.append((self._wstart[index] + np.arange(k)[:, None], self._blocks[2].start + index))
+                op = (_LNN, uids, kids, len(lnn) - 1, flip)
             elif code == _TNORM:
                 op = (_TNORM, uids, kids, np.arange(k), flip)
             else:
@@ -452,57 +472,87 @@ class ScoringGraph:
                 op = (_MANUAL, uids, kids, np.array(weights).T[:, :, None], flip)
             self._ops.append(op)
             if any(needs_grad[n.uid] for n in nodes):
-                self._back_ops.insert(0, op)
+                self._back_ops.insert(0, len(self._ops) - 1)
+        # every lnn op's weight slots [k, n] and bias slots [n] into flat, end
+        # to end in tape order, and where each op's lie in the two
+        empty = [np.empty(0, np.intp)]
+        self._lnn_slots = np.concatenate([slots.ravel() for slots, _ in lnn] + empty)
+        self._lnn_bias = np.concatenate([bias for _, bias in lnn] + empty)
+        self._lnn_views, at, bt = [], 0, 0
+        for slots, bias in lnn:
+            self._lnn_views.append((slice(at, at + slots.size), slots.shape + (1,), slice(bt, bt + bias.size)))
+            at, bt = at + slots.size, bt + bias.size
 
-    def _run(self, cols, cache: dict | None = None) -> np.ndarray:
-        """Run the tape over ``cols``; the root's row of the value matrix.
-        ``cache`` receives what :meth:`backward` reads. Without one, rows (which
-        do not interact) go through in blocks small enough to stay in cache."""
+    def _run(self, feats: np.ndarray, cache: dict | None = None) -> np.ndarray:
+        """Run the tape over the ``[features, rows]`` matrix ``feats``; the
+        root's row of the value matrix. ``cache`` receives what
+        :meth:`backward` reads. Without one, rows (which do not interact) go
+        through in blocks small enough to stay in cache."""
         eff = self._effective()
-        feats = np.stack([np.asarray(cols[name], dtype=float) for name in self.feature_names])
-        nan = np.isnan(feats).any(axis=1)
-        if nan.any():
-            raise ValueError(f"feature {self.feature_names[int(np.argmax(nan))]!r} contains NaN")
         if cache is None:
             blocks = range(0, max(feats.shape[1], 1), _BLOCK_ROWS)
             return np.concatenate([self._tape(feats[:, i:i + _BLOCK_ROWS], eff)[0][0] for i in blocks])
-        values, pre = self._tape(feats, eff)
-        cache["tape"] = (feats, values, pre, eff)
+        values, kept, leaves = self._tape(feats, eff)
+        cache["tape"] = (values, kept, leaves, eff)
         return values[0].copy()
 
-    def _tape(self, feats: np.ndarray, eff: dict) -> tuple[np.ndarray, np.ndarray]:
-        """The value and pre-activation matrices over the rows of ``feats``."""
+    def _tape(self, feats: np.ndarray, eff: dict) -> tuple:
+        """The value matrix over the rows of ``feats``; per op what
+        :meth:`backward` reads, ``(arr [k, n, rows], pre [n, rows])`` (None
+        for NOT): ``1 - inputs`` and the pre-clamp activation for lnn, the
+        inputs and their product for tnorm, the inputs and the value in
+        manual mode; and the learnable threshold leaves' feature rows and
+        sigmoids (None in manual mode)."""
         values = np.empty((len(self.nodes), feats.shape[1]))
-        pre = np.empty_like(values)
         values[self._raw_uids] = feats[self._raw_cols]
-        f, theta = feats[self._tl_cols], eff["theta"][:, None]
+        f, theta = feats[self._tl_cols], eff["theta"]
         if self.mode == "manual":
-            values[self._tl_uids] = np.where(f > theta, f, 0.0)
+            values[self._tl_uids], leaves = np.where(f > theta, f, 0.0), None
         else:
-            values[self._tl_uids], pre[self._tl_uids] = _threshold_core(f, theta)
-        flat = self.flat
+            values[self._tl_uids], s = _threshold_core(f, theta)
+            leaves = f[self._learn], s[self._learn]
+        kept = []
         for code, u, kids, extra, flip in self._ops:
             if code == _NOT:
                 values[u] = 1.0 - values[kids]
+                kept.append(None)
                 continue
             xs = values[kids]
             if code == _LNN:
-                slots, bias = extra
-                pre[u], out = _and_core(1.0 - xs if flip else xs, eff["sp"][slots], flat[bias][:, None])
+                weights, bias = eff["ops"][extra]
+                pre, out, comp = _and_core(1.0 - xs if flip else xs, weights, bias)
+                kept.append((comp, pre))
                 values[u] = 1.0 - out if flip else out
             elif code == _TNORM:
-                pre[u] = _fold(np.multiply, 1.0 - xs if flip else xs)
-                values[u] = 1.0 - pre[u] if flip else pre[u]
+                inputs = 1.0 - xs if flip else xs
+                prod = _fold(np.multiply, inputs)
+                kept.append((inputs, prod))
+                values[u] = 1.0 - prod if flip else prod
             else:
-                values[u] = pre[u] = _fold(np.add if flip else np.multiply, extra * xs)
-        return values, pre
+                values[u] = out = _fold(np.add if flip else np.multiply, extra * xs)
+                kept.append((xs, out))
+        return values, kept, leaves
 
-    def evaluate_batch(self, cols: dict[str, np.ndarray], cache: dict | None = None) -> np.ndarray:
-        """Score every row of ``cols``; ``cache`` receives what :meth:`backward` reads."""
+    def stack(self, cols) -> np.ndarray:
+        """The ``[features, rows]`` float matrix of a name -> column mapping,
+        in :attr:`feature_names` order; a missing name raises FeatureError."""
         for name in self.feature_names:
             if name not in cols:
                 raise FeatureError(f"missing feature column {name!r}")
-        return self._run(cols, cache)
+        return np.stack([np.asarray(cols[name], dtype=float) for name in self.feature_names])
+
+    def evaluate_batch(self, cols, cache: dict | None = None) -> np.ndarray:
+        """Score every row of ``cols``: a name -> column mapping, stacked by
+        :meth:`stack` and checked for NaN, or a ``[features, rows]`` float
+        matrix in :attr:`feature_names` order, taken as given. ``cache``
+        receives what :meth:`backward` reads."""
+        if isinstance(cols, np.ndarray):
+            return self._run(cols, cache)
+        feats = self.stack(cols)
+        nan = np.isnan(feats).any(axis=1)
+        if nan.any():
+            raise ValueError(f"feature {self.feature_names[int(np.argmax(nan))]!r} contains NaN")
+        return self._run(feats, cache)
 
     def evaluate(self, row: dict[str, float]) -> float:
         cols = {k: np.asarray([v], dtype=float) for k, v in row.items()}
@@ -513,11 +563,11 @@ class ScoringGraph:
         pre)`` for every gate (``pre`` is the product in tnorm mode and the
         value in manual mode), for callers that inspect pre-activations."""
         state: dict = {}
-        self._run(cols, state)
-        _, values, pre, _ = state["tape"]
-        for code, uids, kids, _, flip in self._ops:
-            for u, k in zip(uids.tolist(), kids.T if code != _NOT else ()):
-                cache[u] = (1.0 - values[k] if flip and code != _MANUAL else values[k], pre[u])
+        self.evaluate_batch(cols, state)
+        values, kept, _, _ = state["tape"]
+        for (code, uids, kids, _, flip), keep in zip(self._ops, kept):
+            for i, (u, k) in enumerate(zip(uids.tolist(), kids.T if code != _NOT else ())):
+                cache[u] = (1.0 - values[k] if flip and code != _MANUAL else values[k], keep[1][i])
         return values[node.uid]
 
     def backward(self, cache: dict, dout: np.ndarray, grads: np.ndarray) -> None:
@@ -529,36 +579,39 @@ class ScoringGraph:
         """
         if self.mode == "manual":
             return
-        feats, values, pre, eff = cache["tape"]
-        dvalues = np.zeros_like(values)  # rows no gradient reaches stay 0
+        values, kept, leaves, eff = cache["tape"]
+        dvalues = np.zeros(values.shape)  # rows no gradient reaches stay 0
         dvalues[0] = dout
-        for code, u, kids, extra, flip in self._back_ops:
+        dw, db = [], []  # per lnn op, last op first
+        for j in self._back_ops:
+            code, u, kids, extra, flip = self._ops[j]
             g = dvalues[u]
             if code == _NOT:
                 dvalues[kids] = -g
                 continue
-            inputs = 1.0 - values[kids] if flip else values[kids]
+            arr, pre = kept[j]  # arr: 1 - inputs for lnn, the inputs for tnorm
             if code == _LNN:
-                slots, bias = extra
-                live = (pre[u] > 0.0) & (pre[u] < 1.0)
+                live = (pre > 0.0) & (pre < 1.0)
                 ge = (-g if flip else g) * live
-                grads[bias] += ge.sum(axis=1)
-                dw = -(ge[None] * (1.0 - inputs)).sum(axis=2)
-                grads[slots] += dw * eff["sig"][slots]
-                dx_inner = ge[None] * eff["sp"][slots][:, :, None]
+                db.append(ge.sum(axis=1))
+                dw.append((ge[None] * arr).sum(axis=2).ravel())
+                dx_inner = ge[None] * eff["ops"][extra][0]
                 dvalues[kids] = -dx_inner if flip else dx_inner
             else:  # tnorm: for or, the two sign flips (1-x in, 1-prod out) cancel
                 # terms[i] is the inputs with input i set to 1.0; folding it
                 # multiplies the other inputs in order, exactly
-                terms = np.repeat(inputs[None], len(extra), axis=0)
+                terms = np.repeat(arr[None], len(extra), axis=0)
                 terms[extra, extra] = 1.0
                 dvalues[kids] = g * _fold(np.multiply, terms.swapaxes(0, 1))
-        learn = self._theta_learn
-        if len(learn):
-            f, s, theta = feats[self._tl_cols[learn]], pre[self._tl_uids[learn]], eff["theta"][learn]
+        # every lnn op is on the backward tape (its own parameters learn), and
+        # a slot belongs to one op, so one scatter adds what one per op would
+        if dw:
+            grads[self._lnn_slots] += -np.concatenate(dw[::-1]) * eff["dsig"]
+            grads[self._lnn_bias] += np.concatenate(db[::-1])
+        if len(self._learn_uids):
+            f, s = leaves
             # d(f*s)/dgamma = f * s(1-s) * (-1) * theta(1-theta)
-            dtl = (dvalues[self._tl_uids[learn]] * f * s * (1.0 - s)).sum(axis=1)
-            grads[self._gamma0:] += dtl * (-(theta * (1.0 - theta)))
+            grads[self._gamma0:] += (dvalues[self._learn_uids] * f * s * (1.0 - s)).sum(axis=1) * eff["dgamma"]
 
     def residual_sum(self) -> float:
         if self.mode != "lnn" or not self._arity:

@@ -230,7 +230,7 @@ def prepare_labels(labels) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
 
 
-def margin_loss_prepared(scores: np.ndarray, prepared, mu: float):
+def margin_loss_prepared(scores: np.ndarray, prepared, mu: float, grad: bool = True):
     """Margin loss and its gradient d(loss)/d(scores) for one candidate list
     of float ``scores``, given its :func:`prepare_labels` indices.
 
@@ -238,20 +238,22 @@ def margin_loss_prepared(scores: np.ndarray, prepared, mu: float):
     negative n, positive by positive. The gradient counts active hinges, -1
     on the positive and +1 on the negative per active pair, with
     sub-gradient 0 at the kink; being integer counts it does not depend on
-    summation order.
+    summation order. With ``grad`` false it is not built and comes back as
+    None, for callers that read only the loss.
     """
     positives, negatives = prepared
     if positives.size == 0:
         raise ValueError("margin loss needs at least one positive label")
     negative_scores = scores[negatives]
-    dscores = np.zeros_like(scores)
+    dscores = np.zeros(scores.shape) if grad else None
     total = 0.0
     for p in positives:
         margins = mu - (scores[p] - negative_scores)
         total += np.add.reduce(np.maximum(0.0, margins))
-        active = margins > 0.0
-        dscores[p] -= np.count_nonzero(active)
-        dscores[negatives] += active
+        if grad:
+            active = margins > 0.0
+            dscores[p] -= np.count_nonzero(active)
+            dscores[negatives] += active
     return float(total), dscores
 
 
@@ -288,28 +290,44 @@ def descend(params: dict, n_items: int, step, epoch_stats, config) -> list[dict]
     return log
 
 
-def _mention_grads(graph: ScoringGraph, cols, prepared, mu: float, grads: np.ndarray) -> np.ndarray:
-    """One mention's scores (one tape run); adds the gradients of its margin
-    loss (labels as :func:`prepare_labels` indices) to the flat ``grads``
-    (laid out like ``graph.flat``)."""
+def _mention_grads(graph: ScoringGraph, block, prepared, mu: float, grads: np.ndarray) -> np.ndarray:
+    """One mention's scores (one tape run over ``block``, as
+    :meth:`ScoringGraph.evaluate_batch` takes it); adds the gradients of its
+    margin loss (labels as :func:`prepare_labels` indices) to the flat
+    ``grads`` (laid out like ``graph.flat``)."""
     cache: dict = {}
-    scores = graph.evaluate_batch(cols, cache)
+    scores = graph.evaluate_batch(block, cache)
     _, dscores = margin_loss_prepared(scores, prepared, mu)
-    if np.any(dscores != 0.0):
+    if np.count_nonzero(dscores):
         graph.backward(cache, dscores, grads)
     return scores
 
 
-def _summed_loss(graph: ScoringGraph, cols: dict[str, np.ndarray], offsets: list[int], labels: list,
-                 config: TrainConfig) -> float:
-    """:func:`total_loss` over gathered rows: list i owns rows
-    ``offsets[i]:offsets[i+1]`` and has :func:`prepare_labels` indices
-    ``labels[i]``. One graph walk scores every row; the per-list losses are
-    then added in list order."""
-    scores = graph.evaluate_batch(cols)
+def _blocks(graph: ScoringGraph, table: FeatureTable, instances) -> tuple:
+    """``instances``' rows as :meth:`ScoringGraph.evaluate_batch` takes them:
+    all of them, with the list offsets, and one block per list.
+
+    The gathered columns are stacked once; a block is a view of that
+    matrix. A list holding a NaN keeps its columns instead, and so does the
+    whole when any list does, so evaluate_batch raises on them at the call
+    that reads them."""
+    cols, offsets = table.gather(instances, graph.feature_names)
+    stacked = graph.stack(cols)
+    nan = np.isnan(stacked).any(axis=0)
+    blocks = [{name: col[start:end] for name, col in cols.items()} if nan[start:end].any()
+              else stacked[:, start:end] for start, end in zip(offsets, offsets[1:])]
+    return (cols if nan.any() else stacked), offsets, blocks
+
+
+def _summed_loss(graph: ScoringGraph, rows, offsets: list[int], labels: list, config: TrainConfig) -> float:
+    """:func:`total_loss` over gathered ``rows`` (as evaluate_batch takes
+    them): list i owns rows ``offsets[i]:offsets[i+1]`` and has
+    :func:`prepare_labels` indices ``labels[i]``. One graph walk scores
+    every row; the per-list losses are then added in list order."""
+    scores = graph.evaluate_batch(rows)
     total = 0.0
     for prepared, start, end in zip(labels, offsets, offsets[1:]):
-        total += margin_loss_prepared(scores[start:end], prepared, config.mu)[0]
+        total += margin_loss_prepared(scores[start:end], prepared, config.mu, grad=False)[0]
     return float(total + config.penalty_lambda * graph.residual_sum())
 
 
@@ -317,7 +335,7 @@ def total_loss(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: Tr
                rows: tuple | None = None) -> float:
     """Margin loss summed over mentions plus the weighted constraint penalty.
 
-    ``rows`` may hold ``ds``'s gathered columns, offsets and per-list
+    ``rows`` may hold ``ds``'s gathered rows, offsets and per-list
     :func:`prepare_labels` indices, made once by a caller that sums often.
     """
     if rows is None:
@@ -334,9 +352,8 @@ def gradients(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: Tra
     if not graph.parameters():
         return {}
     grads = np.zeros_like(graph.flat)
-    for inst in ds.instances:
-        _mention_grads(graph, table.columns(inst, graph.feature_names), prepare_labels(inst.labels),
-                       config.mu, grads)
+    for block, inst in zip(_blocks(graph, table, ds.instances)[2], ds.instances):
+        _mention_grads(graph, block, prepare_labels(inst.labels), config.mu, grads)
     penalty_grads(graph, config.penalty_lambda, grads)
     return graph.unflatten(grads)
 
@@ -360,23 +377,19 @@ def train(
         )
     learnable = bool(graph.parameters())
     instances = list(ds.instances)
-    cols, offsets = table.gather(instances, graph.feature_names)
-    prefetched = [
-        {name: col[start:end] for name, col in cols.items()}
-        for start, end in zip(offsets, offsets[1:])
-    ]
+    rows, offsets, blocks = _blocks(graph, table, instances)
     labels = [prepare_labels(inst.labels) for inst in instances]
 
     def step(idx):
         if not learnable:  # manual mode: skip the forward pass
             return (), {}
-        grads = np.zeros_like(graph.flat)
-        scores = _mention_grads(graph, prefetched[idx], labels[idx], config.mu, grads)
+        grads = np.zeros(graph.flat.shape)
+        scores = _mention_grads(graph, blocks[idx], labels[idx], config.mu, grads)
         penalty_grads(graph, config.penalty_lambda, grads)
         return scores, {"flat": grads}
 
     def epoch_stats():
-        return {"loss": total_loss(graph, table, ds, config, (cols, offsets, labels)), "violation": graph.residual_sum()}
+        return {"loss": total_loss(graph, table, ds, config, (rows, offsets, labels)), "violation": graph.residual_sum()}
 
     log = descend({"flat": graph.flat}, len(instances), step, epoch_stats, config)
     if log:

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import instance_obj, write_jsonl, write_oversized_number
-from rulelink import errors
+from rulelink import cli, errors
 from rulelink.cli import run
 from rulelink.corpus import save_dataset
 from rulelink.ruledsl import ast_leaves, find_root, parse
@@ -248,6 +248,29 @@ class TestUsageErrors:
         assert code == 1
 
 
+class TestParserReuse:
+    def test_a_flag_of_one_run_does_not_reach_the_next(self, workdir, capsys):
+        _featurize(workdir)
+        _train(workdir)
+        argv = ["eval", "--model", str(workdir / "model.json"), "--data", str(workdir / "data.jsonl"),
+                "--features", str(workdir / "features.csv")]
+        capsys.readouterr()
+        assert run(argv + ["--ks", "1"]) == 0
+        assert "R@1=" in capsys.readouterr().out
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert "R@1=" not in out and all(f"R@{k}=" in out for k in (5, 10, 64))
+
+    def test_usage_error_is_the_same_on_every_run(self, capsys):
+        with pytest.raises(cli.UsageError) as fresh:
+            cli.build_parser().parse_args(["train", "--nonsense"])
+        errs = []
+        for _ in range(2):
+            assert run(["train", "--nonsense"]) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs == [f"rulelink: {fresh.value}\n"] * 2
+
+
 class TestTypedFieldsCli:
     @pytest.mark.parametrize(
         "rule, edit",
@@ -287,6 +310,26 @@ class TestTypedFieldsCli:
         assert code == 1
         assert "must be a list" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda obj: obj.update(labels=[0.7, 1]), "labels must be JSON integers 0 or 1, not float"),
+            (lambda obj: obj.update(labels=[True, False]), "labels must be JSON integers 0 or 1, not bool"),
+            (lambda obj: obj["candidates"][0].update(indegree=3.9),
+             "candidate 'e1' indegree must be a non-negative JSON integer, not float"),
+        ],
+        ids=["float_label", "bool_label", "float_indegree"],
+    )
+    def test_coerced_number_exits_one(self, tmp_path, capsys, edit, message):
+        objs = [instance_obj("m1"), instance_obj("m2")]
+        edit(objs[1])
+        write_jsonl(tmp_path / "d.jsonl", objs)
+        (tmp_path / "r.elr").write_text("rule Links = jacc? & prom;\n")
+        code = run(["featurize", "--data", str(tmp_path / "d.jsonl"),
+                    "--rules", str(tmp_path / "r.elr"), "--out", str(tmp_path / "f.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"rulelink: line 2: {message}\n"
 
     @pytest.mark.parametrize("field", ["embedding", "external_scores", "indegree", "indegree_inf", "labels",
                                        "mention_id"])

@@ -163,6 +163,30 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=f"line 2: .*{key} must be a list, not str"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("labels, kinds", [([0.7, 1], "float"), (["1", 0], "str"), ([True, False], "bool"),
+                                               ([1.0, 0], "float"), ([1, 0.0, "0"], "float, str")])
+    def test_label_that_is_not_a_json_integer_rejected(self, tmp_path, labels, kinds):
+        # each would otherwise load as a 0/1 label through int()
+        path = write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1"), instance_obj("m2", labels=labels)])
+        with pytest.raises(DatasetError, match=f"^line 2: labels must be JSON integers 0 or 1, not {kinds}$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("indegree, kind", [(3.9, "float"), (3.0, "float"), (True, "bool"), ("3", "str")])
+    def test_indegree_that_is_not_a_json_integer_rejected(self, tmp_path, indegree, kind):
+        bad = instance_obj("m2")
+        bad["candidates"][1]["indegree"] = indegree
+        path = write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1"), bad])
+        with pytest.raises(DatasetError, match=f"^line 2: candidate 'e2' indegree must be a non-negative JSON "
+                                               f"integer, not {kind}$"):
+            load_dataset(path)
+
+    def test_integer_labels_and_indegree_load(self, tmp_path):
+        obj = instance_obj("m1", labels=[0, 1])
+        obj["candidates"][0].pop("indegree")
+        inst = load_dataset(write_jsonl(tmp_path / "d.jsonl", [obj])).instances[0]
+        assert inst.labels == (0, 1) and [c.indegree for c in inst.candidates] == [0, 1]
+        assert all(type(v) is int for v in inst.labels)
+
     @pytest.mark.parametrize("candidates", [[5], 5, ["e1"]])
     def test_non_object_candidates_rejected(self, tmp_path, candidates):
         obj = instance_obj("m1")

@@ -162,6 +162,45 @@ class TestRecallAtK:
             assert values == sorted(values)
 
 
+def _recall_brute_force(preds, ds, ks):
+    """recall_at_k as one set per prediction per k."""
+    gold = {inst.mention.id: {c.id for c, l in zip(inst.candidates, inst.labels) if l == 1} for inst in ds.instances}
+    out = {}
+    for k in ks:
+        hits = sum(1 for pred in preds if {cid for cid, _ in pred.ranked[:k]} & gold.get(pred.mention_id, set()))
+        out[k] = hits / len(ds.instances) if ds.instances else 0.0
+    return out
+
+
+@st.composite
+def _ranked_case(draw):
+    """Mentions with 0 to 3 gold candidates among up to 8, and predictions
+    that skip some mentions, repeat others, name an unknown mention or rank
+    ids outside the list."""
+    rows = []
+    for i in range(draw(st.integers(0, 5))):
+        labels = draw(st.lists(st.sampled_from([0, 0, 1]), min_size=1, max_size=8))
+        rows.append((f"m{i}", [(f"c{j}", l) for j, l in enumerate(labels)]))
+    ids = st.sampled_from([f"c{j}" for j in range(10)])
+    mentions = st.sampled_from([mid for mid, _ in rows] + ["unknown"])
+    preds = draw(st.lists(st.tuples(mentions, st.lists(ids, max_size=10, unique=True)), max_size=8))
+    ks = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    return _dataset(rows), _preds([(mid, [(cid, 0.5) for cid in ranked]) for mid, ranked in preds]), ks
+
+
+class TestRecallAtKOnePass:
+    @settings(max_examples=300, deadline=None)
+    @given(_ranked_case())
+    def test_matches_brute_force_count(self, case):
+        ds, preds, ks = case
+        assert recall_at_k(preds, ds, ks) == _recall_brute_force(preds, ds, ks)
+
+    def test_k_below_one_rejected(self):
+        ds = _dataset([("m1", [("a", 1)])])
+        with pytest.raises(ValueError, match="positive"):
+            recall_at_k(_preds([("m1", [("a", 0.9)])]), ds, [5, 0])
+
+
 class TestReportSerialization:
     def test_json_round_trip_byte_identical(self):
         report = EvalReport(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import tree_reference as ref
 from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
-from rulelink.logic import AndNode, GateParams, NotNode, OrNode, RawLeaf, ScoringGraph, ThresholdLeaf
+from rulelink.logic import AndNode, GateParams, NotNode, OrNode, RawLeaf, ScoringGraph, ThresholdLeaf, _and_core
 from rulelink.simfeatures import FeatureTable
 from rulelink.training import TrainConfig, gradients, load_model, save_model, total_loss, train
 from test_evaluation import _ragged_case
@@ -175,3 +175,29 @@ class TestGradientAccumulation:
         assert graph.evaluate_batch(table.gather(ds.instances)[0]).tolist() == [1.0, 1.0]
         train(ds, table, graph, config)
         assert gate.raw_weights.tobytes() == np.array([-0.0, -0.0]).tobytes()
+
+
+# NaNs with payloads and either sign, signed zeros, infinities, subnormals,
+# the clamp's edges, and any other bit pattern
+_SPECIAL = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF4000000ABCDEF,
+                     0x7FFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64).tolist()
+_SPECIAL += [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072e-308, 1.0, np.nextafter(1.0, 2.0)]
+_ANY_FLOAT = st.one_of(st.sampled_from(_SPECIAL), st.floats(-3.0, 3.0),
+                       st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))))
+
+
+class TestClamp:
+    @settings(max_examples=400, deadline=None)
+    @given(k=st.integers(1, 4), rows=st.integers(1, 6), data=st.data())
+    def test_and_core_matches_np_clip_by_bytes(self, k, rows, data):
+        def floats(n):
+            return np.array(data.draw(st.lists(_ANY_FLOAT, min_size=n, max_size=n)), dtype=float)
+
+        inputs, weights, bias = floats(k * rows).reshape(k, rows), floats(k), floats(rows)
+        with np.errstate(all="ignore"):
+            pre, out, comp = _and_core(inputs, weights, bias)
+            ref_pre, ref_out = ref._and_core(inputs, weights, bias)
+            ref_comp = 1.0 - inputs
+        assert pre.tobytes() == ref_pre.tobytes()
+        assert out.tobytes() == ref_out.tobytes()
+        assert comp.tobytes() == ref_comp.tobytes()

@@ -492,6 +492,35 @@ class TestTrain:
         last = np.float64(model.training_log[-1]["loss"]).tobytes()
         assert last == np.float64(total_loss(model.graph, table, ds, config)).tobytes()
 
+    def test_a_nan_raises_at_the_step_that_reads_it(self, monkeypatch):
+        ds, catalog, table, graph = _tiny_setup()
+        first_name, second_name = graph.feature_names
+        config = TrainConfig(epochs=2, seed=3)
+        order = np.random.default_rng(config.seed).permutation(len(ds.instances)).tolist()
+        # the second mention visited has a NaN in the second column; the
+        # fourth, first in dataset order of the two, has one in the first
+        for pos, name in ((order[1], second_name), (order[3], first_name)):
+            inst = ds.instances[pos]
+            row = table.index[(inst.mention.id, inst.candidates[-1].id)]
+            table.matrix[row, table.feature_names.index(name)] = np.nan
+        calls = []
+        evaluate = graph.evaluate_batch
+
+        def counting(cols, cache=None):
+            calls.append(1)
+            return evaluate(cols, cache)
+
+        monkeypatch.setattr(graph, "evaluate_batch", counting)
+        with pytest.raises(ValueError, match=f"^feature {second_name!r} contains NaN$"):
+            train(ds, table, graph, config, catalog=catalog)
+        assert len(calls) == 2
+        calls.clear()
+        # gradients visits the mentions in dataset order
+        name = second_name if order[1] < order[3] else first_name
+        with pytest.raises(ValueError, match=f"^feature {name!r} contains NaN$"):
+            gradients(graph, table, ds, config)
+        assert len(calls) == min(order[1], order[3]) + 1
+
     def test_final_loss_not_above_initial_on_fixture(self):
         ds, catalog, table, graph = _tiny_setup()
         config = TrainConfig(epochs=10, learning_rate=0.01, seed=2)
