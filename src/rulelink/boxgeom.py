@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Dataset
+from .corpus import Dataset, read_text
 from .errors import FeatureError
 from .logic import sigmoid, softplus, softplus_inverse
 from .simfeatures import minmax_rescale
@@ -123,26 +123,27 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
     """
     out: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                vec = np.asarray([float(v) for v in rec["vec"]], dtype=float)
-                eid = str(rec["id"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FeatureError(f"{path} line {line_no}: bad embedding record ({exc})")
-            if not np.all(np.isfinite(vec)):
-                raise FeatureError(f"{path} line {line_no}: non-finite embedding value")
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise FeatureError(
-                    f"{path} line {line_no}: dimension {vec.shape[0]} != {dim}"
-                )
-            out[eid] = vec
+    for line_no, line in enumerate(read_text(path, FeatureError).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            vec = np.asarray([float(v) for v in rec["vec"]], dtype=float)
+            eid = rec["id"]
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise FeatureError(f"{path} line {line_no}: bad embedding record ({exc})")
+        if not isinstance(eid, str):
+            raise FeatureError(f"{path} line {line_no}: embedding id {eid!r} must be a string")
+        if not np.all(np.isfinite(vec)):
+            raise FeatureError(f"{path} line {line_no}: non-finite embedding value")
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise FeatureError(
+                f"{path} line {line_no}: dimension {vec.shape[0]} != {dim}"
+            )
+        out[eid] = vec
     return out
 
 

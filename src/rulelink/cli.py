@@ -19,10 +19,11 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields, replace
 
 from . import evaluation
 from .boxgeom import attach_embeddings, load_box_params
-from .corpus import DEFAULT_DENYLIST, atomic_write, fetch_candidates, load_dataset
+from .corpus import DEFAULT_DENYLIST, atomic_write, fetch_candidates, load_dataset, read_text
 from .errors import (
     CompileError,
     DatasetError,
@@ -31,7 +32,7 @@ from .errors import (
     ParseError,
     TrainingDivergence,
 )
-from .ruledsl import ast_leaves, builtin_templates, compile, find_root, parse
+from .ruledsl import builtin_templates, compile, parse, rule_catalog
 from .simfeatures import FeatureTable, build_feature_table, default_catalog, read_sidecar, write_features
 from .training import TrainConfig, load_config, load_model, save_model, train
 
@@ -57,27 +58,13 @@ def _load_rules(spec: str):
     """A rules flag is either ``builtin:<name>`` or a .elr file path."""
     if spec.startswith("builtin:"):
         return [builtin_templates()[spec.split(":", 1)[1]]]
-    with open(_require_file(spec), "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(read_text(_require_file(spec), UsageError))
 
 
 def _config_from_args(args) -> TrainConfig:
     config = load_config(_require_file(args.config)) if args.config else TrainConfig()
-    overrides = {}
-    for key, attr in (
-        ("epochs", "epochs"),
-        ("learning_rate", "lr"),
-        ("mu", "mu"),
-        ("alpha", "alpha"),
-        ("penalty_lambda", "penalty_lambda"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    from dataclasses import replace
-
-    return replace(config, **overrides) if overrides else config
+    overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if getattr(args, f.name) is not None}
+    return replace(config, **overrides)
 
 
 def _cmd_featurize(args) -> int:
@@ -85,10 +72,8 @@ def _cmd_featurize(args) -> int:
     if args.embeddings:
         ds = attach_embeddings(ds, _require_file(args.embeddings))
     rules = _load_rules(args.rules)
-    leaves = ast_leaves(find_root(rules), rules)
     box_params = load_box_params(_require_file(args.box_params)) if args.box_params else None
-    catalog = default_catalog(box_params=box_params).restricted(leaves)
-    table = build_feature_table(ds, catalog, jobs=args.jobs)
+    table = build_feature_table(ds, rule_catalog(rules, box_params))
     write_features(args.out, ds, table)
     logger.info("wrote %d feature rows to %s", len(table.candidate_ids), args.out)
     return 0
@@ -99,8 +84,7 @@ def _cmd_train(args) -> int:
     table = FeatureTable.from_csv(_require_file(args.features))
     rules = _load_rules(args.rules)
     config = _config_from_args(args)
-    leaves = ast_leaves(find_root(rules), rules)
-    catalog = default_catalog().restricted(leaves)
+    catalog = rule_catalog(rules)
     graph = compile(rules, catalog, mode=args.mode, alpha=config.alpha)
     model = train(ds, table, graph, config, catalog=catalog)
     save_model(model, args.out)
@@ -188,7 +172,7 @@ def _add_train_flags(sub) -> None:
     sub.add_argument("--config", help="key=value config file (TrainConfig keys)")
     sub.add_argument("--epochs", type=int)
     sub.add_argument("--mu", type=float)
-    sub.add_argument("--lr", type=float)
+    sub.add_argument("--lr", dest="learning_rate", metavar="LR", type=float)
     sub.add_argument("--alpha", type=float)
     sub.add_argument("--penalty-lambda", dest="penalty_lambda", type=float)
     sub.add_argument("--seed", type=int)
@@ -202,7 +186,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--rules", required=True, help=".elr file or builtin:<template>")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--embeddings", help="entity embedding JSONL for box features")
     p.add_argument("--box-params", dest="box_params", help="trained box parameter JSON")
     p.set_defaults(func=_cmd_featurize)

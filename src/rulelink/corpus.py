@@ -145,7 +145,9 @@ def instance_faults(inst: LabeledInstance) -> list[str]:
     """
     faults: list[str] = []
     mention = inst.mention
-    if not mention.surface:
+    if not isinstance(mention.surface, str):
+        faults.append(f"mention surface {mention.surface!r} must be a string")
+    elif not mention.surface:
         faults.append("mention surface is empty")
     if mention.id in mention.context_ids:
         faults.append(f"mention {mention.id!r} lists itself as context")
@@ -164,15 +166,20 @@ def instance_faults(inst: LabeledInstance) -> list[str]:
 
     cand_ids: set[str] = set()
     for cand in inst.candidates:
+        if not isinstance(cand.name, str):
+            faults.append(f"candidate {cand.id!r} name {cand.name!r} must be a string")
         if not isinstance(cand.description, (str, type(None))):
             faults.append(f"candidate {cand.id!r} description must be a string or null")
+        if cand.domains and not set(map(type, cand.domains)) <= {str}:
+            faults.append(f"candidate {cand.id!r} domains must be strings, not {_type_names(cand.domains, str)}")
         if cand.indegree < 0:
             faults.append(f"candidate {cand.id!r} has negative indegree")
         if cand.embedding is not None and not all(math.isfinite(v) for v in cand.embedding):
             faults.append(f"candidate {cand.id!r} has a non-finite embedding value")
-        if cand.id in cand_ids:
-            faults.append(f"duplicate candidate id {cand.id!r}")
-        cand_ids.add(cand.id)
+        if isinstance(cand.id, str):  # a non-string id is reported above, and may not hash
+            if cand.id in cand_ids:
+                faults.append(f"duplicate candidate id {cand.id!r}")
+            cand_ids.add(cand.id)
         for k, v in cand.external_scores.items():
             if not 0.0 <= v <= 1.0:
                 faults.append(f"external score {k!r}={v} outside [0,1] on candidate {cand.id!r}")
@@ -189,17 +196,31 @@ def _as_list(value, what: str) -> list:
     return value
 
 
+def _type_names(values, *allowed: type) -> str:
+    """The sorted names of the types in ``values`` that are not ``allowed``."""
+    return ", ".join(sorted({type(v).__name__ for v in values if type(v) not in allowed}))
+
+
+def _numbers(values, what: str):
+    """``values`` if they are all JSON numbers; float() would load "0.9" as
+    0.9 and true as 1.0, so this check runs before it."""
+    if not set(map(type, values)) <= {int, float}:
+        raise TypeError(f"{what} values must be JSON numbers, not {_type_names(values, int, float)}")
+    return values
+
+
 def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
     def fail(msg: str):
         raise DatasetError(f"line {line_no}: {msg}")
 
+    # Text fields are taken as they are: instance_faults rejects one that is not a string.
     try:
         m = obj["mention"]
         mention = Mention(
-            id=str(m["id"]),
-            surface=str(m["surface"]),
-            text_id=str(m["text_id"]),
-            context_ids=tuple(str(c) for c in _as_list(m.get("context_ids", []), "context_ids")),
+            id=m["id"],
+            surface=m["surface"],
+            text_id=m["text_id"],
+            context_ids=tuple(_as_list(m.get("context_ids", []), "context_ids")),
             mention_type=m.get("type"),
         )
         raw_cands = _as_list(obj["candidates"], "candidates")
@@ -207,25 +228,28 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
         labels = tuple(int(l) for l in raw_labels)
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         fail(f"missing or malformed field ({exc})")
-    kinds = set(map(type, raw_labels)) - {int}  # int() would load true, 0.7 or "1" as 1, 0 or 1
-    if kinds:
-        fail(f"labels must be JSON integers 0 or 1, not {', '.join(sorted(k.__name__ for k in kinds))}")
+    if not set(map(type, raw_labels)) <= {int}:  # int() would load true, 0.7 or "1" as 1, 0 or 1
+        fail(f"labels must be JSON integers 0 or 1, not {_type_names(raw_labels, int)}")
 
     candidates = []
     for c in raw_cands:
         try:
             emb = c.get("embedding")
+            if emb is not None:
+                emb = tuple(map(float, _numbers(_as_list(emb, "embedding"), "embedding")))
+            scores = c.get("external_scores", {})
+            _numbers(scores.values(), "external_scores")
             raw_indegree = c.get("indegree", 0)
             indegree = int(raw_indegree)
             float(indegree)  # OverflowError if no float holds it: prom rescales in-degrees as floats
             candidates.append(CandidateEntity(
-                id=str(c["id"]),
-                name=str(c["name"]),
+                id=c["id"],
+                name=c["name"],
                 description=c.get("description"),
-                domains=frozenset(str(d) for d in _as_list(c.get("domains", []), "domains")),
+                domains=frozenset(_as_list(c.get("domains", []), "domains")),
                 indegree=indegree,
-                embedding=None if emb is None else tuple(float(v) for v in _as_list(emb, "embedding")),
-                external_scores={str(k): float(v) for k, v in c.get("external_scores", {}).items()},
+                embedding=emb,
+                external_scores={k: float(v) for k, v in scores.items()},
             ))
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             fail(f"malformed candidate ({exc})")
@@ -261,6 +285,16 @@ def not_utf8(path, exc: UnicodeDecodeError) -> str:
     with open(path, encoding="utf-8", errors="surrogateescape") as again:
         bad = next(n for n, line in enumerate(again, start=1) if _LONE_SURROGATE.search(line))
     return f"{path} line {bad}: not UTF-8 ({exc.reason})"
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The text of the UTF-8 file ``path``, line ends as open() reads them;
+    a byte that is not UTF-8 raises ``error`` with :func:`not_utf8`'s message."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(not_utf8(path, exc)) from exc
 
 
 def load_dataset(path) -> Dataset:
@@ -433,6 +467,8 @@ def merge_external_scores(ds: Dataset, scores_path, feature_name: str) -> Datase
                 scores[key] = value
         except csv.Error as exc:
             raise DatasetError(f"scores file {scores_path} line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DatasetError(not_utf8(scores_path, exc)) from exc
     if duplicates:
         logger.warning("merge %s: %d duplicate keys, last value wins", feature_name, duplicates)
 

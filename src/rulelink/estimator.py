@@ -14,8 +14,8 @@ import inspect
 from .corpus import Dataset, validate_dataset
 from .errors import CompileError, DatasetError
 from .evaluation import Prediction, evaluate, link
-from .ruledsl import ast_leaves, builtin_templates, compile, parse
-from .simfeatures import FeatureTable, build_feature_table, default_catalog
+from .ruledsl import builtin_templates, compile, parse, rule_catalog
+from .simfeatures import FeatureTable, build_feature_table
 from .training import TrainConfig, train
 
 
@@ -92,22 +92,18 @@ class RuleLinker:
             seed=self.seed,
         )
 
-    def _build_table(self, ds: Dataset) -> FeatureTable:
-        return build_feature_table(ds, self.catalog_)
+    def _table(self, ds: Dataset, feature_table: FeatureTable | None) -> FeatureTable:
+        """The table given, else one built with the fitted catalog."""
+        return feature_table if feature_table is not None else build_feature_table(ds, self.catalog_)
 
     def fit(self, ds: Dataset, feature_table: FeatureTable | None = None) -> "RuleLinker":
         violations = validate_dataset(ds).violations
         if violations:
             raise DatasetError(f"dataset {ds.name!r} has {len(violations)} violations: " + "; ".join(violations[:5]))
         asts = self._resolve_asts()
-        from .ruledsl import find_root
-
-        root = find_root(asts)
-        leaves = ast_leaves(root, asts)
-        self.catalog_ = default_catalog().restricted(leaves)
+        self.catalog_ = rule_catalog(asts)
         graph = compile(asts, self.catalog_, mode=self.mode, alpha=self.alpha)
-        table = feature_table if feature_table is not None else self._build_table(ds)
-        self.model_ = train(ds, table, graph, self._config(), catalog=self.catalog_)
+        self.model_ = train(ds, self._table(ds, feature_table), graph, self._config(), catalog=self.catalog_)
         self.training_log_ = self.model_.training_log
         return self
 
@@ -117,8 +113,7 @@ class RuleLinker:
 
     def predict_rankings(self, ds: Dataset, feature_table: FeatureTable | None = None) -> list[Prediction]:
         self._require_fitted()
-        table = feature_table if feature_table is not None else self._build_table(ds)
-        return link(self.model_, ds, table)
+        return link(self.model_, ds, self._table(ds, feature_table))
 
     def predict(self, ds: Dataset, feature_table: FeatureTable | None = None) -> list[str]:
         """Top-ranked candidate id per mention, in dataset order."""
@@ -127,5 +122,4 @@ class RuleLinker:
     def score(self, ds: Dataset, feature_table: FeatureTable | None = None) -> float:
         """Top-1 linking F1 on the given dataset."""
         self._require_fitted()
-        table = feature_table if feature_table is not None else self._build_table(ds)
-        return evaluate(self.model_, ds, table).f1
+        return evaluate(self.model_, ds, self._table(ds, feature_table)).f1

@@ -33,7 +33,7 @@ from .logic import (
     ThresholdLeaf,
     ThresholdParams,
 )
-from .simfeatures import FeatureCatalog
+from .simfeatures import FeatureCatalog, default_catalog
 
 # --- AST ---------------------------------------------------------------
 
@@ -327,34 +327,11 @@ class ManualWeights:
     feature_weights: list[float]
 
 
-class _ManualStream:
-    """Doles out fixed weights to gates in preorder; defaults past the end."""
-
-    def __init__(self, manual: ManualWeights | None):
-        self.rule_weights = list(manual.rule_weights) if manual else []
-        self.feature_weights = list(manual.feature_weights) if manual else []
-        self.r = 0
-        self.f = 0
-
-    def take_or(self, k: int) -> np.ndarray:
-        out = []
-        for _ in range(k):
-            if self.r < len(self.rule_weights):
-                out.append(self.rule_weights[self.r])
-                self.r += 1
-            else:
-                out.append(1.0 / k)
-        return np.asarray(out, dtype=float)
-
-    def take_and(self, k: int) -> np.ndarray:
-        out = []
-        for _ in range(k):
-            if self.f < len(self.feature_weights):
-                out.append(self.feature_weights[self.f])
-                self.f += 1
-            else:
-                out.append(1.0)
-        return np.asarray(out, dtype=float)
+def _take(weights: list[float], k: int, default: float) -> np.ndarray:
+    """The next ``k`` of ``weights``, consumed, then ``default`` past the end."""
+    taken = weights[:k]
+    del weights[:k]
+    return np.asarray(taken + [default] * (k - len(taken)), dtype=float)
 
 
 def compile(
@@ -371,7 +348,9 @@ def compile(
     """
     root_rule = find_root(asts)
     inlined = inline_rule(root_rule.name, asts)
-    stream = _ManualStream(manual)
+    # Fixed weights go to gates in preorder: rule weights to | gates, feature weights to & gates.
+    rule_weights = list(manual.rule_weights) if manual else []
+    feature_weights = list(manual.feature_weights) if manual else []
 
     def build(expr, rule_name: str):
         if isinstance(expr, Pred):
@@ -390,7 +369,8 @@ def compile(
             k = len(expr.children)
             weights = None
             if mode == "manual":
-                weights = stream.take_or(k) if isinstance(expr, Or) else stream.take_and(k)
+                weights = (_take(rule_weights, k, 1.0 / k) if isinstance(expr, Or)
+                           else _take(feature_weights, k, 1.0))
             # children build after weight draw keeps preorder assignment
             node_cls = OrNode if isinstance(expr, Or) else AndNode
             children = [build(c, rule_name) for c in expr.children]
@@ -398,6 +378,12 @@ def compile(
         raise CompileError(f"cannot compile node {expr!r}")  # pragma: no cover
 
     return ScoringGraph(build(inlined.body, inlined.name), alpha=alpha, mode=mode)
+
+
+def rule_catalog(rules: list[RuleAST], box_params=None) -> FeatureCatalog:
+    """The default catalog restricted to the features the root of ``rules``
+    reads, in first-occurrence order."""
+    return default_catalog(box_params).restricted(ast_leaves(find_root(rules), rules))
 
 
 def ast_leaves(ast: RuleAST, rules: list[RuleAST] | None = None) -> list[str]:

@@ -669,6 +669,11 @@ def _str_list(obj) -> bool:
     return isinstance(obj, list) and set(map(type, obj)) <= {str}
 
 
+def _row_mentions(mention_ids: list[str], offsets) -> list[str]:
+    """Each row's mention id: mention i's id on rows ``offsets[i]:offsets[i+1]``."""
+    return list(chain.from_iterable(map(repeat, mention_ids, np.diff(offsets).tolist())))
+
+
 def write_features(path, ds: Dataset, table: FeatureTable) -> None:
     """Write ``table`` as the feature CSV at ``path`` and, at
     :func:`sidecar_path`, the scoring block of ``ds`` (as loaded by
@@ -676,8 +681,7 @@ def write_features(path, ds: Dataset, table: FeatureTable) -> None:
     temp file and a rename. The table's rows must be the pairs of ``ds`` in
     dataset order, as :func:`build_feature_table` makes them."""
     mention_ids, offsets, candidate_ids, labels = ds.row_keys()
-    rows_of = [inst.mention.id for inst in ds.instances for _ in inst.candidates]
-    if (table.mention_ids, table.candidate_ids) != (rows_of, candidate_ids):
+    if (table.mention_ids, table.candidate_ids) != (_row_mentions(mention_ids, offsets), candidate_ids):
         raise FeatureError("feature table rows are not the dataset's pairs in dataset order")
     header = {
         "format_version": SIDECAR_VERSION,
@@ -737,8 +741,7 @@ def _load_block(path: str, data_path, data_sha256: str, features_sha256: str, ne
         raise _Unusable("labels outside {0, 1}")
     if not _in_unit_range(matrix).all():
         raise _Unusable("feature value outside [0, 1]")
-    lists = map(repeat, mention_ids, np.diff(offsets).tolist())
-    table = FeatureTable(names, chain.from_iterable(lists), candidate_ids, matrix)
+    table = FeatureTable(names, _row_mentions(mention_ids, offsets), candidate_ids, matrix)
     LoadReport(**counts, sha256=data_sha256).log(data_path)
     return ScoringBlock(mention_ids, offsets.tolist(), labels, table)
 
@@ -838,7 +841,7 @@ def build_feature_table(ds: Dataset, catalog: FeatureCatalog, jobs: int = 1) -> 
     instances = ds.instances
     mention_ids, offsets, candidate_ids, _ = ds.row_keys()
     counts = np.diff(offsets).tolist()
-    row_mentions = list(chain.from_iterable(map(repeat, mention_ids, counts)))
+    row_mentions = _row_mentions(mention_ids, offsets)
     _check_keys(mention_ids, row_mentions, candidate_ids)
     boxes = {name: _box_column(ds, spec) for name, spec in catalog.entries.items() if spec.kind == "box"}
     mentions = ds.mentions_by_id()

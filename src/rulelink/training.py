@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .corpus import Dataset, atomic_write
+from .corpus import Dataset, atomic_write, read_text
 from .errors import CompileError, TrainingDivergence
 from .logic import (
     AndNode,
@@ -66,45 +66,30 @@ class TrainConfig:
             raise ValueError("penalty_lambda must be >= 0")
 
     def to_json(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "mu": self.mu,
-            "alpha": self.alpha,
-            "penalty_lambda": self.penalty_lambda,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrainConfig":
         return cls(**obj)
 
 
-_CONFIG_KEYS = {
-    "epochs": int,
-    "learning_rate": float,
-    "mu": float,
-    "alpha": float,
-    "penalty_lambda": float,
-    "seed": int,
-}
+_CONFIG_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
 def load_config(path) -> TrainConfig:
     """Read a key=value config file; keys mirror TrainConfig fields."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path} line {line_no}: expected key = value")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path} line {line_no}: unknown key {key!r}")
-            values[key] = _CONFIG_KEYS[key](raw.strip())
+    for line_no, line in enumerate(read_text(path, ValueError).split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path} line {line_no}: expected key = value")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path} line {line_no}: unknown key {key!r}")
+        values[key] = _CONFIG_KEYS[key](raw.strip())
     return TrainConfig(**values)
 
 
@@ -137,6 +122,12 @@ def graph_to_json(graph: ScoringGraph) -> dict:
     return {"alpha": graph.alpha, "mode": graph.mode, "root": _node_to_json(graph.root)}
 
 
+def _require_finite(kind: str, values: list) -> None:
+    """CompileError unless every parameter in ``values`` (numbers or arrays) is finite."""
+    if not np.isfinite(np.hstack(values).astype(float)).all():
+        raise CompileError(f"{kind} node has a non-finite parameter")
+
+
 def _node_from_json(obj: dict) -> Node:
     # Kind first; a missing field or wrong type is reported by load_model.
     kind = obj["kind"]
@@ -147,8 +138,7 @@ def _node_from_json(obj: dict) -> Node:
     if kind == "tl":
         fixed = "fixed_theta" in obj
         value = float(obj["fixed_theta" if fixed else "gamma"])
-        if not np.isfinite(value):
-            raise CompileError("tl node has a non-finite parameter")
+        _require_finite(kind, [value])
         if fixed:
             return ThresholdLeaf(obj["feature"], fixed_theta=value)
         return ThresholdLeaf(obj["feature"], params=ThresholdParams(value))
@@ -162,9 +152,7 @@ def _node_from_json(obj: dict) -> Node:
     manual = obj.get("manual_weights")
     if manual is not None and len(manual) != len(children):
         raise CompileError(f"{kind} node has {len(manual)} manual weights for {len(children)} children")
-    values = [gate.raw_weights, gate.raw_slacks, [gate.bias, gate.raw_slack_big], manual or []]
-    if not np.isfinite(np.concatenate(values).astype(float)).all():
-        raise CompileError(f"{kind} node has a non-finite parameter")
+    _require_finite(kind, [gate.raw_weights, gate.raw_slacks, [gate.bias, gate.raw_slack_big], manual or []])
     node_cls = AndNode if kind == "and" else OrNode
     return node_cls(children, gate=gate, manual_weights=manual)
 

@@ -684,6 +684,16 @@ class TestEmbeddingFiles:
         with pytest.raises(FeatureError, match="dimension"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("eid", [7, None])
+    def test_non_string_id_rejected(self, tmp_path, eid):
+        # str() would load 7 as "7" and null as "None"
+        from rulelink.boxgeom import load_embeddings
+
+        path = self._write(tmp_path, [{"id": "a", "vec": [1.0, 2.0]}, {"id": eid, "vec": [0.0, 1.0]}])
+        with pytest.raises(FeatureError) as info:
+            load_embeddings(path)
+        assert str(info.value) == f"{path} line 2: embedding id {eid!r} must be a string"
+
     def test_non_finite_vector_rejected(self, tmp_path):
         from rulelink.boxgeom import load_embeddings
 

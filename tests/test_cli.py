@@ -128,6 +128,21 @@ class TestTrainCli:
         assert model["config"]["mu"] == 0.7
 
 
+    def test_lr_flag_sets_learning_rate(self, workdir, capsys):
+        _featurize(workdir)
+        code = run(
+            ["train", "--data", str(workdir / "data.jsonl"),
+             "--features", str(workdir / "features.csv"),
+             "--rules", str(workdir / "rules.elr"),
+             "--epochs", "2", "--lr", "0.05",
+             "--out", str(workdir / "m.json")]
+        )
+        assert code == 0
+        assert '"learning_rate":0.05' in (workdir / "m.json").read_text()
+        assert run(["train", "--nonsense"]) == 1
+        assert "[--lr LR]" in capsys.readouterr().err
+
+
 class TestLinkEvalCli:
     def test_link_then_eval(self, workdir, capsys):
         _featurize(workdir)
@@ -238,6 +253,34 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "duplicate candidate id" in capsys.readouterr().err
+
+    def test_jobs_flag_is_a_usage_error(self, workdir, capsys):
+        code = run(
+            ["featurize", "--data", str(workdir / "data.jsonl"),
+             "--rules", str(workdir / "rules.elr"), "--out", str(workdir / "f.csv"), "--jobs", "2"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rulelink: unrecognized arguments: --jobs 2\nusage: rulelink")
+        assert not (workdir / "f.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["rules", "config", "embeddings"])
+    def test_non_utf8_input_names_file_and_line(self, workdir, capsys, flag):
+        text = {"rules": RULES, "config": "epochs = 2\n", "embeddings": '{"id": "e", "vec": [1.0]}\n'}[flag]
+        path = workdir / f"bad.{flag}"
+        path.write_bytes(text.encode() + b"\xff\n")
+        _featurize(workdir)
+        common = ["--data", str(workdir / "data.jsonl"), "--out", str(workdir / "out")]
+        rules, features = str(workdir / "rules.elr"), str(workdir / "features.csv")
+        argv = {
+            "rules": ["featurize", *common, "--rules", str(path)],
+            "embeddings": ["featurize", *common, "--rules", rules, "--embeddings", str(path)],
+            "config": ["train", *common, "--features", features, "--rules", rules, "--config", str(path)],
+        }[flag]
+        capsys.readouterr()
+        assert run(argv) == 1
+        line = text.count("\n") + 1
+        assert capsys.readouterr().err == f"rulelink: {path} line {line}: not UTF-8 (invalid start byte)\n"
 
     def test_bad_rules_syntax_exits_one(self, workdir, capsys):
         (workdir / "bad.elr").write_text("rule broken = ;")

@@ -180,6 +180,47 @@ class TestLoadDataset:
                                                f"integer, not {kind}$"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda obj: obj["mention"].update(id=7), "mention id 7 must be a string"),
+        (lambda obj: obj["mention"].update(text_id=None), "text_id None must be a string"),
+        (lambda obj: obj["mention"].update(context_ids=["m1", 7]), "context id 7 must be a string"),
+        (lambda obj: obj["mention"].update(surface=12), "mention surface 12 must be a string"),
+        (lambda obj: obj["candidates"][1].update(id=7), "candidate id 7 must be a string"),
+        (lambda obj: obj["candidates"][1].update(name=None), "candidate 'e2' name None must be a string"),
+        (lambda obj: obj["candidates"][1].update(domains=["Person", 5, None]),
+         "candidate 'e2' domains must be strings, not NoneType, int"),
+    ], ids=["mention_id", "text_id", "context_id", "surface", "candidate_id", "name", "domains"])
+    def test_non_string_text_field_rejected(self, tmp_path, edit, fault):
+        # str() would load null as "None" and 7 as "7", colliding with a real "7"
+        bad = instance_obj("m2", context_ids=["m1"])
+        edit(bad)
+        path = write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1"), bad])
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"line 2: {fault}"
+
+    @pytest.mark.parametrize("field, value, kinds", [
+        ("external_scores", {"spacy": "0.9"}, "str"),
+        ("external_scores", {"spacy": 0.5, "blink": True}, "bool"),
+        ("embedding", ["1.5", True], "bool, str"),
+        ("embedding", [0.5, None], "NoneType"),
+    ])
+    def test_non_number_rejected(self, tmp_path, field, value, kinds):
+        # float() would load "0.9" as 0.9 and true as 1.0
+        bad = instance_obj("m2")
+        bad["candidates"][1][field] = value
+        path = write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1"), bad])
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"line 2: malformed candidate ({field} values must be JSON numbers, not {kinds})"
+
+    def test_integer_embedding_and_scores_load_as_floats(self, tmp_path):
+        obj = instance_obj("m1")
+        obj["candidates"][0].update(embedding=[1, 0.5], external_scores={"spacy": 1})
+        cand = load_dataset(write_jsonl(tmp_path / "d.jsonl", [obj])).instances[0].candidates[0]
+        assert cand.embedding == (1.0, 0.5) and cand.external_scores == {"spacy": 1.0}
+        assert all(type(v) is float for v in (*cand.embedding, *cand.external_scores.values()))
+
     def test_integer_labels_and_indegree_load(self, tmp_path):
         obj = instance_obj("m1", labels=[0, 1])
         obj["candidates"][0].pop("indegree")
@@ -317,6 +358,14 @@ class TestMergeExternalScores:
         path.write_text(f"mention_id,candidate_id,score\nm1,e1,0.5\nm1,e2,{score}\n")
         with pytest.raises(DatasetError, match="line 3: bad score"):
             merge_external_scores(ds, path, "col")
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        ds = load_dataset(write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1")]))
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"mention_id,candidate_id,score\nm1,e1,0.5\nm1,e\xff2,0.25\n")
+        with pytest.raises(DatasetError) as info:
+            merge_external_scores(ds, path, "col")
+        assert str(info.value) == f"{path} line 3: not UTF-8 (invalid start byte)"
 
     def test_csv_error_is_dataset_error(self, tmp_path):
         ds = load_dataset(write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1")]))
@@ -484,6 +533,19 @@ class TestValidateDataset:
         broken = LabeledInstance(dataclasses.replace(inst.mention, text_id=7), inst.candidates, inst.labels)
         report = validate_dataset(Dataset(instances=(toy_dataset.instances[0], broken), name="broken"))
         assert report.violations == ("mention 'm2': text_id 7 must be a string",)
+
+
+    def test_in_code_non_string_text_is_violation(self, toy_dataset):
+        inst = toy_dataset.instances[0]
+        cand = dataclasses.replace(inst.candidates[0], name=None, domains=frozenset({"Person", 5}))
+        broken = LabeledInstance(dataclasses.replace(inst.mention, surface=12), (cand,) + inst.candidates[1:],
+                                 inst.labels)
+        report = validate_dataset(Dataset(instances=(broken, toy_dataset.instances[1]), name="broken"))
+        assert report.violations == (
+            "mention 'm1': mention surface 12 must be a string",
+            "mention 'm1': candidate 'James_Cameron' name None must be a string",
+            "mention 'm1': candidate 'James_Cameron' domains must be strings, not int",
+        )
 
 
 class TestFetchAll:

@@ -20,6 +20,7 @@ from rulelink.ruledsl import (
     format_expr,
     format_program,
     parse,
+    rule_catalog,
 )
 from rulelink.simfeatures import default_catalog
 
@@ -248,15 +249,38 @@ class TestCompile:
         assert float(p2["n0.beta"]) == 1.0
 
     def test_manual_mode_carries_fixed_weights(self):
+        # Gates draw in preorder, | gates from the rule weights and & gates from
+        # the feature weights; past the end of its list a gate gets 1/k or 1.0.
         from rulelink.ruledsl import ManualWeights
 
-        text = "rule R1 = jacc & ctx;\nrule R2 = lev & prom;\nrule Links = R1 | R2;\n"
-        manual = ManualWeights(rule_weights=[0.4, 0.6], feature_weights=[0.9, 0.8, 0.7, 0.6])
-        graph = compile(parse(text), default_catalog(), mode="manual", manual=manual)
-        assert graph.root.manual_weights.tolist() == [0.4, 0.6]
-        assert graph.root.children[0].manual_weights.tolist() == [0.9, 0.8]
-        assert graph.root.children[1].manual_weights.tolist() == [0.7, 0.6]
-        assert graph.parameters() == {}
+        text = "rule R1 = jacc & (ctx | type);\nrule R2 = lev & prom;\nrule Links = R1 | R2;\n"
+        exact = [[0.4, 0.6], [0.9, 0.8], [0.3, 0.7], [0.7, 0.6]]
+        cases = [
+            ([0.4, 0.6, 0.3, 0.7], [0.9, 0.8, 0.7, 0.6], exact),
+            ([0.4, 0.6, 0.3, 0.7, 0.2], [0.9, 0.8, 0.7, 0.6, 0.5], exact),
+            ([0.4, 0.6, 0.3], [0.9], [[0.4, 0.6], [0.9, 1.0], [0.3, 0.5], [1.0, 1.0]]),
+            ([], [], [[0.5, 0.5], [1.0, 1.0], [0.5, 0.5], [1.0, 1.0]]),
+        ]
+        for rule_weights, feature_weights, expected in cases:
+            manual = ManualWeights(rule_weights=rule_weights, feature_weights=feature_weights)
+            graph = compile(parse(text), default_catalog(), mode="manual", manual=manual)
+            r1, r2 = graph.root.children
+            assert [gate.manual_weights.tolist() for gate in (graph.root, r1, r1.children[1], r2)] == expected
+            assert graph.parameters() == {}
+
+    @pytest.mark.parametrize(
+        "rules",
+        [[builtin_templates()[name]] for name in builtin_templates().names()]
+        + [parse("rule N = jw? | lev?;\nrule Top = N & prom & N;\n")],
+        ids=builtin_templates().names() + ["references"],
+    )
+    def test_rule_catalog_is_default_catalog_restricted_to_root_leaves(self, rules):
+        from rulelink.boxgeom import BoxParams
+
+        for box_params in (None, BoxParams.default(3)):
+            want = default_catalog(box_params).restricted(ast_leaves(find_root(rules), rules))
+            got = rule_catalog(rules, box_params)
+            assert (got.names(), got.to_json()) == (want.names(), want.to_json())
 
     def test_fixed_threshold_not_learnable(self):
         graph = compile(parse("rule R = jacc > 0.4;"), default_catalog())

@@ -863,7 +863,27 @@ class TestTableCodec:
         path = tmp_path_factory.mktemp("faults") / "f.csv"
         with open(path, "w", encoding="utf-8", errors="surrogatepass", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows([header] + lines if header else lines)
+        self._assert_reads_as_reference(path)
+
+    def test_csv_left_valid_by_faults_reads_as_reference(self, tmp_path):
+        # Two "short" faults on the row ("\r", "") leave the lone cell "\r", which
+        # csv.writer does not quote: a valid CSV of a header and a blank line.
+        path = tmp_path / "f.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([["mention_id", "candidate_id", "jacc"], ["\r"]])
+        assert path.read_bytes() == b"mention_id,candidate_id,jacc\n\r\n"
+        self._assert_reads_as_reference(path)
+
+    @staticmethod
+    def _assert_reads_as_reference(path):
+        """``from_csv`` reads the same table as the reference or raises its
+        error, as a FeatureError."""
         got, want = _outcome(FeatureTable.from_csv, path), _outcome(table_reference.ReferenceTable.from_csv, path)
+        if not isinstance(want, tuple):  # the faults left a valid CSV
+            assert isinstance(got, FeatureTable)
+            assert (got.feature_names, _keys(got)) == (want.feature_names, list(want.rows))
+            assert got.matrix.tobytes() == np.array([list(r.values()) for r in want.rows.values()]).tobytes()
+            return
         if want[0] is UnicodeDecodeError:  # the reference let it escape; it names the first bad byte's line
             raw = path.read_bytes()
             try:

@@ -48,6 +48,13 @@ class TestTrainConfig:
         config = load_config(path)
         assert config == TrainConfig(epochs=12, learning_rate=0.02, mu=0.7, seed=3)
 
+    def test_config_file_non_integer_epochs(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("epochs = 1.5\n")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == "invalid literal for int() with base 10: '1.5'"
+
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("volume = 11\n")
