@@ -226,7 +226,7 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
         raw_cands = _as_list(obj["candidates"], "candidates")
         raw_labels = _as_list(obj["labels"], "labels")
         labels = tuple(int(l) for l in raw_labels)
-    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         fail(f"missing or malformed field ({exc})")
     if not set(map(type, raw_labels)) <= {int}:  # int() would load true, 0.7 or "1" as 1, 0 or 1
         fail(f"labels must be JSON integers 0 or 1, not {_type_names(raw_labels, int)}")
@@ -560,16 +560,18 @@ def fetch_candidates(
             raise TypeError("top-level JSON is not an array")
         out = []
         for rec in records:
-            rid = str(rec["id"])
+            # taken as they are, like dataset fields: str() would load 7 as
+            # '7' and null as 'None', and a string typeName iterates as characters
+            rid = rec["id"]
+            label, types = rec.get("label", rid), rec.get("typeName", [])
+            for name, value in (("id", rid), ("label", label)):
+                if not isinstance(value, str):
+                    raise TypeError(f"field {name!r} is {value!r}, not a string")
+            if not isinstance(types, list) or not set(map(type, types)) <= {str}:
+                raise TypeError(f"field 'typeName' is {types!r}, not a list of strings")
             if any(rid.startswith(prefix) for prefix in denylist):
                 continue
-            out.append(
-                CandidateEntity(
-                    id=rid,
-                    name=str(rec.get("label", rid)),
-                    domains=frozenset(str(t) for t in rec.get("typeName", [])),
-                )
-            )
+            out.append(CandidateEntity(id=rid, name=label, domains=frozenset(types)))
     except (TypeError, KeyError, json.JSONDecodeError) as exc:
         raise FetchError(f"malformed lookup response ({exc}): {body[:200]!r}") from exc
     return out[:k]
@@ -597,7 +599,8 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
     """
     violations: list[str] = []
     seen: set[str] = set()
-    known = {i.mention.id for i in ds.instances}
+    # a non-string id is reported by instance_faults, and may not hash
+    known = {i.mention.id for i in ds.instances if isinstance(i.mention.id, str)}
     dim = ds.embedding_dim
 
     n_cands = 0
@@ -608,12 +611,13 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
 
     for inst in ds.instances:
         mid = inst.mention.id
-        if mid in seen:
-            violations.append(f"duplicate mention id {mid!r}")
-        seen.add(mid)
+        if isinstance(mid, str):
+            if mid in seen:
+                violations.append(f"duplicate mention id {mid!r}")
+            seen.add(mid)
         violations += (f"mention {mid!r}: {fault}" for fault in instance_faults(inst))
         for ctx in inst.mention.context_ids:
-            if ctx not in known:
+            if isinstance(ctx, str) and ctx not in known:
                 violations.append(f"mention {mid!r}: unknown context id {ctx!r}")
         if not inst.candidates:
             violations.append(f"mention {mid!r}: empty candidate list")

@@ -86,18 +86,23 @@ def link(model: Model, ds: Dataset | ScoringBlock, table: FeatureTable | None = 
     list at once.
 
     ``ds`` is a Dataset scored against the rows of ``table``, or a
-    ScoringBlock, whose table holds its rows (``table`` stays None). One stable
-    sort keyed on (list, -score) ranks each list as :func:`rank_candidates`
-    does.
+    ScoringBlock, whose table holds its rows (``table`` stays None). One
+    stable sort ranks each list as :func:`rank_candidates` does: on -score
+    for one list, keyed on (list, -score) for many.
     """
     mention_ids, offsets, candidate_ids, _ = ds.row_keys()
-    names = model.graph.feature_names
-    cols = ds.table.select(names) if table is None else table.gather(ds.instances, names)[0]
-    scores = model.graph.evaluate_batch(cols)
-    lengths = [end - start for start, end in zip(offsets, offsets[1:])]
-    order = np.lexsort((-scores, np.arange(len(lengths)).repeat(lengths)))
-    values = scores.tolist()
-    ranked = [(candidate_ids[i], values[i]) for i in order.tolist()]
+    graph = model.graph
+    if table is None:
+        feats = ds.table.select_matrix(graph.feature_names)
+    else:
+        feats = table.gather_matrix(ds.instances, graph.feature_names)[0]
+    scores = graph.evaluate_batch(graph.check_nan(feats))
+    if len(mention_ids) == 1:
+        order = (-scores).argsort(kind="stable")
+    else:
+        lengths = [end - start for start, end in zip(offsets, offsets[1:])]
+        order = np.lexsort((-scores, np.arange(len(lengths)).repeat(lengths)))
+    ranked = list(zip(map(candidate_ids.__getitem__, order.tolist()), scores[order].tolist()))
     return [
         Prediction(mention_id=mid, ranked=tuple(ranked[start:end]))
         for mid, start, end in zip(mention_ids, offsets, offsets[1:])

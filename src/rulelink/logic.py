@@ -490,7 +490,9 @@ class ScoringGraph:
         through in blocks small enough to stay in cache."""
         eff = self._effective()
         if cache is None:
-            blocks = range(0, max(feats.shape[1], 1), _BLOCK_ROWS)
+            if feats.shape[1] <= _BLOCK_ROWS:
+                return self._tape(feats, eff)[0][0]
+            blocks = range(0, feats.shape[1], _BLOCK_ROWS)
             return np.concatenate([self._tape(feats[:, i:i + _BLOCK_ROWS], eff)[0][0] for i in blocks])
         values, kept, leaves = self._tape(feats, eff)
         cache["tape"] = (values, kept, leaves, eff)
@@ -533,26 +535,29 @@ class ScoringGraph:
                 kept.append((xs, out))
         return values, kept, leaves
 
+    def check_nan(self, feats: np.ndarray) -> np.ndarray:
+        """``feats``, a ``[features, rows]`` matrix in :attr:`feature_names`
+        order; ValueError names the first feature holding a NaN."""
+        nan = np.isnan(feats)
+        if nan.any():
+            raise ValueError(f"feature {self.feature_names[int(np.argmax(nan.any(axis=1)))]!r} contains NaN")
+        return feats
+
     def stack(self, cols) -> np.ndarray:
         """The ``[features, rows]`` float matrix of a name -> column mapping,
-        in :attr:`feature_names` order; a missing name raises FeatureError."""
+        in :attr:`feature_names` order, checked by :meth:`check_nan`; a
+        missing name raises FeatureError."""
         for name in self.feature_names:
             if name not in cols:
                 raise FeatureError(f"missing feature column {name!r}")
-        return np.stack([np.asarray(cols[name], dtype=float) for name in self.feature_names])
+        return self.check_nan(np.stack([np.asarray(cols[name], dtype=float) for name in self.feature_names]))
 
     def evaluate_batch(self, cols, cache: dict | None = None) -> np.ndarray:
-        """Score every row of ``cols``: a name -> column mapping, stacked by
-        :meth:`stack` and checked for NaN, or a ``[features, rows]`` float
-        matrix in :attr:`feature_names` order, taken as given. ``cache``
-        receives what :meth:`backward` reads."""
-        if isinstance(cols, np.ndarray):
-            return self._run(cols, cache)
-        feats = self.stack(cols)
-        nan = np.isnan(feats).any(axis=1)
-        if nan.any():
-            raise ValueError(f"feature {self.feature_names[int(np.argmax(nan))]!r} contains NaN")
-        return self._run(feats, cache)
+        """Score every row of ``cols``: a name -> column mapping, made a
+        matrix by :meth:`stack`, or a ``[features, rows]`` float matrix in
+        :attr:`feature_names` order, taken as given. ``cache`` receives what
+        :meth:`backward` reads."""
+        return self._run(cols if isinstance(cols, np.ndarray) else self.stack(cols), cache)
 
     def evaluate(self, row: dict[str, float]) -> float:
         cols = {k: np.asarray([v], dtype=float) for k, v in row.items()}

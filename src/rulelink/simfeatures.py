@@ -510,33 +510,58 @@ class FeatureTable:
             self.candidate_ids.append(candidate_id)
         self._buffer[at] = row
 
-    def _positions(self, names) -> tuple[list[str], list[int]]:
+    @cached_property
+    def _column(self) -> dict[str, int]:
+        """Each feature name's first column."""
+        return {name: self.feature_names.index(name) for name in self.feature_names}
+
+    def _positions(self, names) -> np.ndarray:
+        """The columns of ``names`` (every column when None)."""
         names = list(names) if names is not None else self.feature_names
-        missing = [n for n in names if n not in self.feature_names]
+        column = self._column
+        missing = [n for n in names if n not in column]
         if missing:
             raise FeatureError(f"feature table lacks columns: {', '.join(missing)}")
-        return names, [self.feature_names.index(n) for n in names]
+        return np.array([column[n] for n in names], dtype=np.intp)
 
     def select(self, names=None) -> dict[str, np.ndarray]:
         """The named columns over every row, in table order."""
-        names, positions = self._positions(names)
-        return dict(zip(names, self.matrix.T[positions]))
+        names = self.feature_names if names is None else list(names)
+        return dict(zip(names, self.select_matrix(names)))
 
-    def gather(self, instances, names=None) -> tuple[dict[str, np.ndarray], list[int]]:
-        """Feature columns over many instances' candidates, concatenated in
-        order, plus offsets: instance i owns rows ``offsets[i]:offsets[i+1]``."""
-        names, positions = self._positions(names)
+    def select_matrix(self, names=None) -> np.ndarray:
+        """The ``[features, rows]`` matrix of the named columns over every
+        row, in table order."""
+        return self.matrix.T[self._positions(names)]
+
+    def _rows(self, instances) -> tuple[list[int], list[int]]:
+        """The rows of many instances' candidates, concatenated in order,
+        plus offsets: instance i owns ``rows[offsets[i]:offsets[i+1]]``."""
         index, rows, offsets = self.index, [], [0]
         for inst in instances:
             mid = inst.mention.id
-            for cand in inst.candidates:
-                row = index.get((mid, cand.id))
-                if row is None:
-                    raise FeatureError(f"feature table lacks row ({mid!r}, {cand.id!r})")
-                rows.append(row)
+            found = [index.get((mid, cand.id)) for cand in inst.candidates]
+            if None in found:
+                cid = inst.candidates[found.index(None)].id
+                raise FeatureError(f"feature table lacks row ({mid!r}, {cid!r})")
+            rows += found
             offsets.append(len(rows))
+        return rows, offsets
+
+    def gather_matrix(self, instances, names=None) -> tuple[np.ndarray, list[int]]:
+        """The ``[features, rows]`` matrix of the named columns over many
+        instances' candidates, concatenated in order, plus offsets: instance
+        i owns columns ``offsets[i]:offsets[i+1]``."""
+        positions = self._positions(names)
+        rows, offsets = self._rows(instances)
         # the block np.ix_(positions, rows) picks, at half the cost for one short list
-        return dict(zip(names, self.matrix.T[np.array(positions, dtype=np.intp)[:, None], rows])), offsets
+        return self.matrix.T[positions[:, None], np.array(rows, dtype=np.intp)], offsets
+
+    def gather(self, instances, names=None) -> tuple[dict[str, np.ndarray], list[int]]:
+        """:meth:`gather_matrix` as ``{name: column}``."""
+        names = self.feature_names if names is None else list(names)
+        matrix, offsets = self.gather_matrix(instances, names)
+        return dict(zip(names, matrix)), offsets
 
     def columns(self, inst: LabeledInstance, names=None) -> dict[str, np.ndarray]:
         """Feature columns over one instance's candidates, in list order."""

@@ -295,16 +295,15 @@ def _blocks(graph: ScoringGraph, table: FeatureTable, instances) -> tuple:
     """``instances``' rows as :meth:`ScoringGraph.evaluate_batch` takes them:
     all of them, with the list offsets, and one block per list.
 
-    The gathered columns are stacked once; a block is a view of that
-    matrix. A list holding a NaN keeps its columns instead, and so does the
-    whole when any list does, so evaluate_batch raises on them at the call
-    that reads them."""
-    cols, offsets = table.gather(instances, graph.feature_names)
-    stacked = graph.stack(cols)
+    The rows are gathered as one matrix; a block is a view of it. A list
+    holding a NaN is given as columns instead, and so is the whole when any
+    list is, so evaluate_batch raises on them at the call that reads them."""
+    names = graph.feature_names
+    stacked, offsets = table.gather_matrix(instances, names)
     nan = np.isnan(stacked).any(axis=0)
-    blocks = [{name: col[start:end] for name, col in cols.items()} if nan[start:end].any()
+    blocks = [dict(zip(names, stacked[:, start:end])) if nan[start:end].any()
               else stacked[:, start:end] for start, end in zip(offsets, offsets[1:])]
-    return (cols if nan.any() else stacked), offsets, blocks
+    return (dict(zip(names, stacked)) if nan.any() else stacked), offsets, blocks
 
 
 def _summed_loss(graph: ScoringGraph, rows, offsets: list[int], labels: list, config: TrainConfig) -> float:
@@ -327,8 +326,8 @@ def total_loss(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: Tr
     :func:`prepare_labels` indices, made once by a caller that sums often.
     """
     if rows is None:
-        cols, offsets = table.gather(ds.instances, graph.feature_names)
-        rows = cols, offsets, [prepare_labels(inst.labels) for inst in ds.instances]
+        feats, offsets = table.gather_matrix(ds.instances, graph.feature_names)
+        rows = graph.check_nan(feats), offsets, [prepare_labels(inst.labels) for inst in ds.instances]
     return _summed_loss(graph, *rows, config)
 
 

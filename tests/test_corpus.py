@@ -171,6 +171,16 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=f"^line 2: labels must be JSON integers 0 or 1, not {kinds}$"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("labels, reason", [
+        (["x", 0], "invalid literal for int() with base 10: 'x'"),
+        ([float("nan"), 0], "cannot convert float NaN to integer"),  # json writes and reads NaN
+    ])
+    def test_label_int_refuses_names_line(self, tmp_path, labels, reason):
+        path = write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1"), instance_obj("m2", labels=labels)])
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"line 2: missing or malformed field ({reason})"
+
     @pytest.mark.parametrize("indegree, kind", [(3.9, "float"), (3.0, "float"), (True, "bool"), ("3", "str")])
     def test_indegree_that_is_not_a_json_integer_rejected(self, tmp_path, indegree, kind):
         bad = instance_obj("m2")
@@ -471,6 +481,27 @@ class TestFetchCandidates:
         assert [c.id for c in out] == ["kb/A"]
         assert _StubHandler.calls == 3
 
+    @pytest.mark.parametrize("record, fault", [
+        ({"id": 7, "label": "A", "typeName": []}, "field 'id' is 7, not a string"),
+        ({"id": "kb/A", "label": None, "typeName": []}, "field 'label' is None, not a string"),
+        ({"id": "kb/A", "label": "A", "typeName": [5]}, "field 'typeName' is [5], not a list of strings"),
+        ({"id": "kb/A", "label": "A", "typeName": "Place"}, "field 'typeName' is 'Place', not a list of strings"),
+        ({"id": "kb/Category:A", "label": "A", "typeName": "Place"},  # checked before the denylist
+         "field 'typeName' is 'Place', not a list of strings"),
+    ])
+    def test_reply_fields_taken_as_they_are(self, stub_server, record, fault):
+        # str() would load 7 as '7', null as 'None', and "Place" as its characters
+        _StubHandler.payload = [{"id": "kb/B", "label": "B", "typeName": ["Thing"]}, record]
+        with pytest.raises(FetchError) as exc:
+            fetch_candidates(stub_server, "x", k=5, denylist=("kb/Category:",))
+        assert str(exc.value).startswith(f"malformed lookup response ({fault}): ")
+        assert not exc.value.retriable
+        assert _StubHandler.calls == 1
+
+    def test_missing_label_and_types_default(self, stub_server):
+        _StubHandler.payload = [{"id": "kb/A"}]
+        assert fetch_candidates(stub_server, "x", k=5, denylist=()) == [CandidateEntity(id="kb/A", name="kb/A")]
+
     def test_malformed_response_is_parse_error(self, stub_server):
         _StubHandler.payload = {"oops": True}
         with pytest.raises(FetchError, match="malformed lookup response"):
@@ -534,6 +565,20 @@ class TestValidateDataset:
         report = validate_dataset(Dataset(instances=(toy_dataset.instances[0], broken), name="broken"))
         assert report.violations == ("mention 'm2': text_id 7 must be a string",)
 
+
+    def test_in_code_unhashable_ids_are_violations(self, toy_dataset):
+        from rulelink.estimator import RuleLinker
+
+        first, second = toy_dataset.instances
+        broken = LabeledInstance(dataclasses.replace(first.mention, id=["m1"], context_ids=(["m2"],)),
+                                 first.candidates, first.labels)
+        ds = Dataset(instances=(broken, broken, second), name="broken")
+        assert validate_dataset(ds).violations == (
+            "mention ['m1']: mention id ['m1'] must be a string",
+            "mention ['m1']: context id ['m2'] must be a string",
+        ) * 2 + ("mention 'm2': unknown context id 'm1'",)
+        with pytest.raises(DatasetError, match=r"^dataset 'broken' has 5 violations: mention \['m1'\]: mention id"):
+            RuleLinker(rules="LNN-EL", epochs=1).fit(ds)
 
     def test_in_code_non_string_text_is_violation(self, toy_dataset):
         inst = toy_dataset.instances[0]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
 from rulelink.errors import FeatureError
+from rulelink.estimator import RuleLinker
 from rulelink.evaluation import (
     EvalReport,
     Prediction,
@@ -28,6 +29,7 @@ from rulelink.logic import AndNode, GateParams, OrNode, RawLeaf, ScoringGraph, T
 from rulelink.ruledsl import RuleAST, builtin_templates, compile, parse
 from rulelink.simfeatures import FeatureCatalog, FeatureTable, ScoringBlock, build_feature_table, default_catalog
 from rulelink.training import Model, TrainConfig, load_model, margin_loss, save_model, total_loss, train
+import rank_reference
 from synthgen import generate_dataset
 
 
@@ -261,18 +263,22 @@ def _wide_graph(rng, mode):
     return ScoringGraph((AndNode if rng.integers(0, 2) else OrNode)(leaves, gate=gate, manual_weights=manual), mode=mode)
 
 
-def _ragged_case(seed, mode):
-    """A fuzzed graph (``test_ruledsl._random_expr`` with jittered
-    parameters, or a wide gate) over 1-6 mentions of 1-64 candidates each."""
+def _fuzzed_graph(rng, mode):
+    """``test_ruledsl._random_expr`` with jittered parameters, or a wide gate."""
     from test_ruledsl import _random_expr
 
-    rng = np.random.default_rng(seed)
     if rng.integers(0, 2):
         graph = compile([RuleAST(name="Fuzz", body=_random_expr(rng, 3))], default_catalog(), mode=mode)
         for arr in graph.parameters().values():
             arr += rng.normal(0, 0.6, size=arr.shape)
-    else:
-        graph = _wide_graph(rng, mode)
+        return graph
+    return _wide_graph(rng, mode)
+
+
+def _ragged_case(seed, mode):
+    """A fuzzed graph over 1-6 mentions of 1-64 candidates each."""
+    rng = np.random.default_rng(seed)
+    graph = _fuzzed_graph(rng, mode)
     instances = []
     table = FeatureTable(graph.feature_names)
     for i in range(int(rng.integers(1, 7))):
@@ -329,6 +335,80 @@ class TestBatchedScoring:
         table = FeatureTable(["jacc"])
         with pytest.raises(FeatureError, match="lacks columns: lev, prom"):
             table.gather(toy_dataset.instances, ["jacc", "lev", "prom"])
+
+
+@st.composite
+def _table_case(draw):
+    """A fuzzed model over 1-6 mentions of 1-64 candidates, its table's rows
+    shuffled or not, with or without rows of other mentions, and feature
+    values drawn from a few levels (so scores tie and rows repeat) or spread;
+    then at most one fault: a NaN in a row the dataset reads or in an extra
+    row, a missing row, or a missing column."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = _fuzzed_graph(rng, draw(st.sampled_from(["lnn", "tnorm", "manual"])))
+    names = list(graph.feature_names)
+    sizes = draw(st.lists(st.integers(1, 64), min_size=1, max_size=6))
+    extra = draw(st.integers(0, 30))
+    tied = draw(st.booleans())
+    instances, keys = [], []
+    for i, k in enumerate(sizes):
+        cands = tuple(CandidateEntity(id=f"c{j}", name="x") for j in range(k))  # ids repeat across lists
+        labels = (1,) + (0,) * (k - 1)
+        instances.append(LabeledInstance(Mention(id=f"m{i}", surface="s", text_id="t"), cands, labels))
+        keys += [(f"m{i}", c.id) for c in cands]
+    read = len(keys)
+    keys += [(f"x{j % 3}", f"c{j}") for j in range(extra)]
+    levels = np.array([0.0, 0.25, 0.5, 1.0])
+    matrix = levels[rng.integers(0, 4, (len(keys), len(names)))] if tied else rng.random((len(keys), len(names)))
+    fault = draw(st.sampled_from(["none", "none", "nan", "nan extra", "missing row", "missing column"]))
+    if fault == "nan" or (fault == "nan extra" and extra):
+        matrix[int(rng.integers(0, read)) if fault == "nan" else int(rng.integers(read, len(keys))),
+               int(rng.integers(0, len(names)))] = np.nan
+    block = FeatureTable(names, [m for m, _ in keys[:read]], [c for _, c in keys[:read]], matrix[:read].copy())
+    order = rng.permutation(len(keys)) if draw(st.booleans()) else np.arange(len(keys))
+    if fault == "missing row":
+        order = np.delete(order, int(rng.integers(0, len(order))))
+    if fault == "missing column":
+        names = [n for n in names if n != names[int(rng.integers(0, len(names)))]]
+        block = FeatureTable(names, block.mention_ids, block.candidate_ids, block.matrix[:, :len(names)].copy())
+        matrix = matrix[:, :len(names)]
+    table = FeatureTable(names, [keys[i][0] for i in order], [keys[i][1] for i in order], matrix[order])
+    ds = Dataset(instances=tuple(instances), name="drawn")
+    offsets = np.cumsum([0] + sizes).tolist()
+    scoring_block = ScoringBlock([inst.mention.id for inst in instances], offsets, np.zeros(read, np.int8), block)
+    return Model(graph=graph, config=TrainConfig(), catalog=FeatureCatalog()), ds, table, scoring_block
+
+
+def _outcome(fn):
+    """The predictions as (mention id, ranked ids, score bytes), or the
+    error's type and message."""
+    try:
+        preds = fn()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return [(p.mention_id, [cid for cid, _ in p.ranked], np.array([s for _, s in p.ranked]).tobytes())
+            for p in preds]
+
+
+class TestOneScoringPath:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_table_case())
+    def test_link_and_predict_equal_the_reference(self, case):
+        model, ds, table, block = case
+        assert _outcome(lambda: link(model, ds, table)) == _outcome(lambda: rank_reference.link(model, ds, table))
+        assert _outcome(lambda: link(model, block)) == _outcome(lambda: rank_reference.link(model, block))
+        linker = RuleLinker()
+        linker.model_ = model
+        for inst in ds.instances:
+            single = Dataset(instances=(inst,), name="one")
+            want = _outcome(lambda: rank_reference.link(model, single, table))
+            assert _outcome(lambda: linker.predict_rankings(single, table)) == want
+            try:
+                top = linker.predict(single, table)
+            except Exception as exc:
+                assert (type(exc), str(exc)) == want
+            else:
+                assert top == [want[0][1][0]]
 
 
 class TestTransfer:

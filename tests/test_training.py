@@ -485,13 +485,13 @@ class TestTrain:
     def test_one_gather_per_run(self, monkeypatch):
         ds, catalog, table, graph = _tiny_setup()
         gathers = []
-        gather = FeatureTable.gather
+        gather = FeatureTable.gather_matrix  # gather's dict is a view of it
 
         def counting(self, *args, **kwargs):
             gathers.append(1)
             return gather(self, *args, **kwargs)
 
-        monkeypatch.setattr(FeatureTable, "gather", counting)
+        monkeypatch.setattr(FeatureTable, "gather_matrix", counting)
         config = TrainConfig(epochs=5)
         model = train(ds, table, graph, config, catalog=catalog)
         assert len(gathers) == 1
