@@ -19,11 +19,15 @@ import logging
 import math
 import os
 import re
+import sys
 import tempfile
 import time
+from collections import Counter
+from collections.abc import Iterable, Mapping, Sized
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
+from numbers import Real
 
 import requests
 
@@ -41,6 +45,10 @@ DEFAULT_DENYLIST = (
 
 # A str holds a surrogate only where it is unpaired, or where surrogateescape decoded a bad byte.
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+# instance_faults checks a field's type before its value, concrete types first:
+# isinstance against an ABC alone costs 0.2-0.9 us, paid per candidate at load.
+_REAL, _ITERABLE, _MAPPING = (float, int, Real), (frozenset, tuple, Iterable), (dict, Mapping)
 
 
 @dataclass(frozen=True)
@@ -170,18 +178,30 @@ def instance_faults(inst: LabeledInstance) -> list[str]:
             faults.append(f"candidate {cand.id!r} name {cand.name!r} must be a string")
         if not isinstance(cand.description, (str, type(None))):
             faults.append(f"candidate {cand.id!r} description must be a string or null")
-        if cand.domains and not set(map(type, cand.domains)) <= {str}:
-            faults.append(f"candidate {cand.id!r} domains must be strings, not {_type_names(cand.domains, str)}")
-        if cand.indegree < 0:
+        domains = cand.domains if isinstance(cand.domains, _ITERABLE) else [cand.domains]
+        if cand.domains and not set(map(type, domains)) <= {str}:
+            faults.append(f"candidate {cand.id!r} domains must be strings, not {_type_names(domains, str)}")
+        if not isinstance(cand.indegree, _REAL):
+            faults.append(f"candidate {cand.id!r} indegree must be a number, not {type(cand.indegree).__name__}")
+        elif cand.indegree < 0:
             faults.append(f"candidate {cand.id!r} has negative indegree")
-        if cand.embedding is not None and not all(math.isfinite(v) for v in cand.embedding):
+        emb = cand.embedding
+        if emb is not None and not (isinstance(emb, _ITERABLE) and all(isinstance(v, _REAL) for v in emb)):
+            faults.append(f"candidate {cand.id!r} embedding must be a list of numbers")
+        elif emb is not None and not all(abs(v) <= sys.float_info.max for v in emb):  # NaN and 10**400 fail
             faults.append(f"candidate {cand.id!r} has a non-finite embedding value")
         if isinstance(cand.id, str):  # a non-string id is reported above, and may not hash
             if cand.id in cand_ids:
                 faults.append(f"duplicate candidate id {cand.id!r}")
             cand_ids.add(cand.id)
-        for k, v in cand.external_scores.items():
-            if not 0.0 <= v <= 1.0:
+        scores = cand.external_scores
+        if not isinstance(scores, _MAPPING):
+            faults.append(f"candidate {cand.id!r} external_scores must be a mapping, not {type(scores).__name__}")
+            scores = {}
+        for k, v in scores.items():
+            if not isinstance(v, _REAL):
+                faults.append(f"external score {k!r} on candidate {cand.id!r} must be a number, not {type(v).__name__}")
+            elif not 0.0 <= v <= 1.0:
                 faults.append(f"external score {k!r}={v} outside [0,1] on candidate {cand.id!r}")
 
     if inst.candidates and len(inst.labels) != len(inst.candidates):
@@ -602,13 +622,6 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
     # a non-string id is reported by instance_faults, and may not hash
     known = {i.mention.id for i in ds.instances if isinstance(i.mention.id, str)}
     dim = ds.embedding_dim
-
-    n_cands = 0
-    with_desc = 0
-    with_emb = 0
-    with_type = 0
-    external_counts: dict[str, int] = {}
-
     for inst in ds.instances:
         mid = inst.mention.id
         if isinstance(mid, str):
@@ -623,27 +636,19 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
             violations.append(f"mention {mid!r}: empty candidate list")
         elif not any(inst.labels):
             violations.append(f"mention {mid!r}: no positive label")
-        if inst.mention.mention_type is not None:
-            with_type += 1
         for cand in inst.candidates:
-            n_cands += 1
-            if cand.description is not None:
-                with_desc += 1
-            if cand.embedding is not None:
-                with_emb += 1
-                if dim is not None and len(cand.embedding) != dim:
-                    violations.append(
-                        f"candidate {cand.id!r}: embedding dim {len(cand.embedding)} != {dim}"
-                    )
-            for k in cand.external_scores:
-                external_counts[k] = external_counts.get(k, 0) + 1
+            if dim is not None and isinstance(cand.embedding, Sized) and len(cand.embedding) != dim:
+                violations.append(f"candidate {cand.id!r}: embedding dim {len(cand.embedding)} != {dim}")
 
-    denom = max(n_cands, 1)
+    cands = [cand for inst in ds.instances for cand in inst.candidates]
+    denom = max(len(cands), 1)
     coverage = {
-        "description": with_desc / denom,
-        "embedding": with_emb / denom,
-        "mention_type": with_type / max(len(ds.instances), 1),
+        "description": sum(c.description is not None for c in cands) / denom,
+        "embedding": sum(c.embedding is not None for c in cands) / denom,
+        "mention_type": sum(i.mention.mention_type is not None for i in ds.instances) / max(len(ds.instances), 1),
     }
-    for k, count in sorted(external_counts.items()):
+    # external_scores that are not a mapping are reported by instance_faults
+    external = Counter(k for c in cands if isinstance(c.external_scores, _MAPPING) for k in c.external_scores)
+    for k, count in sorted(external.items()):
         coverage[f"external:{k}"] = count / denom
     return ValidationReport(violations=tuple(violations), coverage=coverage)

@@ -96,7 +96,7 @@ def link(model: Model, ds: Dataset | ScoringBlock, table: FeatureTable | None = 
         feats = ds.table.select_matrix(graph.feature_names)
     else:
         feats = table.gather_matrix(ds.instances, graph.feature_names)[0]
-    scores = graph.evaluate_batch(graph.check_nan(feats))
+    scores = graph.evaluate_batch(feats)
     if len(mention_ids) == 1:
         order = (-scores).argsort(kind="stable")
     else:
@@ -166,8 +166,8 @@ def transfer_eval(model: Model, ds: Dataset, table: FeatureTable, ks=(5, 10, 64)
     """Evaluate frozen parameters on a dataset the model never saw.
 
     Identical to in-domain evaluation: a target table lacking a feature the
-    model reads raises FeatureError from :meth:`FeatureTable.gather`, naming
-    every missing column.
+    model reads raises FeatureError from :meth:`FeatureTable.gather_matrix`,
+    naming every missing column.
     """
     return evaluate(model, ds, table, ks=ks)
 

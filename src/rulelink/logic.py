@@ -545,23 +545,21 @@ class ScoringGraph:
 
     def stack(self, cols) -> np.ndarray:
         """The ``[features, rows]`` float matrix of a name -> column mapping,
-        in :attr:`feature_names` order, checked by :meth:`check_nan`; a
-        missing name raises FeatureError."""
+        in :attr:`feature_names` order; a missing name raises FeatureError."""
         for name in self.feature_names:
             if name not in cols:
                 raise FeatureError(f"missing feature column {name!r}")
-        return self.check_nan(np.stack([np.asarray(cols[name], dtype=float) for name in self.feature_names]))
+        return np.stack([np.asarray(cols[name], dtype=float) for name in self.feature_names])
 
     def evaluate_batch(self, cols, cache: dict | None = None) -> np.ndarray:
         """Score every row of ``cols``: a name -> column mapping, made a
         matrix by :meth:`stack`, or a ``[features, rows]`` float matrix in
-        :attr:`feature_names` order, taken as given. ``cache`` receives what
-        :meth:`backward` reads."""
-        return self._run(cols if isinstance(cols, np.ndarray) else self.stack(cols), cache)
+        :attr:`feature_names` order. Either is checked by :meth:`check_nan`.
+        ``cache`` receives what :meth:`backward` reads."""
+        return self._run(self.check_nan(cols if isinstance(cols, np.ndarray) else self.stack(cols)), cache)
 
     def evaluate(self, row: dict[str, float]) -> float:
-        cols = {k: np.asarray([v], dtype=float) for k, v in row.items()}
-        return float(self.evaluate_batch(cols)[0])
+        return float(self.evaluate_batch({k: [v] for k, v in row.items()})[0])
 
     def _forward(self, node: Node, cols, cache: dict) -> np.ndarray:
         """``node``'s values over ``cols``, filling ``cache[uid] = (inputs,

@@ -472,23 +472,19 @@ def _in_unit_range(values: np.ndarray) -> np.ndarray:
 class FeatureTable:
     """Per (mention, candidate) feature vectors: the row keys as two columns,
     ``mention_ids`` and ``candidate_ids``, in table order; ``index`` from each
-    key to its row; one float64 ``[rows, features]`` matrix with columns
-    ``feature_names``, the first rows of a buffer that ``add_row`` doubles."""
+    key to its row; one float64 ``[rows, features]`` ``matrix`` with columns
+    ``feature_names``."""
 
     def __init__(self, feature_names: list[str], mention_ids=(), candidate_ids=(), matrix: np.ndarray | None = None):
         self.feature_names = list(feature_names)
         self.mention_ids: list[str] = list(mention_ids)
         self.candidate_ids: list[str] = list(candidate_ids)
-        self._buffer = np.empty((0, len(self.feature_names))) if matrix is None else matrix
+        self.matrix = np.empty((0, len(self.feature_names))) if matrix is None else matrix
 
     @cached_property
     def index(self) -> dict[tuple[str, str], int]:
         """Each key ``(mention_id, candidate_id)``'s row, made on first use."""
         return dict(zip(zip(self.mention_ids, self.candidate_ids), range(len(self.candidate_ids))))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._buffer[: len(self.candidate_ids)]
 
     @property
     def rows(self) -> MappingProxyType[tuple[str, str], dict[str, float]]:
@@ -503,12 +499,12 @@ class FeatureTable:
             raise FeatureError(f"row ({mention_id},{candidate_id}) missing {missing}")
         row = [float(values[n]) for n in self.feature_names]
         at = self.index.setdefault((mention_id, candidate_id), len(self.candidate_ids))
-        if at == len(self.candidate_ids):
-            if at == len(self._buffer):
-                self._buffer = np.concatenate((self._buffer, np.empty((max(at, 8), len(row)))))
+        if at < len(self.candidate_ids):
+            self.matrix[at] = row
+        else:
+            self.matrix = np.concatenate((self.matrix, [row]))
             self.mention_ids.append(mention_id)
             self.candidate_ids.append(candidate_id)
-        self._buffer[at] = row
 
     @cached_property
     def _column(self) -> dict[str, int]:
@@ -523,11 +519,6 @@ class FeatureTable:
         if missing:
             raise FeatureError(f"feature table lacks columns: {', '.join(missing)}")
         return np.array([column[n] for n in names], dtype=np.intp)
-
-    def select(self, names=None) -> dict[str, np.ndarray]:
-        """The named columns over every row, in table order."""
-        names = self.feature_names if names is None else list(names)
-        return dict(zip(names, self.select_matrix(names)))
 
     def select_matrix(self, names=None) -> np.ndarray:
         """The ``[features, rows]`` matrix of the named columns over every
@@ -557,15 +548,11 @@ class FeatureTable:
         # the block np.ix_(positions, rows) picks, at half the cost for one short list
         return self.matrix.T[positions[:, None], np.array(rows, dtype=np.intp)], offsets
 
-    def gather(self, instances, names=None) -> tuple[dict[str, np.ndarray], list[int]]:
-        """:meth:`gather_matrix` as ``{name: column}``."""
-        names = self.feature_names if names is None else list(names)
-        matrix, offsets = self.gather_matrix(instances, names)
-        return dict(zip(names, matrix)), offsets
-
     def columns(self, inst: LabeledInstance, names=None) -> dict[str, np.ndarray]:
-        """Feature columns over one instance's candidates, in list order."""
-        return self.gather([inst], names)[0]
+        """Feature columns over one instance's candidates, in list order, as
+        ``{name: column}``."""
+        names = self.feature_names if names is None else list(names)
+        return dict(zip(names, self.gather_matrix([inst], names)[0]))
 
     def to_csv(self, path) -> str:
         """Write the table to ``path`` through a temp file and a rename:

@@ -292,43 +292,31 @@ def _mention_grads(graph: ScoringGraph, block, prepared, mu: float, grads: np.nd
 
 
 def _blocks(graph: ScoringGraph, table: FeatureTable, instances) -> tuple:
-    """``instances``' rows as :meth:`ScoringGraph.evaluate_batch` takes them:
-    all of them, with the list offsets, and one block per list.
-
-    The rows are gathered as one matrix; a block is a view of it. A list
-    holding a NaN is given as columns instead, and so is the whole when any
-    list is, so evaluate_batch raises on them at the call that reads them."""
-    names = graph.feature_names
-    stacked, offsets = table.gather_matrix(instances, names)
-    nan = np.isnan(stacked).any(axis=0)
-    blocks = [dict(zip(names, stacked[:, start:end])) if nan[start:end].any()
-              else stacked[:, start:end] for start, end in zip(offsets, offsets[1:])]
-    return (dict(zip(names, stacked)) if nan.any() else stacked), offsets, blocks
-
-
-def _summed_loss(graph: ScoringGraph, rows, offsets: list[int], labels: list, config: TrainConfig) -> float:
-    """:func:`total_loss` over gathered ``rows`` (as evaluate_batch takes
-    them): list i owns rows ``offsets[i]:offsets[i+1]`` and has
-    :func:`prepare_labels` indices ``labels[i]``. One graph walk scores
-    every row; the per-list losses are then added in list order."""
-    scores = graph.evaluate_batch(rows)
-    total = 0.0
-    for prepared, start, end in zip(labels, offsets, offsets[1:]):
-        total += margin_loss_prepared(scores[start:end], prepared, config.mu, grad=False)[0]
-    return float(total + config.penalty_lambda * graph.residual_sum())
+    """``instances``' rows as one ``[features, rows]`` matrix, the list
+    offsets, and one block per list: a view of the matrix. A list holding a
+    NaN raises at the :meth:`ScoringGraph.evaluate_batch` call that reads it."""
+    stacked, offsets = table.gather_matrix(instances, graph.feature_names)
+    return stacked, offsets, [stacked[:, start:end] for start, end in zip(offsets, offsets[1:])]
 
 
 def total_loss(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: TrainConfig,
                rows: tuple | None = None) -> float:
     """Margin loss summed over mentions plus the weighted constraint penalty.
 
-    ``rows`` may hold ``ds``'s gathered rows, offsets and per-list
-    :func:`prepare_labels` indices, made once by a caller that sums often.
+    ``rows`` may hold ``ds``'s gathered ``[features, rows]`` matrix, the list
+    offsets and per-list :func:`prepare_labels` indices, made once by a
+    caller that sums often. One graph walk scores every row; the per-list
+    losses are then added in list order.
     """
     if rows is None:
         feats, offsets = table.gather_matrix(ds.instances, graph.feature_names)
-        rows = graph.check_nan(feats), offsets, [prepare_labels(inst.labels) for inst in ds.instances]
-    return _summed_loss(graph, *rows, config)
+        rows = feats, offsets, [prepare_labels(inst.labels) for inst in ds.instances]
+    feats, offsets, labels = rows
+    scores = graph.evaluate_batch(feats)
+    total = 0.0
+    for prepared, start, end in zip(labels, offsets, offsets[1:]):
+        total += margin_loss_prepared(scores[start:end], prepared, config.mu, grad=False)[0]
+    return float(total + config.penalty_lambda * graph.residual_sum())
 
 
 def gradients(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: TrainConfig) -> dict:

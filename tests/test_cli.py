@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -289,6 +292,18 @@ class TestUsageErrors:
              "--rules", str(workdir / "bad.elr"), "--out", str(workdir / "f.csv")]
         )
         assert code == 1
+
+
+    def test_python_dash_m_exits_as_documented(self, tmp_path):
+        # ``python -m rulelink.cli`` runs what the ``rulelink`` script runs
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "rulelink.cli", "eval", "--model", "missing.json", "--data", "data.jsonl",
+             "--features", "features.csv"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "rulelink: no such file: missing.json\n")
 
 
 class TestParserReuse:

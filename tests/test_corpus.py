@@ -4,6 +4,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from rulelink.corpus import (
     validate_dataset,
 )
 from rulelink.errors import DatasetError, FetchError
+import validate_reference
 
 
 class TestLoadDataset:
@@ -508,6 +510,38 @@ class TestFetchCandidates:
             fetch_candidates(stub_server, "x", k=1)
 
 
+# Every type JSON can produce, nested a little, plus integers no float holds.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(10**400)]) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+# Values of each field's own kind, so that the old check accepts enough drawn
+# cases for the verdicts to be compared.
+_WELL_TYPED = {
+    "indegree": st.integers() | st.floats() | st.booleans(),
+    "external_scores": st.dictionaries(st.text(max_size=3), st.floats() | st.integers(-1, 2) | st.booleans(),
+                                       max_size=3),
+    "embedding": st.none() | st.lists(st.floats() | st.integers() | st.booleans(), max_size=3),
+    "domains": st.lists(st.text(max_size=3), max_size=3),
+}
+
+
+@st.composite
+def _mistyped_fields(draw):
+    """Some of a candidate's ``indegree``, ``external_scores``, ``embedding``
+    and ``domains``, each a JSON value of any type or of its own kind; an
+    ``external_scores`` mapping's values may be of any type too."""
+    fields = draw(st.lists(st.sampled_from(sorted(_WELL_TYPED)), min_size=1, unique=True))
+    values = {name: draw(_WELL_TYPED[name] | _JSON) for name in fields}
+    if "external_scores" in values and draw(st.booleans()):
+        values["external_scores"] = draw(st.dictionaries(st.text(max_size=3), _JSON, max_size=3))
+    return values
+
+
 class TestValidateDataset:
     def test_full_coverage_and_no_violations(self, toy_dataset):
         report = validate_dataset(toy_dataset)
@@ -591,6 +625,52 @@ class TestValidateDataset:
             "mention 'm1': candidate 'James_Cameron' name None must be a string",
             "mention 'm1': candidate 'James_Cameron' domains must be strings, not int",
         )
+
+    @pytest.mark.parametrize(
+        "field, value, fault",
+        [
+            ("indegree", None, "candidate 'James_Cameron' indegree must be a number, not NoneType"),
+            ("external_scores", {"spacy": "x"},
+             "external score 'spacy' on candidate 'James_Cameron' must be a number, not str"),
+            ("embedding", ("a",), "candidate 'James_Cameron' embedding must be a list of numbers"),
+            ("external_scores", [], "candidate 'James_Cameron' external_scores must be a mapping, not list"),
+            ("embedding", 5, "candidate 'James_Cameron' embedding must be a list of numbers"),
+            ("domains", 5, "candidate 'James_Cameron' domains must be strings, not int"),
+        ],
+    )
+    def test_in_code_mistyped_field_is_violation(self, toy_dataset, field, value, fault):
+        from rulelink.estimator import RuleLinker
+
+        inst = toy_dataset.instances[0]
+        bad = dataclasses.replace(inst.candidates[0], **{field: value})
+        broken = LabeledInstance(inst.mention, (bad,) + inst.candidates[1:], inst.labels)
+        ds = Dataset(instances=(broken, toy_dataset.instances[1]), name="broken")
+        assert validate_dataset(ds).violations == (f"mention 'm1': {fault}",)
+        with pytest.raises(DatasetError) as info:
+            RuleLinker(rules="LNN-EL", epochs=1).fit(ds)
+        assert str(info.value) == f"dataset 'broken' has 1 violations: mention 'm1': {fault}"
+
+    @pytest.mark.parametrize("indegree", [3.0, np.int64(3), np.int32(0), True])
+    def test_in_code_numeric_indegree_is_accepted(self, toy_dataset, indegree):
+        inst = toy_dataset.instances[0]
+        cands = (dataclasses.replace(inst.candidates[0], indegree=indegree),) + inst.candidates[1:]
+        ds = Dataset(instances=(LabeledInstance(inst.mention, cands, inst.labels), toy_dataset.instances[1]))
+        assert validate_dataset(ds).ok
+
+    @given(case=_mistyped_fields(), dim=st.sampled_from([None, 2]))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_in_code_fields_of_any_json_type_never_raise(self, toy_dataset, case, dim):
+        inst = toy_dataset.instances[0]
+        cands = (dataclasses.replace(inst.candidates[0], **case),) + inst.candidates[1:]
+        ds = Dataset(instances=(LabeledInstance(inst.mention, cands, inst.labels), toy_dataset.instances[1]),
+                     embedding_dim=dim)
+        report = validate_dataset(ds)
+        assert all(isinstance(v, str) for v in report.violations)
+        try:
+            want = validate_reference.validate_dataset(ds)
+        except Exception:  # noqa: BLE001 - the old check raised: any report will do
+            return
+        assert report == want
 
 
 class TestFetchAll:

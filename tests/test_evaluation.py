@@ -300,7 +300,8 @@ class TestBatchedScoring:
     def test_one_walk_equals_a_walk_per_mention(self, seed, mode):
         model, ds, table = _ragged_case(seed, mode)
         graph, config = model.graph, TrainConfig(penalty_lambda=0.5)
-        cols, offsets = table.gather(ds.instances, graph.feature_names)
+        feats, offsets = table.gather_matrix(ds.instances, graph.feature_names)
+        cols = dict(zip(graph.feature_names, feats))
         batched = graph.evaluate_batch(cols)
         expected_preds, expected_loss = [], 0.0
         for inst, start, end in zip(ds.instances, offsets, offsets[1:]):
@@ -334,7 +335,7 @@ class TestBatchedScoring:
     def test_gather_names_every_missing_column(self, toy_dataset):
         table = FeatureTable(["jacc"])
         with pytest.raises(FeatureError, match="lacks columns: lev, prom"):
-            table.gather(toy_dataset.instances, ["jacc", "lev", "prom"])
+            table.gather_matrix(toy_dataset.instances, ["jacc", "lev", "prom"])
 
 
 @st.composite

@@ -444,7 +444,7 @@ class TestListColumns:
         got = _outcome(build_feature_table, ds, catalog, jobs)
         if isinstance(want, dict):
             assert isinstance(got, FeatureTable)
-            assert {n: col.tobytes() for n, col in got.select(list(want)).items()} == (
+            assert {n: col.tobytes() for n, col in zip(want, got.select_matrix(list(want)))} == (
                 {n: col.tobytes() for n, col in want.items()})
         else:
             assert got == want
@@ -788,8 +788,9 @@ def _outcome(fn, *args):
 class TestTableCodec:
     """The matrix table's codec equals the dict-of-rows codec it replaced
     (``table_reference``) byte for byte: CSV bytes and sha256, the table
-    ``from_csv`` reads, the sidecar matrix, ``gather`` columns and offsets,
-    and the FeatureError that a malformed CSV raises."""
+    ``from_csv`` reads, the sidecar matrix, ``gather_matrix`` rows (against
+    the reference's ``gather`` columns) and offsets, and the FeatureError
+    that a malformed CSV raises."""
 
     @staticmethod
     def _tables(names, rows):
@@ -834,10 +835,11 @@ class TestTableCodec:
         if data.draw(st.booleans()):
             order.append(LabeledInstance(Mention(lists[0][0], "s", "t"), (CandidateEntity("absent", "n"),), (1,)))
         wanted = data.draw(st.lists(st.sampled_from(names + ["absent"]), max_size=5))
-        got, want = _outcome(table.gather, order, wanted), _outcome(reference.gather, order, wanted)
+        got, want = _outcome(table.gather_matrix, order, wanted), _outcome(reference.gather, order, wanted)
         if isinstance(want, tuple) and isinstance(want[0], dict):
-            assert list(got[0]) == list(want[0]) and got[1] == want[1]
-            assert [col.tobytes() for col in got[0].values()] == [col.tobytes() for col in want[0].values()]
+            # one matrix row per requested name, in the order asked, repeats included
+            assert got[1] == want[1]
+            assert [row.tobytes() for row in got[0]] == [want[0][name].tobytes() for name in wanted]
         else:
             assert got == want
 

@@ -74,7 +74,7 @@ class TestTapeMatchesTreeWalk:
     def test_scores_gradients_loss_and_training(self, source, seed, mode):
         config = TrainConfig(epochs=2, learning_rate=0.05, mu=0.7, penalty_lambda=1.0, seed=seed % 7)
         graph, table, ds = _case(source, seed, mode)
-        cols, _ = table.gather(ds.instances, graph.feature_names)
+        cols = dict(zip(graph.feature_names, table.gather_matrix(ds.instances, graph.feature_names)[0]))
         batched = graph.evaluate_batch(cols)
         assert batched.tobytes() == ref.score(graph, cols).tobytes()
         for row in range(min(len(batched), 5)):
@@ -172,7 +172,7 @@ class TestGradientAccumulation:
         table.add_row("m", "a", {"jacc": 0.4, "lev": 0.3})
         table.add_row("m", "b", {"jacc": 0.2, "lev": 0.1})
         config = TrainConfig(epochs=2, penalty_lambda=0.0)
-        assert graph.evaluate_batch(table.gather(ds.instances)[0]).tolist() == [1.0, 1.0]
+        assert graph.evaluate_batch(table.columns(ds.instances[0])).tolist() == [1.0, 1.0]
         train(ds, table, graph, config)
         assert gate.raw_weights.tobytes() == np.array([-0.0, -0.0]).tobytes()
 

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
 from rulelink.errors import CompileError, TrainingDivergence
+from rulelink.estimator import RuleLinker
+from rulelink.evaluation import link
 from rulelink.logic import softplus_inverse
 from rulelink.ruledsl import RuleAST, builtin_templates, compile, parse
-from rulelink.simfeatures import FeatureTable, build_feature_table, default_catalog
+from rulelink.simfeatures import FeatureTable, ScoringBlock, build_feature_table, default_catalog
 from rulelink.training import (
+    Model,
     TrainConfig,
     descend,
     gradients,
@@ -485,7 +488,7 @@ class TestTrain:
     def test_one_gather_per_run(self, monkeypatch):
         ds, catalog, table, graph = _tiny_setup()
         gathers = []
-        gather = FeatureTable.gather_matrix  # gather's dict is a view of it
+        gather = FeatureTable.gather_matrix  # every gather goes through it
 
         def counting(self, *args, **kwargs):
             gathers.append(1)
@@ -534,6 +537,82 @@ class TestTrain:
         initial = total_loss(graph, table, ds, config)
         model = train(ds, table, graph, config, catalog=catalog)
         assert model.training_log[-1]["loss"] <= initial
+
+
+def _nan_setup(mode):
+    """:func:`_tiny_setup` over three features, with two NaNs in one list:
+    the third feature's on its first row, the second's on its last. The
+    message returned names the second feature, the first in feature order
+    (not row order) that holds a NaN."""
+    ds, catalog, table, graph = _tiny_setup("rule Links = jacc? & lev? & prom;", mode=mode)
+    names = graph.feature_names
+    inst = ds.instances[2]
+    for cand, name in ((inst.candidates[0], names[2]), (inst.candidates[-1], names[1])):
+        table.matrix[table.index[(inst.mention.id, cand.id)], table.feature_names.index(name)] = np.nan
+    return ds, catalog, table, graph, f"^feature {names[1]!r} contains NaN$"
+
+
+def _scoring_block(ds, table, names):
+    """``ds``'s rows of ``table`` as a ScoringBlock, the form the sidecar gives."""
+    feats, offsets = table.gather_matrix(ds.instances, names)
+    mention_ids, _, candidate_ids, labels = ds.row_keys()
+    row_mentions = [mid for mid, start, end in zip(mention_ids, offsets, offsets[1:]) for _ in range(start, end)]
+    return ScoringBlock(mention_ids, offsets, np.array(labels, np.int8),
+                        FeatureTable(names, row_mentions, candidate_ids, feats.T.copy()))
+
+
+_NAN_ENTRIES = ("evaluate_batch mapping", "evaluate_batch matrix", "link Dataset", "link ScoringBlock", "total_loss",
+                "total_loss rows", "gradients", "train", "RuleLinker.predict")
+
+
+def _nan_entries(graph, table, ds, catalog) -> dict:
+    """Each of :data:`_NAN_ENTRIES` as a call over ``ds``'s rows of ``table``."""
+    names, config = graph.feature_names, TrainConfig(epochs=2, seed=1)
+    model = Model(graph=graph, config=config, catalog=catalog)
+    linker = RuleLinker()
+    linker.model_ = model
+    feats, offsets = table.gather_matrix(ds.instances, names)
+    rows = feats, offsets, [prepare_labels(inst.labels) for inst in ds.instances]
+    return dict(zip(_NAN_ENTRIES, [
+        lambda: graph.evaluate_batch(table.columns(ds.instances[2], names)),
+        lambda: graph.evaluate_batch(feats),
+        lambda: link(model, ds, table),
+        lambda: link(model, _scoring_block(ds, table, names)),
+        lambda: total_loss(graph, table, ds, config),
+        lambda: total_loss(graph, table, ds, config, rows),
+        lambda: gradients(graph, table, ds, config),
+        lambda: train(ds, table, graph, config, catalog=catalog),
+        lambda: linker.predict(ds, table),
+    ]))
+
+
+class TestEveryScoringEntryRejectsNaN:
+    """Every entry that scores rows raises ``feature 'x' contains NaN``,
+    naming the first feature holding one; evaluate_batch is the one place
+    that checks."""
+
+    # manual mode has no parameters, so gradients scores nothing
+    @pytest.mark.parametrize("mode, entry", [(mode, entry) for mode in ("lnn", "tnorm", "manual")
+                                             for entry in _NAN_ENTRIES if (mode, entry) != ("manual", "gradients")])
+    def test_entry_raises(self, mode, entry):
+        ds, catalog, table, graph, message = _nan_setup(mode)
+        with pytest.raises(ValueError, match=message):
+            _nan_entries(graph, table, ds, catalog)[entry]()
+
+    def test_manual_training_raises_at_the_epoch_loss(self, monkeypatch):
+        ds, catalog, table, graph, message = _nan_setup("manual")
+        calls = []
+        evaluate = graph.evaluate_batch
+
+        def counting(cols, cache=None):
+            calls.append(1)
+            return evaluate(cols, cache)
+
+        monkeypatch.setattr(graph, "evaluate_batch", counting)
+        with pytest.raises(ValueError, match=message):
+            train(ds, table, graph, TrainConfig(epochs=2), catalog=catalog)
+        # no step scores in manual mode: the one call is the first epoch's loss
+        assert len(calls) == 1
 
 
 def _separable_dataset():
