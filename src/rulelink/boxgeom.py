@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Dataset, read_text
+from .corpus import Dataset, atomic_write, read_text
 from .errors import FeatureError
 from .logic import sigmoid, softplus, softplus_inverse
 from .simfeatures import minmax_rescale
@@ -179,17 +179,16 @@ def attach_embeddings(ds: Dataset, path) -> Dataset:
 
 
 def save_box_params(p: BoxParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(p.to_json(), fh, sort_keys=True, separators=(",", ":"))
+    atomic_write(path, json.dumps(p.to_json(), sort_keys=True, separators=(",", ":")))
 
 
 def load_box_params(path) -> BoxParams:
     """Read a :func:`save_box_params` file; malformed content raises
     FeatureError naming the file (and the field, if it parsed as JSON)."""
+    text = read_text(path, FeatureError)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return BoxParams.from_json(json.load(fh))
-    except (json.JSONDecodeError, UnicodeDecodeError, OverflowError, FeatureError) as exc:
+        return BoxParams.from_json(json.loads(text))
+    except (json.JSONDecodeError, OverflowError, FeatureError) as exc:
         raise FeatureError(f"{path}: {exc}") from None
 
 
@@ -386,14 +385,17 @@ def _forward(s: _Stack, effective: tuple, raw: dict | None = None, grad: dict | 
     return out
 
 
+def _scored(stacks: list[tuple[list[int], _Stack]], effective: tuple) -> list[tuple[np.ndarray, tuple]]:
+    """Every row's rescaled scores and labels, in row order, from shape stacks."""
+    rows = {i: (out, labels) for idx, stack in stacks
+            for i, out, labels in zip(idx, _forward(stack, effective), stack.labels)}
+    return [rows[i] for i in range(len(rows))]
+
+
 def _summed_loss(stacks: list[tuple[list[int], _Stack]], raw: dict, mu: float) -> float:
     """Margin loss summed over the rows in their order, from shape stacks."""
-    losses = [0.0] * sum(len(idx) for idx, _ in stacks)
-    effective = _effective(raw)
-    for idx, stack in stacks:
-        for i, out, labels in zip(idx, _forward(stack, effective), stack.labels):
-            losses[i] = margin_loss_prepared(out, labels, mu, grad=False)[0]
-    return sum(losses)
+    return sum(margin_loss_prepared(out, labels, mu, grad=False)[0]
+               for out, labels in _scored(stacks, _effective(raw)))
 
 
 def box_feature(ds: Dataset, params: BoxParams, cos_column: str = "cos") -> list[np.ndarray]:
@@ -403,16 +405,15 @@ def box_feature(ds: Dataset, params: BoxParams, cos_column: str = "cos") -> list
     ``minmax_rescale(beta_box * sim_box + cos)`` with the kernel training
     uses, at ``params`` as given; one without scores ``minmax_rescale(cos)``.
     Every candidate needs an embedding of the parameters' dimension, peers
-    or not, and a non-finite score raises FeatureError naming the mention.
+    or not; a non-finite score raises FeatureError naming the first such mention.
     """
     positions, rows = _training_rows(ds, cos_column, params.psi.size)
     columns: list = [None] * len(ds.instances)
     effective = (params.psi, params.omega / 2.0, params.beta_box)
-    for idx, stack in _by_shape(rows):
-        for i, out in zip(idx, _forward(stack, effective)):
-            if not np.isfinite(out).all():
-                raise FeatureError(f"box feature of mention {ds.instances[positions[i]].mention.id!r} is not finite")
-            columns[positions[i]] = out
+    for i, (out, _) in zip(positions, _scored(_by_shape(rows), effective)):
+        if not np.isfinite(out).all():
+            raise FeatureError(f"box feature of mention {ds.instances[i].mention.id!r} is not finite")
+        columns[i] = out
     for i, inst in enumerate(ds.instances):
         if columns[i] is None:
             _candidate_embeddings(inst.candidates, params.psi.size)

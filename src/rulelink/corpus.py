@@ -153,18 +153,24 @@ def instance_faults(inst: LabeledInstance) -> list[str]:
     """
     faults: list[str] = []
     mention = inst.mention
+    context_ids = mention.context_ids if isinstance(mention.context_ids, _ITERABLE) else ()
     if not isinstance(mention.surface, str):
         faults.append(f"mention surface {mention.surface!r} must be a string")
     elif not mention.surface:
         faults.append("mention surface is empty")
-    if mention.id in mention.context_ids:
+    if not isinstance(mention.context_ids, _ITERABLE):
+        faults.append(f"context_ids must be a list, not {type(mention.context_ids).__name__}")
+    # ``in`` raises on a non-string id against a string, or an unhashable one against a mapping
+    elif (isinstance(mention.id, str) or isinstance(context_ids, (tuple, list))) and mention.id in context_ids:
         faults.append(f"mention {mention.id!r} lists itself as context")
-    if any(l not in (0, 1) for l in inst.labels):
+    if not isinstance(inst.labels, _ITERABLE):
+        faults.append(f"labels must be a list, not {type(inst.labels).__name__}")
+    elif any(l not in (0, 1) for l in inst.labels):
         faults.append("labels must be 0 or 1")
     if not isinstance(mention.mention_type, (str, type(None))):
         faults.append(f"mention type must be a string or null, not {mention.mention_type!r}")
     ids = [("mention id", mention.id), ("text_id", mention.text_id)]
-    ids += [("context id", c) for c in mention.context_ids]
+    ids += [("context id", c) for c in context_ids]
     ids += [("candidate id", c.id) for c in inst.candidates]
     for what, ident in ids:
         if not isinstance(ident, str):
@@ -199,12 +205,14 @@ def instance_faults(inst: LabeledInstance) -> list[str]:
             faults.append(f"candidate {cand.id!r} external_scores must be a mapping, not {type(scores).__name__}")
             scores = {}
         for k, v in scores.items():
+            if not isinstance(k, str):
+                faults.append(f"external score name {k!r} on candidate {cand.id!r} must be a string")
             if not isinstance(v, _REAL):
                 faults.append(f"external score {k!r} on candidate {cand.id!r} must be a number, not {type(v).__name__}")
             elif not 0.0 <= v <= 1.0:
                 faults.append(f"external score {k!r}={v} outside [0,1] on candidate {cand.id!r}")
 
-    if inst.candidates and len(inst.labels) != len(inst.candidates):
+    if inst.candidates and isinstance(inst.labels, _ITERABLE) and len(inst.labels) != len(inst.candidates):
         faults.append(f"{len(inst.labels)} labels for {len(inst.candidates)} candidates")
     return faults
 
@@ -395,17 +403,21 @@ def load_dataset(path) -> Dataset:
 
 def atomic_write(path, data: str | bytes | memoryview) -> None:
     """Write ``data`` verbatim (text as UTF-8) to ``path`` through a temp file
-    and a rename."""
+    and a rename. An OSError that names a file names ``path``, not the temp
+    file, and keeps its type."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".rulelink-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".rulelink-")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 
@@ -443,9 +455,7 @@ def canonical_lines(ds: Dataset) -> list[str]:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in canonical_lines(ds):
-            fh.write(line + "\n")
+    atomic_write(path, "".join(line + "\n" for line in canonical_lines(ds)))
 
 
 def merge_external_scores(ds: Dataset, scores_path, feature_name: str) -> Dataset:
@@ -528,12 +538,7 @@ def merge_external_scores(ds: Dataset, scores_path, feature_name: str) -> Datase
         new_instances.append(LabeledInstance(inst.mention, new_cands, inst.labels))
     if defaulted:
         logger.warning("merge %s: %d dataset pairs defaulted to 0.0", feature_name, defaulted)
-    return Dataset(
-        instances=tuple(new_instances),
-        embedding_dim=ds.embedding_dim,
-        name=ds.name,
-        report=ds.report,
-    )
+    return replace(ds, instances=tuple(new_instances))
 
 
 def fetch_candidates(
@@ -545,7 +550,6 @@ def fetch_candidates(
     max_attempts: int = 3,
     backoff: float = 0.5,
     sleep=time.sleep,
-    session=None,
 ) -> list[CandidateEntity]:
     """Query a lookup-style endpoint for entity candidates.
 
@@ -557,11 +561,10 @@ def fetch_candidates(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    http = session or requests
     last_exc = None
     for attempt in range(max_attempts):
         try:
-            resp = http.get(endpoint, params={"query": surface, "maxResults": k}, timeout=timeout)
+            resp = requests.get(endpoint, params={"query": surface, "maxResults": k}, timeout=timeout)
             resp.raise_for_status()
             body = resp.text
             break
@@ -629,12 +632,12 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
                 violations.append(f"duplicate mention id {mid!r}")
             seen.add(mid)
         violations += (f"mention {mid!r}: {fault}" for fault in instance_faults(inst))
-        for ctx in inst.mention.context_ids:
+        for ctx in inst.mention.context_ids if isinstance(inst.mention.context_ids, _ITERABLE) else ():
             if isinstance(ctx, str) and ctx not in known:
                 violations.append(f"mention {mid!r}: unknown context id {ctx!r}")
         if not inst.candidates:
             violations.append(f"mention {mid!r}: empty candidate list")
-        elif not any(inst.labels):
+        elif isinstance(inst.labels, _ITERABLE) and not any(inst.labels):  # else instance_faults reports it
             violations.append(f"mention {mid!r}: no positive label")
         for cand in inst.candidates:
             if dim is not None and isinstance(cand.embedding, Sized) and len(cand.embedding) != dim:
@@ -647,8 +650,9 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
         "embedding": sum(c.embedding is not None for c in cands) / denom,
         "mention_type": sum(i.mention.mention_type is not None for i in ds.instances) / max(len(ds.instances), 1),
     }
-    # external_scores that are not a mapping are reported by instance_faults
-    external = Counter(k for c in cands if isinstance(c.external_scores, _MAPPING) for k in c.external_scores)
+    # a non-mapping external_scores and a non-string score name are reported by instance_faults
+    external = Counter(k for c in cands if isinstance(c.external_scores, _MAPPING)
+                       for k in c.external_scores if isinstance(k, str))
     for k, count in sorted(external.items()):
         coverage[f"external:{k}"] = count / denom
     return ValidationReport(violations=tuple(violations), coverage=coverage)

@@ -34,6 +34,11 @@ class CompileError(ValueError):
     """Raised when a rule AST cannot be compiled against a catalog."""
 
 
+class TemplateError(KeyError, CompileError):
+    """An unknown template name: a KeyError shown as its message, and a CompileError."""
+    __str__ = CompileError.__str__
+
+
 class TrainingDivergence(RuntimeError):
     """Raised when the training loss blows up; carries the epoch log."""
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .corpus import Dataset
 from .logic import AndNode, NotNode, RawLeaf, ThresholdLeaf
-from .ruledsl import TemplateLibrary, builtin_templates, compile, disjoin
-from .simfeatures import FeatureTable, ScoringBlock, default_catalog
+from .ruledsl import builtin_templates, compile, disjoin
+from .simfeatures import FeatureCatalog, FeatureTable, ScoringBlock
 from .training import Model, TrainConfig, train
 
 logger = logging.getLogger(__name__)
@@ -183,32 +183,25 @@ def ablation(
     table: FeatureTable,
     subsets: list[list[str]],
     config: TrainConfig,
-    library: TemplateLibrary | None = None,
+    catalog: FeatureCatalog,
     eval_ds: Dataset | None = None,
     eval_table: FeatureTable | None = None,
-    mode: str = "lnn",
-    catalog=None,
 ) -> list[AblationRow]:
-    """Train one model per template subset under identical seeds and config.
-
-    Each subset compiles fresh (no parameter sharing across rows); results
-    come back in input order, ready for the markdown/CSV emitters.
-    """
+    """Train one fresh lnn model per subset of built-in templates, under
+    identical seeds and config, and score it on ``eval_ds`` and ``eval_table``
+    (by default the training data). Every name is looked up before any
+    training; results come back in input order."""
     if not subsets:
         raise ValueError("ablation needs at least one template subset")
-    library = library or builtin_templates()
-    eval_ds = eval_ds or ds
-    eval_table = eval_table or table
-    if catalog is None:
-        catalog = default_catalog()
+    if not all(subsets):
+        raise ValueError("template subsets must be non-empty")
+    library = builtin_templates()
+    roots = [disjoin("Ablation", [library[name] for name in subset]) for subset in subsets]
     rows = []
-    for subset in subsets:
-        if not subset:
-            raise ValueError("template subsets must be non-empty")
-        root = disjoin("Ablation", [library[name] for name in subset])
-        graph = compile([root], catalog, mode=mode, alpha=config.alpha)
+    for subset, root in zip(subsets, roots):
+        graph = compile([root], catalog, alpha=config.alpha)
         model = train(ds, table, graph, config, catalog=catalog)
-        report = evaluate(model, eval_ds, eval_table)
+        report = evaluate(model, eval_ds or ds, eval_table or table)
         label = "+".join(subset)
         logger.info("ablation %s: F1 %.4f", label, report.f1)
         rows.append(AblationRow(label=label, report=report))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CompileError, ParseError
+from .errors import CompileError, ParseError, TemplateError
 from .logic import (
     AndNode,
     GateParams,
@@ -439,7 +439,7 @@ class TemplateLibrary:
 
     def __getitem__(self, name: str) -> RuleAST:
         if name not in self.templates:
-            raise KeyError(f"no template {name!r}; known: {', '.join(self.templates)}")
+            raise TemplateError(f"no template {name!r}; known: {', '.join(self.templates)}")
         return self.templates[name]
 
     def names(self) -> list[str]:
@@ -454,14 +454,14 @@ def builtin_templates() -> TemplateLibrary:
     )
 
 
-def compose_with_external(base: RuleAST, column: str, thresholded: bool = False) -> RuleAST:
+def compose_with_external(base: RuleAST, column: str) -> RuleAST:
     """Extend a template with an extra score column.
 
     Follows the blink-rule pattern: the new disjunct conjoins the shared
-    name-similarity block with the raw (or thresholded) extra signal.
+    name-similarity block with the raw extra signal.
     """
     name_sim = next(r.body for r in parse(_BUILTIN_SOURCE) if r.name == "NameSim")
-    extra = And((name_sim, Pred(column, thresholded=thresholded)))
+    extra = And((name_sim, Pred(column)))
     return RuleAST(name=f"{base.name}_plus_{column}", body=Or((base.body, extra)), line=base.line)
 
 

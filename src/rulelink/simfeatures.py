@@ -337,16 +337,6 @@ def _indegrees(inst: LabeledInstance) -> np.ndarray:
     return _rescalable([c.indegree for c in inst.candidates])
 
 
-def _first_fault(instances, check) -> tuple[int, Exception] | None:
-    """The first instance that ``check`` raises on, and the error."""
-    for i, inst in enumerate(instances):
-        try:
-            check(inst)
-        except (FeatureError, TypeError, ValueError, OverflowError) as exc:
-            return i, exc
-    return None
-
-
 def type_score(m: Mention, e) -> float:
     """1 iff the mention has a type and it appears in the candidate domains."""
     if m.mention_type is None:
@@ -808,15 +798,15 @@ def _check_keys(mention_ids: list[str], row_mentions: list[str], candidate_ids: 
 def _checked_lists(instances, catalog: FeatureCatalog, mentions: dict[str, Mention], counts: list[int]):
     """Check the lists that ``ctx`` and ``prom`` rescale a column at a time,
     and return the in-degrees of every pair when ``catalog`` has ``prom``.
-    When a check fails, the lists are walked to raise the first failing
-    one's error, in dataset then catalog order, as each list was checked
-    on its own."""
+    When a check fails, the lists are walked in dataset order, each through
+    the failing kinds' own checks in catalog order, to raise the first error
+    as each list was checked on its own."""
     kinds = {spec.kind for spec in catalog.entries.values()}
-    faults, indegrees = {}, None
+    checks, indegrees = {}, None
     if "ctx" in kinds:
         unknown = set(chain.from_iterable(inst.mention.context_ids for inst in instances)).difference(mentions)
         if unknown or 0 in counts:
-            faults["ctx"] = _first_fault(instances, partial(_context_fault, all_mentions=mentions))
+            checks["ctx"] = partial(_context_fault, all_mentions=mentions)
     if "prom" in kinds:
         try:
             indegrees = np.array([c.indegree for inst in instances for c in inst.candidates], dtype=float)
@@ -824,10 +814,11 @@ def _checked_lists(instances, catalog: FeatureCatalog, mentions: dict[str, Menti
         except (TypeError, ValueError, OverflowError):  # as one of the lists' own conversions fails
             clean = False
         if not clean:
-            faults["prom"] = _first_fault(instances, _indegrees)
-    first = [(*faults[spec.kind], pos) for pos, spec in enumerate(catalog.entries.values()) if faults.get(spec.kind)]
-    if first:
-        raise min(first, key=lambda fault: (fault[0], fault[2]))[1]
+            checks["prom"] = _indegrees
+    walk = [checks[spec.kind] for spec in catalog.entries.values() if spec.kind in checks]
+    for inst in instances:
+        for check in walk:
+            check(inst)
     return indegrees
 
 

@@ -85,11 +85,13 @@ def load_config(path) -> TrainConfig:
             continue
         if "=" not in line:
             raise ValueError(f"{path} line {line_no}: expected key = value")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path} line {line_no}: unknown key {key!r}")
-        values[key] = _CONFIG_KEYS[key](raw.strip())
+        key, _, raw = (part.strip() for part in line.partition("="))
+        try:
+            values[key] = _CONFIG_KEYS[key](raw)
+        except KeyError:
+            raise ValueError(f"{path} line {line_no}: unknown key {key!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line_no}: bad value for {key!r} ({exc})") from None
     return TrainConfig(**values)
 
 
@@ -202,9 +204,9 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     """Read ``model.json``; malformed content of any kind raises CompileError."""
+    text = read_text(path, CompileError)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return Model.from_json(json.load(fh))
+        return Model.from_json(json.loads(text))
     except CompileError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:

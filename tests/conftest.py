@@ -1,6 +1,8 @@
 import json
 import os
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -122,3 +124,40 @@ def write_oversized_number(path, field):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return path
+
+
+class StubHandler(BaseHTTPRequestHandler):
+    """A lookup endpoint that answers every GET with ``payload`` as JSON,
+    after ``fail_times`` HTTP 500 replies; ``calls`` counts the requests."""
+
+    payload: list = []
+    fail_times: int = 0
+    calls: int = 0
+
+    def do_GET(self):
+        cls = type(self)
+        cls.calls += 1
+        if cls.fail_times > 0:
+            cls.fail_times -= 1
+            self.send_response(500)
+            self.end_headers()
+            return
+        body = json.dumps(cls.payload).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def stub_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    StubHandler.fail_times = 0
+    StubHandler.calls = 0
+    yield f"http://127.0.0.1:{server.server_address[1]}/lookup"
+    server.shutdown()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from rulelink.boxgeom import (
     box_similarity,
     intersect,
     neighborhood,
+    save_box_params,
     train_box_params,
 )
 from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
@@ -238,6 +241,17 @@ class TestJointBoxFeature:
         inst_b = _embedded_instance("b", "t", "beta", [(2.0, 0.0), (-2.0, 3.0)], [1, 0], cos=[0.2, float("nan")])
         with pytest.raises(FeatureError, match="box feature of mention 'b' is not finite"):
             box_feature(Dataset(instances=(inst_a, inst_b), embedding_dim=2), BoxParams.default(2))
+
+    def test_first_non_finite_score_in_dataset_order_is_named(self):
+        # a and c have two candidates and b three, so one shape stack holds a
+        # and c and the next holds b: b fails first in the dataset, c first
+        # in the stacks
+        a = _embedded_instance("a", "t", "alpha", [(0.0, 0.0), (0.0, 3.0)], [1, 0], cos=[0.2, 0.4])
+        b = _embedded_instance("b", "t", "beta", [(2.0, 0.0), (-2.0, 3.0), (1.0, 1.0)], [1, 0, 0],
+                               cos=[0.2, float("nan"), 0.1])
+        c = _embedded_instance("c", "t", "gamma", [(1.0, 0.0), (0.0, 1.0)], [0, 1], cos=[float("nan"), 0.3])
+        with pytest.raises(FeatureError, match="box feature of mention 'b' is not finite"):
+            box_feature(Dataset(instances=(a, b, c), embedding_dim=2), BoxParams.default(2))
 
 
 @st.composite
@@ -721,3 +735,11 @@ class TestEmbeddingFiles:
         assert np.array_equal(again.psi, params.psi)
         assert np.array_equal(again.omega, params.omega)
         assert again.beta_box == params.beta_box
+
+    def test_box_params_bytes_are_the_recorded_ones(self, tmp_path):
+        # pinned bytes: sorted keys, compact separators, floats as repr writes them
+        save_box_params(BoxParams(psi=(0.1, -2.5, 1e-17), omega=(1.0, 1 / 3, 7e20), beta_box=0.75),
+                        tmp_path / "box.json")
+        digest = hashlib.sha256((tmp_path / "box.json").read_bytes()).hexdigest()
+        assert digest == "66704567d016f386992da94c509c0cdc1f4abcee364b4c78e9c1dbd78dbf9f53"
+        assert [p.name for p in tmp_path.iterdir()] == ["box.json"]  # no temp file left behind

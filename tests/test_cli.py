@@ -8,8 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import instance_obj, write_jsonl, write_oversized_number
-from rulelink import cli, errors
+from conftest import StubHandler, instance_obj, write_jsonl, write_oversized_number
+from rulelink import cli, errors, evaluation
 from rulelink.cli import run
 from rulelink.corpus import save_dataset
 from rulelink.ruledsl import ast_leaves, find_root, parse
@@ -267,9 +267,10 @@ class TestUsageErrors:
         assert err.startswith("rulelink: unrecognized arguments: --jobs 2\nusage: rulelink")
         assert not (workdir / "f.csv").exists()
 
-    @pytest.mark.parametrize("flag", ["rules", "config", "embeddings"])
+    @pytest.mark.parametrize("flag", ["rules", "config", "embeddings", "model", "box-params"])
     def test_non_utf8_input_names_file_and_line(self, workdir, capsys, flag):
-        text = {"rules": RULES, "config": "epochs = 2\n", "embeddings": '{"id": "e", "vec": [1.0]}\n'}[flag]
+        text = {"rules": RULES, "config": "epochs = 2\n", "embeddings": '{"id": "e", "vec": [1.0]}\n',
+                "model": '{"format_version": 1,\n', "box-params": '{"psi": [0.0],\n'}[flag]
         path = workdir / f"bad.{flag}"
         path.write_bytes(text.encode() + b"\xff\n")
         _featurize(workdir)
@@ -279,11 +280,51 @@ class TestUsageErrors:
             "rules": ["featurize", *common, "--rules", str(path)],
             "embeddings": ["featurize", *common, "--rules", rules, "--embeddings", str(path)],
             "config": ["train", *common, "--features", features, "--rules", rules, "--config", str(path)],
+            "model": ["link", *common, "--features", features, "--model", str(path)],
+            "box-params": ["featurize", *common, "--rules", rules, "--box-params", str(path)],
         }[flag]
         capsys.readouterr()
         assert run(argv) == 1
         line = text.count("\n") + 1
         assert capsys.readouterr().err == f"rulelink: {path} line {line}: not UTF-8 (invalid start byte)\n"
+
+    @pytest.mark.parametrize("command, name, unknown", [
+        ("featurize", "Nope", "Nope"), ("featurize", "", ""), ("train", "Nope", "Nope"), ("ablate", "Nope", "Nope"),
+        ("ablate", "", ""), ("ablate", "Name+", ""),
+    ])
+    def test_unknown_template_is_a_usage_error(self, workdir, capsys, command, name, unknown):
+        _featurize(workdir)
+        data, features = str(workdir / "data.jsonl"), str(workdir / "features.csv")
+        argv = {
+            "featurize": ["featurize", "--data", data, "--rules", f"builtin:{name}", "--out", str(workdir / "f.csv")],
+            "train": ["train", "--data", data, "--features", features, "--rules", f"builtin:{name}",
+                      "--out", str(workdir / "m.json")],
+            "ablate": ["ablate", "--data", data, "--features", features, "--templates", f"Name,{name}"],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (f"rulelink: no template {unknown!r}; known: Name, Context, Type, Blink, "
+                                           "Box, Bert, LNN-EL, LNN-EL+BLINK, LNN-EL_ens\n")
+
+    def test_config_value_that_does_not_convert_names_file_line_and_key(self, workdir, capsys):
+        _featurize(workdir)
+        cfg = workdir / "train.cfg"
+        cfg.write_text("mu = 0.7\nepochs = abc\n")
+        capsys.readouterr()
+        assert run(["train", "--data", str(workdir / "data.jsonl"), "--features", str(workdir / "features.csv"),
+                    "--rules", str(workdir / "rules.elr"), "--config", str(cfg), "--out", str(workdir / "m.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"rulelink: {cfg} line 2: bad value for 'epochs' (invalid literal for int() with base 10: 'abc')\n")
+
+    @pytest.mark.parametrize("target, code", [("missing", 1), ("directory", 2)])
+    def test_out_that_cannot_be_written_names_the_path(self, workdir, capsys, target, code):
+        out = workdir / "missing" / "f.csv" if target == "missing" else workdir
+        capsys.readouterr()
+        assert run(["featurize", "--data", str(workdir / "data.jsonl"), "--rules", str(workdir / "rules.elr"),
+                    "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("rulelink: [Errno ") and err.endswith(f": {str(out)!r}\n")
+        assert ".rulelink-" not in err and not list(out.parent.glob(".rulelink-*"))
 
     def test_bad_rules_syntax_exits_one(self, workdir, capsys):
         (workdir / "bad.elr").write_text("rule broken = ;")
@@ -633,3 +674,118 @@ class TestBoxFeaturizeCli:
         assert self._featurize_box(workdir, '{"psi": [0, 0, 0], "omega": [1, 1, 1], "beta_box": 1}') == 1
         err = capsys.readouterr().err
         assert "has a 2-d embedding, not 3-d" in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A dataset, its LNN-EL feature CSV and a one-epoch LNN-EL model."""
+    workdir = tmp_path_factory.mktemp("cli_inputs")
+    save_dataset(generate_dataset(12, n_candidates=4, seed=3), workdir / "data.jsonl")
+    assert run(["featurize", "--data", str(workdir / "data.jsonl"), "--rules", "builtin:LNN-EL",
+                "--out", str(workdir / "features.csv")]) == 0
+    assert run(["train", "--data", str(workdir / "data.jsonl"), "--features", str(workdir / "features.csv"),
+                "--rules", "builtin:LNN-EL", "--epochs", "1", "--out", str(workdir / "model.json")]) == 0
+    return workdir
+
+
+def _file(path, content) -> Path:
+    """``path``, holding ``content`` (bytes or text)."""
+    (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+    return path
+
+
+def _argv(command: str, inputs: Path, fresh: Path, endpoint: str | None, **changed) -> list[str]:
+    """A run of ``command`` that succeeds on ``cli_inputs``, writing into
+    ``fresh``, with the flags ``changed`` replacing or joining its own."""
+    argv = [command]
+    for key, value in {**_flags(command, inputs, fresh, endpoint), **changed}.items():
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    return argv
+
+
+def _flags(command: str, inputs: Path, fresh: Path, endpoint: str | None) -> dict:
+    """The flags of a run of ``command`` that succeeds on ``cli_inputs``."""
+    data, features, model = inputs / "data.jsonl", inputs / "features.csv", inputs / "model.json"
+    return {
+        "featurize": {"data": data, "rules": "builtin:LNN-EL", "out": fresh / "f.csv"},
+        "train": {"data": data, "features": features, "rules": "builtin:LNN-EL", "epochs": 1, "out": fresh / "m.json"},
+        "link": {"model": model, "data": data, "features": features, "out": fresh / "p.json"},
+        "eval": {"model": model, "data": data, "features": features},
+        "transfer": {"model": model, "data": data, "features": features},
+        "ablate": {"data": data, "features": features, "templates": "Name", "epochs": 1},
+        "inspect": {"model": model, "json": fresh / "w.json"},
+        "fetch": {"endpoint": endpoint, "surface": "x"},
+    }[command]
+
+
+# Every subcommand x failure kind, and its exit code (1 validation, 2 runtime):
+# the flags that replace or join a succeeding run's, given its fresh directory
+# t. "divergence" runs against a train that raises TrainingDivergence; fetch
+# reads the stub lookup server, whose reply is malformed for "malformed reply".
+_EXIT_CODES = [
+    ("featurize", "missing data file", 1, lambda t: {"data": t / "nope.jsonl"}),
+    ("featurize", "non-UTF-8 data", 1, lambda t: {"data": _file(t / "d.jsonl", b'{"mention": \xff}\n')}),
+    ("featurize", "dataset field", 1, lambda t: {"data": _file(t / "d.jsonl", '{"mention": 5}\n')}),
+    ("featurize", "unknown template", 1, lambda t: {"rules": "builtin:Nope"}),
+    ("featurize", "empty template name", 1, lambda t: {"rules": "builtin:"}),
+    ("featurize", "rules syntax", 1, lambda t: {"rules": _file(t / "r.elr", "rule broken = ;")}),
+    ("featurize", "rules not in catalog", 1, lambda t: {"rules": _file(t / "r.elr", "rule R = nope?;")}),
+    ("featurize", "embeddings", 1, lambda t: {"embeddings": _file(t / "e.jsonl", '{"id": "e"}\n')}),
+    ("featurize", "box params", 1, lambda t: {"box_params": _file(t / "b.json", '{"psi": [0.0]}')}),
+    ("featurize", "unknown flag", 1, lambda t: {"jobs": 2}),
+    ("featurize", "out in a missing directory", 1, lambda t: {"out": t / "missing" / "f.csv"}),
+    ("featurize", "out is a directory", 2, lambda t: {"out": t}),
+    ("train", "unknown template", 1, lambda t: {"rules": "builtin:Nope"}),
+    ("train", "config value", 1, lambda t: {"config": _file(t / "c.cfg", "epochs = abc\n")}),
+    ("train", "config key", 1, lambda t: {"config": _file(t / "c.cfg", "volume = 11\n")}),
+    ("train", "config range", 1, lambda t: {"mu": 2.0}),
+    ("train", "feature CSV cell", 1,
+     lambda t: {"features": _file(t / "f.csv", "mention_id,candidate_id,jacc\nm,c,7.5\n")}),
+    ("train", "divergence", 2, lambda t: {}),
+    ("train", "out is a directory", 2, lambda t: {"out": t}),
+    ("link", "missing model", 1, lambda t: {"model": t / "nope.json"}),
+    ("link", "malformed model", 1, lambda t: {"model": _file(t / "m.json", '{"format_version": 1}')}),
+    ("link", "non-UTF-8 model", 1, lambda t: {"model": _file(t / "m.json", b'{"graph": "\xff"}')}),
+    ("link", "out in a missing directory", 1, lambda t: {"out": t / "missing" / "p.json"}),
+    ("link", "out is a directory", 2, lambda t: {"out": t}),
+    ("eval", "cutoff below 1", 1, lambda t: {"ks": 0}),
+    ("eval", "out is a directory", 2, lambda t: {"out": t}),
+    ("transfer", "missing feature CSV", 1, lambda t: {"features": t / "nope.csv"}),
+    ("ablate", "unknown template", 1, lambda t: {"templates": "Nope"}),
+    ("ablate", "empty template list", 1, lambda t: {"templates": ""}),
+    ("ablate", "empty template name", 1, lambda t: {"templates": "Name+"}),
+    ("ablate", "divergence", 2, lambda t: {}),
+    ("ablate", "out is a directory", 2, lambda t: {"out": t}),
+    ("inspect", "missing model", 1, lambda t: {"model": t / "nope.json"}),
+    ("inspect", "json out is a directory", 2, lambda t: {"json": t}),
+    ("fetch", "k below 1", 1, lambda t: {"k": 0}),
+    ("fetch", "malformed reply", 2, lambda t: {}),
+    ("fetch", "out is a directory", 2, lambda t: {"out": t}),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command", list(dict.fromkeys(command for command, *_ in _EXIT_CODES)))
+    def test_each_failure_starts_from_a_run_that_succeeds(self, cli_inputs, tmp_path, request, command):
+        endpoint = request.getfixturevalue("stub_server") if command == "fetch" else None
+        StubHandler.payload = [{"id": "kb/A", "label": "A"}]
+        assert run(_argv(command, cli_inputs, tmp_path, endpoint)) == 0
+
+    @pytest.mark.parametrize("command, failure, code, flags", _EXIT_CODES,
+                             ids=[f"{command}-{failure}" for command, failure, _, _ in _EXIT_CODES])
+    def test_one_message_and_the_documented_code(self, cli_inputs, tmp_path, capsys, monkeypatch, request,
+                                                 command, failure, code, flags):
+        def diverge(*args, **kwargs):
+            raise errors.TrainingDivergence("loss diverged at epoch 1", log=[])
+
+        if failure == "divergence":
+            monkeypatch.setattr(cli, "train", diverge)
+            monkeypatch.setattr(evaluation, "train", diverge)
+        endpoint = request.getfixturevalue("stub_server") if command == "fetch" else None
+        StubHandler.payload = {"oops": True} if failure == "malformed reply" else [{"id": "kb/A", "label": "A"}]
+        argv = _argv(command, cli_inputs, tmp_path, endpoint, **flags(tmp_path))
+        capsys.readouterr()
+        assert run(argv) == code  # an exception escaping run() is what prints a traceback
+        err = capsys.readouterr().err
+        assert err.startswith("rulelink: ") and "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("rulelink")] == [err.splitlines()[0]]

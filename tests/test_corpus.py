@@ -1,15 +1,14 @@
 import csv
 import dataclasses
+import hashlib
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import instance_obj, write_jsonl, write_oversized_number
+from conftest import StubHandler, instance_obj, write_jsonl, write_oversized_number
 from rulelink.corpus import (
     CandidateEntity,
     Dataset,
@@ -285,6 +284,16 @@ class TestRoundTrip:
         assert canonical_lines(ds1) == canonical_lines(ds2)
         assert second.read_text() == "\n".join(canonical_lines(ds1)) + "\n"
 
+    def test_saved_bytes_are_the_recorded_ones(self, toy_dataset, tmp_path):
+        # pinned bytes: non-ASCII escaped, floats as repr writes them, one line per instance
+        first, second = toy_dataset.instances
+        cand = dataclasses.replace(first.candidates[0], name="Z\u00fcrich \U0001f600", embedding=(0.5, -1e-300))
+        ds = Dataset(instances=(dataclasses.replace(first, candidates=(cand,) + first.candidates[1:]), second))
+        save_dataset(ds, tmp_path / "d.jsonl")
+        digest = hashlib.sha256((tmp_path / "d.jsonl").read_bytes()).hexdigest()
+        assert digest == "03ba1d84dcff348e4b8d4848c6cb729e537bfe5426d16030053d8d569a8740d3"
+        assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]  # no temp file left behind
+
 
 def _scores_csv(tmp_path, rows, name="scores.csv"):
     path = tmp_path / name
@@ -413,43 +422,9 @@ class TestMergeExternalScores:
                 assert cand.external_scores["col"] == expected[(inst.mention.id, cand.id)]
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    payload: list = []
-    fail_times: int = 0
-    calls: int = 0
-
-    def do_GET(self):
-        cls = type(self)
-        cls.calls += 1
-        if cls.fail_times > 0:
-            cls.fail_times -= 1
-            self.send_response(500)
-            self.end_headers()
-            return
-        body = json.dumps(cls.payload).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _StubHandler.fail_times = 0
-    _StubHandler.calls = 0
-    yield f"http://127.0.0.1:{server.server_address[1]}/lookup"
-    server.shutdown()
-
-
 class TestFetchCandidates:
     def test_prunes_denylisted_and_truncates_to_k(self, stub_server):
-        _StubHandler.payload = [
+        StubHandler.payload = [
             {"id": "kb/Titanic", "label": "Titanic", "typeName": ["Ship"]},
             {"id": "kb/Category:Ships", "label": "Ships", "typeName": []},
             {"id": "kb/Titanic_(1997_film)", "label": "Titanic (1997 film)", "typeName": ["Film"]},
@@ -477,11 +452,11 @@ class TestFetchCandidates:
         assert len(sleeps) == 2  # 3 attempts, backoff between them
 
     def test_server_errors_retry_then_succeed(self, stub_server):
-        _StubHandler.payload = [{"id": "kb/A", "label": "A", "typeName": []}]
-        _StubHandler.fail_times = 2
+        StubHandler.payload = [{"id": "kb/A", "label": "A", "typeName": []}]
+        StubHandler.fail_times = 2
         out = fetch_candidates(stub_server, "A", k=5, denylist=(), sleep=lambda s: None)
         assert [c.id for c in out] == ["kb/A"]
-        assert _StubHandler.calls == 3
+        assert StubHandler.calls == 3
 
     @pytest.mark.parametrize("record, fault", [
         ({"id": 7, "label": "A", "typeName": []}, "field 'id' is 7, not a string"),
@@ -493,19 +468,19 @@ class TestFetchCandidates:
     ])
     def test_reply_fields_taken_as_they_are(self, stub_server, record, fault):
         # str() would load 7 as '7', null as 'None', and "Place" as its characters
-        _StubHandler.payload = [{"id": "kb/B", "label": "B", "typeName": ["Thing"]}, record]
+        StubHandler.payload = [{"id": "kb/B", "label": "B", "typeName": ["Thing"]}, record]
         with pytest.raises(FetchError) as exc:
             fetch_candidates(stub_server, "x", k=5, denylist=("kb/Category:",))
         assert str(exc.value).startswith(f"malformed lookup response ({fault}): ")
         assert not exc.value.retriable
-        assert _StubHandler.calls == 1
+        assert StubHandler.calls == 1
 
     def test_missing_label_and_types_default(self, stub_server):
-        _StubHandler.payload = [{"id": "kb/A"}]
+        StubHandler.payload = [{"id": "kb/A"}]
         assert fetch_candidates(stub_server, "x", k=5, denylist=()) == [CandidateEntity(id="kb/A", name="kb/A")]
 
     def test_malformed_response_is_parse_error(self, stub_server):
-        _StubHandler.payload = {"oops": True}
+        StubHandler.payload = {"oops": True}
         with pytest.raises(FetchError, match="malformed lookup response"):
             fetch_candidates(stub_server, "x", k=1)
 
@@ -540,6 +515,25 @@ def _mistyped_fields(draw):
     if "external_scores" in values and draw(st.booleans()):
         values["external_scores"] = draw(st.dictionaries(st.text(max_size=3), _JSON, max_size=3))
     return values
+
+
+# Mention fields and labels, each of its own kind, for the same reason.
+_WELL_TYPED_MENTION = {
+    "id": st.text(max_size=3),
+    "surface": st.text(max_size=3),
+    "text_id": st.text(max_size=3),
+    "context_ids": st.lists(st.text(max_size=3), max_size=3).map(tuple),
+    "mention_type": st.none() | st.text(max_size=3),
+    "labels": st.lists(st.integers(0, 1), max_size=3).map(tuple),
+}
+
+
+@st.composite
+def _mistyped_mention(draw):
+    """Some of a mention's fields and its instance's ``labels``, each a JSON
+    value of any type or of its own kind."""
+    fields = draw(st.lists(st.sampled_from(sorted(_WELL_TYPED_MENTION)), unique=True))
+    return {name: draw(_WELL_TYPED_MENTION[name] | _JSON) for name in fields}
 
 
 class TestValidateDataset:
@@ -650,6 +644,46 @@ class TestValidateDataset:
             RuleLinker(rules="LNN-EL", epochs=1).fit(ds)
         assert str(info.value) == f"dataset 'broken' has 1 violations: mention 'm1': {fault}"
 
+    @pytest.mark.parametrize(
+        "edit, fault",
+        [
+            (lambda inst: dataclasses.replace(inst, labels=None), "labels must be a list, not NoneType"),
+            (lambda inst: dataclasses.replace(inst, labels=5), "labels must be a list, not int"),
+            (lambda inst: dataclasses.replace(inst, mention=dataclasses.replace(inst.mention, context_ids=None)),
+             "context_ids must be a list, not NoneType"),
+        ],
+        ids=["labels_none", "labels_int", "context_ids_none"],
+    )
+    def test_in_code_mistyped_mention_field_is_violation(self, toy_dataset, edit, fault):
+        from rulelink.estimator import RuleLinker
+
+        first, second = toy_dataset.instances
+        ds = Dataset(instances=(edit(first), second), name="broken")
+        assert validate_dataset(ds).violations == (f"mention 'm1': {fault}",)
+        with pytest.raises(DatasetError) as info:
+            RuleLinker(rules="LNN-EL", epochs=1).fit(ds)
+        assert str(info.value) == f"dataset 'broken' has 1 violations: mention 'm1': {fault}"
+
+    def test_in_code_string_labels_keep_their_report(self, toy_dataset):
+        first, second = toy_dataset.instances
+        ds = Dataset(instances=(dataclasses.replace(first, labels="10"), second))
+        assert validate_dataset(ds) == validate_reference.validate_dataset(ds)
+        assert validate_dataset(ds).violations == ("mention 'm1': labels must be 0 or 1",)
+
+    def test_in_code_score_names_of_mixed_types_are_violations(self, toy_dataset):
+        from rulelink.estimator import RuleLinker
+
+        first, second = toy_dataset.instances
+        cand = dataclasses.replace(first.candidates[0], external_scores={1: 0.5})
+        ds = Dataset(instances=(dataclasses.replace(first, candidates=(cand,) + first.candidates[1:]), second),
+                     name="broken")
+        report = validate_dataset(ds)
+        fault = "mention 'm1': external score name 1 on candidate 'James_Cameron' must be a string"
+        assert report.violations == (fault,)
+        assert report.coverage["external:spacy"] == 0.75 and "external:1" not in report.coverage
+        with pytest.raises(DatasetError, match=f"^dataset 'broken' has 1 violations: {fault}$"):
+            RuleLinker(rules="LNN-EL", epochs=1).fit(ds)
+
     @pytest.mark.parametrize("indegree", [3.0, np.int64(3), np.int32(0), True])
     def test_in_code_numeric_indegree_is_accepted(self, toy_dataset, indegree):
         inst = toy_dataset.instances[0]
@@ -657,12 +691,14 @@ class TestValidateDataset:
         ds = Dataset(instances=(LabeledInstance(inst.mention, cands, inst.labels), toy_dataset.instances[1]))
         assert validate_dataset(ds).ok
 
-    @given(case=_mistyped_fields(), dim=st.sampled_from([None, 2]))
+    @given(case=_mistyped_fields(), mention_case=_mistyped_mention(), dim=st.sampled_from([None, 2]))
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_in_code_fields_of_any_json_type_never_raise(self, toy_dataset, case, dim):
+    def test_in_code_fields_of_any_json_type_never_raise(self, toy_dataset, case, mention_case, dim):
         inst = toy_dataset.instances[0]
         cands = (dataclasses.replace(inst.candidates[0], **case),) + inst.candidates[1:]
-        ds = Dataset(instances=(LabeledInstance(inst.mention, cands, inst.labels), toy_dataset.instances[1]),
+        labels = mention_case.pop("labels", inst.labels)
+        mention = dataclasses.replace(inst.mention, **mention_case)
+        ds = Dataset(instances=(LabeledInstance(mention, cands, labels), toy_dataset.instances[1]),
                      embedding_dim=dim)
         report = validate_dataset(ds)
         assert all(isinstance(v, str) for v in report.violations)
@@ -677,7 +713,7 @@ class TestFetchAll:
     def test_bounded_pool_fetches_every_surface(self, stub_server):
         from rulelink.corpus import fetch_all
 
-        _StubHandler.payload = [{"id": "kb/X", "label": "X", "typeName": []}]
+        StubHandler.payload = [{"id": "kb/X", "label": "X", "typeName": []}]
         out = fetch_all(stub_server, ["a", "b", "c"], k=3, max_in_flight=2, denylist=())
         assert set(out) == {"a", "b", "c"}
         assert all(len(v) == 1 and v[0].id == "kb/X" for v in out.values())

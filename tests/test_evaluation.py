@@ -26,7 +26,7 @@ from rulelink.evaluation import (
     weights_to_dot,
 )
 from rulelink.logic import AndNode, GateParams, OrNode, RawLeaf, ScoringGraph, ThresholdLeaf, softplus_inverse
-from rulelink.ruledsl import RuleAST, builtin_templates, compile, parse
+from rulelink.ruledsl import RuleAST, builtin_templates, compile, disjoin, parse
 from rulelink.simfeatures import FeatureCatalog, FeatureTable, ScoringBlock, build_feature_table, default_catalog
 from rulelink.training import Model, TrainConfig, load_model, margin_loss, save_model, total_loss, train
 import rank_reference
@@ -454,6 +454,28 @@ class TestAblation:
         csv = ablation_csv(rows)
         assert "Name+Context" in md and "Name+Context" in csv
         assert md.count("|") >= 4 * 4
+
+    def test_held_out_rows_score_each_subset_model_on_the_eval_set(self):
+        ds, catalog, table = self._setup()
+        held = generate_dataset(12, n_candidates=4, seed=22)
+        held_table = build_feature_table(held, catalog)
+        config = TrainConfig(epochs=3, seed=5)
+        subsets = [["Name"], ["Name", "Context"]]
+        rows = ablation(ds, table, subsets, config, catalog, eval_ds=held, eval_table=held_table)
+        library = builtin_templates()
+        for subset, row in zip(subsets, rows):
+            graph = compile([disjoin("Ablation", [library[name] for name in subset])], catalog, alpha=config.alpha)
+            model = train(ds, table, graph, config, catalog=catalog)
+            assert row.report == evaluate(model, held, held_table)
+            assert len(row.report.per_mention) == len(held.instances)
+
+    def test_unknown_template_fails_before_any_training(self, monkeypatch):
+        import rulelink.evaluation as evaluation
+
+        ds, catalog, table = self._setup()
+        monkeypatch.setattr(evaluation, "train", lambda *args, **kwargs: pytest.fail("trained"))
+        with pytest.raises(KeyError, match="no template 'Nope'"):
+            ablation(ds, table, [["Name"], ["Nope"]], TrainConfig(epochs=1), catalog)
 
 
 class TestExportWeights:

@@ -294,6 +294,13 @@ class TestCompositionHelpers:
         composed = compose_with_external(library["LNN-EL"], "blink")
         assert composed.body == library["LNN-EL+BLINK"].body
 
+    def test_unknown_template_is_a_key_error_shown_as_its_message(self):
+        library = builtin_templates()
+        with pytest.raises(KeyError) as info:
+            library["Nope"]
+        assert isinstance(info.value, CompileError)
+        assert str(info.value) == f"no template 'Nope'; known: {', '.join(library.names())}"
+
     def test_disjoin_singleton_is_identity(self):
         library = builtin_templates()
         alone = disjoin("Solo", [library["Name"]])

@@ -56,7 +56,7 @@ class TestTrainConfig:
         path.write_text("epochs = 1.5\n")
         with pytest.raises(ValueError) as info:
             load_config(path)
-        assert str(info.value) == "invalid literal for int() with base 10: '1.5'"
+        assert str(info.value) == f"{path} line 1: bad value for 'epochs' (invalid literal for int() with base 10: '1.5')"
 
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "train.cfg"
