@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Dataset, atomic_write, read_text
+from .corpus import Dataset, _as_list, _numbers, atomic_write, read_text
 from .errors import FeatureError
 from .logic import sigmoid, softplus, softplus_inverse
 from .simfeatures import minmax_rescale
@@ -119,7 +119,7 @@ def _is_number(value) -> bool:
 def load_embeddings(path) -> dict[str, np.ndarray]:
     """Read entity embeddings from JSONL records ``{"id": ..., "vec": [...]}``.
 
-    Every vector must share one dimension.
+    Every ``vec`` must be a list of JSON numbers, all of one length.
     """
     out: dict[str, np.ndarray] = {}
     dim = None
@@ -129,9 +129,9 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
             continue
         try:
             rec = json.loads(line)
-            vec = np.asarray([float(v) for v in rec["vec"]], dtype=float)
+            vec = np.asarray(_numbers(_as_list(rec["vec"], "vec"), "vec"), dtype=float)
             eid = rec["id"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FeatureError(f"{path} line {line_no}: bad embedding record ({exc})")
         if not isinstance(eid, str):
             raise FeatureError(f"{path} line {line_no}: embedding id {eid!r} must be a string")

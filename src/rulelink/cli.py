@@ -116,8 +116,7 @@ def _cmd_link(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(_require_file(args.model))
     inputs = _scoring_input(args, model.graph.feature_names)
-    ks = [int(k) for k in args.ks.split(",")] if args.ks else (5, 10, 64)
-    report = evaluation.evaluate(model, *inputs, ks=ks)
+    report = evaluation.evaluate(model, *inputs, ks=args.ks)
     if args.out:
         atomic_write(args.out, evaluation.report_to_json_bytes(report))
     print(
@@ -168,6 +167,14 @@ def _cmd_fetch(args) -> int:
     return 0
 
 
+def _cutoffs(text: str) -> list[int]:
+    """The ``--ks`` value: comma-separated positive integers."""
+    ks = [int(k) if k.strip().isdecimal() else 0 for k in text.split(",")]
+    if min(ks) < 1:
+        raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, not {text!r}")
+    return ks
+
+
 def _add_train_flags(sub) -> None:
     sub.add_argument("--config", help="key=value config file (TrainConfig keys)")
     sub.add_argument("--epochs", type=int)
@@ -211,7 +218,7 @@ def build_parser() -> _Parser:
         p.add_argument("--model", required=True)
         p.add_argument("--data", required=True)
         p.add_argument("--features", required=True)
-        p.add_argument("--ks", help="comma-separated recall@k cutoffs")
+        p.add_argument("--ks", type=_cutoffs, default=(5, 10, 64), help="comma-separated recall@k cutoffs")
         p.add_argument("--out")
         p.set_defaults(func=_cmd_eval)
 

@@ -292,21 +292,6 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
     return inst
 
 
-class _HashingReader(io.RawIOBase):
-    """Reads ``fh`` and feeds every byte read to ``sha256``."""
-
-    def __init__(self, fh):
-        self.fh, self.sha256 = fh, hashlib.sha256()
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        n = self.fh.readinto(buf)
-        self.sha256.update(memoryview(buf)[:n])
-        return n
-
-
 def not_utf8(path, exc: UnicodeDecodeError) -> str:
     """The message for a file that is not UTF-8: the file, and the line of
     its first bad byte, with lines split as open() splits them."""
@@ -325,6 +310,24 @@ def read_text(path, error: type[Exception]) -> str:
         raise error(not_utf8(path, exc)) from exc
 
 
+def csv_rows(path, error: type[Exception]):
+    """Each row of the UTF-8 CSV file ``path``, streamed, as ``(line, cells)``
+    with csv.reader's line count. The first row is the header, ``[]`` if the
+    file is empty or starts blank; later blank rows are skipped. A malformed
+    row or a bad byte raises ``error`` naming the file and the line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader.line_num, next(reader, [])
+            for cells in reader:
+                if cells:
+                    yield reader.line_num, cells
+        except csv.Error as exc:
+            raise error(f"{path} line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise error(not_utf8(path, exc)) from exc
+
+
 def load_dataset(path) -> Dataset:
     """Load a JSONL linking dataset, dropping instances that cannot rank.
 
@@ -332,73 +335,64 @@ def load_dataset(path) -> Dataset:
     labels are all zero; the counts are logged and kept on the returned
     dataset's ``report``. Context ids pointing at mentions absent from the
     retained set are pruned (counted) so context features stay computable.
+    Each line is checked, then kept or dropped, as it is parsed: the first
+    faulty line is reported (a bad byte once its decoded block is read).
     """
-    parsed: list[LabeledInstance] = []
-    total = 0
-    # The digest is taken from the very bytes parsed, read once, with
-    # open()'s decoding and newline rules.
-    with open(path, "rb", buffering=0) as fh:
-        source = _HashingReader(fh)
-        text = io.TextIOWrapper(io.BufferedReader(source), encoding="utf-8")
-        try:
-            for line_no, line in enumerate(text, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                total += 1
-                try:
-                    obj = json.loads(line)
-                except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
-                    raise DatasetError(f"line {line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-                parsed.append(_parse_instance(obj, line_no))
-        except UnicodeDecodeError as exc:
-            raise DatasetError(not_utf8(path, exc)) from exc
-
+    with open(path, "rb") as fh:
+        data = fh.read()
+    retained: list[LabeledInstance] = []
     seen_ids: set[str] = set()
-    for inst in parsed:
-        if inst.mention.id in seen_ids:
-            raise DatasetError(f"duplicate mention id {inst.mention.id!r}")
-        seen_ids.add(inst.mention.id)
-
-    empty = sum(1 for i in parsed if not i.candidates)
-    retained = [i for i in parsed if i.candidates]
-    negative = sum(1 for i in retained if not any(i.labels))
-    retained = [i for i in retained if any(i.labels)]
-
+    empty = negative = 0
     dim: int | None = None
-    for inst in retained:
-        for cand in inst.candidates:
-            if cand.embedding is None:
+    try:  # lines, decoding and newlines as open() gives them
+        for line_no, line in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1):
+            line = line.strip()
+            if not line:
                 continue
-            if dim is None:
-                dim = len(cand.embedding)
-            elif len(cand.embedding) != dim:
-                raise DatasetError(
-                    f"embedding dimension mismatch: {len(cand.embedding)} vs {dim} "
-                    f"(candidate {cand.id!r})"
-                )
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
+                raise DatasetError(f"line {line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+            inst = _parse_instance(obj, line_no)
+            if inst.mention.id in seen_ids:
+                raise DatasetError(f"line {line_no}: duplicate mention id {inst.mention.id!r}")
+            seen_ids.add(inst.mention.id)
+            if not inst.candidates:
+                empty += 1
+            elif not any(inst.labels):
+                negative += 1
+            else:
+                for cand in inst.candidates:
+                    if cand.embedding is None:
+                        continue
+                    if dim is None:
+                        dim = len(cand.embedding)
+                    elif len(cand.embedding) != dim:
+                        raise DatasetError(f"line {line_no}: embedding dimension mismatch: "
+                                           f"{len(cand.embedding)} vs {dim} (candidate {cand.id!r})")
+                retained.append(inst)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(not_utf8(path, exc)) from exc
 
     kept_ids = {i.mention.id for i in retained}
     pruned = 0
-    fixed: list[LabeledInstance] = []
-    for inst in retained:
+    for n, inst in enumerate(retained):
         ctx = tuple(c for c in inst.mention.context_ids if c in kept_ids)
         pruned += len(inst.mention.context_ids) - len(ctx)
         if ctx != inst.mention.context_ids:
-            inst = replace(inst, mention=replace(inst.mention, context_ids=ctx))
-        fixed.append(inst)
+            retained[n] = replace(inst, mention=replace(inst.mention, context_ids=ctx))
 
     report = LoadReport(
-        total_lines=total,
-        kept=len(fixed),
+        total_lines=len(retained) + empty + negative,  # every other line raised
+        kept=len(retained),
         empty_candidates=empty,
         all_negative=negative,
         pruned_context_ids=pruned,
-        sha256=source.sha256.hexdigest(),
+        sha256=hashlib.sha256(data).hexdigest(),
     )
     report.log(path)
     name = os.path.splitext(os.path.basename(str(path)))[0]
-    return Dataset(instances=tuple(fixed), embedding_dim=dim, name=name, report=report)
+    return Dataset(instances=tuple(retained), embedding_dim=dim, name=name, report=report)
 
 
 def atomic_write(path, data: str | bytes | memoryview) -> None:
@@ -472,33 +466,23 @@ def merge_external_scores(ds: Dataset, scores_path, feature_name: str) -> Datase
 
     scores: dict[tuple[str, str], float] = {}
     duplicates = 0
-    with open(scores_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    rows = csv_rows(scores_path, DatasetError)
+    _, header = next(rows)
+    if header and header[:3] != ["mention_id", "candidate_id", "score"]:
+        raise DatasetError(f"{scores_path}: expected header mention_id,candidate_id,score")
+    for line, cells in rows:
+        if len(cells) != 3:
+            raise DatasetError(f"{scores_path} line {line}: expected 3 columns")
+        key = (cells[0], cells[1])
+        if key in scores:
+            duplicates += 1
         try:
-            header = next(reader, [])
-            if header and header[:3] != ["mention_id", "candidate_id", "score"]:
-                raise DatasetError(
-                    f"scores file {scores_path}: expected header mention_id,candidate_id,score"
-                )
-            for cells in reader:
-                if not cells:
-                    continue
-                if len(cells) != 3:
-                    raise DatasetError(f"scores file line {reader.line_num}: expected 3 columns")
-                key = (cells[0], cells[1])
-                if key in scores:
-                    duplicates += 1
-                try:
-                    value = float(cells[2])
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise DatasetError(f"scores file line {reader.line_num}: bad score {cells[2]!r}")
-                scores[key] = value
-        except csv.Error as exc:
-            raise DatasetError(f"scores file {scores_path} line {reader.line_num}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise DatasetError(not_utf8(scores_path, exc)) from exc
+            value = float(cells[2])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise DatasetError(f"{scores_path} line {line}: bad score {cells[2]!r}")
+        scores[key] = value
     if duplicates:
         logger.warning("merge %s: %d duplicate keys, last value wins", feature_name, duplicates)
 

@@ -18,7 +18,6 @@ candidate is never penalized for lacking competition.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
@@ -38,7 +37,7 @@ from types import MappingProxyType
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import Dataset, LabeledInstance, LoadReport, Mention, atomic_write, not_utf8
+from .corpus import Dataset, LabeledInstance, LoadReport, Mention, atomic_write, csv_rows
 from .errors import FeatureError
 
 logger = logging.getLogger(__name__)
@@ -569,37 +568,25 @@ class FeatureTable:
         (mention_id, candidate_id) row or a cell that is not a number in
         [0, 1], the range of every built-in feature kind, raises
         FeatureError naming the file and line(s)."""
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+        rows = csv_rows(path, FeatureError)
+        _, header = next(rows)
+        if header[:2] != ["mention_id", "candidate_id"] or len(set(header)) < len(header):
+            raise FeatureError(f"bad feature CSV header in {path}")
+        names, values, lines = header[2:], [], {}  # lines: each key's line
+        for line, cells in rows:
+            if len(cells) != len(header):
+                raise FeatureError(f"{path} line {line}: expected {len(header)} cells")
             try:
-                header = next(reader, [])
-                if header[:2] != ["mention_id", "candidate_id"] or len(set(header)) < len(header):
-                    raise FeatureError(f"bad feature CSV header in {path}")
-                names, values, lines = header[2:], [], {}  # lines: each key's line
-                for cells in reader:
-                    if not cells:
-                        continue
-                    if len(cells) != len(header):
-                        raise FeatureError(
-                            f"{path} line {reader.line_num}: expected {len(header)} cells"
-                        )
+                values.extend(map(float, cells[2:]))
+            except ValueError:  # find the cell float() refused
+                for name, cell in zip(names, cells[2:]):
                     try:
-                        values.extend(map(float, cells[2:]))
-                    except ValueError:  # find the cell float() refused
-                        for name, cell in zip(names, cells[2:]):
-                            try:
-                                float(cell)
-                            except ValueError:
-                                raise FeatureError(f"{path} line {reader.line_num}: column {name!r} is "
-                                                   f"{cell!r}, not a number") from None
-                    key = (cells[0], cells[1])
-                    if lines.setdefault(key, reader.line_num) != reader.line_num:
-                        raise FeatureError(f"{path} line {reader.line_num}: row {key!r} repeats "
-                                           f"line {lines[key]}")
-            except csv.Error as exc:
-                raise FeatureError(f"{path} line {reader.line_num}: {exc}") from exc
-            except UnicodeDecodeError as exc:
-                raise FeatureError(not_utf8(path, exc)) from exc
+                        float(cell)
+                    except ValueError:
+                        raise FeatureError(f"{path} line {line}: column {name!r} is {cell!r}, not a number") from None
+            key = (cells[0], cells[1])
+            if lines.setdefault(key, line) != line:
+                raise FeatureError(f"{path} line {line}: row {key!r} repeats line {lines[key]}")
         matrix = np.array(values, dtype=np.float64).reshape(len(lines), len(names))
         valid = _in_unit_range(matrix)
         if not valid.all():

@@ -54,16 +54,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not LR_RANGE[0] <= self.learning_rate <= LR_RANGE[1]:
             raise ValueError(f"learning_rate must be in {LR_RANGE}")
         if not MU_RANGE[0] <= self.mu <= MU_RANGE[1]:
             raise ValueError(f"mu must be in {MU_RANGE}")
         if not 0.5 <= self.alpha < 1.0:
             raise ValueError("alpha must be in [1/2, 1)")
-        if self.penalty_lambda < 0:
-            raise ValueError("penalty_lambda must be >= 0")
+        if not 0 <= self.penalty_lambda < np.inf:
+            raise ValueError("penalty_lambda must be finite and >= 0")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -88,6 +89,7 @@ def load_config(path) -> TrainConfig:
         key, _, raw = (part.strip() for part in line.partition("="))
         try:
             values[key] = _CONFIG_KEYS[key](raw)
+            TrainConfig(**{key: values[key]})  # the range check, named by file, line and key
         except KeyError:
             raise ValueError(f"{path} line {line_no}: unknown key {key!r}") from None
         except ValueError as exc:

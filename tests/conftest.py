@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same example counts, drawn from a
 # fixed seed, so a property test cannot pass on one run and fail on the next.
@@ -124,6 +125,72 @@ def write_oversized_number(path, field):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return path
+
+
+# One fuzzed JSON value: every JSON type, and the words a model file's kinds and modes use.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-1e3, 1e3), st.text(max_size=4),
+    st.just([]), st.just({}), st.sampled_from(["and", "or", "not", "tl", "raw", "xor", "lnn", "tnorm"]),
+)
+
+
+def _json_paths(obj, prefix=()):
+    """The key path of every value nested in a JSON tree."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def mutate_key_path(obj, data, values) -> tuple:
+    """Drop one key path of the JSON tree ``obj`` in place, truncate the list
+    there, or replace its value with a draw from ``values``; returns the path
+    and the action."""
+    path = data.draw(st.sampled_from(sorted(_json_paths(obj), key=repr)))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    action = data.draw(st.sampled_from(["drop", "replace", "truncate"]))
+    if action == "drop":
+        del parent[key]
+    elif action == "truncate" and isinstance(parent[key], list):
+        parent[key] = parent[key][: data.draw(st.integers(0, max(0, len(parent[key]) - 1)))]
+    else:
+        parent[key] = data.draw(values)
+    return path, action
+
+
+def mutate_line(lines: list, data, junk) -> list:
+    """``lines`` (a file's lines, or a CSV's rows) with one of them dropped,
+    repeated, blanked or replaced by a draw from ``junk``."""
+    lines = list(lines)
+    at = data.draw(st.integers(0, len(lines) - 1))
+    action = data.draw(st.sampled_from(["drop", "repeat", "blank", "replace"]))
+    if action == "drop":
+        del lines[at]
+    elif action == "repeat":
+        lines.insert(data.draw(st.integers(0, len(lines))), lines[at])
+    else:
+        lines[at] = type(lines[at])() if action == "blank" else data.draw(junk)
+    return lines
+
+
+def mutate_byte(raw: bytes, data) -> bytes:
+    """``raw`` with one byte replaced, inserted or deleted; the byte is one
+    that JSON, CSV or UTF-8 gives a meaning, or any other."""
+    at = data.draw(st.integers(0, len(raw) - 1))
+    byte = data.draw(st.sampled_from(list(b'\n\r,"{}[]:0 \xff\xc3\x80')) | st.integers(0, 255))
+    action = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+    return raw[:at] + (b"" if action == "delete" else bytes([byte])) + raw[at + (action != "insert"):]
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
 
 
 class StubHandler(BaseHTTPRequestHandler):

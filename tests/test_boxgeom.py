@@ -715,6 +715,38 @@ class TestEmbeddingFiles:
         with pytest.raises(FeatureError, match="line 2: non-finite"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("vec, reason", [
+        ('"123"', "vec must be a list, not str"),
+        ('["0.5", true, 2]', "vec values must be JSON numbers, not bool, str"),
+        ("[null, 1.0]", "vec values must be JSON numbers, not NoneType"),
+        ("[1" + "0" * 400 + ", 1.0]", "int too large to convert to float"),
+    ])
+    def test_vec_that_is_not_a_list_of_numbers_rejected(self, tmp_path, vec, reason):
+        # float() would load "123" as [1, 2, 3] and true as 1.0
+        from rulelink.boxgeom import load_embeddings
+
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "a", "vec": [1.0, 2.0]}\n{"id": "b", "vec": ' + vec + "}\n")
+        with pytest.raises(FeatureError) as info:
+            load_embeddings(path)
+        assert str(info.value) == f"{path} line 2: bad embedding record ({reason})"
+
+    def test_attach_empty_file_leaves_the_dataset(self, tmp_path, caplog):
+        from rulelink.boxgeom import attach_embeddings
+
+        ds = _two_mention_fixture()
+        with caplog.at_level("WARNING"):
+            assert attach_embeddings(ds, self._write(tmp_path, [])) is ds
+        assert any("is empty; dataset unchanged" in rec.message for rec in caplog.records)
+
+    def test_attach_of_another_dimension_rejected(self, tmp_path):
+        from rulelink.boxgeom import attach_embeddings
+
+        ds = _two_mention_fixture()
+        assert ds.embedding_dim == 2
+        with pytest.raises(FeatureError, match="^embedding file dimension 3 != dataset dimension 2$"):
+            attach_embeddings(ds, self._write(tmp_path, [{"id": "a_c0", "vec": [0.0, 0.0, 0.0]}]))
+
     def test_unmatched_candidates_warn(self, tmp_path, caplog):
         from rulelink.boxgeom import attach_embeddings
 

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import StubHandler, instance_obj, write_jsonl, write_oversized_number
+from conftest import JSON_VALUES, StubHandler, instance_obj, mutate_key_path, write_jsonl, write_oversized_number
 from rulelink import cli, errors, evaluation
 from rulelink.cli import run
-from rulelink.corpus import save_dataset
+from rulelink.corpus import load_dataset, save_dataset
 from rulelink.ruledsl import ast_leaves, find_root, parse
-from rulelink.training import load_model
+from rulelink.simfeatures import FeatureTable
+from rulelink.training import load_model, save_model
 from synthgen import generate_dataset
 
 RULES = (
@@ -217,6 +218,44 @@ class TestInspectCli:
         weights = json.loads((workdir / "weights.json").read_text())
         assert weights["tree"]["op"] == "and"
 
+    def test_negated_leaf_in_json_dot_and_stdout(self, workdir, capsys):
+        (workdir / "rules.elr").write_text(NOT_RULES)
+        _featurize(workdir)
+        _train(workdir)
+        model = ["inspect", "--model", str(workdir / "model.json")]
+        assert run(model + ["--json", str(workdir / "w.json"), "--dot", str(workdir / "w.dot")]) == 0
+        doc = json.loads((workdir / "w.json").read_text())
+        negated = doc["tree"]["children"][1]
+        assert negated["op"] == "not" and negated["children"][0]["feature"] == "jw"
+        dot = (workdir / "w.dot").read_text()
+        assert '[label="NOT"];' in dot
+        capsys.readouterr()
+        assert run(model) == 0  # neither flag: the JSON goes to stdout
+        assert json.loads(capsys.readouterr().out) == doc
+
+
+NOT_RULES = "rule NameSim = jacc? | lev?;\nrule Links = NameSim & !jw? & prom;\n"
+
+
+class TestModesCli:
+    @pytest.mark.parametrize("mode", ["lnn", "tnorm", "manual"])
+    def test_train_save_reload_and_link(self, workdir, mode):
+        (workdir / "rules.elr").write_text(NOT_RULES)
+        _featurize(workdir)
+        inputs = ["--data", str(workdir / "data.jsonl"), "--features", str(workdir / "features.csv")]
+        assert run(["train", *inputs, "--rules", str(workdir / "rules.elr"), "--mode", mode, "--epochs", "2",
+                    "--out", str(workdir / "model.json")]) == 0
+        model = load_model(workdir / "model.json")
+        assert model.graph.mode == mode
+        assert (model.graph.root.manual_weights is not None) == (mode == "manual")
+        save_model(model, workdir / "again.json")  # the reloaded model writes the same bytes
+        assert (workdir / "again.json").read_bytes() == (workdir / "model.json").read_bytes()
+        assert run(["link", "--model", str(workdir / "model.json"), *inputs, "--out", str(workdir / "p.json")]) == 0
+        ds, table = load_dataset(workdir / "data.jsonl"), FeatureTable.from_csv(workdir / "features.csv")
+        expected = [{"mention_id": p.mention_id, "ranked": [list(r) for r in p.ranked]}
+                    for p in evaluation.link(model, ds, table)]
+        assert json.loads((workdir / "p.json").read_text()) == expected
+
 
 class TestAblateCli:
     def test_markdown_table(self, workdir, capsys):
@@ -315,6 +354,19 @@ class TestUsageErrors:
                     "--rules", str(workdir / "rules.elr"), "--config", str(cfg), "--out", str(workdir / "m.json")]) == 1
         assert capsys.readouterr().err == (
             f"rulelink: {cfg} line 2: bad value for 'epochs' (invalid literal for int() with base 10: 'abc')\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--ks", "a"], "argument --ks: expected comma-separated positive integers, not 'a'"),
+        (["--ks", "0"], "argument --ks: expected comma-separated positive integers, not '0'"),
+        (["--penalty-lambda", "nan"], "penalty_lambda must be finite and >= 0"),
+        (["--seed", "-1"], "seed must be >= 0"),
+    ])
+    def test_setting_out_of_range_names_it(self, cli_inputs, capsys, flags, message):
+        inputs = ["--data", str(cli_inputs / "data.jsonl"), "--features", str(cli_inputs / "features.csv")]
+        command = (["eval", "--model", str(cli_inputs / "model.json")] if flags[0] == "--ks" else
+                   ["train", "--rules", "builtin:LNN-EL", "--out", str(cli_inputs / "unwritten.json")])
+        assert run(command + inputs + flags) == 1
+        assert capsys.readouterr().err.splitlines()[0] == f"rulelink: {message}"
 
     @pytest.mark.parametrize("target, code", [("missing", 1), ("directory", 2)])
     def test_out_that_cannot_be_written_names_the_path(self, workdir, capsys, target, code):
@@ -577,18 +629,6 @@ class TestModelFileCli:
 
 _PACKAGE_ERRORS = (errors.DatasetError, errors.FeatureError, errors.ParseError,
                    errors.CompileError, errors.TrainingDivergence, errors.FetchError)
-_JSON_VALUES = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-1e3, 1e3), st.text(max_size=4),
-    st.just([]), st.just({}), st.sampled_from(["and", "or", "not", "tl", "raw", "xor", "lnn", "tnorm"]),
-)
-
-
-def _paths(obj, prefix=()):
-    """The key path of every value nested in a JSON tree."""
-    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
-    for key, value in items:
-        yield prefix + (key,)
-        yield from _paths(value, prefix + (key,))
 
 
 class TestFuzzedModelFile:
@@ -596,18 +636,7 @@ class TestFuzzedModelFile:
     @given(data=st.data())
     def test_only_package_errors_and_exit_one(self, trained, data):
         obj = json.loads((trained / "model.json").read_text())
-        path = data.draw(st.sampled_from(sorted(_paths(obj), key=repr)))
-        parent = obj
-        for key in path[:-1]:
-            parent = parent[key]
-        key = path[-1]
-        action = data.draw(st.sampled_from(["drop", "replace", "truncate"]))
-        if action == "drop":
-            del parent[key]
-        elif action == "truncate" and isinstance(parent[key], list):
-            parent[key] = parent[key][: data.draw(st.integers(0, max(0, len(parent[key]) - 1)))]
-        else:
-            parent[key] = data.draw(_JSON_VALUES)
+        path, action = mutate_key_path(obj, data, JSON_VALUES)
         model_path = trained / "fuzzed.json"
         model_path.write_text(json.dumps(obj))
         try:
@@ -739,6 +768,9 @@ _EXIT_CODES = [
     ("train", "config value", 1, lambda t: {"config": _file(t / "c.cfg", "epochs = abc\n")}),
     ("train", "config key", 1, lambda t: {"config": _file(t / "c.cfg", "volume = 11\n")}),
     ("train", "config range", 1, lambda t: {"mu": 2.0}),
+    ("train", "config file range", 1, lambda t: {"config": _file(t / "c.cfg", "mu = 2\n")}),
+    ("train", "penalty not finite", 1, lambda t: {"penalty_lambda": "nan"}),
+    ("train", "negative seed", 1, lambda t: {"seed": -1}),
     ("train", "feature CSV cell", 1,
      lambda t: {"features": _file(t / "f.csv", "mention_id,candidate_id,jacc\nm,c,7.5\n")}),
     ("train", "divergence", 2, lambda t: {}),
@@ -749,6 +781,8 @@ _EXIT_CODES = [
     ("link", "out in a missing directory", 1, lambda t: {"out": t / "missing" / "p.json"}),
     ("link", "out is a directory", 2, lambda t: {"out": t}),
     ("eval", "cutoff below 1", 1, lambda t: {"ks": 0}),
+    ("eval", "cutoff not an integer", 1, lambda t: {"ks": "a"}),
+    ("transfer", "empty cutoff", 1, lambda t: {"ks": "5,"}),
     ("eval", "out is a directory", 2, lambda t: {"out": t}),
     ("transfer", "missing feature CSV", 1, lambda t: {"features": t / "nope.csv"}),
     ("ablate", "unknown template", 1, lambda t: {"templates": "Nope"}),

@@ -1,14 +1,26 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import StubHandler, instance_obj, write_jsonl, write_oversized_number
+from conftest import (
+    JSON_VALUES,
+    StubHandler,
+    instance_obj,
+    mutate_byte,
+    mutate_key_path,
+    mutate_line,
+    outcome,
+    write_jsonl,
+    write_oversized_number,
+)
 from rulelink.corpus import (
     CandidateEntity,
     Dataset,
@@ -21,7 +33,9 @@ from rulelink.corpus import (
     save_dataset,
     validate_dataset,
 )
+from rulelink.cli import run
 from rulelink.errors import DatasetError, FetchError
+import reader_reference
 import validate_reference
 
 
@@ -358,6 +372,36 @@ class TestMergeExternalScores:
         original = [json.loads(line)["candidates"][0] for line in canonical_lines(ds)]
         assert json.dumps(stripped, sort_keys=True) == json.dumps(original, sort_keys=True)
 
+    @pytest.mark.parametrize("text, message", [
+        ("mention,candidate,score\nm1,e1,0.5\n", "{path}: expected header mention_id,candidate_id,score"),
+        ("mention_id,candidate_id,score\nm1,e1\n", "{path} line 2: expected 3 columns"),
+        ("mention_id,candidate_id,score\nm1,e1,0.5,x\n", "{path} line 2: expected 3 columns"),
+    ])
+    def test_bad_header_or_row_width_names_file_and_line(self, tmp_path, text, message):
+        ds = load_dataset(write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1")]))
+        path = tmp_path / "scores.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetError) as info:
+            merge_external_scores(ds, path, "col")
+        assert str(info.value) == message.format(path=path)
+
+    def test_blank_first_line_is_an_empty_header(self, tmp_path):
+        ds = load_dataset(write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1")]))
+        path = tmp_path / "scores.csv"
+        path.write_text("\nm1,e1,0.5\n\nm1,e2,0.25\n")
+        merged = merge_external_scores(ds, path, "col")
+        assert [c.external_scores["col"] for c in merged.instances[0].candidates] == [0.5, 0.25]
+
+    def test_unknown_candidate_warns_not_fails(self, tmp_path, caplog):
+        ds = load_dataset(write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1")]))
+        path = _scores_csv(tmp_path, [("m1", "e1", 0.5), ("m1", "eX", 0.9)])
+        with caplog.at_level("WARNING"):
+            merged = merge_external_scores(ds, path, "col")
+        assert [c.external_scores["col"] for c in merged.instances[0].candidates] == [0.5, 0.0]
+        messages = [rec.message for rec in caplog.records]
+        assert "merge col: 1 unknown candidate ids ignored" in messages
+        assert "merge col: 1 dataset pairs defaulted to 0.0" in messages
+
     def test_quoted_cells_hold_commas_and_quotes(self, tmp_path):
         obj = instance_obj("m1")
         obj["candidates"][0]["id"] = "Washington,_D.C."
@@ -548,6 +592,12 @@ class TestValidateDataset:
         assert report.ok
         assert report.coverage["description"] == 0.5
 
+    def test_repeated_mention_and_empty_list_are_violations(self, toy_dataset):
+        first = toy_dataset.instances[0]
+        empty = LabeledInstance(Mention(id="m9", surface="s", text_id="t1"), (), ())
+        report = validate_dataset(Dataset(instances=(*toy_dataset.instances, first, empty)))
+        assert report.violations == ("duplicate mention id 'm1'", "mention 'm9': empty candidate list")
+
     def test_duplicate_candidate_id_is_violation(self, toy_dataset):
         from rulelink.corpus import Dataset, LabeledInstance
 
@@ -717,3 +767,131 @@ class TestFetchAll:
         out = fetch_all(stub_server, ["a", "b", "c"], k=3, max_in_flight=2, denylist=())
         assert set(out) == {"a", "b", "c"}
         assert all(len(v) == 1 and v[0].id == "kb/X" for v in out.values())
+
+
+def _fuzz_instances() -> list[dict]:
+    """A valid dataset that reaches every branch of the load walk: context
+    ids (one dangling once m4 is dropped), embeddings, ids with a comma, a
+    quote and a non-ASCII character, an all-negative list holding a 3-d
+    embedding (dropped, so it sets no dimension) and an empty list."""
+    m1 = instance_obj("m1", context_ids=["m2", "m4"], type="Person")
+    m1["candidates"][0].update(embedding=[0.1, 0.2], external_scores={"spacy": 0.5})
+    m1["candidates"][1].update(embedding=[0.3, 0.4], external_scores={"spacy": 0.25})
+    m2 = instance_obj("m2", surface="Zürich", context_ids=["m1"], labels=[0, 1])
+    m2["candidates"][0]["id"], m2["candidates"][1]["id"] = "Washington,_D.C.", 'The_"Boss"'
+    m3 = instance_obj("m3", labels=[0, 0], text_id="t2")
+    m3["candidates"][0]["embedding"] = [0.5, 0.5, 0.5]
+    m4 = instance_obj("m4", candidates=[], labels=[], text_id="t2")
+    m5 = instance_obj("m5", surface="Köln", candidates=[instance_obj()["candidates"][0]], labels=[1], text_id="t3")
+    m5["candidates"][0].update(id="é1", embedding=[0.5, 0.6])
+    return [m1, m2, m3, m4, m5]
+
+
+def _jsonl(objs) -> str:
+    return "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs)
+
+
+# Values that make a valid line faulty in ways JSON_VALUES does not reach: a
+# repeated mention or candidate id, another embedding dimension, a lone
+# surrogate, numbers no float holds, NaN.
+_DATASET_VALUES = JSON_VALUES | st.sampled_from(
+    ["m1", "m2", "m5", "e1", [0.5, 0.5, 0.5], [1, 0], [0], "e\ud800", 10**400, float("inf"), float("nan")])
+_JUNK_LINES = st.sampled_from(["{", "[]", "null", '"x"', '{"mention": 5}', " ", "\x0c", "{}"]) | st.text(max_size=8)
+_JUNK_ROWS = st.lists(st.sampled_from(["m1", "e1", "0.5", "", '"', "a,b", "x", "\n", "nan"]), max_size=4)
+_SCORE_CELLS = st.sampled_from(
+    ["m1", "m2", "e1", "e2", "mX", "eX", "0.5", "1.5", "-2", "nan", "inf", "x", "", "1e400", '"', "a,b", "\r",
+     "mention_id", "candidate_id", "score"]) | st.text(max_size=3)
+
+
+def _score_rows() -> list[list[str]]:
+    """A valid scores CSV for ``_fuzz_instances``: quoted ids, a list whose
+    scores leave [0, 1], a repeated key, an unknown mention and candidate,
+    and a pair with no score."""
+    return [["mention_id", "candidate_id", "score"], ["m1", "e1", "0.9"], ["m1", "e2", "0.3"],
+            ["m2", "Washington,_D.C.", "5"], ["m2", 'The_"Boss"', "-3"], ["m1", "e1", "0.8"],
+            ["mX", "e1", "0.5"], ["m1", "eX", "0.5"]]
+
+
+class TestFuzzedFiles:
+    """One line, key path, cell, header or byte of a valid dataset JSONL or
+    scores CSV mutated. Each reader accepts what the reader it replaced
+    accepted (``reader_reference``), with the same result, or raises only
+    ``DatasetError`` with the same message: the load walk adds the line to a
+    repeated mention id and to an embedding dimension mismatch, and merge
+    messages name the file where they said ``scores file``."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_dataset_jsonl_loads_as_reference(self, tmp_path, data):
+        objs = _fuzz_instances()
+        kind = data.draw(st.sampled_from(["key path", "embedding", "line", "byte"]))
+        if kind == "key path":
+            mutate_key_path(objs[data.draw(st.integers(0, len(objs) - 1))], data, _DATASET_VALUES)
+            raw = _jsonl(objs).encode("utf-8", "surrogatepass")
+        elif kind == "embedding":  # one key path, which a uniform draw rarely picks
+            cand = data.draw(st.sampled_from([c for obj in objs for c in obj["candidates"]]))
+            cand["embedding"] = [0.5] * data.draw(st.integers(0, 3))
+            raw = _jsonl(objs).encode()
+        elif kind == "line":
+            lines = mutate_line(_jsonl(objs).splitlines(), data, _JUNK_LINES)
+            raw = "".join(line + "\n" for line in lines).encode("utf-8", "surrogatepass")
+        else:
+            raw = mutate_byte(_jsonl(objs).encode(), data)
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(raw)
+        got, want = outcome(load_dataset, path), outcome(reader_reference.load_dataset, path)
+        if isinstance(want, Dataset):
+            assert got == want and got.report == want.report
+        else:
+            assert got[0] is want[0] is DatasetError
+            if want[1].startswith(("duplicate mention id ", "embedding dimension mismatch: ")):
+                assert re.fullmatch(rf"line \d+: {re.escape(want[1])}", got[1])
+            else:
+                assert got == want
+        code = run(["featurize", "--data", str(path), "--rules", "builtin:Name", "--out", str(tmp_path / "f.csv")])
+        assert code in ((0, 1) if isinstance(want, Dataset) else (1,))
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_scores_csv_merges_as_reference(self, tmp_path, data):
+        ds_path = tmp_path / "d.jsonl"
+        ds_path.write_text(_jsonl(_fuzz_instances()), encoding="utf-8")
+        ds = load_dataset(ds_path)
+        rows = _score_rows()
+        kind = data.draw(st.sampled_from(["cell", "header", "line", "byte"]))
+        if kind in ("cell", "header"):
+            at = 0 if kind == "header" else data.draw(st.integers(1, len(rows) - 1))
+            rows[at][data.draw(st.integers(0, 2))] = data.draw(_SCORE_CELLS)
+        elif kind == "line":
+            rows = mutate_line(rows, data, _JUNK_ROWS)
+        text = io.StringIO(newline="")
+        csv.writer(text).writerows(rows)
+        raw = text.getvalue().encode("utf-8", "surrogatepass")
+        path = tmp_path / "scores.csv"
+        path.write_bytes(mutate_byte(raw, data) if kind == "byte" else raw)
+        got = outcome(merge_external_scores, ds, path, "blink")
+        want = outcome(reader_reference.merge_external_scores, ds, path, "blink")
+        if isinstance(want, Dataset):
+            assert got == want
+        else:
+            assert got[0] is want[0] is DatasetError
+            assert got[1] == want[1].replace(f"scores file {path}", str(path)).replace("scores file", str(path))
+
+    def test_first_faulty_line_is_reported(self, tmp_path):
+        # a duplicate on line 2 outranks a parse fault on line 3 and a dimension mismatch on line 5
+        objs = _fuzz_instances()
+        objs[1]["mention"].update(id="m1", context_ids=[])
+        objs[4]["candidates"][0]["embedding"] = [0.5]
+        lines = _jsonl(objs).splitlines()
+        lines[2] = "{"
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"^line 2: duplicate mention id 'm1'$"):
+            load_dataset(path)
+        with pytest.raises(DatasetError, match=r"^line 3: invalid JSON"):
+            reader_reference.load_dataset(path)
+        objs = _fuzz_instances()
+        objs[4]["candidates"][0]["embedding"] = [0.5]
+        path.write_text(_jsonl(objs) + '{"mention"}\n', encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"^line 5: embedding dimension mismatch: 1 vs 2 \(candidate 'é1'\)$"):
+            load_dataset(path)

@@ -112,6 +112,11 @@ class TestPrf1:
         report = prf1([], ds)
         assert (report.precision, report.recall, report.f1) == (0.0, 0.0, 0.0)
 
+    def test_prediction_for_an_unknown_mention_is_an_error(self):
+        ds = _dataset([("m1", [("a", 1)])])
+        with pytest.raises(ValueError, match="^prediction for unknown mention 'm9'$"):
+            prf1(_preds([("m9", [("a", 0.9)])]), ds)
+
     def test_precision_equals_recall_under_full_coverage(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
@@ -468,6 +473,16 @@ class TestAblation:
             model = train(ds, table, graph, config, catalog=catalog)
             assert row.report == evaluate(model, held, held_table)
             assert len(row.report.per_mention) == len(held.instances)
+
+    @pytest.mark.parametrize("subsets, message", [
+        ([], "ablation needs at least one template subset"),
+        ([[]], "template subsets must be non-empty"),
+        ([["Name"], []], "template subsets must be non-empty"),
+    ])
+    def test_no_subset_or_an_empty_one_is_an_error(self, subsets, message):
+        ds, catalog, table = self._setup()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ablation(ds, table, subsets, TrainConfig(epochs=1), catalog)
 
     def test_unknown_template_fails_before_any_training(self, monkeypatch):
         import rulelink.evaluation as evaluation

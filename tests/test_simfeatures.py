@@ -1,6 +1,7 @@
 import csv
 import functools
 import hashlib
+import io
 import random
 import re
 from unittest import mock
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import list_reference
 import string_reference
 import table_reference
-from conftest import toy_instances
+from conftest import mutate_byte, mutate_line, outcome, toy_instances
 from rulelink import simfeatures
 from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, LoadReport, Mention
 from rulelink.errors import FeatureError
@@ -440,8 +441,8 @@ class TestListColumns:
     @settings(max_examples=300, deadline=None)
     def test_columns_and_first_error_match_reference(self, case, jobs):
         ds, catalog = case
-        want = _outcome(list_reference.list_columns, ds, catalog)
-        got = _outcome(build_feature_table, ds, catalog, jobs)
+        want = outcome(list_reference.list_columns, ds, catalog)
+        got = outcome(build_feature_table, ds, catalog, jobs)
         if isinstance(want, dict):
             assert isinstance(got, FeatureTable)
             assert {n: col.tobytes() for n, col in zip(want, got.select_matrix(list(want)))} == (
@@ -662,6 +663,14 @@ class TestFeatureTableCsv:
         assert loaded.feature_names == table.feature_names
         assert loaded.rows == table.rows
 
+    def test_write_features_refuses_rows_out_of_dataset_order(self, toy_dataset, tmp_path):
+        table = build_feature_table(toy_dataset, default_catalog().restricted(["jacc", "prom"]))
+        swapped = FeatureTable(table.feature_names, table.mention_ids[::-1], table.candidate_ids[::-1],
+                               table.matrix[::-1])
+        with pytest.raises(FeatureError, match="^feature table rows are not the dataset's pairs in dataset order$"):
+            simfeatures.write_features(tmp_path / "features.csv", toy_dataset, swapped)
+        assert list(tmp_path.iterdir()) == []
+
     def test_plain_ids_write_plain_comma_joined_lines(self, toy_dataset, tmp_path):
         table = build_feature_table(toy_dataset, default_catalog().restricted(["jacc", "prom"]))
         path = tmp_path / "features.csv"
@@ -756,6 +765,7 @@ _CSV_FAULTS = {
     "short": None,
     "bad-header": None,
 }
+_JUNK_CELLS = ["mention_id", "candidate_id", "jacc", "a", "0.5", "", "nan", "2", '"', "x,y", "\n"]
 
 
 @st.composite
@@ -775,14 +785,6 @@ def _codec_case(draw):
 
 def _keys(table):
     return list(zip(table.mention_ids, table.candidate_ids))
-
-
-def _outcome(fn, *args):
-    """``fn(*args)``, or the type and message of what it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # noqa: BLE001 - compared, not handled
-        return type(exc), str(exc)
 
 
 class TestTableCodec:
@@ -812,8 +814,8 @@ class TestTableCodec:
         table, reference = self._tables(names, rows)
         assert _keys(table) == list(reference.rows)
         work = tmp_path_factory.mktemp("codec")
-        written = _outcome(table.to_csv, work / "t.csv")
-        assert written == _outcome(reference.to_csv, work / "r.csv")
+        written = outcome(table.to_csv, work / "t.csv")
+        assert written == outcome(reference.to_csv, work / "r.csv")
         if isinstance(written, str):
             assert (work / "t.csv").read_bytes() == (work / "r.csv").read_bytes()
             assert written == hashlib.sha256((work / "t.csv").read_bytes()).hexdigest()
@@ -835,7 +837,7 @@ class TestTableCodec:
         if data.draw(st.booleans()):
             order.append(LabeledInstance(Mention(lists[0][0], "s", "t"), (CandidateEntity("absent", "n"),), (1,)))
         wanted = data.draw(st.lists(st.sampled_from(names + ["absent"]), max_size=5))
-        got, want = _outcome(table.gather_matrix, order, wanted), _outcome(reference.gather, order, wanted)
+        got, want = outcome(table.gather_matrix, order, wanted), outcome(reference.gather, order, wanted)
         if isinstance(want, tuple) and isinstance(want[0], dict):
             # one matrix row per requested name, in the order asked, repeats included
             assert got[1] == want[1]
@@ -867,6 +869,25 @@ class TestTableCodec:
             csv.writer(fh, lineterminator="\n").writerows([header] + lines if header else lines)
         self._assert_reads_as_reference(path)
 
+    @given(_codec_case(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_line_or_byte_raises_as_reference(self, tmp_path_factory, case, data):
+        """One line of the CSV dropped, repeated, blanked or replaced, or one
+        byte replaced, inserted or deleted."""
+        names, _, rows = case
+        _, reference = self._tables(names, rows)
+        lines = [["mention_id", "candidate_id"] + names]
+        lines += [[mid, cid] + [repr(v) for v in values.values()] for (mid, cid), values in reference.rows.items()]
+        by_line = data.draw(st.booleans())
+        if by_line:
+            lines = mutate_line(lines, data, st.lists(st.sampled_from(_JUNK_CELLS), max_size=len(names) + 3))
+        text = io.StringIO(newline="")
+        csv.writer(text, lineterminator="\n").writerows(lines)
+        raw = text.getvalue().encode("utf-8", "surrogatepass")
+        path = tmp_path_factory.mktemp("mutated") / "f.csv"
+        path.write_bytes(raw if by_line else mutate_byte(raw, data))
+        self._assert_reads_as_reference(path)
+
     def test_csv_left_valid_by_faults_reads_as_reference(self, tmp_path):
         # Two "short" faults on the row ("\r", "") leave the lone cell "\r", which
         # csv.writer does not quote: a valid CSV of a header and a blank line.
@@ -880,7 +901,7 @@ class TestTableCodec:
     def _assert_reads_as_reference(path):
         """``from_csv`` reads the same table as the reference or raises its
         error, as a FeatureError."""
-        got, want = _outcome(FeatureTable.from_csv, path), _outcome(table_reference.ReferenceTable.from_csv, path)
+        got, want = outcome(FeatureTable.from_csv, path), outcome(table_reference.ReferenceTable.from_csv, path)
         if not isinstance(want, tuple):  # the faults left a valid CSV
             assert isinstance(got, FeatureTable)
             assert (got.feature_names, _keys(got)) == (want.feature_names, list(want.rows))

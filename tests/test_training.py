@@ -45,6 +45,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(alpha=1.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("penalty_lambda", float("nan"), "penalty_lambda must be finite and >= 0"),
+        ("penalty_lambda", float("inf"), "penalty_lambda must be finite and >= 0"),
+        ("penalty_lambda", -1.0, "penalty_lambda must be finite and >= 0"),
+        ("seed", -1, "seed must be >= 0"),
+        ("epochs", -1, "epochs must be >= 0"),
+    ])
+    def test_rejects_non_finite_penalty_and_negative_counts(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**{field: value})
+
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("epochs = 12\nlearning_rate = 0.02\nmu = 0.7  # margin\nseed = 3\n")
@@ -57,6 +68,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError) as info:
             load_config(path)
         assert str(info.value) == f"{path} line 1: bad value for 'epochs' (invalid literal for int() with base 10: '1.5')"
+
+    def test_config_file_out_of_range_value_names_file_line_and_key(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("epochs = 3\nmu = 2\n")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path} line 2: bad value for 'mu' (mu must be in (0.6, 0.95))"
+
+    def test_config_line_without_equals_names_file_and_line(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("# comment\n\nepochs 3\n")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path} line 3: expected key = value"
 
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "train.cfg"
@@ -704,6 +729,13 @@ class TestDivergenceAndSearch:
             train(ds, table, graph, TrainConfig(epochs=3), catalog=catalog)
         assert info.value.log == []
 
+    def test_exploding_epoch_loss_stops_once_logged(self):
+        # every score finite, but the epoch loss passes 1e6
+        losses = iter([5.0, 2e6, 1.0])
+        with pytest.raises(TrainingDivergence, match=r"^loss 2000000\.0 diverged at epoch 1$") as info:
+            descend({}, 2, lambda idx: (np.array([0.5]), {}), lambda: {"loss": next(losses)}, TrainConfig(epochs=3))
+        assert info.value.log == [{"epoch": 0, "loss": 5.0}, {"epoch": 1, "loss": 2e6}]
+
     def test_non_finite_score_carries_the_completed_epochs(self):
         calls = []
 
@@ -757,6 +789,19 @@ class TestModelCheckpoint:
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "model2.json").read_bytes()
 
 
+    def test_catalog_with_box_parameters_round_trips(self, tmp_path):
+        from rulelink.boxgeom import BoxParams
+        from rulelink.logic import RawLeaf, ScoringGraph
+        from rulelink.simfeatures import FeatureCatalog, FeatureSpec
+
+        params = BoxParams(psi=(0.5, -1.5), omega=(2.0, 0.25), beta_box=1.75)
+        catalog = FeatureCatalog({"box": FeatureSpec("box", box_params=params)})
+        save_model(Model(ScoringGraph(RawLeaf("box"), mode="manual"), TrainConfig(), catalog), tmp_path / "m.json")
+        again = load_model(tmp_path / "m.json")
+        assert again.catalog.entries["box"].box_params.to_json() == params.to_json()
+        save_model(again, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "m.json").read_bytes()
+
     def test_checkpoint_holds_raw_parameters_only(self, tmp_path):
         ds, catalog, table, graph = _tiny_setup()
         model = train(ds, table, graph, TrainConfig(epochs=1), catalog=catalog)
@@ -777,6 +822,9 @@ class TestModelCheckpoint:
             (lambda obj: obj["graph"]["root"].update(kind="xor"), "unknown node kind"),
             (lambda obj: obj["graph"]["root"]["raw_weights"].pop(), "raw_weights must have shape"),
             (lambda obj: obj["config"].update(batch="per-mention"), "batch"),
+            (lambda obj: obj["graph"]["root"].update(children=[], raw_weights=[], raw_slacks=[]),
+             "gate arity must be >= 1"),
+            (lambda obj: obj["graph"]["root"].update(manual_weights=[1.0]), "1 manual weights for 2 children"),
         ],
     )
     def test_malformed_checkpoint_raises_compile_error(self, tmp_path, edit, message):
