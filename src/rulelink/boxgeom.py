@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Dataset, _as_list, _numbers, atomic_write, read_text
+from .corpus import Dataset, _as_list, _numbers, atomic_write, parse_json, read_text
 from .errors import FeatureError
 from .logic import sigmoid, softplus, softplus_inverse
 from .simfeatures import minmax_rescale
@@ -80,7 +80,7 @@ class BoxParams:
             raise FeatureError("psi and omega must share a dimension")
         if np.any(self.omega < 0):
             raise FeatureError("omega must be non-negative")
-        if not np.isfinite(self.beta_box) or self.beta_box < 0:
+        if not np.isfinite(float(self.beta_box)) or self.beta_box < 0:  # float(): an int too large overflows
             raise FeatureError("beta_box must be finite and non-negative")
 
     @classmethod
@@ -119,16 +119,17 @@ def _is_number(value) -> bool:
 def load_embeddings(path) -> dict[str, np.ndarray]:
     """Read entity embeddings from JSONL records ``{"id": ..., "vec": [...]}``.
 
-    Every ``vec`` must be a list of JSON numbers, all of one length.
+    Every ``vec`` must be a list of JSON numbers, all of one length. An id
+    given again keeps its last vector; the repeats are counted in a warning.
     """
     out: dict[str, np.ndarray] = {}
-    dim = None
+    dim, repeats = None, 0
     for line_no, line in enumerate(read_text(path, FeatureError).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            rec = json.loads(line)
+            rec = parse_json(line, FeatureError)
             vec = np.asarray(_numbers(_as_list(rec["vec"], "vec"), "vec"), dtype=float)
             eid = rec["id"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -143,7 +144,10 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
             raise FeatureError(
                 f"{path} line {line_no}: dimension {vec.shape[0]} != {dim}"
             )
+        repeats += eid in out
         out[eid] = vec
+    if repeats:
+        logger.warning("embeddings %s: %d repeated ids, last vector wins", path, repeats)
     return out
 
 
@@ -187,8 +191,8 @@ def load_box_params(path) -> BoxParams:
     FeatureError naming the file (and the field, if it parsed as JSON)."""
     text = read_text(path, FeatureError)
     try:
-        return BoxParams.from_json(json.loads(text))
-    except (json.JSONDecodeError, OverflowError, FeatureError) as exc:
+        return BoxParams.from_json(parse_json(text, FeatureError))
+    except (OverflowError, FeatureError) as exc:
         raise FeatureError(f"{path}: {exc}") from None
 
 

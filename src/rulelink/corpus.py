@@ -23,7 +23,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sized
+from collections.abc import Callable, Iterable, Mapping, Sized
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
@@ -310,6 +310,16 @@ def read_text(path, error: type[Exception]) -> str:
         raise error(not_utf8(path, exc)) from exc
 
 
+def parse_json(text: str | bytes, error: Callable[[Exception], Exception]):
+    """``text`` parsed as JSON. A fault of the text itself raises
+    ``error(exc)`` instead: bad JSON or an integer past int()'s digit limit
+    (both ValueErrors), or nesting too deep for the parser (a RecursionError)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(exc) from exc
+
+
 def csv_rows(path, error: type[Exception]):
     """Each row of the UTF-8 CSV file ``path``, streamed, as ``(line, cells)``
     with csv.reader's line count. The first row is the header, ``[]`` if the
@@ -349,10 +359,8 @@ def load_dataset(path) -> Dataset:
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
-                raise DatasetError(f"line {line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+            obj = parse_json(line, lambda exc: DatasetError(
+                f"line {line_no}: invalid JSON ({getattr(exc, 'msg', exc)})"))
             inst = _parse_instance(obj, line_no)
             if inst.mention.id in seen_ids:
                 raise DatasetError(f"line {line_no}: duplicate mention id {inst.mention.id!r}")
@@ -561,8 +569,11 @@ def fetch_candidates(
             f"lookup failed after {max_attempts} attempts: {last_exc}", retriable=True
         )
 
+    def malformed(exc) -> FetchError:
+        return FetchError(f"malformed lookup response ({exc}): {body[:200]!r}")
+
+    records = parse_json(body, malformed)
     try:
-        records = json.loads(body)
         if not isinstance(records, list):
             raise TypeError("top-level JSON is not an array")
         out = []
@@ -579,8 +590,8 @@ def fetch_candidates(
             if any(rid.startswith(prefix) for prefix in denylist):
                 continue
             out.append(CandidateEntity(id=rid, name=label, domains=frozenset(types)))
-    except (TypeError, KeyError, json.JSONDecodeError) as exc:
-        raise FetchError(f"malformed lookup response ({exc}): {body[:200]!r}") from exc
+    except (TypeError, KeyError) as exc:
+        raise malformed(exc) from exc
     return out[:k]
 
 

@@ -226,20 +226,6 @@ def constraint_residuals(g: GateParams, alpha: float) -> np.ndarray:
     return _residuals(*_hinges(alpha, w, w.sum(), beta, beta, g.slacks, g.slack_big))
 
 
-def penalty_grads(graph: "ScoringGraph", lam: float, grads: np.ndarray) -> None:
-    """Add d(lam * residual sum)/d(raw parameter) to the flat ``grads`` (lnn mode only)."""
-    if graph.mode != "lnn" or lam == 0.0 or not graph._arity:
-        return
-    eff = graph._effective()
-    alpha, sig, (rho, delta, beta, big) = graph.alpha, eff["sig"], graph._blocks
-    r0_active, ri_active = eff["r0"] > 0.0, eff["ri"] > 0.0
-    counts = np.bincount(graph._gate_of_w, weights=ri_active, minlength=len(graph._arity))
-    grads[beta] += lam * (-1.0 * r0_active + counts)
-    grads[rho] += lam * (r0_active[graph._gate_of_w] * (1.0 - alpha) - alpha * ri_active) * sig[rho]
-    grads[delta] += lam * (-1.0) * ri_active * sig[delta]
-    grads[big] += lam * (-1.0) * r0_active * sig[big]
-
-
 # --- scoring graph nodes ----------------------------------------------------
 
 
@@ -328,30 +314,42 @@ class ScoringGraph:
             raise ValueError(f"alpha must be in [1/2, 1), got {alpha}")
         self.root, self.alpha, self.mode = root, float(alpha), mode
         self.nodes: list[Node] = []
-        self._index(root, set(), postorder := [])
+        self._index(root, set(), groups := {})
         leaves = [n for n in self.nodes if isinstance(n, (ThresholdLeaf, RawLeaf))]
         self.feature_names = list(dict.fromkeys(n.feature for n in leaves))
-        self._bind()
-        self._compile(postorder)
+        # one tape op per group, lowest height first
+        groups = [nodes for _, nodes in sorted(groups.items(), key=lambda item: item[0][0])]
+        self._bind(groups)
+        self._compile(groups)
         self._eff_key = self._eff = None
 
     def __reduce__(self):  # a copy or unpickled graph binds its own copied tree
         return ScoringGraph, (self.root, self.alpha, self.mode)
 
-    def _index(self, node: Node, seen: set, postorder: list) -> None:
+    def _index(self, node: Node, seen: set, groups: dict) -> int:
+        """Number ``node``'s subtree in preorder and group its inner nodes,
+        in postorder, by height (longest path down to a leaf), kind and
+        arity; ``node``'s height."""
         if id(node) in seen:
             raise ValueError("a node may appear only once in a scoring graph")
         seen.add(id(node))
         node.uid = len(self.nodes)
         self.nodes.append(node)
+        height = 0  # a loop, not a generator: one frame per level of the tree
         for child in node.children:
-            self._index(child, seen, postorder)
-        postorder.append(node)
+            height = max(height, 1 + self._index(child, seen, groups))
+        if node.children:
+            groups.setdefault((height, type(node), len(node.children)), []).append(node)
+        return height
 
-    def _bind(self) -> None:
+    def _bind(self, groups: list[list[Node]]) -> None:
         """Fill :attr:`flat`, laid out as weights | slacks | big slacks (the
-        softplus part) | biases | gammas, and rebind the tree to views."""
-        gates = [n for n in self.nodes if isinstance(n, _GateNode)]
+        softplus part) | biases | gammas, and rebind the tree to views.
+
+        Each block holds the gates in tape order, so the ``n`` gates of one
+        ``k``-ary op hold one stretch of it: their weights (and slacks) an
+        ``[n, k]`` block, gate by gate, and their biases ``n`` entries."""
+        gates = [n for nodes in groups for n in nodes if isinstance(n, _GateNode)]
         tls = [n for n in self.nodes if isinstance(n, ThresholdLeaf) and n.fixed_theta is None]
         self._arity = arity = [n.gate.arity for n in gates]
         k, g = sum(arity), len(gates)
@@ -362,15 +360,18 @@ class ScoringGraph:
         # (weights, slacks, biases, big slacks); gammas start at _gamma0
         self._blocks = (slice(0, k), slice(k, 2 * k), slice(2 * k + g, 2 * k + 2 * g), slice(2 * k, 2 * k + g))
         self._gamma0 = 2 * k + 2 * g
-        self._wstart = np.cumsum([0] + arity)[:-1]
+        wstart = np.cumsum([0] + arity)[:-1].tolist()
         self._gate_of_w = np.repeat(np.arange(g), arity)
-        # gates of one arity stacked: numpy sums each row of an [n, a] block
-        # exactly as it sums a lone length-a array
-        sizes = np.array(arity, dtype=np.intp)
-        self._by_arity = [(np.flatnonzero(sizes == a), self._wstart[sizes == a][:, None] + np.arange(a))
-                          for a in sorted(set(arity))]
+        # per gate op: its weights' and its gates' stretches of the two kinds
+        # of block, and its [n, k] shape
+        shapes = [(len(nodes), nodes[0].gate.arity) for nodes in groups if isinstance(nodes[0], _GateNode)]
+        ends = np.cumsum([(0, 0)] + [(n * a, n) for n, a in shapes], axis=0).tolist()
+        self._spans = [(slice(w0, w1), slice(g0, g1), shape)
+                       for (w0, g0), (w1, g1), shape in zip(ends, ends[1:], shapes)]
+        # residual_sum adds the gates up in preorder, the tree's order
+        self._preorder = np.argsort([node.uid for node in gates])
         slots = {}  # (name suffix, start, stop, shape) per parameter
-        for i, (node, lo, a) in enumerate(zip(gates, self._wstart.tolist(), arity)):
+        for i, (node, lo, a) in enumerate(zip(gates, wstart, arity)):
             beta, big = 2 * k + g + i, 2 * k + i
             slots[node.uid] = [(".rho", lo, lo + a, (a,)), (".beta", beta, beta + 1, ()),
                                (".delta", k + lo, k + lo + a, (a,)), (".Delta", big, big + 1, ())]
@@ -402,11 +403,11 @@ class ScoringGraph:
         """Effective parameters and hinge inputs of every gate, one vector
         operation each, recomputed only when :attr:`flat` has changed.
 
-        ``theta`` is a column per threshold leaf and ``dgamma`` the negated
-        d(theta)/d(gamma) per learnable one. In lnn mode ``ops`` holds each
-        lnn op's weights ``[k, n, 1]`` and biases ``[n, 1]``, views of one
-        gather over every op's slots laid end to end, and ``dsig`` the
-        weights' softplus derivatives in that order."""
+        ``sig`` is the sigmoid of :attr:`flat` (the softplus derivative of
+        its softplus part), ``theta`` a column per threshold leaf and
+        ``dgamma`` the negated d(theta)/d(gamma) per learnable one. In lnn
+        mode ``ops`` holds each lnn op's weights ``[k, n, 1]`` and biases
+        ``[n, 1]``, views of its stretches of the two blocks."""
         key = self.flat.tobytes()
         if key == self._eff_key:
             return self._eff
@@ -421,16 +422,14 @@ class ScoringGraph:
             sp = softplus(self.flat[:beta.start])
             w, b = sp[rho], self.flat[beta].copy()
             wsum = np.empty(len(self._arity))
-            for idx, cols in self._by_arity:
-                wsum[idx] = w[cols].sum(axis=1)
+            for ws, gs, shape in self._spans:  # each row of an [n, k] block sums as a lone length-k array
+                np.add.reduce(w[ws].reshape(shape), axis=1, out=wsum[gs])
             eff["r0"], eff["ri"] = _hinges(self.alpha, w, wsum, b, b[self._gate_of_w], sp[delta], sp[big])
-            weights, biases = sp[self._lnn_slots], self.flat[self._lnn_bias]
-            eff["ops"] = [(weights[at].reshape(shape), biases[bt, None]) for at, shape, bt in self._lnn_views]
-            eff["dsig"] = sig[self._lnn_slots]
+            eff["ops"] = [(w[ws].reshape(shape).T[..., None], b[gs, None]) for ws, gs, shape in self._spans]
         self._eff_key, self._eff = key, eff
         return eff
 
-    def _compile(self, postorder: list[Node]) -> None:
+    def _compile(self, groups: list[list[Node]]) -> None:
         column = {name: i for i, name in enumerate(self.feature_names)}
         raws = [n for n in self.nodes if isinstance(n, RawLeaf)]
         tls = [n for n in self.nodes if isinstance(n, ThresholdLeaf)]
@@ -442,28 +441,21 @@ class ScoringGraph:
         self._learn = slice(None) if len(self._theta_learn) == len(tls) else self._theta_learn
         self._learn_uids = self._tl_uids[self._theta_learn]
         code = {"lnn": _LNN, "tnorm": _TNORM, "manual": _MANUAL}[self.mode]
-        gate_index = {n.uid: i for i, (_, n) in enumerate(self.gates())}
+        # a node's children are leaves or in an earlier op
         needs_grad = {n.uid: code != _MANUAL and n.fixed_theta is None for n in tls}
-        height, groups = {}, {}
-        for node in postorder:
-            kids = [c.uid for c in node.children]
-            height[node.uid] = 1 + max((height[c] for c in kids), default=-1)
-            if node.uid not in needs_grad:
-                own = code == _LNN and isinstance(node, _GateNode)
-                needs_grad[node.uid] = own or any(needs_grad[c] for c in kids)
-            if kids:
-                groups.setdefault((height[node.uid], type(node), len(kids)), []).append(node)
-        self._ops, self._back_ops, lnn = [], [], []
-        for (_, cls, k), nodes in sorted(groups.items(), key=lambda item: item[0][0]):
+        self._ops, self._back_ops, lnn = [], [], 0
+        for nodes in groups:
+            cls, k = type(nodes[0]), len(nodes[0].children)
+            for node in nodes:
+                own = code == _LNN and cls is not NotNode
+                needs_grad[node.uid] = own or any(needs_grad.get(c.uid, False) for c in node.children)
             uids = np.array([n.uid for n in nodes], dtype=np.intp)
             kids = np.array([[c.uid for c in n.children] for n in nodes], dtype=np.intp).T
             flip = cls is OrNode
             if cls is NotNode:
                 op = (_NOT, uids, kids[0], None, False)
             elif code == _LNN:
-                index = np.array([gate_index[n.uid] for n in nodes])
-                lnn.append((self._wstart[index] + np.arange(k)[:, None], self._blocks[2].start + index))
-                op = (_LNN, uids, kids, len(lnn) - 1, flip)
+                op, lnn = (_LNN, uids, kids, lnn, flip), lnn + 1
             elif code == _TNORM:
                 op = (_TNORM, uids, kids, np.arange(k), flip)
             else:
@@ -473,15 +465,6 @@ class ScoringGraph:
             self._ops.append(op)
             if any(needs_grad[n.uid] for n in nodes):
                 self._back_ops.insert(0, len(self._ops) - 1)
-        # every lnn op's weight slots [k, n] and bias slots [n] into flat, end
-        # to end in tape order, and where each op's lie in the two
-        empty = [np.empty(0, np.intp)]
-        self._lnn_slots = np.concatenate([slots.ravel() for slots, _ in lnn] + empty)
-        self._lnn_bias = np.concatenate([bias for _, bias in lnn] + empty)
-        self._lnn_views, at, bt = [], 0, 0
-        for slots, bias in lnn:
-            self._lnn_views.append((slice(at, at + slots.size), slots.shape + (1,), slice(bt, bt + bias.size)))
-            at, bt = at + slots.size, bt + bias.size
 
     def _run(self, feats: np.ndarray, cache: dict | None = None) -> np.ndarray:
         """Run the tape over the ``[features, rows]`` matrix ``feats``; the
@@ -585,7 +568,8 @@ class ScoringGraph:
         values, kept, leaves, eff = cache["tape"]
         dvalues = np.zeros(values.shape)  # rows no gradient reaches stay 0
         dvalues[0] = dout
-        dw, db = [], []  # per lnn op, last op first
+        # the lnn ops' weight and bias gradients, each op's in its stretch
+        dw, db = np.zeros(len(self._gate_of_w)), np.zeros(len(self._arity))
         for j in self._back_ops:
             code, u, kids, extra, flip = self._ops[j]
             g = dvalues[u]
@@ -596,8 +580,9 @@ class ScoringGraph:
             if code == _LNN:
                 live = (pre > 0.0) & (pre < 1.0)
                 ge = (-g if flip else g) * live
-                db.append(ge.sum(axis=1))
-                dw.append((ge[None] * arr).sum(axis=2).ravel())
+                ws, gs, shape = self._spans[extra]
+                np.add.reduce(ge, axis=1, out=db[gs])
+                np.add.reduce(ge[None] * arr, axis=2, out=dw[ws].reshape(shape).T)
                 dx_inner = ge[None] * eff["ops"][extra][0]
                 dvalues[kids] = -dx_inner if flip else dx_inner
             else:  # tnorm: for or, the two sign flips (1-x in, 1-prod out) cancel
@@ -607,10 +592,11 @@ class ScoringGraph:
                 terms[extra, extra] = 1.0
                 dvalues[kids] = g * _fold(np.multiply, terms.swapaxes(0, 1))
         # every lnn op is on the backward tape (its own parameters learn), and
-        # a slot belongs to one op, so one scatter adds what one per op would
-        if dw:
-            grads[self._lnn_slots] += -np.concatenate(dw[::-1]) * eff["dsig"]
-            grads[self._lnn_bias] += np.concatenate(db[::-1])
+        # the ops' stretches tile the blocks: one add per block
+        if self.mode == "lnn":
+            rho, _, beta, _ = self._blocks
+            grads[rho] += -dw * eff["sig"][rho]
+            grads[beta] += db
         if len(self._learn_uids):
             f, s = leaves
             # d(f*s)/dgamma = f * s(1-s) * (-1) * theta(1-theta)
@@ -620,7 +606,19 @@ class ScoringGraph:
         if self.mode != "lnn" or not self._arity:
             return 0.0
         eff = self._effective()
-        per_gate = np.empty(len(self._arity))
-        for idx, cols in self._by_arity:
-            per_gate[idx] = _residuals(eff["r0"][idx], eff["ri"][cols]).sum(axis=1)
-        return float(sum(per_gate.tolist()))
+        per_gate = np.concatenate([_residuals(eff["r0"][gs], eff["ri"][ws].reshape(shape)).sum(axis=1)
+                                   for ws, gs, shape in self._spans])
+        return float(sum(per_gate[self._preorder].tolist()))
+
+    def penalty_grads(self, lam: float, grads: np.ndarray) -> None:
+        """Add d(lam * residual sum)/d(raw parameter) to the flat ``grads`` (lnn mode only)."""
+        if self.mode != "lnn" or lam == 0.0 or not self._arity:
+            return
+        eff = self._effective()
+        alpha, sig, (rho, delta, beta, big) = self.alpha, eff["sig"], self._blocks
+        r0_active, ri_active = eff["r0"] > 0.0, eff["ri"] > 0.0
+        counts = np.bincount(self._gate_of_w, weights=ri_active, minlength=len(self._arity))
+        grads[beta] += lam * (-1.0 * r0_active + counts)
+        grads[rho] += lam * (r0_active[self._gate_of_w] * (1.0 - alpha) - alpha * ri_active) * sig[rho]
+        grads[delta] += lam * (-1.0) * ri_active * sig[delta]
+        grads[big] += lam * (-1.0) * r0_active * sig[big]

@@ -226,8 +226,15 @@ def parse(text: str) -> list[RuleAST]:
 
     Rule references must name an already-defined rule; feature predicates
     (lowercase) are checked later against the catalog at compile time.
+    Nesting too deep for the parser's recursion is a ParseError at the
+    token it reached.
     """
-    return _Parser(_tokenize(text), set()).parse_program()
+    parser = _Parser(_tokenize(text), set())
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        tok = parser.current
+        raise ParseError("expression nested too deeply", tok.line, tok.column) from None
 
 
 def _children(expr):

@@ -37,7 +37,7 @@ from types import MappingProxyType
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import Dataset, LabeledInstance, LoadReport, Mention, atomic_write, csv_rows
+from .corpus import Dataset, LabeledInstance, LoadReport, Mention, atomic_write, csv_rows, parse_json
 from .errors import FeatureError
 
 logger = logging.getLogger(__name__)
@@ -651,7 +651,7 @@ def _expect(arr: np.ndarray, dtype, shape: tuple, what: str) -> None:
 
 def _unblob(arr: np.ndarray, what: str):
     _expect(arr, np.uint8, (arr.size,), what)
-    return json.loads(arr.tobytes())
+    return parse_json(arr.tobytes(), lambda exc: _Unusable(f"{what}: {exc}"))
 
 
 def _str_list(obj) -> bool:

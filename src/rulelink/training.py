@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .corpus import Dataset, atomic_write, read_text
+from .corpus import Dataset, atomic_write, parse_json, read_text
 from .errors import CompileError, TrainingDivergence
 from .logic import (
     AndNode,
@@ -33,7 +33,6 @@ from .logic import (
     ScoringGraph,
     ThresholdLeaf,
     ThresholdParams,
-    penalty_grads,
 )
 from .simfeatures import FeatureCatalog, FeatureTable
 
@@ -78,8 +77,9 @@ _CONFIG_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
 def load_config(path) -> TrainConfig:
-    """Read a key=value config file; keys mirror TrainConfig fields."""
-    values = {}
+    """Read a key=value config file; keys mirror TrainConfig fields, each
+    set on one line at most."""
+    values, lines = {}, {}
     for line_no, line in enumerate(read_text(path, ValueError).split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -87,6 +87,9 @@ def load_config(path) -> TrainConfig:
         if "=" not in line:
             raise ValueError(f"{path} line {line_no}: expected key = value")
         key, _, raw = (part.strip() for part in line.partition("="))
+        if key in lines:
+            raise ValueError(f"{path} line {line_no}: key {key!r} repeats line {lines[key]}")
+        lines[key] = line_no
         try:
             values[key] = _CONFIG_KEYS[key](raw)
             TrainConfig(**{key: values[key]})  # the range check, named by file, line and key
@@ -206,13 +209,16 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     """Read ``model.json``; malformed content of any kind raises CompileError."""
-    text = read_text(path, CompileError)
+    def malformed(exc) -> CompileError:
+        return CompileError(f"{path}: malformed model file ({type(exc).__name__}: {exc})")
+
+    obj = parse_json(read_text(path, CompileError), malformed)
     try:
-        return Model.from_json(json.loads(text))
+        return Model.from_json(obj)
     except CompileError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise CompileError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
+        raise malformed(exc) from exc
 
 
 def prepare_labels(labels) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +339,7 @@ def gradients(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: Tra
     grads = np.zeros_like(graph.flat)
     for block, inst in zip(_blocks(graph, table, ds.instances)[2], ds.instances):
         _mention_grads(graph, block, prepare_labels(inst.labels), config.mu, grads)
-    penalty_grads(graph, config.penalty_lambda, grads)
+    graph.penalty_grads(config.penalty_lambda, grads)
     return graph.unflatten(grads)
 
 
@@ -364,7 +370,7 @@ def train(
             return (), {}
         grads = np.zeros(graph.flat.shape)
         scores = _mention_grads(graph, blocks[idx], labels[idx], config.mu, grads)
-        penalty_grads(graph, config.penalty_lambda, grads)
+        graph.penalty_grads(config.penalty_lambda, grads)
         return scores, {"flat": grads}
 
     def epoch_stats():

@@ -185,6 +185,12 @@ def mutate_byte(raw: bytes, data) -> bytes:
     return raw[:at] + (b"" if action == "delete" else bytes([byte])) + raw[at + (action != "insert"):]
 
 
+# JSON no decoder accepts: nesting too deep for the parser, and an integer
+# past int()'s digit limit.
+DEEP_JSON = "[" * 100_000
+HUGE_JSON_INT = "9" * 5000
+
+
 def outcome(fn, *args):
     """``fn(*args)``, or the type and message of what it raised."""
     try:
@@ -194,8 +200,9 @@ def outcome(fn, *args):
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """A lookup endpoint that answers every GET with ``payload`` as JSON,
-    after ``fail_times`` HTTP 500 replies; ``calls`` counts the requests."""
+    """A lookup endpoint that answers every GET with ``payload`` as JSON (or
+    as it is, if bytes), after ``fail_times`` HTTP 500 replies; ``calls``
+    counts the requests."""
 
     payload: list = []
     fail_times: int = 0
@@ -209,7 +216,7 @@ class StubHandler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        body = json.dumps(cls.payload).encode()
+        body = cls.payload if isinstance(cls.payload, bytes) else json.dumps(cls.payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.end_headers()

@@ -1,8 +1,9 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rulelink.boxgeom as boxgeom
@@ -23,6 +24,8 @@ from rulelink.boxgeom import (
     box_similarity,
     intersect,
     neighborhood,
+    load_box_params,
+    load_embeddings,
     save_box_params,
     train_box_params,
 )
@@ -30,6 +33,7 @@ from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
 from rulelink.errors import FeatureError, TrainingDivergence
 from rulelink.training import TrainConfig
 import box_reference
+from conftest import DEEP_JSON, HUGE_JSON_INT, JSON_VALUES, mutate_byte, mutate_key_path, mutate_line, outcome
 
 
 def _random_box(rng, dim=3):
@@ -731,6 +735,32 @@ class TestEmbeddingFiles:
             load_embeddings(path)
         assert str(info.value) == f"{path} line 2: bad embedding record ({reason})"
 
+    @pytest.mark.parametrize("line, reason", [
+        (DEEP_JSON, "maximum recursion depth exceeded while decoding a JSON array"),
+        ('{"id": "b", "vec": [' + HUGE_JSON_INT + "]}",
+         "Exceeds the limit (4300 digits) for integer string conversion"),
+    ])
+    def test_line_that_cannot_decode_names_the_line(self, tmp_path, line, reason):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "a", "vec": [1.0, 2.0]}\n' + line + "\n")
+        with pytest.raises(FeatureError) as info:
+            load_embeddings(path)
+        assert str(info.value).startswith(f"{path} line 2: bad embedding record ({reason}")
+
+    def test_repeated_id_keeps_the_last_vector_and_warns_with_the_count(self, tmp_path, caplog):
+        path = self._write(tmp_path, [{"id": "e1", "vec": [0.1, 0.2]}, {"id": "e2", "vec": [0.3, 0.4]},
+                                      {"id": "e1", "vec": [0.9, 0.9]}, {"id": "e1", "vec": [0.7, 0.8]}])
+        with caplog.at_level("WARNING", logger="rulelink.boxgeom"):
+            table = load_embeddings(path)
+        assert {key: vec.tolist() for key, vec in table.items()} == {"e1": [0.7, 0.8], "e2": [0.3, 0.4]}
+        assert [rec.message for rec in caplog.records] == [f"embeddings {path}: 2 repeated ids, last vector wins"]
+
+    def test_distinct_ids_load_without_a_warning(self, tmp_path, caplog):
+        path = self._write(tmp_path, [{"id": "e1", "vec": [0.1, 0.2]}, {"id": "e2", "vec": [0.3, 0.4]}])
+        with caplog.at_level("WARNING", logger="rulelink.boxgeom"):
+            assert len(load_embeddings(path)) == 2
+        assert caplog.records == []
+
     def test_attach_empty_file_leaves_the_dataset(self, tmp_path, caplog):
         from rulelink.boxgeom import attach_embeddings
 
@@ -768,6 +798,18 @@ class TestEmbeddingFiles:
         assert np.array_equal(again.omega, params.omega)
         assert again.beta_box == params.beta_box
 
+    @pytest.mark.parametrize("text, reason", [
+        (DEEP_JSON, "maximum recursion depth exceeded while decoding a JSON array"),
+        ('{"psi": [' + HUGE_JSON_INT + '], "omega": [1.0], "beta_box": 1.0}',
+         "Exceeds the limit (4300 digits) for integer string conversion"),
+    ])
+    def test_box_params_that_cannot_decode_are_feature_errors(self, tmp_path, text, reason):
+        path = tmp_path / "box.json"
+        path.write_text(text)
+        with pytest.raises(FeatureError) as info:
+            load_box_params(path)
+        assert str(info.value).startswith(f"{path}: {reason}")
+
     def test_box_params_bytes_are_the_recorded_ones(self, tmp_path):
         # pinned bytes: sorted keys, compact separators, floats as repr writes them
         save_box_params(BoxParams(psi=(0.1, -2.5, 1e-17), omega=(1.0, 1 / 3, 7e20), beta_box=0.75),
@@ -775,3 +817,66 @@ class TestEmbeddingFiles:
         digest = hashlib.sha256((tmp_path / "box.json").read_bytes()).hexdigest()
         assert digest == "66704567d016f386992da94c509c0cdc1f4abcee364b4c78e9c1dbd78dbf9f53"
         assert [p.name for p in tmp_path.iterdir()] == ["box.json"]  # no temp file left behind
+
+
+# Values that make a valid embedding record or box parameter file faulty in
+# ways JSON_VALUES does not reach: a repeated id, another dimension, numbers
+# no float holds, NaN, a lone surrogate.
+_EMBEDDING_VALUES = JSON_VALUES | st.sampled_from(
+    ["e1", "é2", [0.5], [0.5, 0.5, 0.5], [True, 0.5], ["0.5", 1.0], 10**400, float("inf"), float("nan"), "e\ud800"])
+_JUNK_LINES = st.sampled_from(["{", "[]", "null", '"x"', '{"id": 5}', '{"vec": [1.0, 2.0]}', " ", "\x0c", "{}",
+                               DEEP_JSON, f"[{HUGE_JSON_INT}]"]) | st.text(max_size=8)
+
+
+def _embedding_records() -> list[dict]:
+    return [{"id": "e1", "vec": [0.1, 0.2]}, {"id": "é2", "vec": [-1.5, 3]}, {"id": "e,3", "vec": [0.0, 1e-300]}]
+
+
+def _records_text(records) -> str:
+    return "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records)
+
+
+class TestFuzzedEmbeddingAndBoxFiles:
+    """One key path, line or byte of a valid embeddings JSONL or box
+    parameter file mutated: each loads or raises only FeatureError, whose
+    message names the file (and, for embeddings, the line)."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_embeddings_jsonl_raises_only_feature_error(self, tmp_path, data):
+        records = _embedding_records()
+        kind = data.draw(st.sampled_from(["key path", "line", "byte"]))
+        if kind == "key path":
+            mutate_key_path(records[data.draw(st.integers(0, len(records) - 1))], data, _EMBEDDING_VALUES)
+            raw = _records_text(records).encode("utf-8", "surrogatepass")
+        elif kind == "line":
+            lines = mutate_line(_records_text(records).splitlines(), data, _JUNK_LINES)
+            raw = "".join(line + "\n" for line in lines).encode("utf-8", "surrogatepass")
+        else:
+            raw = mutate_byte(_records_text(records).encode(), data)
+        path = tmp_path / "emb.jsonl"
+        path.write_bytes(raw)
+        got = outcome(load_embeddings, path)
+        if not isinstance(got, dict):
+            assert got[0] is FeatureError, got
+            assert got[1].startswith(f"{path} line "), got
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_box_params_raise_only_feature_error(self, tmp_path, data):
+        path = tmp_path / "box.json"
+        save_box_params(BoxParams(psi=(0.5, -1.5), omega=(2.0, 0.25), beta_box=1.75), path)
+        kind = data.draw(st.sampled_from(["key path", "line", "byte"]))
+        if kind == "key path":
+            obj = json.loads(path.read_text())
+            mutate_key_path(obj, data, _EMBEDDING_VALUES)
+            path.write_bytes(json.dumps(obj).encode("utf-8", "surrogatepass"))
+        elif kind == "line":
+            lines = mutate_line(path.read_text().splitlines(), data, _JUNK_LINES)
+            path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogatepass"))
+        else:
+            path.write_bytes(mutate_byte(path.read_bytes(), data))
+        got = outcome(load_box_params, path)
+        if not isinstance(got, BoxParams):
+            assert got[0] is FeatureError, got
+            assert got[1].startswith(f"{path}"), got

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_VALUES, StubHandler, instance_obj, mutate_key_path, write_jsonl, write_oversized_number
+from conftest import (
+    DEEP_JSON,
+    HUGE_JSON_INT,
+    JSON_VALUES,
+    StubHandler,
+    instance_obj,
+    mutate_key_path,
+    write_jsonl,
+    write_oversized_number,
+)
 from rulelink import cli, errors, evaluation
 from rulelink.cli import run
 from rulelink.corpus import load_dataset, save_dataset
@@ -692,6 +701,8 @@ class TestBoxFeaturizeCli:
         ('{"psi": [0.0, 0.0], "omega": [1.0, 1.0], "beta_box": 1e400}', "beta_box must be finite"),
         ('{"psi": ', "Expecting value: line 1 column 9"),
         ('{"psi": [1' + "0" * 400 + '], "omega": [1.0], "beta_box": 1.0}', "int too large to convert to float"),
+        ('{"psi": [0.0, 0.0], "omega": [1.0, 1.0], "beta_box": 1' + "0" * 400 + "}",
+         "int too large to convert to float"),
     ])
     def test_malformed_box_params_exit_one(self, workdir, capsys, text, message):
         assert self._featurize_box(workdir, text) == 1
@@ -750,7 +761,7 @@ def _flags(command: str, inputs: Path, fresh: Path, endpoint: str | None) -> dic
 # Every subcommand x failure kind, and its exit code (1 validation, 2 runtime):
 # the flags that replace or join a succeeding run's, given its fresh directory
 # t. "divergence" runs against a train that raises TrainingDivergence; fetch
-# reads the stub lookup server, whose reply is malformed for "malformed reply".
+# reads the stub lookup server, whose reply for a "reply" failure is in _REPLIES.
 _EXIT_CODES = [
     ("featurize", "missing data file", 1, lambda t: {"data": t / "nope.jsonl"}),
     ("featurize", "non-UTF-8 data", 1, lambda t: {"data": _file(t / "d.jsonl", b'{"mention": \xff}\n')}),
@@ -761,6 +772,15 @@ _EXIT_CODES = [
     ("featurize", "rules not in catalog", 1, lambda t: {"rules": _file(t / "r.elr", "rule R = nope?;")}),
     ("featurize", "embeddings", 1, lambda t: {"embeddings": _file(t / "e.jsonl", '{"id": "e"}\n')}),
     ("featurize", "box params", 1, lambda t: {"box_params": _file(t / "b.json", '{"psi": [0.0]}')}),
+    ("featurize", "data nested too deep", 1, lambda t: {"data": _file(t / "d.jsonl", DEEP_JSON + "\n")}),
+    ("featurize", "embeddings nested too deep", 1, lambda t: {"embeddings": _file(t / "e.jsonl", DEEP_JSON + "\n")}),
+    ("featurize", "box params nested too deep", 1, lambda t: {"box_params": _file(t / "b.json", DEEP_JSON)}),
+    ("featurize", "box params integer too long", 1,
+     lambda t: {"box_params": _file(t / "b.json", f'{{"psi": [{HUGE_JSON_INT}], "omega": [1.0], "beta_box": 1.0}}')}),
+    ("featurize", "rules nested too deep", 1,
+     lambda t: {"rules": _file(t / "r.elr", "rule R = " + "(" * 5000 + "jacc?" + ")" * 5000 + ";")}),
+    ("featurize", "rules negated too deep", 1,
+     lambda t: {"rules": _file(t / "r.elr", "rule R = " + "!" * 5000 + "jacc?;")}),
     ("featurize", "unknown flag", 1, lambda t: {"jobs": 2}),
     ("featurize", "out in a missing directory", 1, lambda t: {"out": t / "missing" / "f.csv"}),
     ("featurize", "out is a directory", 2, lambda t: {"out": t}),
@@ -769,6 +789,7 @@ _EXIT_CODES = [
     ("train", "config key", 1, lambda t: {"config": _file(t / "c.cfg", "volume = 11\n")}),
     ("train", "config range", 1, lambda t: {"mu": 2.0}),
     ("train", "config file range", 1, lambda t: {"config": _file(t / "c.cfg", "mu = 2\n")}),
+    ("train", "config repeated key", 1, lambda t: {"config": _file(t / "c.cfg", "epochs = 3\nepochs = 5\n")}),
     ("train", "penalty not finite", 1, lambda t: {"penalty_lambda": "nan"}),
     ("train", "negative seed", 1, lambda t: {"seed": -1}),
     ("train", "feature CSV cell", 1,
@@ -791,11 +812,22 @@ _EXIT_CODES = [
     ("ablate", "divergence", 2, lambda t: {}),
     ("ablate", "out is a directory", 2, lambda t: {"out": t}),
     ("inspect", "missing model", 1, lambda t: {"model": t / "nope.json"}),
+    ("inspect", "model nested too deep", 1, lambda t: {"model": _file(t / "m.json", DEEP_JSON)}),
+    ("inspect", "model integer too long", 1, lambda t: {"model": _file(t / "m.json", f"[{HUGE_JSON_INT}]")}),
     ("inspect", "json out is a directory", 2, lambda t: {"json": t}),
     ("fetch", "k below 1", 1, lambda t: {"k": 0}),
     ("fetch", "malformed reply", 2, lambda t: {}),
+    ("fetch", "reply nested too deep", 2, lambda t: {}),
+    ("fetch", "reply integer too long", 2, lambda t: {}),
     ("fetch", "out is a directory", 2, lambda t: {"out": t}),
 ]
+
+
+_REPLIES = {
+    "malformed reply": {"oops": True},
+    "reply nested too deep": DEEP_JSON.encode(),
+    "reply integer too long": f"[{HUGE_JSON_INT}]".encode(),
+}
 
 
 class TestExitCodes:
@@ -816,7 +848,7 @@ class TestExitCodes:
             monkeypatch.setattr(cli, "train", diverge)
             monkeypatch.setattr(evaluation, "train", diverge)
         endpoint = request.getfixturevalue("stub_server") if command == "fetch" else None
-        StubHandler.payload = {"oops": True} if failure == "malformed reply" else [{"id": "kb/A", "label": "A"}]
+        StubHandler.payload = _REPLIES.get(failure, [{"id": "kb/A", "label": "A"}])
         argv = _argv(command, cli_inputs, tmp_path, endpoint, **flags(tmp_path))
         capsys.readouterr()
         assert run(argv) == code  # an exception escaping run() is what prints a traceback

@@ -11,6 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DEEP_JSON,
+    HUGE_JSON_INT,
     JSON_VALUES,
     StubHandler,
     instance_obj,
@@ -30,6 +32,7 @@ from rulelink.corpus import (
     fetch_candidates,
     load_dataset,
     merge_external_scores,
+    parse_json,
     save_dataset,
     validate_dataset,
 )
@@ -89,6 +92,13 @@ class TestLoadDataset:
         with pytest.raises(DatasetError) as info:
             load_dataset(path)
         assert str(info.value).startswith(f"line 2: {message}")
+
+    def test_line_nested_too_deep_names_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(instance_obj("m1")) + "\n" + DEEP_JSON + "\n")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert str(info.value).startswith("line 2: invalid JSON (maximum recursion depth exceeded")
 
     def test_non_utf8_byte_names_file_and_line(self, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", [instance_obj("m1"), instance_obj("m2")])
@@ -466,6 +476,27 @@ class TestMergeExternalScores:
                 assert cand.external_scores["col"] == expected[(inst.mention.id, cand.id)]
 
 
+class TestParseJson:
+    """The one JSON decode rule: each fault of the text raises the error
+    the boundary passes, chained to what json.loads raised."""
+
+    @pytest.mark.parametrize("text, start, cause", [
+        ("{", "Expecting property name enclosed in double quotes", json.JSONDecodeError),
+        (f"[{HUGE_JSON_INT}]", "Exceeds the limit (4300 digits) for integer string conversion", ValueError),
+        (DEEP_JSON, "maximum recursion depth exceeded while decoding a JSON array", RecursionError),
+        (DEEP_JSON.encode(), "maximum recursion depth exceeded while decoding a JSON array", RecursionError),
+    ])
+    def test_each_fault_raises_the_given_error(self, text, start, cause):
+        with pytest.raises(DatasetError) as info:
+            parse_json(text, DatasetError)
+        assert str(info.value).startswith(start)
+        assert type(info.value.__cause__) is cause
+
+    def test_valid_text_and_bytes_decode(self):
+        assert parse_json('{"a": [1, 2.5, null]}', DatasetError) == {"a": [1, 2.5, None]}
+        assert parse_json(b"[[[]]]", DatasetError) == [[[]]]
+
+
 class TestFetchCandidates:
     def test_prunes_denylisted_and_truncates_to_k(self, stub_server):
         StubHandler.payload = [
@@ -516,6 +547,18 @@ class TestFetchCandidates:
         with pytest.raises(FetchError) as exc:
             fetch_candidates(stub_server, "x", k=5, denylist=("kb/Category:",))
         assert str(exc.value).startswith(f"malformed lookup response ({fault}): ")
+        assert not exc.value.retriable
+        assert StubHandler.calls == 1
+
+    @pytest.mark.parametrize("body, reason", [
+        (DEEP_JSON, "maximum recursion depth exceeded while decoding a JSON array"),
+        (f"[{HUGE_JSON_INT}]", "Exceeds the limit (4300 digits) for integer string conversion"),
+    ])
+    def test_reply_that_cannot_decode_is_fetch_error(self, stub_server, body, reason):
+        StubHandler.payload = body.encode()
+        with pytest.raises(FetchError) as exc:
+            fetch_candidates(stub_server, "x", k=5)
+        assert str(exc.value).startswith(f"malformed lookup response ({reason}")
         assert not exc.value.retriable
         assert StubHandler.calls == 1
 

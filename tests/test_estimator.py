@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from rulelink.corpus import Dataset, LabeledInstance
-from rulelink.errors import CompileError, DatasetError
+from rulelink.errors import CompileError, DatasetError, ParseError
 from rulelink.estimator import RuleLinker
 from synthgen import generate_dataset
 
@@ -29,6 +29,10 @@ class TestParams:
         est = RuleLinker(rules="NoSuchTemplate")
         with pytest.raises(CompileError, match="neither a built-in"):
             est.fit(small_ds)
+
+    def test_rules_nested_too_deep_fail_at_fit_with_a_parse_error(self, small_ds):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            RuleLinker(rules="rule Links = " + "(" * 5000 + "jacc?" + ")" * 5000 + ";", epochs=1).fit(small_ds)
 
     def test_in_code_non_string_description_fails_at_fit(self, toy_dataset):
         inst = toy_dataset.instances[0]

@@ -1,7 +1,9 @@
 """Every file the package reads or writes goes through a handful of
 functions: ``corpus``'s readers and writer, and the scoring sidecar's digest
 and archive reader. A call that opens a file anywhere else is a second path
-for a job one of them already does, with its own decoding and error rules."""
+for a job one of them already does, with its own decoding and error rules.
+The same holds for decoding JSON, which only ``corpus.parse_json`` does, and
+for the scoring graph's parameter layout, which only ``ScoringGraph`` reads."""
 import ast
 from pathlib import Path
 
@@ -11,23 +13,38 @@ import rulelink
 # np.load and np.fromfile, tempfile.mkstemp.
 _OPENERS = {"open", "fdopen", "load", "fromfile", "mkstemp", "read_text", "read_bytes", "write_text", "write_bytes"}
 
+# The private attributes that describe where each parameter lies in ScoringGraph.flat.
+_LAYOUT = {"_blocks", "_gate_of_w", "_arity", "_effective"}
 
-def _openers(node: ast.AST, func: str = "<module>"):
-    """(innermost enclosing function, call) for every call under ``node``
-    that opens a file; ``<module>`` for one that would run at import."""
+
+def _trees():
+    """(module name, parsed source) of every module of the package."""
+    for path in sorted(Path(rulelink.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _scopes(node: ast.AST, func: str = "<module>", cls: str = "<module>"):
+    """(innermost enclosing function, innermost enclosing class, node) for
+    every node under ``node``; ``<module>`` where there is none."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call):
-            if isinstance(child.func, ast.Name) and child.func.id == "open":
+        yield func, cls, child
+        yield from _scopes(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func,
+                           child.name if isinstance(child, ast.ClassDef) else cls)
+
+
+def _openers(tree: ast.AST):
+    """(innermost enclosing function, call) for every call in ``tree`` that
+    opens a file; ``<module>`` for one that would run at import."""
+    for func, _, node in _scopes(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "open":
                 yield func, "open"
-            elif isinstance(child.func, ast.Attribute) and child.func.attr in _OPENERS:
-                yield func, ast.unparse(child.func)
-        yield from _openers(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+            elif isinstance(node.func, ast.Attribute) and node.func.attr in _OPENERS:
+                yield func, ast.unparse(node.func)
 
 
 def test_files_are_opened_only_by_the_readers_and_writers():
-    found = set()
-    for path in sorted(Path(rulelink.__file__).parent.glob("*.py")):
-        found |= {(path.stem, *call) for call in _openers(ast.parse(path.read_text(encoding="utf-8")))}
+    found = {(module, *call) for module, tree in _trees() for call in _openers(tree)}
     assert found == {
         ("corpus", "not_utf8", "open"),
         ("corpus", "read_text", "open"),
@@ -38,3 +55,15 @@ def test_files_are_opened_only_by_the_readers_and_writers():
         ("simfeatures", "_file_sha256", "open"),
         ("simfeatures", "_load_block", "np.load"),
     }
+
+
+def test_json_is_decoded_only_by_parse_json():
+    found = {(module, func) for module, tree in _trees() for func, _, node in _scopes(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.loads", "json.load", "loads", "load")}
+    assert found == {("corpus", "parse_json")}
+
+
+def test_the_parameter_layout_is_read_only_inside_scoring_graph():
+    found = {(module, cls) for module, tree in _trees() for _, cls, node in _scopes(tree)
+             if isinstance(node, ast.Attribute) and node.attr in _LAYOUT}
+    assert found == {("logic", "ScoringGraph")}

@@ -71,6 +71,19 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("   # nothing\n")
 
+    @pytest.mark.parametrize("body", ["(" * 5000 + "jacc" + ")" * 5000, "!" * 5000 + "jacc"])
+    def test_nesting_too_deep_is_a_parse_error_at_the_token_reached(self, body):
+        # a RecursionError escaped before; the column is the token the parser reached
+        with pytest.raises(ParseError, match=r"^expression nested too deeply at line 2, column \d+$") as info:
+            parse("rule A = jacc?;\nrule B = " + body + ";")
+        assert 10 < info.value.column < 5000 and info.value.line == 2
+
+    @pytest.mark.parametrize("body", ["(" * 200 + "jacc" + ")" * 200, "!" * 600 + "jacc"])
+    def test_deep_rules_the_parser_reaches_still_parse_and_compile(self, body):
+        rules = parse(f"rule A = {body};")
+        assert ast_leaves(rules[0]) == ["jacc"]
+        assert compile(rules, default_catalog()).feature_names == ["jacc"]
+
 
 class TestFormat:
     def test_single_pred(self):

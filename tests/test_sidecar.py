@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import DEEP_JSON, HUGE_JSON_INT
 from rulelink import cli
 from rulelink.cli import run
 from rulelink.corpus import save_dataset
@@ -202,6 +203,8 @@ _BLOCK_FAULTS = {
     "matrix-above-one": _set("matrix", lambda a: _poke(a, (1, 0), 1.5)),
     "version": _edit_header(format_version=SIDECAR_VERSION + 1),
     "header-not-json": _set("header", lambda a: np.frombuffer(b"{", dtype=np.uint8)),
+    "header-nested-too-deep": _set("header", lambda a: np.frombuffer(DEEP_JSON.encode(), dtype=np.uint8)),
+    "ids-integer-too-long": _set("ids", lambda a: np.frombuffer(f"[[{HUGE_JSON_INT}], []]".encode(), dtype=np.uint8)),
     "header-2d": _set("header", lambda a: a.reshape(1, -1)),
     "bad-report": _edit_header(load_report={"kept": "all"}),
     "ids-not-strings": _set("ids", lambda a: np.frombuffer(b"[[1], []]", dtype=np.uint8)),

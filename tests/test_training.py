@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import DEEP_JSON, HUGE_JSON_INT, mutate_byte, mutate_line, outcome
 from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
 from rulelink.errors import CompileError, TrainingDivergence
 from rulelink.estimator import RuleLinker
@@ -88,6 +89,41 @@ class TestTrainConfig:
         path.write_text("volume = 11\n")
         with pytest.raises(ValueError, match="unknown key"):
             load_config(path)
+
+    def test_config_file_repeated_key_names_both_lines(self, tmp_path):
+        # the second value used to win silently
+        path = tmp_path / "train.cfg"
+        path.write_text("epochs = 3\nmu = 0.7\n\nepochs = 5\n")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path} line 4: key 'epochs' repeats line 1"
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_config_raises_only_value_error(self, tmp_path, data):
+        # one line dropped, repeated, blanked or replaced, or one byte changed:
+        # the file loads, or a ValueError names the file and the line
+        text = _CONFIG_TEXT
+        if data.draw(st.booleans()):
+            lines = mutate_line(text.splitlines(), data, _JUNK_CONFIG_LINES)
+            raw = "".join(line + "\n" for line in lines).encode("utf-8", "surrogatepass")
+        else:
+            raw = mutate_byte(text.encode(), data)
+        path = tmp_path / "train.cfg"
+        path.write_bytes(raw)
+        got = outcome(load_config, path)
+        if not isinstance(got, TrainConfig):
+            assert got[0] is ValueError, got
+            assert got[1].startswith(f"{path} line "), got
+
+
+_CONFIG_TEXT = "epochs = 12\nlearning_rate = 0.02\nmu = 0.7  # margin\n\nalpha = 0.7\npenalty_lambda = 10.0\nseed = 3\n"
+# Lines that make a valid config faulty: a repeated or unknown key, values out
+# of range, not finite or too long for int(), and lines that are not key = value.
+_JUNK_CONFIG_LINES = st.sampled_from(
+    ["epochs = 3", "epochs = -1", "mu = 2", "mu = nan", "seed = 1e400", "learning_rate = inf", "volume = 11",
+     "=", "epochs =", "= 3", "epochs 3", "#", "alpha = 0.5 = 0.6", "penalty_lambda = 1" + "0" * 400,
+     "epochs = " + HUGE_JSON_INT, "seed = \ud800"]) | st.text(max_size=8)
 
 
 class TestMarginLoss:
@@ -812,6 +848,18 @@ class TestModelCheckpoint:
         assert "batch" not in obj["config"]
         for key in ('"weights"', '"slacks"', '"slack_big"', '"theta"'):
             assert key not in text
+
+    @pytest.mark.parametrize("text, reason", [
+        (DEEP_JSON, "RecursionError: maximum recursion depth exceeded while decoding a JSON array"),
+        (f"[{HUGE_JSON_INT}]", "ValueError: Exceeds the limit (4300 digits) for integer string conversion"),
+        ("{", "JSONDecodeError: Expecting property name enclosed in double quotes"),
+    ])
+    def test_model_file_that_cannot_decode_raises_compile_error(self, tmp_path, text, reason):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(CompileError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: malformed model file ({reason}")
 
     @pytest.mark.parametrize(
         "edit, message",
