@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Dataset, _as_list, _numbers, atomic_write, parse_json, read_text
+from .corpus import Dataset, _as_list, _numbers, atomic_write, echo, json_number, parse_json, read_text
 from .errors import FeatureError
 from .logic import sigmoid, softplus, softplus_inverse
 from .simfeatures import minmax_rescale
@@ -105,15 +105,11 @@ class BoxParams:
             if name not in obj:
                 raise FeatureError(f"box params lack the field {name!r}")
         for name in ("psi", "omega"):
-            if not (isinstance(obj[name], list) and all(map(_is_number, obj[name]))):
+            if not (isinstance(obj[name], list) and all(map(json_number, obj[name]))):
                 raise FeatureError(f"box params field {name!r} is not a list of numbers")
-        if not _is_number(obj["beta_box"]):
+        if not json_number(obj["beta_box"]):
             raise FeatureError("box params field 'beta_box' is not a number")
         return cls(psi=obj["psi"], omega=obj["omega"], beta_box=obj["beta_box"])
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_embeddings(path) -> dict[str, np.ndarray]:
@@ -135,7 +131,7 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FeatureError(f"{path} line {line_no}: bad embedding record ({exc})")
         if not isinstance(eid, str):
-            raise FeatureError(f"{path} line {line_no}: embedding id {eid!r} must be a string")
+            raise FeatureError(f"{path} line {line_no}: embedding id {echo(eid)} must be a string")
         if not np.all(np.isfinite(vec)):
             raise FeatureError(f"{path} line {line_no}: non-finite embedding value")
         if dim is None:

@@ -3,10 +3,10 @@ inspect, fetch.
 
 Feature generation and training are separate stages so features can be
 cached between runs. ``featurize --out F`` also writes the sidecar
-``F.npz``: the rows ``link``, ``eval`` and ``transfer`` score, keyed on the
-sha256 of the data file and of ``F``. Those commands score from it when both
-digests match and it passes its checks; otherwise they log why and read the
-JSONL and the CSV, with the same outputs. Outputs are written atomically
+``F.npz``: the rows every command given ``--data`` and ``--features`` reads,
+keyed on the sha256 of the data file and of ``F``. Those commands read it
+when both digests match and it passes its checks; otherwise they log why and
+read the JSONL and the CSV, with the same outputs. Outputs are written atomically
 (temp file + rename); no subcommand mutates its inputs. Exit codes: 0
 success, 1 validation error (bad flags, missing files), 2 runtime error. Set
 ELR_LOG to a level name (DEBUG, INFO, ...) to control verbosity.
@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     TrainingDivergence,
 )
-from .ruledsl import builtin_templates, compile, parse, rule_catalog
+from .ruledsl import ast_leaves, builtin_templates, compile, parse, rule_catalog
 from .simfeatures import FeatureTable, build_feature_table, default_catalog, read_sidecar, write_features
 from .training import TrainConfig, load_config, load_model, save_model, train
 
@@ -80,13 +80,11 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    ds = load_dataset(_require_file(args.data))
-    table = FeatureTable.from_csv(_require_file(args.features))
     rules = _load_rules(args.rules)
     config = _config_from_args(args)
     catalog = rule_catalog(rules)
     graph = compile(rules, catalog, mode=args.mode, alpha=config.alpha)
-    model = train(ds, table, graph, config, catalog=catalog)
+    model = train(*_scoring_input(args, graph.feature_names), graph, config, catalog=catalog)
     save_model(model, args.out)
     final = model.training_log[-1] if model.training_log else {"loss": None, "violation": None}
     logger.info("model written to %s (final loss %s)", args.out, final["loss"])
@@ -94,9 +92,10 @@ def _cmd_train(args) -> int:
 
 
 def _scoring_input(args, names: list[str]):
-    """What ``link``, ``eval`` and ``transfer`` score, as ``evaluation``
-    takes it: the ``--features`` sidecar when it matches the two files, else
-    the dataset and the feature CSV."""
+    """The rows a ``--data``/``--features`` command reads, as ``training``
+    and ``evaluation`` take them: the ``--features`` sidecar when it matches
+    the two files and holds the columns ``names``, else the dataset and the
+    feature CSV."""
     data, features = _require_file(args.data), _require_file(args.features)
     block = read_sidecar(features, data, names)
     if block is None:
@@ -127,11 +126,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    ds = load_dataset(_require_file(args.data))
-    table = FeatureTable.from_csv(_require_file(args.features))
     subsets = [part.split("+") for part in args.templates.split(",")]
+    library = builtin_templates()
+    leaves = dict.fromkeys(leaf for subset in subsets for name in subset for leaf in ast_leaves(library[name]))
     config = _config_from_args(args)
-    catalog = default_catalog().restricted(table.feature_names)
+    ds, table = _scoring_input(args, list(leaves))
+    catalog = default_catalog().restricted((ds.table if table is None else table).feature_names)
     rows = evaluation.ablation(ds, table, subsets, config, catalog=catalog)
     text = evaluation.ablation_csv(rows) if args.format == "csv" else evaluation.ablation_markdown(rows)
     if args.out:
@@ -175,64 +175,52 @@ def _cutoffs(text: str) -> list[int]:
     return ks
 
 
-def _add_train_flags(sub) -> None:
-    sub.add_argument("--config", help="key=value config file (TrainConfig keys)")
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--mu", type=float)
-    sub.add_argument("--lr", dest="learning_rate", metavar="LR", type=float)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--penalty-lambda", dest="penalty_lambda", type=float)
-    sub.add_argument("--seed", type=int)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="rulelink", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
+    # the flags several subcommands share, each declared once
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", required=True)
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True)
+    inputs = argparse.ArgumentParser(add_help=False, parents=[data])
+    inputs.add_argument("--features", required=True)
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--config", help="key=value config file (TrainConfig keys)")
+    for f in fields(TrainConfig):
+        flag = "lr" if f.name == "learning_rate" else f.name.replace("_", "-")
+        training.add_argument(f"--{flag}", dest=f.name, metavar=flag.upper().replace("-", "_"), type=type(f.default))
 
-    p = subs.add_parser("featurize", help="generate the feature CSV for a rule file")
-    p.add_argument("--data", required=True)
+    p = subs.add_parser("featurize", parents=[data], help="generate the feature CSV for a rule file")
     p.add_argument("--rules", required=True, help=".elr file or builtin:<template>")
     p.add_argument("--out", required=True)
     p.add_argument("--embeddings", help="entity embedding JSONL for box features")
     p.add_argument("--box-params", dest="box_params", help="trained box parameter JSON")
     p.set_defaults(func=_cmd_featurize)
 
-    p = subs.add_parser("train", help="fit rule parameters on a featurized dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--features", required=True)
+    p = subs.add_parser("train", parents=[inputs, training], help="fit rule parameters on a featurized dataset")
     p.add_argument("--rules", required=True)
     p.add_argument("--mode", choices=("lnn", "tnorm", "manual"), default="lnn")
     p.add_argument("--out", required=True)
-    _add_train_flags(p)
     p.set_defaults(func=_cmd_train)
 
-    p = subs.add_parser("link", help="rank candidates with a trained model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--features", required=True)
+    p = subs.add_parser("link", parents=[model, inputs], help="rank candidates with a trained model")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_link)
 
     for name in ("eval", "transfer"):
-        p = subs.add_parser(name, help="evaluate a trained model")
-        p.add_argument("--model", required=True)
-        p.add_argument("--data", required=True)
-        p.add_argument("--features", required=True)
+        p = subs.add_parser(name, parents=[model, inputs], help="evaluate a trained model")
         p.add_argument("--ks", type=_cutoffs, default=(5, 10, 64), help="comma-separated recall@k cutoffs")
         p.add_argument("--out")
         p.set_defaults(func=_cmd_eval)
 
-    p = subs.add_parser("ablate", help="train and score template subsets")
-    p.add_argument("--data", required=True)
-    p.add_argument("--features", required=True)
+    p = subs.add_parser("ablate", parents=[inputs, training], help="train and score template subsets")
     p.add_argument("--templates", required=True, help="e.g. Name,Name+Context")
     p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     p.add_argument("--out")
-    _add_train_flags(p)
     p.set_defaults(func=_cmd_ablate)
 
-    p = subs.add_parser("inspect", help="export learned weights as JSON/DOT")
-    p.add_argument("--model", required=True)
+    p = subs.add_parser("inspect", parents=[model], help="export learned weights as JSON/DOT")
     p.add_argument("--json")
     p.add_argument("--dot")
     p.set_defaults(func=_cmd_inspect)

@@ -155,62 +155,62 @@ def instance_faults(inst: LabeledInstance) -> list[str]:
     mention = inst.mention
     context_ids = mention.context_ids if isinstance(mention.context_ids, _ITERABLE) else ()
     if not isinstance(mention.surface, str):
-        faults.append(f"mention surface {mention.surface!r} must be a string")
+        faults.append(f"mention surface {echo(mention.surface)} must be a string")
     elif not mention.surface:
         faults.append("mention surface is empty")
     if not isinstance(mention.context_ids, _ITERABLE):
         faults.append(f"context_ids must be a list, not {type(mention.context_ids).__name__}")
     # ``in`` raises on a non-string id against a string, or an unhashable one against a mapping
     elif (isinstance(mention.id, str) or isinstance(context_ids, (tuple, list))) and mention.id in context_ids:
-        faults.append(f"mention {mention.id!r} lists itself as context")
+        faults.append(f"mention {echo(mention.id)} lists itself as context")
     if not isinstance(inst.labels, _ITERABLE):
         faults.append(f"labels must be a list, not {type(inst.labels).__name__}")
     elif any(l not in (0, 1) for l in inst.labels):
         faults.append("labels must be 0 or 1")
     if not isinstance(mention.mention_type, (str, type(None))):
-        faults.append(f"mention type must be a string or null, not {mention.mention_type!r}")
+        faults.append(f"mention type must be a string or null, not {echo(mention.mention_type)}")
     ids = [("mention id", mention.id), ("text_id", mention.text_id)]
     ids += [("context id", c) for c in context_ids]
     ids += [("candidate id", c.id) for c in inst.candidates]
     for what, ident in ids:
         if not isinstance(ident, str):
-            faults.append(f"{what} {ident!r} must be a string")
+            faults.append(f"{what} {echo(ident)} must be a string")
         elif _LONE_SURROGATE.search(ident):  # UTF-8 files cannot hold one
-            faults.append(f"{what} {ident!r} holds a lone surrogate")
+            faults.append(f"{what} {echo(ident)} holds a lone surrogate")
 
     cand_ids: set[str] = set()
     for cand in inst.candidates:
         if not isinstance(cand.name, str):
-            faults.append(f"candidate {cand.id!r} name {cand.name!r} must be a string")
+            faults.append(f"candidate {echo(cand.id)} name {echo(cand.name)} must be a string")
         if not isinstance(cand.description, (str, type(None))):
-            faults.append(f"candidate {cand.id!r} description must be a string or null")
+            faults.append(f"candidate {echo(cand.id)} description must be a string or null")
         domains = cand.domains if isinstance(cand.domains, _ITERABLE) else [cand.domains]
         if cand.domains and not set(map(type, domains)) <= {str}:
-            faults.append(f"candidate {cand.id!r} domains must be strings, not {_type_names(domains, str)}")
+            faults.append(f"candidate {echo(cand.id)} domains must be strings, not {_type_names(domains, str)}")
         if not isinstance(cand.indegree, _REAL):
-            faults.append(f"candidate {cand.id!r} indegree must be a number, not {type(cand.indegree).__name__}")
+            faults.append(f"candidate {echo(cand.id)} indegree must be a number, not {type(cand.indegree).__name__}")
         elif cand.indegree < 0:
-            faults.append(f"candidate {cand.id!r} has negative indegree")
+            faults.append(f"candidate {echo(cand.id)} has negative indegree")
         emb = cand.embedding
         if emb is not None and not (isinstance(emb, _ITERABLE) and all(isinstance(v, _REAL) for v in emb)):
-            faults.append(f"candidate {cand.id!r} embedding must be a list of numbers")
+            faults.append(f"candidate {echo(cand.id)} embedding must be a list of numbers")
         elif emb is not None and not all(abs(v) <= sys.float_info.max for v in emb):  # NaN and 10**400 fail
-            faults.append(f"candidate {cand.id!r} has a non-finite embedding value")
+            faults.append(f"candidate {echo(cand.id)} has a non-finite embedding value")
         if isinstance(cand.id, str):  # a non-string id is reported above, and may not hash
             if cand.id in cand_ids:
-                faults.append(f"duplicate candidate id {cand.id!r}")
+                faults.append(f"duplicate candidate id {echo(cand.id)}")
             cand_ids.add(cand.id)
         scores = cand.external_scores
         if not isinstance(scores, _MAPPING):
-            faults.append(f"candidate {cand.id!r} external_scores must be a mapping, not {type(scores).__name__}")
+            faults.append(f"candidate {echo(cand.id)} external_scores must be a mapping, not {type(scores).__name__}")
             scores = {}
         for k, v in scores.items():
             if not isinstance(k, str):
-                faults.append(f"external score name {k!r} on candidate {cand.id!r} must be a string")
+                faults.append(f"external score name {echo(k)} on candidate {echo(cand.id)} must be a string")
             if not isinstance(v, _REAL):
-                faults.append(f"external score {k!r} on candidate {cand.id!r} must be a number, not {type(v).__name__}")
+                faults.append(f"external score {echo(k)} on candidate {echo(cand.id)} must be a number, not {type(v).__name__}")
             elif not 0.0 <= v <= 1.0:
-                faults.append(f"external score {k!r}={v} outside [0,1] on candidate {cand.id!r}")
+                faults.append(f"external score {echo(k)}={v} outside [0,1] on candidate {echo(cand.id)}")
 
     if inst.candidates and isinstance(inst.labels, _ITERABLE) and len(inst.labels) != len(inst.candidates):
         faults.append(f"{len(inst.labels)} labels for {len(inst.candidates)} candidates")
@@ -227,6 +227,20 @@ def _as_list(value, what: str) -> list:
 def _type_names(values, *allowed: type) -> str:
     """The sorted names of the types in ``values`` that are not ``allowed``."""
     return ", ".join(sorted({type(v).__name__ for v in values if type(v) not in allowed}))
+
+
+def json_number(value, integer: bool = False) -> bool:
+    """Whether ``value`` is a number as JSON holds one: an int or a float
+    (only an int with ``integer``), not a bool, which isinstance counts as
+    an int, nor a string that float() would convert."""
+    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+
+
+def echo(value) -> str:
+    """``repr(value)`` for a message that quotes an input, cut at 200
+    characters (the limit of a lookup reply's echo) and marked with "..."."""
+    text = repr(value)
+    return text if len(text) <= 200 else text[:200] + "..."
 
 
 def _numbers(values, what: str):
@@ -282,7 +296,7 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             fail(f"malformed candidate ({exc})")
         if type(raw_indegree) is not int:  # int() would load 3.9 as 3 and true as 1
-            fail(f"candidate {candidates[-1].id!r} indegree must be a non-negative JSON integer, "
+            fail(f"candidate {echo(candidates[-1].id)} indegree must be a non-negative JSON integer, "
                  f"not {type(raw_indegree).__name__}")
 
     inst = LabeledInstance(mention=mention, candidates=tuple(candidates), labels=labels)
@@ -363,7 +377,7 @@ def load_dataset(path) -> Dataset:
                 f"line {line_no}: invalid JSON ({getattr(exc, 'msg', exc)})"))
             inst = _parse_instance(obj, line_no)
             if inst.mention.id in seen_ids:
-                raise DatasetError(f"line {line_no}: duplicate mention id {inst.mention.id!r}")
+                raise DatasetError(f"line {line_no}: duplicate mention id {echo(inst.mention.id)}")
             seen_ids.add(inst.mention.id)
             if not inst.candidates:
                 empty += 1
@@ -377,7 +391,7 @@ def load_dataset(path) -> Dataset:
                         dim = len(cand.embedding)
                     elif len(cand.embedding) != dim:
                         raise DatasetError(f"line {line_no}: embedding dimension mismatch: "
-                                           f"{len(cand.embedding)} vs {dim} (candidate {cand.id!r})")
+                                           f"{len(cand.embedding)} vs {dim} (candidate {echo(cand.id)})")
                 retained.append(inst)
     except UnicodeDecodeError as exc:
         raise DatasetError(not_utf8(path, exc)) from exc
@@ -570,7 +584,7 @@ def fetch_candidates(
         )
 
     def malformed(exc) -> FetchError:
-        return FetchError(f"malformed lookup response ({exc}): {body[:200]!r}")
+        return FetchError(f"malformed lookup response ({exc}): {echo(body)}")
 
     records = parse_json(body, malformed)
     try:
@@ -584,9 +598,9 @@ def fetch_candidates(
             label, types = rec.get("label", rid), rec.get("typeName", [])
             for name, value in (("id", rid), ("label", label)):
                 if not isinstance(value, str):
-                    raise TypeError(f"field {name!r} is {value!r}, not a string")
+                    raise TypeError(f"field {name!r} is {echo(value)}, not a string")
             if not isinstance(types, list) or not set(map(type, types)) <= {str}:
-                raise TypeError(f"field 'typeName' is {types!r}, not a list of strings")
+                raise TypeError(f"field 'typeName' is {echo(types)}, not a list of strings")
             if any(rid.startswith(prefix) for prefix in denylist):
                 continue
             out.append(CandidateEntity(id=rid, name=label, domains=frozenset(types)))
@@ -624,19 +638,19 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
         mid = inst.mention.id
         if isinstance(mid, str):
             if mid in seen:
-                violations.append(f"duplicate mention id {mid!r}")
+                violations.append(f"duplicate mention id {echo(mid)}")
             seen.add(mid)
-        violations += (f"mention {mid!r}: {fault}" for fault in instance_faults(inst))
+        violations += (f"mention {echo(mid)}: {fault}" for fault in instance_faults(inst))
         for ctx in inst.mention.context_ids if isinstance(inst.mention.context_ids, _ITERABLE) else ():
             if isinstance(ctx, str) and ctx not in known:
-                violations.append(f"mention {mid!r}: unknown context id {ctx!r}")
+                violations.append(f"mention {echo(mid)}: unknown context id {echo(ctx)}")
         if not inst.candidates:
-            violations.append(f"mention {mid!r}: empty candidate list")
+            violations.append(f"mention {echo(mid)}: empty candidate list")
         elif isinstance(inst.labels, _ITERABLE) and not any(inst.labels):  # else instance_faults reports it
-            violations.append(f"mention {mid!r}: no positive label")
+            violations.append(f"mention {echo(mid)}: no positive label")
         for cand in inst.candidates:
             if dim is not None and isinstance(cand.embedding, Sized) and len(cand.embedding) != dim:
-                violations.append(f"candidate {cand.id!r}: embedding dim {len(cand.embedding)} != {dim}")
+                violations.append(f"candidate {echo(cand.id)}: embedding dim {len(cand.embedding)} != {dim}")
 
     cands = [cand for inst in ds.instances for cand in inst.candidates]
     denom = max(len(cands), 1)

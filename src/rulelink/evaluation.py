@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import Dataset
 from .logic import AndNode, NotNode, RawLeaf, ThresholdLeaf
 from .ruledsl import builtin_templates, compile, disjoin
-from .simfeatures import FeatureCatalog, FeatureTable, ScoringBlock
+from .simfeatures import FeatureCatalog, FeatureTable, ScoringBlock, scoring_rows
 from .training import Model, TrainConfig, train
 
 logger = logging.getLogger(__name__)
@@ -91,12 +91,7 @@ def link(model: Model, ds: Dataset | ScoringBlock, table: FeatureTable | None = 
     for one list, keyed on (list, -score) for many.
     """
     mention_ids, offsets, candidate_ids, _ = ds.row_keys()
-    graph = model.graph
-    if table is None:
-        feats = ds.table.select_matrix(graph.feature_names)
-    else:
-        feats = table.gather_matrix(ds.instances, graph.feature_names)[0]
-    scores = graph.evaluate_batch(feats)
+    scores = model.graph.evaluate_batch(scoring_rows(ds, table, model.graph.feature_names)[0])
     if len(mention_ids) == 1:
         order = (-scores).argsort(kind="stable")
     else:
@@ -179,8 +174,8 @@ class AblationRow:
 
 
 def ablation(
-    ds: Dataset,
-    table: FeatureTable,
+    ds: Dataset | ScoringBlock,
+    table: FeatureTable | None,
     subsets: list[list[str]],
     config: TrainConfig,
     catalog: FeatureCatalog,
@@ -189,8 +184,8 @@ def ablation(
 ) -> list[AblationRow]:
     """Train one fresh lnn model per subset of built-in templates, under
     identical seeds and config, and score it on ``eval_ds`` and ``eval_table``
-    (by default the training data). Every name is looked up before any
-    training; results come back in input order."""
+    (by default the training data; each pair as :func:`link` takes it). Every
+    name is looked up before any training; results come back in input order."""
     if not subsets:
         raise ValueError("ablation needs at least one template subset")
     if not all(subsets):

@@ -283,6 +283,35 @@ def format_program(rules: list[RuleAST]) -> str:
 # --- compilation ----------------------------------------------------------
 
 
+# The most nodes a rule may hold once its references are inlined: each
+# reference copies the rule it names, so n lines can describe 2**n nodes.
+MAX_RULE_NODES = 10_000
+
+
+def _inlined(rule: RuleAST, defs: dict[str, RuleAST]):
+    """``rule``'s body with every reference inlined. Its size is counted
+    first, once per rule referenced; past MAX_RULE_NODES it raises
+    CompileError naming the rule instead of building the copies."""
+    sizes: dict[str, int] = {}
+
+    def size(expr, stack: tuple[str, ...]) -> int:
+        if not isinstance(expr, RuleRef):
+            total = 1
+            for child in _children(expr):  # a loop, not a generator: one frame per level, as _inline takes
+                total += size(child, stack)
+            return total
+        if expr.name in stack or expr.name not in defs:  # _inline raises for these
+            return 1
+        if expr.name not in sizes:
+            sizes[expr.name] = size(defs[expr.name].body, stack + (expr.name,))
+        return sizes[expr.name]
+
+    total = size(rule.body, (rule.name,))
+    if total > MAX_RULE_NODES:
+        raise CompileError(f"rule {rule.name!r} inlines to {total} nodes, more than {MAX_RULE_NODES}")
+    return _inline(rule.body, defs, (rule.name,))
+
+
 def _inline(expr, defs: dict[str, RuleAST], stack: tuple[str, ...]):
     if isinstance(expr, RuleRef):
         if expr.name in stack:
@@ -304,7 +333,7 @@ def inline_rule(name: str, rules: list[RuleAST]) -> RuleAST:
     defs = {r.name: r for r in rules}
     if name not in defs:
         raise CompileError(f"undefined rule {name!r}")
-    return RuleAST(name=name, body=_inline(defs[name].body, defs, (name,)), line=defs[name].line)
+    return RuleAST(name=name, body=_inlined(defs[name], defs), line=defs[name].line)
 
 
 def find_root(rules: list[RuleAST]) -> RuleAST:
@@ -389,13 +418,19 @@ def compile(
 
 def rule_catalog(rules: list[RuleAST], box_params=None) -> FeatureCatalog:
     """The default catalog restricted to the features the root of ``rules``
-    reads, in first-occurrence order."""
-    return default_catalog(box_params).restricted(ast_leaves(find_root(rules), rules))
+    reads, in first-occurrence order; a feature it lacks is a CompileError,
+    as :func:`compile` raises it."""
+    root, catalog = find_root(rules), default_catalog(box_params)
+    leaves = ast_leaves(root, rules)
+    unknown = [name for name in leaves if name not in catalog]
+    if unknown:
+        raise CompileError(f"predicate {unknown[0]!r} in rule {root.name!r} not in catalog")
+    return catalog.restricted(leaves)
 
 
 def ast_leaves(ast: RuleAST, rules: list[RuleAST] | None = None) -> list[str]:
     """Feature names used by a rule, first-occurrence order, refs inlined."""
-    body = _inline(ast.body, {r.name: r for r in (rules or [])}, (ast.name,))
+    body = _inlined(ast, {r.name: r for r in (rules or [])})
     seen: list[str] = []
 
     def walk(expr):

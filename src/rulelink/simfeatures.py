@@ -636,6 +636,17 @@ class ScoringBlock:
         return self.mention_ids, self.offsets, self.table.candidate_ids, self.labels
 
 
+def scoring_rows(ds: Dataset | ScoringBlock, table: FeatureTable | None, names) -> tuple[np.ndarray, list[int]]:
+    """The ``[features, rows]`` matrix of the columns ``names`` over the
+    candidate lists of ``ds``, and the list offsets: list i owns columns
+    ``offsets[i]:offsets[i+1]``. ``ds`` is a Dataset read against the rows
+    of ``table``, or a ScoringBlock, whose table holds its rows (``table``
+    is None)."""
+    if table is None:
+        return ds.table.select_matrix(names), ds.offsets
+    return table.gather_matrix(ds.instances, names)
+
+
 class _Unusable(Exception):
     """Why a sidecar cannot stand in for the files it was made from."""
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .corpus import Dataset, atomic_write, parse_json, read_text
+from .corpus import Dataset, atomic_write, json_number, parse_json, read_text
 from .errors import CompileError, TrainingDivergence
 from .logic import (
     AndNode,
@@ -34,7 +34,7 @@ from .logic import (
     ThresholdLeaf,
     ThresholdParams,
 )
-from .simfeatures import FeatureCatalog, FeatureTable
+from .simfeatures import FeatureCatalog, FeatureTable, ScoringBlock, scoring_rows
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +70,8 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrainConfig":
+        for f in [f for f in fields(cls) if f.name in obj]:  # CompileError, as model.json's reader raises
+            _checked("config", obj, f.name, integer=type(f.default) is int)
         return cls(**obj)
 
 
@@ -135,6 +137,17 @@ def _require_finite(kind: str, values: list) -> None:
         raise CompileError(f"{kind} node has a non-finite parameter")
 
 
+def _checked(where: str, obj: dict, name: str, many: bool = False, integer: bool = False):
+    """``obj[name]`` if it is a JSON number (a JSON integer with
+    ``integer``), or with ``many`` a list of them; else CompileError, where
+    float() would have taken "0.5" or true."""
+    value = obj[name]
+    if not (isinstance(value, list) and all(map(json_number, value)) if many else json_number(value, integer)):
+        kind = "a list of JSON numbers" if many else f"a JSON {'integer' if integer else 'number'}"
+        raise CompileError(f"{where} field {name!r} is not {kind}")
+    return value
+
+
 def _node_from_json(obj: dict) -> Node:
     # Kind first; a missing field or wrong type is reported by load_model.
     kind = obj["kind"]
@@ -144,7 +157,7 @@ def _node_from_json(obj: dict) -> Node:
         return RawLeaf(obj["feature"])
     if kind == "tl":
         fixed = "fixed_theta" in obj
-        value = float(obj["fixed_theta" if fixed else "gamma"])
+        value = float(_checked("tl node", obj, "fixed_theta" if fixed else "gamma"))
         _require_finite(kind, [value])
         if fixed:
             return ThresholdLeaf(obj["feature"], fixed_theta=value)
@@ -154,10 +167,12 @@ def _node_from_json(obj: dict) -> Node:
     if kind not in ("and", "or"):
         raise CompileError(f"unknown node kind {kind!r} in checkpoint")
     children = [_node_from_json(c) for c in obj["children"]]
-    gate = GateParams(len(children), raw_weights=obj["raw_weights"], bias=obj["beta"],
-                      raw_slacks=obj["raw_slacks"], raw_slack_big=obj["raw_slack_big"])
+    where = f"{kind} node"
+    gate = GateParams(len(children), raw_weights=_checked(where, obj, "raw_weights", many=True),
+                      bias=_checked(where, obj, "beta"), raw_slacks=_checked(where, obj, "raw_slacks", many=True),
+                      raw_slack_big=_checked(where, obj, "raw_slack_big"))
     manual = obj.get("manual_weights")
-    if manual is not None and len(manual) != len(children):
+    if manual is not None and len(_checked(where, obj, "manual_weights", many=True)) != len(children):
         raise CompileError(f"{kind} node has {len(manual)} manual weights for {len(children)} children")
     _require_finite(kind, [gate.raw_weights, gate.raw_slacks, [gate.bias, gate.raw_slack_big], manual or []])
     node_cls = AndNode if kind == "and" else OrNode
@@ -166,7 +181,7 @@ def _node_from_json(obj: dict) -> Node:
 
 def graph_from_json(obj: dict) -> ScoringGraph:
     """Rebuild a graph from :func:`graph_to_json` output."""
-    return ScoringGraph(_node_from_json(obj["root"]), alpha=obj["alpha"], mode=obj["mode"])
+    return ScoringGraph(_node_from_json(obj["root"]), alpha=_checked("graph", obj, "alpha"), mode=obj["mode"])
 
 
 @dataclass
@@ -301,27 +316,25 @@ def _mention_grads(graph: ScoringGraph, block, prepared, mu: float, grads: np.nd
     return scores
 
 
-def _blocks(graph: ScoringGraph, table: FeatureTable, instances) -> tuple:
-    """``instances``' rows as one ``[features, rows]`` matrix, the list
-    offsets, and one block per list: a view of the matrix. A list holding a
-    NaN raises at the :meth:`ScoringGraph.evaluate_batch` call that reads it."""
-    stacked, offsets = table.gather_matrix(instances, graph.feature_names)
-    return stacked, offsets, [stacked[:, start:end] for start, end in zip(offsets, offsets[1:])]
+def _lists(graph: ScoringGraph, table: FeatureTable | None, ds: Dataset | ScoringBlock) -> tuple:
+    """:func:`scoring_rows` of the graph's features over ``ds``, and each
+    list's :func:`prepare_labels` indices. A list holding a NaN raises at
+    the :meth:`ScoringGraph.evaluate_batch` call that reads it."""
+    feats, offsets = scoring_rows(ds, table, graph.feature_names)
+    labels = np.asarray(ds.row_keys()[3])
+    return feats, offsets, [prepare_labels(labels[start:end]) for start, end in zip(offsets, offsets[1:])]
 
 
-def total_loss(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: TrainConfig,
+def total_loss(graph: ScoringGraph, table: FeatureTable | None, ds: Dataset | ScoringBlock, config: TrainConfig,
                rows: tuple | None = None) -> float:
     """Margin loss summed over mentions plus the weighted constraint penalty.
 
-    ``rows`` may hold ``ds``'s gathered ``[features, rows]`` matrix, the list
-    offsets and per-list :func:`prepare_labels` indices, made once by a
-    caller that sums often. One graph walk scores every row; the per-list
-    losses are then added in list order.
+    ``ds`` and ``table`` are as :func:`evaluation.link` takes them. ``rows``
+    may hold what :func:`_lists` gives for them, made once by a caller that
+    sums often. One graph walk scores every row; the per-list losses are
+    then added in list order.
     """
-    if rows is None:
-        feats, offsets = table.gather_matrix(ds.instances, graph.feature_names)
-        rows = feats, offsets, [prepare_labels(inst.labels) for inst in ds.instances]
-    feats, offsets, labels = rows
+    feats, offsets, labels = rows or _lists(graph, table, ds)
     scores = graph.evaluate_batch(feats)
     total = 0.0
     for prepared, start, end in zip(labels, offsets, offsets[1:]):
@@ -329,7 +342,7 @@ def total_loss(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: Tr
     return float(total + config.penalty_lambda * graph.residual_sum())
 
 
-def gradients(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: TrainConfig) -> dict:
+def gradients(graph: ScoringGraph, table: FeatureTable | None, ds: Dataset | ScoringBlock, config: TrainConfig) -> dict:
     """Exact d(total_loss)/d(raw parameter), reverse-mode over the graph.
 
     Matches central finite differences away from clamp and hinge kinks.
@@ -337,15 +350,16 @@ def gradients(graph: ScoringGraph, table: FeatureTable, ds: Dataset, config: Tra
     if not graph.parameters():
         return {}
     grads = np.zeros_like(graph.flat)
-    for block, inst in zip(_blocks(graph, table, ds.instances)[2], ds.instances):
-        _mention_grads(graph, block, prepare_labels(inst.labels), config.mu, grads)
+    feats, offsets, labels = _lists(graph, table, ds)
+    for prepared, start, end in zip(labels, offsets, offsets[1:]):
+        _mention_grads(graph, feats[:, start:end], prepared, config.mu, grads)
     graph.penalty_grads(config.penalty_lambda, grads)
     return graph.unflatten(grads)
 
 
 def train(
-    ds: Dataset,
-    table: FeatureTable,
+    ds: Dataset | ScoringBlock,
+    table: FeatureTable | None,
     graph: ScoringGraph,
     config: TrainConfig,
     catalog: FeatureCatalog | None = None,
@@ -354,16 +368,16 @@ def train(
 
     Each step descends one mention's margin loss plus the full constraint
     penalty (see :func:`descend` for the order and divergence policy). Each
-    epoch appends the exact total loss and residual sum to the log.
+    epoch appends the exact total loss and residual sum to the log. ``ds``
+    and ``table`` are as :func:`evaluation.link` takes them.
     """
     if abs(graph.alpha - config.alpha) > 1e-12:
         raise ValueError(
             f"graph alpha {graph.alpha} differs from config alpha {config.alpha}"
         )
     learnable = bool(graph.parameters())
-    instances = list(ds.instances)
-    rows, offsets, blocks = _blocks(graph, table, instances)
-    labels = [prepare_labels(inst.labels) for inst in instances]
+    rows = feats, offsets, labels = _lists(graph, table, ds)
+    blocks = [feats[:, start:end] for start, end in zip(offsets, offsets[1:])]
 
     def step(idx):
         if not learnable:  # manual mode: skip the forward pass
@@ -374,9 +388,9 @@ def train(
         return scores, {"flat": grads}
 
     def epoch_stats():
-        return {"loss": total_loss(graph, table, ds, config, (rows, offsets, labels)), "violation": graph.residual_sum()}
+        return {"loss": total_loss(graph, table, ds, config, rows), "violation": graph.residual_sum()}
 
-    log = descend({"flat": graph.flat}, len(instances), step, epoch_stats, config)
+    log = descend({"flat": graph.flat}, len(blocks), step, epoch_stats, config)
     if log:
         logger.info(
             "trained %d epochs: loss %.6f, residual sum %.2e",

@@ -712,6 +712,13 @@ class TestEmbeddingFiles:
             load_embeddings(path)
         assert str(info.value) == f"{path} line 2: embedding id {eid!r} must be a string"
 
+    @pytest.mark.parametrize("eid", [["i" * 100_000], [[[[["i" * 500]]]]]])
+    def test_long_id_is_cut_in_the_message(self, tmp_path, eid):
+        path = self._write(tmp_path, [{"id": "a", "vec": [1.0, 2.0]}, {"id": eid, "vec": [0.0, 1.0]}])
+        with pytest.raises(FeatureError) as info:
+            load_embeddings(path)
+        assert str(info.value) == f"{path} line 2: embedding id {repr(eid)[:200]}... must be a string"
+
     def test_non_finite_vector_rejected(self, tmp_path):
         from rulelink.boxgeom import load_embeddings
 

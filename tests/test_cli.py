@@ -628,6 +628,31 @@ class TestModelFileCli:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", _MODEL_COMMANDS)
+    @pytest.mark.parametrize("edit, message", [
+        (lambda root, obj: root.update(beta=True), "and node field 'beta' is not a JSON number"),
+        (lambda root, obj: root.update(raw_weights=[str(v) for v in root["raw_weights"]]),
+         "and node field 'raw_weights' is not a list of JSON numbers"),
+        (lambda root, obj: root.update(raw_slacks=None), "and node field 'raw_slacks' is not a list of JSON numbers"),
+        (lambda root, obj: root.update(raw_slack_big="0"), "and node field 'raw_slack_big' is not a JSON number"),
+        (lambda root, obj: root.update(manual_weights=[True, 1.0]),
+         "and node field 'manual_weights' is not a list of JSON numbers"),
+        (lambda root, obj: root["children"][0]["children"][0].update(gamma="0.25"),
+         "tl node field 'gamma' is not a JSON number"),
+        (lambda root, obj: obj["graph"].update(alpha="0.7"), "graph field 'alpha' is not a JSON number"),
+        (lambda root, obj: obj["config"].update(epochs=True), "config field 'epochs' is not a JSON integer"),
+        (lambda root, obj: obj["config"].update(seed=7.0), "config field 'seed' is not a JSON integer"),
+        (lambda root, obj: obj["config"].update(learning_rate="0.01"),
+         "config field 'learning_rate' is not a JSON number"),
+    ])
+    def test_field_of_the_wrong_json_type_exits_one(self, trained, tmp_path, capsys, command, edit, message):
+        # float() and int() would load true as 1, and "0.25" as 0.25
+        obj = json.loads((trained / "model.json").read_text())
+        edit(obj["graph"]["root"], obj)
+        (tmp_path / "m.json").write_text(json.dumps(obj))
+        assert run(_model_command(trained, command, tmp_path / "m.json")) == 1
+        assert capsys.readouterr().err == f"rulelink: {message}\n"
+
+    @pytest.mark.parametrize("command", _MODEL_COMMANDS)
     def test_unknown_node_kind_exits_one(self, trained, tmp_path, capsys, command):
         obj = json.loads((trained / "model.json").read_text())
         obj["graph"]["root"] = {"kind": "xor", "children": obj["graph"]["root"]["children"]}
@@ -758,6 +783,18 @@ def _flags(command: str, inputs: Path, fresh: Path, endpoint: str | None) -> dic
     }[command]
 
 
+def _model_text(graph_edit=None, config=None) -> str:
+    """A one-gate ``model.json`` over ``jacc``, its gate edited by ``graph_edit``."""
+    gate = {"kind": "and", "children": [{"kind": "raw", "feature": "jacc"}], "raw_weights": [0.5], "beta": 1.0,
+            "raw_slacks": [0.0], "raw_slack_big": 0.0, **(graph_edit or {})}
+    return json.dumps({"format_version": 1, "graph": {"alpha": 0.7, "mode": "lnn", "root": gate},
+                       "config": config or {}, "catalog": {}, "training_log": []})
+
+
+# Each rule doubles the one before: 31 lines inline to 2**31 - 1 nodes.
+EXPONENTIAL_RULES = "rule A0 = jacc?;\n" + "".join(f"rule A{i} = A{i - 1} & A{i - 1};\n" for i in range(1, 31))
+
+
 # Every subcommand x failure kind, and its exit code (1 validation, 2 runtime):
 # the flags that replace or join a succeeding run's, given its fresh directory
 # t. "divergence" runs against a train that raises TrainingDivergence; fetch
@@ -781,6 +818,7 @@ _EXIT_CODES = [
      lambda t: {"rules": _file(t / "r.elr", "rule R = " + "(" * 5000 + "jacc?" + ")" * 5000 + ";")}),
     ("featurize", "rules negated too deep", 1,
      lambda t: {"rules": _file(t / "r.elr", "rule R = " + "!" * 5000 + "jacc?;")}),
+    ("featurize", "rules inline past the size bound", 1, lambda t: {"rules": _file(t / "r.elr", EXPONENTIAL_RULES)}),
     ("featurize", "unknown flag", 1, lambda t: {"jobs": 2}),
     ("featurize", "out in a missing directory", 1, lambda t: {"out": t / "missing" / "f.csv"}),
     ("featurize", "out is a directory", 2, lambda t: {"out": t}),
@@ -798,6 +836,7 @@ _EXIT_CODES = [
     ("train", "out is a directory", 2, lambda t: {"out": t}),
     ("link", "missing model", 1, lambda t: {"model": t / "nope.json"}),
     ("link", "malformed model", 1, lambda t: {"model": _file(t / "m.json", '{"format_version": 1}')}),
+    ("link", "model number that is a string", 1, lambda t: {"model": _file(t / "m.json", _model_text({"beta": "1"}))}),
     ("link", "non-UTF-8 model", 1, lambda t: {"model": _file(t / "m.json", b'{"graph": "\xff"}')}),
     ("link", "out in a missing directory", 1, lambda t: {"out": t / "missing" / "p.json"}),
     ("link", "out is a directory", 2, lambda t: {"out": t}),
@@ -812,6 +851,8 @@ _EXIT_CODES = [
     ("ablate", "divergence", 2, lambda t: {}),
     ("ablate", "out is a directory", 2, lambda t: {"out": t}),
     ("inspect", "missing model", 1, lambda t: {"model": t / "nope.json"}),
+    ("inspect", "model integer that is a bool", 1,
+     lambda t: {"model": _file(t / "m.json", _model_text(config={"epochs": True}))}),
     ("inspect", "model nested too deep", 1, lambda t: {"model": _file(t / "m.json", DEEP_JSON)}),
     ("inspect", "model integer too long", 1, lambda t: {"model": _file(t / "m.json", f"[{HUGE_JSON_INT}]")}),
     ("inspect", "json out is a directory", 2, lambda t: {"json": t}),

@@ -137,6 +137,20 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="non-finite embedding"):
             load_dataset(path)
 
+
+    @pytest.mark.parametrize("edit, start", [
+        (lambda obj: obj["candidates"][0].update(name=["n" * 100_000]), "line 1: candidate 'e1' name ['nnn"),
+        (lambda obj: obj["mention"].update(id=[[[[["x" * 500]]]]]), "line 1: mention id [[[[['xxx"),
+        (lambda obj: obj["mention"].update(type={"k": "t" * 10_000}), "line 1: mention type must be a string"),
+        (lambda obj: obj["candidates"][0].update(external_scores={"s" * 10_000: 2.0}), "line 1: external score 'sss"),
+    ])
+    def test_echoed_value_is_cut_at_200_characters(self, tmp_path, edit, start):
+        obj = instance_obj("m1")
+        edit(obj)
+        with pytest.raises(DatasetError) as info:
+            load_dataset(write_jsonl(tmp_path / "d.jsonl", [obj]))
+        message = str(info.value)
+        assert message.startswith(start) and len(message) < 300, message[:400]
     @pytest.mark.parametrize(
         "where, key, value",
         [("candidate", "description", 5), ("candidate", "description", ["a thing"]),
@@ -572,6 +586,28 @@ class TestFetchCandidates:
             fetch_candidates(stub_server, "x", k=1)
 
 
+class TestFuzzedLookupReply:
+    """One key path or byte of a valid lookup reply mutated: fetch_candidates
+    returns candidates or raises only FetchError."""
+
+    REPLY = [{"id": "kb/A", "label": "A", "typeName": ["Place", "Thing"]},
+             {"id": "kb/Category:B", "label": "B", "typeName": []}, {"id": "kb/C"}]
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_reply_raises_only_fetch_error(self, stub_server, data):
+        reply = json.loads(json.dumps(self.REPLY))
+        if data.draw(st.booleans()):
+            mutate_key_path(reply, data, JSON_VALUES)
+            StubHandler.payload = json.dumps(reply).encode("utf-8", "surrogatepass")
+        else:
+            StubHandler.payload = mutate_byte(json.dumps(reply).encode(), data)
+        got = outcome(fetch_candidates, stub_server, "x", 5, ("kb/Category:",))
+        if not isinstance(got, list):
+            assert got[0] is FetchError, got
+            assert got[1].startswith("malformed lookup response ("), got
+
+
 # Every type JSON can produce, nested a little, plus integers no float holds.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(10**400)]) | st.floats()
@@ -756,6 +792,14 @@ class TestValidateDataset:
         with pytest.raises(DatasetError) as info:
             RuleLinker(rules="LNN-EL", epochs=1).fit(ds)
         assert str(info.value) == f"dataset 'broken' has 1 violations: mention 'm1': {fault}"
+
+    def test_long_mention_id_is_cut_in_every_violation(self, toy_dataset):
+        first, second = toy_dataset.instances
+        mid = ["m" * 100_000]
+        ds = Dataset(instances=(dataclasses.replace(first, mention=dataclasses.replace(first.mention, id=mid)), second))
+        cut = f"{repr(mid)[:200]}..."
+        assert validate_dataset(ds).violations == (f"mention {cut}: mention id {cut} must be a string",
+                                                   "mention 'm2': unknown context id 'm1'")
 
     def test_in_code_string_labels_keep_their_report(self, toy_dataset):
         first, second = toy_dataset.instances

@@ -2,8 +2,10 @@
 functions: ``corpus``'s readers and writer, and the scoring sidecar's digest
 and archive reader. A call that opens a file anywhere else is a second path
 for a job one of them already does, with its own decoding and error rules.
-The same holds for decoding JSON, which only ``corpus.parse_json`` does, and
-for the scoring graph's parameter layout, which only ``ScoringGraph`` reads."""
+The same holds for decoding JSON, which only ``corpus.parse_json`` does, for
+the scoring graph's parameter layout, which only ``ScoringGraph`` reads, and
+for the command line's inputs: every command given ``--data`` and
+``--features`` reads them through ``cli._scoring_input``."""
 import ast
 from pathlib import Path
 
@@ -67,3 +69,14 @@ def test_the_parameter_layout_is_read_only_inside_scoring_graph():
     found = {(module, cls) for module, tree in _trees() for _, cls, node in _scopes(tree)
              if isinstance(node, ast.Attribute) and node.attr in _LAYOUT}
     assert found == {("logic", "ScoringGraph")}
+
+
+def test_the_cli_reads_data_and_features_only_through_scoring_input():
+    tree = dict(_trees())["cli"]
+    found = {(func, ast.unparse(node.func)) for func, _, node in _scopes(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("load_dataset", "FeatureTable.from_csv")}
+    assert found == {
+        ("_cmd_featurize", "load_dataset"),
+        ("_scoring_input", "load_dataset"),
+        ("_scoring_input", "FeatureTable.from_csv"),
+    }

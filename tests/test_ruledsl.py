@@ -1,7 +1,16 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import mutate_byte, mutate_line, outcome
 
 from rulelink.errors import CompileError, ParseError
+from rulelink.cli import run
+from rulelink.corpus import save_dataset
+from rulelink.estimator import RuleLinker
 from rulelink.logic import AndNode, OrNode, RawLeaf, ThresholdLeaf
 from rulelink.ruledsl import (
     And,
@@ -22,7 +31,10 @@ from rulelink.ruledsl import (
     parse,
     rule_catalog,
 )
+from rulelink.logic import ScoringGraph
+from rulelink.ruledsl import _BUILTIN_SOURCE
 from rulelink.simfeatures import default_catalog
+from synthgen import generate_dataset
 
 
 class TestParse:
@@ -232,6 +244,27 @@ class TestCompile:
         with pytest.raises(CompileError, match="cyclic"):
             compile([a, b, root], default_catalog())
 
+    @staticmethod
+    def _doubling(lines: int) -> str:
+        """Rules A0..A<lines>, each the conjunction of the one before with
+        itself: A<n> inlines to 2**(n+1) - 1 nodes."""
+        return "rule A0 = jacc?;\n" + "".join(f"rule A{i} = A{i - 1} & A{i - 1};\n" for i in range(1, lines + 1))
+
+    @pytest.mark.parametrize("lines", [16, 40])
+    def test_rule_past_the_size_bound_is_a_compile_error_naming_it(self, toy_dataset, lines):
+        # each line doubles the inlined size: this once took seconds at 16 lines, and never ended at 30
+        rules = parse(self._doubling(lines))
+        message = f"rule 'A{lines}' inlines to {2 ** (lines + 1) - 1} nodes, more than 10000"
+        for fn in (lambda: rule_catalog(rules), lambda: compile(rules, default_catalog()),
+                   lambda: ast_leaves(rules[-1], rules), lambda: RuleLinker(rules=self._doubling(lines)).fit(toy_dataset)):
+            with pytest.raises(CompileError) as info:
+                fn()
+            assert str(info.value) == message
+
+    def test_rule_within_the_size_bound_compiles(self):
+        rules = parse(self._doubling(12))  # 8,191 nodes
+        assert compile(rules, rule_catalog(rules)).feature_names == ["jacc"]
+
     def test_root_detection(self):
         text = "rule A = jacc?;\nrule B = A | lev?;\n"
         rules = parse(text)
@@ -324,3 +357,67 @@ class TestCompositionHelpers:
         pair = disjoin("Pair", [library["Name"], library["Context"]])
         assert isinstance(pair.body, Or)
         assert pair.body.children[0] == library["Name"].body
+
+
+# The built-in rules with one root over every template, so the unmutated
+# program compiles and featurizes.
+_PROGRAM = _BUILTIN_SOURCE + "rule All = LnnElBlink | LnnElEns | Bert;\n"
+_JUNK_RULES = st.sampled_from([
+    "rule", "rule X = ;", "rule Name = Name;", "rule Y = Nope;", "rule Z = jacc > 2;", "rule Q = nope?;",
+    "rule W = ((jacc?);", "rule V = !!!jacc;", "rule U = jacc? | ;", "rule T = 1e999;", "rule S = jacc > .5;",
+]) | st.text(max_size=10)
+
+
+@pytest.fixture(scope="module")
+def rule_inputs(tmp_path_factory):
+    """A dataset and 2-d embeddings for every candidate, for featurize."""
+    work = tmp_path_factory.mktemp("rule_inputs")
+    ds = generate_dataset(4, n_candidates=3, seed=5)
+    save_dataset(ds, work / "data.jsonl")
+    rng = np.random.default_rng(0)
+    ids = sorted({c.id for inst in ds.instances for c in inst.candidates})
+    (work / "emb.jsonl").write_text("".join(json.dumps({"id": c, "vec": rng.normal(size=2).tolist()}) + "\n"
+                                            for c in ids))
+    return work
+
+
+class TestFuzzedRuleFile:
+    """One line or byte of the built-in rule program mutated: the library
+    compiles it or raises only ParseError or CompileError, and CLI
+    featurize exits 0, or 1 with one ``rulelink:`` line (a byte that is not
+    UTF-8 is a usage error)."""
+
+    def test_unmutated_program_featurizes(self, rule_inputs, capsys):
+        assert self._featurize(rule_inputs, _PROGRAM.encode(), capsys) == 0
+
+    @staticmethod
+    def _featurize(work, raw: bytes, capsys) -> int:
+        (work / "rules.elr").write_bytes(raw)
+        capsys.readouterr()
+        code = run(["featurize", "--data", str(work / "data.jsonl"), "--rules", str(work / "rules.elr"),
+                    "--embeddings", str(work / "emb.jsonl"), "--out", str(work / "f.csv")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("rulelink: ")
+            assert [line for line in err.splitlines() if line.startswith("rulelink")] == [err.splitlines()[0]]
+        return code
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_program_raises_only_dsl_errors(self, rule_inputs, capsys, data):
+        if data.draw(st.booleans()):
+            raw = "".join(line + "\n" for line in mutate_line(_PROGRAM.splitlines(), data, _JUNK_RULES)).encode()
+        else:
+            raw = mutate_byte(_PROGRAM.encode(), data)
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            text = None
+        if text is not None:
+            got = outcome(lambda: compile(parse(text), rule_catalog(parse(text))))
+            assert isinstance(got, ScoringGraph) or issubclass(got[0], (ParseError, CompileError)), got
+        code = self._featurize(rule_inputs, raw, capsys)
+        assert code in (0, 1)
+        if text is None:
+            assert code == 1

@@ -1,8 +1,9 @@
 """The scoring sidecar ``featurize`` writes beside the feature CSV.
 
-``link``, ``eval`` and ``transfer`` must give byte-identical files, stdout,
-stderr and exit codes whether they score from the sidecar or read the JSONL
-and the CSV; a stale or damaged sidecar costs one WARNING naming it.
+Every command given ``--data`` and ``--features`` (``link``, ``eval``,
+``transfer``, ``train`` in each mode and ``ablate``) must give byte-identical
+files, stdout, stderr and exit codes whether it reads the sidecar or the
+JSONL and the CSV; a stale or damaged sidecar costs one WARNING naming it.
 """
 import io
 import json
@@ -23,7 +24,9 @@ from rulelink.simfeatures import SIDECAR_VERSION, FeatureTable, sidecar_path
 from synthgen import generate_dataset
 
 RULES = "rule NameSim = jacc? | lev? | jw?;\nrule Links = NameSim & prom;\n"
-COMMANDS = ("link", "eval", "transfer")
+# the columns of the built-in Name template, which train and ablate read
+FEATURE_RULES = "rule NameSim = jacc? | lev? | jw? | spacy?;\nrule Links = NameSim & prom;\n"
+COMMANDS = ("link", "eval", "transfer", "train-lnn", "train-tnorm", "train-manual", "ablate")
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +41,7 @@ def model(tmp_path_factory):
     return work / "model.json"
 
 
-def _featurize(work: Path, rules: str = RULES) -> None:
+def _featurize(work: Path, rules: str = FEATURE_RULES) -> None:
     (work / "rules.elr").write_text(rules)
     assert run(["featurize", "--data", str(work / "data.jsonl"), "--rules", str(work / "rules.elr"),
                 "--out", str(work / "features.csv")]) == 0
@@ -50,10 +53,13 @@ def _outcome(work: Path, model: Path, command: str, capsys, caplog) -> tuple:
     out.unlink(missing_ok=True)
     capsys.readouterr()
     caplog.clear()
-    argv = [command, "--model", str(model), "--data", str(work / "data.jsonl"),
-            "--features", str(work / "features.csv"), "--out", str(out)]
-    if command != "link":
-        argv += ["--ks", "1,2"]
+    inputs = ["--data", str(work / "data.jsonl"), "--features", str(work / "features.csv"), "--out", str(out)]
+    if command.startswith("train"):
+        argv = ["train", *inputs, "--rules", "builtin:Name", "--mode", command.split("-")[1], "--epochs", "2"]
+    elif command == "ablate":
+        argv = ["ablate", *inputs, "--templates", "Name,Name+Name", "--epochs", "2", "--format", "csv"]
+    else:
+        argv = [command, "--model", str(model), *inputs] + (["--ks", "1,2"] if command != "link" else [])
     code = run(argv)
     captured = capsys.readouterr()
     warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
@@ -208,7 +214,7 @@ _BLOCK_FAULTS = {
     "header-2d": _set("header", lambda a: a.reshape(1, -1)),
     "bad-report": _edit_header(load_report={"kept": "all"}),
     "ids-not-strings": _set("ids", lambda a: np.frombuffer(b"[[1], []]", dtype=np.uint8)),
-    "names-lack-prom": _edit_header(feature_names=["jacc", "lev", "jw", "x"]),
+    "names-lack-prom": _edit_header(feature_names=["jacc", "lev", "jw", "spacy", "x"]),
 }
 _INPUT_FAULTS = {
     "data-edited": lambda w: _append_line(w / "data.jsonl", "\n"),
@@ -260,8 +266,10 @@ class TestFuzzedSidecar:
 
     def test_model_needs_a_column_the_features_lack(self, work, model, capsys, caplog):
         _featurize(work, rules="rule Links = jacc? | lev? | jw?;\n")
-        expected = (1, "rulelink: feature table lacks columns: prom\n")
-        assert self._check(work, model, capsys, caplog) == [expected] * len(COMMANDS)
+        scoring = [(1, "rulelink: feature table lacks columns: prom\n")] * 3
+        training = [(1, "rulelink: feature table lacks columns: spacy, prom\n")] * 3
+        ablation = [(1, "rulelink: predicate 'spacy' in rule 'Ablation' not in catalog\n")]
+        assert self._check(work, model, capsys, caplog) == scoring + training + ablation
 
     def test_valid_sidecar_is_read_alone(self, work, model, capsys, caplog, monkeypatch):
         def unexpected(*args):
@@ -273,5 +281,5 @@ class TestFuzzedSidecar:
             with_sidecar = [_outcome(work, model, c, capsys, caplog) for c in COMMANDS]
         Path(sidecar_path(work / "features.csv")).unlink()
         assert with_sidecar == [_outcome(work, model, c, capsys, caplog) for c in COMMANDS]
-        assert [o[0] for o in with_sidecar] == [0, 0, 0]
-        assert [o[4] for o in with_sidecar] == [[], [], []]
+        assert [o[0] for o in with_sidecar] == [0] * len(COMMANDS)
+        assert [o[4] for o in with_sidecar] == [[]] * len(COMMANDS)
