@@ -217,26 +217,30 @@ def char_jaccard(a: str, b: str) -> float:
 
 _NAME_KERNELS = {"jacc": _jacc_column, "lev": _lev_column, "jw": _jw_column}
 
+_INT16_CELLS = 2**14  # patterns shorter than this hold their DP cells in int16
+
 
 def _window_distances(short: str, longs: list[str]) -> np.ndarray:
-    """Per long, the least edit distance of ``short`` to any of its
+    """Per long, the least edit distance (int64) of ``short`` to any of its
     ``len(short)``-char windows. Needs ``len(long) >= len(short) >= 1``.
 
     One integer DP covers every window of every long: rows run over
     ``short``; a row is an ``[n + 1, windows]`` matrix. Cell (i, j) is
     stored minus j, which turns the insertion chain
     ``D[i][j] = min(x, D[i][j-1] + 1)`` into a running minimum over j.
-    Memory is O(n * windows).
+    A stored cell lies in [-n, n + 1], so cells are int16, exactly, when
+    ``n < _INT16_CELLS``, else int32. Memory is O(n * windows).
     """
     n = len(short)
     lens = np.array([len(t) for t in longs])
     counts = lens - n + 1
     first = np.cumsum(counts) - counts
     starts = np.arange(counts.sum()) + np.repeat(np.cumsum(lens) - lens - first, counts)
-    windows = sliding_window_view(_codes("".join(longs)), n)[starts].T
+    windows = np.ascontiguousarray(sliding_window_view(_codes("".join(longs)), n)[starts].T)
     pattern = _codes(short)
-    d = np.zeros((n + 1, starts.size), dtype=np.int32)
-    diag = np.empty((n, starts.size), dtype=np.int32)
+    cell = np.int16 if n < _INT16_CELLS else np.int32
+    d = np.zeros((n + 1, starts.size), dtype=cell)
+    diag = np.empty((n, starts.size), dtype=cell)
     for i in range(n):
         np.subtract(d[:-1], windows == pattern[i], out=diag)
         d[1:] += 1
@@ -246,7 +250,7 @@ def _window_distances(short: str, longs: list[str]) -> np.ndarray:
         # loop per window and is several times slower than these row ops.
         for j in range(1, n + 1):
             np.minimum(d[j], d[j - 1], out=d[j])
-    return np.minimum.reduceat(d[n], first) + n
+    return np.minimum.reduceat(d[n], first).astype(np.int64) + n
 
 
 def partial_ratio(short: str, long: str) -> float:
@@ -308,15 +312,27 @@ def minmax_rescale(values) -> np.ndarray:
     return _rescale_lists(arr, [0, arr.size])
 
 
-def _context_raws(inst: LabeledInstance, all_mentions: dict[str, Mention]) -> np.ndarray:
-    """Per candidate, the summed ``partial_ratio`` of the context mentions'
-    surfaces against its description; 0 for a candidate without one."""
-    surfaces = [all_mentions[ctx_id].surface for ctx_id in inst.mention.context_ids]
-    raws = np.zeros(len(inst.candidates))
-    described = [k for k, c in enumerate(inst.candidates) if c.description is not None]
-    descriptions = [inst.candidates[k].description for k in described]
-    for s in surfaces:
-        raws[described] += _partial_ratios(s, descriptions)
+def _context_column(instances, all_mentions: dict[str, Mention], offsets, run) -> np.ndarray:
+    """Every pair's raw ``ctx`` score: the summed ``partial_ratio`` of its
+    list's context mentions' surfaces against its description, added in
+    ``context_ids`` order from zeros; 0 for a candidate without one. Each
+    distinct surface runs one windowed DP over the distinct descriptions it
+    meets, through ``run`` (``map`` or a pool's)."""
+    raws = np.zeros(offsets[-1])
+    scored, meets = [], {}  # meets: each surface's descriptions, in first-seen order
+    for inst, start in zip(instances, offsets):
+        described = [(start + k, c.description) for k, c in enumerate(inst.candidates) if c.description is not None]
+        if inst.mention.context_ids and described:
+            rows, descriptions = zip(*described)
+            surfaces = [all_mentions[ctx_id].surface for ctx_id in inst.mention.context_ids]
+            for s in surfaces:
+                meets.setdefault(s, {}).update(dict.fromkeys(descriptions))
+            scored.append((list(rows), descriptions, surfaces))
+    scores = run(lambda s: _partial_ratios(s, list(meets[s])), meets)
+    ratios = {s: dict(zip(meets[s], values)) for s, values in zip(meets, scores)}
+    for rows, descriptions, surfaces in scored:
+        for s in surfaces:
+            raws[rows] += [ratios[s][d] for d in descriptions]
     return raws
 
 
@@ -831,13 +847,13 @@ def build_feature_table(ds: Dataset, catalog: FeatureCatalog, jobs: int = 1) -> 
     repeated mention id, or a candidate id repeated in one list, raises
     FeatureError. Box columns are scored for the whole dataset first, then
     the lists of ``ctx`` and ``prom`` are checked (:func:`_checked_lists`).
-    Only ``pr``, and the raw ``ctx`` scores of mentions with context and a
-    described candidate, run mention by mention, in parallel when
-    ``jobs > 1``; every other ``ctx`` list is zeros. Every feature is one
-    column over all pairs in dataset order, then candidate position
-    (``jacc``, ``lev`` and ``jw`` from the column kernels, ``ctx`` and
-    ``prom`` rescaled list by list in one pass), written into the table's
-    matrix.
+    ``pr`` runs one windowed DP per mention, and the raw ``ctx`` scores one
+    per distinct co-mention surface of the call, over the distinct
+    descriptions it meets (:func:`_context_column`); the DPs run in threads
+    when ``jobs > 1``. Every feature is one column over all pairs in dataset
+    order, then candidate position (``jacc``, ``lev`` and ``jw`` from the
+    column kernels, ``ctx`` and ``prom`` rescaled list by list in one pass),
+    written into the table's matrix.
     """
     instances = ds.instances
     mention_ids, offsets, candidate_ids, _ = ds.row_keys()
@@ -854,13 +870,7 @@ def build_feature_table(ds: Dataset, catalog: FeatureCatalog, jobs: int = 1) -> 
         if "pr" in kinds:
             lists["pr"] = _joined(list(run(_partial_ratio_list, instances)))
         if "ctx" in kinds:
-            raws = np.zeros(len(candidate_ids))
-            scored = [i for i, inst in enumerate(instances) if inst.mention.context_ids
-                      and any(c.description is not None for c in inst.candidates)]
-            scores = run(partial(_context_raws, all_mentions=mentions), [instances[i] for i in scored])
-            for i, values in zip(scored, scores):
-                raws[offsets[i] : offsets[i + 1]] = values
-            lists["ctx"] = _rescale_lists(raws, offsets)
+            lists["ctx"] = _rescale_lists(_context_column(instances, mentions, offsets, run), offsets)
     if indegrees is not None:
         lists["prom"] = _rescale_lists(indegrees, offsets)
 

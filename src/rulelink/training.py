@@ -223,15 +223,15 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    """Read ``model.json``; malformed content of any kind raises CompileError."""
+    """Read ``model.json``; malformed content of any kind raises CompileError naming the file."""
     def malformed(exc) -> CompileError:
         return CompileError(f"{path}: malformed model file ({type(exc).__name__}: {exc})")
 
     obj = parse_json(read_text(path, CompileError), malformed)
     try:
         return Model.from_json(obj)
-    except CompileError:
-        raise
+    except CompileError as exc:
+        raise CompileError(f"{path}: {exc}") from None
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise malformed(exc) from exc
 

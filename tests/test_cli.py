@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -650,7 +651,7 @@ class TestModelFileCli:
         edit(obj["graph"]["root"], obj)
         (tmp_path / "m.json").write_text(json.dumps(obj))
         assert run(_model_command(trained, command, tmp_path / "m.json")) == 1
-        assert capsys.readouterr().err == f"rulelink: {message}\n"
+        assert capsys.readouterr().err == f"rulelink: {tmp_path / 'm.json'}: {message}\n"
 
     @pytest.mark.parametrize("command", _MODEL_COMMANDS)
     def test_unknown_node_kind_exits_one(self, trained, tmp_path, capsys, command):
@@ -739,6 +740,64 @@ class TestBoxFeaturizeCli:
         assert self._featurize_box(workdir, '{"psi": [0, 0, 0], "omega": [1, 1, 1], "beta_box": 1}') == 1
         err = capsys.readouterr().err
         assert "has a 2-d embedding, not 3-d" in err and "Traceback" not in err
+
+
+def _context_objs(seed: int) -> list[dict]:
+    """Two texts of four mutually co-mentioning mentions, typed, each with
+    five described, typed and embedded candidates carrying ``spacy`` and
+    ``blink`` scores; two of every list's candidates come from a pool its
+    text's mentions share, so (surface, description) pairs repeat."""
+    rng = random.Random(seed)
+
+    def word(lo=3, hi=7):
+        return "".join(rng.choice("abcdefgh") for _ in range(rng.randint(lo, hi)))
+
+    def candidate(cid):
+        return {"id": cid, "name": word(), "description": " ".join(word() for _ in range(8)),
+                "domains": rng.sample(["Person", "Place", "Work", "Agent"], rng.randint(1, 3)),
+                "indegree": rng.randint(0, 50), "embedding": [rng.uniform(-1, 1) for _ in range(3)],
+                "external_scores": {"spacy": rng.random(), "blink": rng.random()}}
+
+    objs = []
+    for t in range(2):
+        mids = [f"t{t}m{i}" for i in range(4)]
+        pool = [candidate(f"t{t}_shared{k}") for k in range(3)]
+        for mid in mids:
+            cands = rng.sample(pool, 2) + [candidate(f"{mid}_c{k}") for k in range(3)]
+            labels = [0] * 5
+            labels[rng.randrange(5)] = 1
+            objs.append({"mention": {"id": mid, "surface": word(2, 6), "text_id": f"t{t}",
+                                     "context_ids": [m for m in mids if m != mid],
+                                     "type": rng.choice(["Person", "Place", None])},
+                         "candidates": cands, "labels": labels})
+    return objs
+
+
+class TestHashSeedDeterminism:
+    def test_pipeline_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """CLI featurize (CSV and sidecar), train and link of ``LNN-EL_ens``
+        write the same bytes under two ``PYTHONHASHSEED`` values: no output
+        follows the iteration order of a set or a str-keyed hash."""
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        write_jsonl(tmp_path / "data.jsonl", _context_objs(3))
+        outputs = {}
+        for hash_seed in ("0", "1"):
+            out = tmp_path / hash_seed
+            out.mkdir()
+            data, features = ["--data", str(tmp_path / "data.jsonl")], ["--features", str(out / "f.csv")]
+            for argv in (["featurize", *data, "--rules", "builtin:LNN-EL_ens", "--out", str(out / "f.csv")],
+                         ["train", *data, *features, "--rules", "builtin:LNN-EL_ens", "--mode", "tnorm",
+                          "--epochs", "3", "--out", str(out / "model.json")],
+                         ["link", "--model", str(out / "model.json"), *data, *features,
+                          "--out", str(out / "links.json")]):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "rulelink.cli", *argv], capture_output=True, text=True, timeout=120,
+                    env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+                         "PYTHONHASHSEED": hash_seed})
+                assert proc.returncode == 0, proc.stderr
+            outputs[hash_seed] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert sorted(outputs["0"]) == ["f.csv", "f.csv.npz", "links.json", "model.json"]
+        assert outputs["0"] == outputs["1"]
 
 
 @pytest.fixture(scope="module")

@@ -241,6 +241,30 @@ class TestKernelsMatchReferences:
         ]
         assert _window_distances(short, longs).tolist() == expected
 
+    @given(st.data(), st.sampled_from([1, 4, simfeatures._INT16_CELLS]))
+    @settings(max_examples=150, deadline=None)
+    def test_window_distances_in_int16_and_int32_cells(self, data, cap):
+        # a cap of 1 runs every pattern on int32 cells, 4 patterns of 4 or
+        # more chars, and the module's cap none of these
+        short = data.draw(st.text(any_char, min_size=1, max_size=8))
+        n = len(short)
+        longs = data.draw(st.lists(st.text(any_char, min_size=n, max_size=n + 20), min_size=1, max_size=4))
+        expected = [min(string_reference.levenshtein(short, t[i : i + n]) for i in range(len(t) - n + 1))
+                    for t in longs]
+        with mock.patch.object(simfeatures, "_INT16_CELLS", cap):
+            got = _window_distances(short, longs)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("cap", [1, simfeatures._INT16_CELLS])
+    def test_astral_and_lone_surrogate_cells(self, cap):
+        short = "\U0001F600\ud800a\udc00"
+        longs = ["xx\U0001F600\ud800ay\udc00", "\udc00\ud800\U0001F600a", "𐀀" * 5, short + "\U0001F601"]
+        expected = [min(string_reference.levenshtein(short, t[i : i + 4]) for i in range(len(t) - 3))
+                    for t in longs]
+        with mock.patch.object(simfeatures, "_INT16_CELLS", cap):
+            assert _window_distances(short, longs).tolist() == expected
+
     @given(
         st.lists(st.text(any_char, max_size=10), max_size=4),
         st.lists(st.none() | st.text(any_char, max_size=30), min_size=1, max_size=6),
@@ -432,6 +456,41 @@ def _list_case(draw):
     return Dataset(instances=tuple(instances)), default_catalog().restricted(kinds)
 
 
+_SURFACES = ["ab", "b\U0001F600", "aba", "\ud800ab"]
+_DESCRIPTIONS = [None, "", "a", "ab ba", "b\U0001F600 aab", "aab bab \ud800ba"]
+
+
+@st.composite
+def _shared_context_dataset(draw):
+    """1-3 texts of 3-5 mentions whose surfaces and descriptions come from
+    small pools, so surfaces repeat among one list's co-mentions and across
+    texts, and descriptions across a text's lists; a description may be
+    shorter than a surface, empty or None. Every draw holds each case: the
+    first mention of a text sees all the others, two of which share a
+    surface; every text's first surface is the first text's; and the first
+    two mentions of a text share a described candidate."""
+    instances, first_surface = [], None
+    for t in range(draw(st.integers(1, 3))):
+        mids = [f"t{t}m{i}" for i in range(draw(st.integers(3, 5)))]
+        surfaces = draw(st.lists(st.sampled_from(_SURFACES), min_size=len(mids), max_size=len(mids)))
+        surfaces[2] = surfaces[1]
+        first_surface = surfaces[0] = first_surface or surfaces[0]
+        pool = [CandidateEntity(id=f"t{t}_e{k}", name="e",
+                                description=draw(st.sampled_from(_DESCRIPTIONS[1:] if k == 0 else _DESCRIPTIONS)))
+                for k in range(3)]
+        for i, (mid, surface) in enumerate(zip(mids, surfaces)):
+            shared = [pool[0]] if i < 2 else []
+            shared += draw(st.lists(st.sampled_from(pool[1:]), max_size=2, unique_by=lambda c: c.id))
+            own = [CandidateEntity(id=f"{mid}_c{k}", name="e", description=draw(st.sampled_from(_DESCRIPTIONS)))
+                   for k in range(draw(st.integers(0 if shared else 1, 3)))]
+            cands = tuple(draw(st.permutations(shared + own)))
+            others = draw(st.permutations(mids[:i] + mids[i + 1:]))
+            context = others if i == 0 else others[: draw(st.integers(0, len(others)))]
+            mention = Mention(id=mid, surface=surface, text_id=f"t{t}", context_ids=tuple(context))
+            instances.append(LabeledInstance(mention, cands, (1,) + (0,) * (len(cands) - 1)))
+    return Dataset(instances=tuple(instances))
+
+
 class TestListColumns:
     """``pr``, ``ctx`` and ``prom`` built a column at a time equal the
     per-mention build of ``list_reference`` by ``tobytes()``, or raise the
@@ -449,6 +508,17 @@ class TestListColumns:
                 {n: col.tobytes() for n, col in want.items()})
         else:
             assert got == want
+
+    @given(_shared_context_dataset(), st.sampled_from([1, 2]))
+    @settings(max_examples=150, deadline=None)
+    def test_ctx_scored_once_per_distinct_pair(self, ds, jobs):
+        catalog = default_catalog().restricted(["ctx"])
+        with mock.patch.object(simfeatures, "_partial_ratios", wraps=simfeatures._partial_ratios) as dp:
+            table = build_feature_table(ds, catalog, jobs=jobs)
+        surfaces = [call.args[0] for call in dp.call_args_list]
+        pairs = [(call.args[0], d) for call in dp.call_args_list for d in call.args[1]]
+        assert len(set(surfaces)) == len(surfaces) and len(set(pairs)) == len(pairs)
+        assert table.select_matrix(["ctx"])[0].tobytes() == list_reference.list_columns(ds, catalog)["ctx"].tobytes()
 
     def test_first_error_in_dataset_then_catalog_order(self):
         def inst(mid, context=(), indegrees=(1, 2)):
