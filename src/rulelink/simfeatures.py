@@ -215,8 +215,6 @@ def char_jaccard(a: str, b: str) -> float:
     return float(_jacc_column([a], [b])[0])
 
 
-_NAME_KERNELS = {"jacc": _jacc_column, "lev": _lev_column, "jw": _jw_column}
-
 _INT16_CELLS = 2**14  # patterns shorter than this hold their DP cells in int16
 
 
@@ -253,33 +251,32 @@ def _window_distances(short: str, longs: list[str]) -> np.ndarray:
     return np.minimum.reduceat(d[n], first).astype(np.int64) + n
 
 
-def partial_ratio(short: str, long: str) -> float:
-    """Best ``lev_sim`` of the shorter string against equal-length windows.
+def _partial_ratio_column(a: list[str], b: list[str], run=map) -> np.ndarray:
+    """``partial_ratio`` of every pair ``(a[k], b[k])``.
 
-    Arguments are reordered internally so the first is the shorter one;
-    an empty short string scores 1.0.
+    A pair's pattern is its shorter string, ``a[k]`` on a tie; an empty
+    pattern scores 1.0. Each distinct non-empty pattern runs one windowed
+    DP over the distinct longer strings it meets, in first-seen order,
+    through ``run`` (``map`` or a pool's), and scores ``1 - d / len(pattern)``.
     """
-    if len(short) > len(long):
-        short, long = long, short
-    if not short:
-        return 1.0
-    return 1.0 - int(_window_distances(short, [long])[0]) / len(short)
+    pairs = [(x, y) if len(x) <= len(y) else (y, x) for x, y in zip(a, b)]
+    meets = {"": []}  # each pattern's distinct longer strings, in first-seen order; "" runs no DP
+    for short, long in dict.fromkeys(pairs):
+        meets.setdefault(short, []).append(long)
+    scored = run(lambda s: 1.0 - _window_distances(s, meets[s]) / len(s), list(meets)[1:])
+    scores = np.concatenate([np.ones(len(meets[""])), *scored])  # the DPs run here
+    order = [(short, long) for short, longs in meets.items() for long in longs]
+    place = dict(zip(order, range(len(order))))
+    return scores[list(map(place.__getitem__, pairs))]
 
 
-def _partial_ratios(surface: str, texts: list[str]) -> np.ndarray:
-    """``partial_ratio(surface, t)`` per text; one windowed DP serves every
-    text at least as long as a non-empty ``surface``."""
-    n = len(surface)
-    out = np.empty(len(texts))
-    batch = []
-    for k, t in enumerate(texts):
-        if len(t) >= n >= 1:
-            batch.append(k)
-        else:
-            out[k] = partial_ratio(surface, t)
-    if batch:
-        out[batch] = 1.0 - _window_distances(surface, [texts[k] for k in batch]) / n
-    return out
+def partial_ratio(short: str, long: str) -> float:
+    """Best ``lev_sim`` of the shorter string against its equal-length
+    windows in the other; an empty shorter string scores 1.0."""
+    return float(_partial_ratio_column([short], [long])[0])
+
+
+_NAME_KERNELS = {"jacc": _jacc_column, "lev": _lev_column, "jw": _jw_column, "pr": _partial_ratio_column}
 
 
 def _rescalable(values) -> np.ndarray:
@@ -315,25 +312,18 @@ def minmax_rescale(values) -> np.ndarray:
 def _context_column(instances, all_mentions: dict[str, Mention], offsets, run) -> np.ndarray:
     """Every pair's raw ``ctx`` score: the summed ``partial_ratio`` of its
     list's context mentions' surfaces against its description, added in
-    ``context_ids`` order from zeros; 0 for a candidate without one. Each
-    distinct surface runs one windowed DP over the distinct descriptions it
-    meets, through ``run`` (``map`` or a pool's)."""
-    raws = np.zeros(offsets[-1])
-    scored, meets = [], {}  # meets: each surface's descriptions, in first-seen order
+    ``context_ids`` order from 0.0; 0 for a candidate without one. One
+    ``_partial_ratio_column`` call, through ``run``, scores every (row,
+    co-mention surface, description) entry of the call."""
+    rows, surfaces, descriptions = [], [], []
     for inst, start in zip(instances, offsets):
         described = [(start + k, c.description) for k, c in enumerate(inst.candidates) if c.description is not None]
-        if inst.mention.context_ids and described:
-            rows, descriptions = zip(*described)
-            surfaces = [all_mentions[ctx_id].surface for ctx_id in inst.mention.context_ids]
-            for s in surfaces:
-                meets.setdefault(s, {}).update(dict.fromkeys(descriptions))
-            scored.append((list(rows), descriptions, surfaces))
-    scores = run(lambda s: _partial_ratios(s, list(meets[s])), meets)
-    ratios = {s: dict(zip(meets[s], values)) for s, values in zip(meets, scores)}
-    for rows, descriptions, surfaces in scored:
-        for s in surfaces:
-            raws[rows] += [ratios[s][d] for d in descriptions]
-    return raws
+        for ctx_id in inst.mention.context_ids:
+            rows += [row for row, _ in described]
+            surfaces += [all_mentions[ctx_id].surface] * len(described)
+            descriptions += [d for _, d in described]
+    scores = _partial_ratio_column(surfaces, descriptions, run)
+    return np.bincount(rows, scores, offsets[-1]).astype(np.float64)  # int64 when there are no entries
 
 
 def _context_fault(inst: LabeledInstance, all_mentions: dict[str, Mention]) -> None:
@@ -836,10 +826,6 @@ def _checked_lists(instances, catalog: FeatureCatalog, mentions: dict[str, Menti
     return indegrees
 
 
-def _partial_ratio_list(inst: LabeledInstance) -> np.ndarray:
-    return _partial_ratios(inst.mention.surface, [c.name for c in inst.candidates])
-
-
 def build_feature_table(ds: Dataset, catalog: FeatureCatalog, jobs: int = 1) -> FeatureTable:
     """Evaluate every catalog feature for every (mention, candidate) pair.
 
@@ -847,13 +833,14 @@ def build_feature_table(ds: Dataset, catalog: FeatureCatalog, jobs: int = 1) -> 
     repeated mention id, or a candidate id repeated in one list, raises
     FeatureError. Box columns are scored for the whole dataset first, then
     the lists of ``ctx`` and ``prom`` are checked (:func:`_checked_lists`).
-    ``pr`` runs one windowed DP per mention, and the raw ``ctx`` scores one
-    per distinct co-mention surface of the call, over the distinct
-    descriptions it meets (:func:`_context_column`); the DPs run in threads
-    when ``jobs > 1``. Every feature is one column over all pairs in dataset
-    order, then candidate position (``jacc``, ``lev`` and ``jw`` from the
-    column kernels, ``ctx`` and ``prom`` rescaled list by list in one pass),
-    written into the table's matrix.
+    ``pr`` and the raw ``ctx`` scores share one kernel,
+    :func:`_partial_ratio_column`: ``pr`` over every (surface, name) pair,
+    ``ctx`` over every (co-mention surface, description) entry of the call
+    (:func:`_context_column`), whose DPs run in threads when ``jobs > 1``.
+    Every feature is one column over all pairs in dataset order, then
+    candidate position (``jacc``, ``lev``, ``jw`` and ``pr`` from the column
+    kernels, ``ctx`` and ``prom`` rescaled list by list in one pass), written
+    into the table's matrix.
     """
     instances = ds.instances
     mention_ids, offsets, candidate_ids, _ = ds.row_keys()
@@ -865,12 +852,10 @@ def build_feature_table(ds: Dataset, catalog: FeatureCatalog, jobs: int = 1) -> 
     kinds = {spec.kind for spec in catalog.entries.values()}
     indegrees = _checked_lists(instances, catalog, mentions, counts)
     lists = {}
-    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
-        if "pr" in kinds:
-            lists["pr"] = _joined(list(run(_partial_ratio_list, instances)))
-        if "ctx" in kinds:
-            lists["ctx"] = _rescale_lists(_context_column(instances, mentions, offsets, run), offsets)
+    if "ctx" in kinds:
+        with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+            raws = _context_column(instances, mentions, offsets, pool.map if pool else map)
+        lists["ctx"] = _rescale_lists(raws, offsets)
     if indegrees is not None:
         lists["prom"] = _rescale_lists(indegrees, offsets)
 

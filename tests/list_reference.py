@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from rulelink.errors import FeatureError
-from rulelink.simfeatures import _partial_ratios, _rescalable, _rescale_lists
+from rulelink.simfeatures import _rescalable, _rescale_lists
+from string_reference import partial_ratio
 
 
 def context_raws(inst, all_mentions) -> np.ndarray:
@@ -29,7 +30,7 @@ def context_raws(inst, all_mentions) -> np.ndarray:
     if described:
         descriptions = [inst.candidates[k].description for k in described]
         for s in surfaces:
-            raws[described] += _partial_ratios(s, descriptions)
+            raws[described] += [partial_ratio(s, d) for d in descriptions]
     return raws
 
 
@@ -40,7 +41,7 @@ def instance_columns(inst, catalog, mentions) -> dict[str, np.ndarray]:
     out = {}
     for name, spec in catalog.entries.items():
         if spec.kind == "pr":
-            out[name] = _partial_ratios(inst.mention.surface, [c.name for c in inst.candidates])
+            out[name] = np.array([partial_ratio(inst.mention.surface, c.name) for c in inst.candidates])
         elif spec.kind == "ctx":
             out[name] = _rescalable(context_raws(inst, mentions))
         elif spec.kind == "prom":

@@ -3,8 +3,9 @@
 
 Each scores one (a, b) pair with Python loops: Jaccard over case-folded
 character sets, Levenshtein by Myers/Hyyrö bit-parallel matching on
-Python-int bit vectors, and Jaro-Winkler by greedy window matching. The
-exactness tests compare the column kernels against them by ``tobytes()``.
+Python-int bit vectors, partial ratio by one Levenshtein per window, and
+Jaro-Winkler by greedy window matching. The exactness tests compare the
+column kernels against them by ``tobytes()``.
 """
 from __future__ import annotations
 
@@ -56,6 +57,17 @@ def lev_sim(a: str, b: str) -> float:
     if not a and not b:
         return 1.0
     return 1.0 - levenshtein(a, b) / max(len(a), len(b))
+
+
+def partial_ratio(a: str, b: str) -> float:
+    """Best ``lev_sim`` of the shorter string against each equal-length
+    window of the other, one edit distance per window; 1.0 when the shorter
+    string is empty."""
+    short, long = (a, b) if len(a) <= len(b) else (b, a)
+    if not short:
+        return 1.0
+    n = len(short)
+    return max(1.0 - levenshtein(short, long[i : i + n]) / n for i in range(len(long) - n + 1))
 
 
 def jaro_winkler(a: str, b: str) -> float:

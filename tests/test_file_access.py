@@ -3,9 +3,10 @@ functions: ``corpus``'s readers and writer, and the scoring sidecar's digest
 and archive reader. A call that opens a file anywhere else is a second path
 for a job one of them already does, with its own decoding and error rules.
 The same holds for decoding JSON, which only ``corpus.parse_json`` does, for
-the scoring graph's parameter layout, which only ``ScoringGraph`` reads, and
-for the command line's inputs: every command given ``--data`` and
-``--features`` reads them through ``cli._scoring_input``."""
+the scoring graph's parameter layout, which only ``ScoringGraph`` reads, for
+the command line's inputs: every command given ``--data`` and
+``--features`` reads them through ``cli._scoring_input``, and for the
+windowed edit-distance DP, which only the partial-ratio kernel runs."""
 import ast
 from pathlib import Path
 
@@ -80,3 +81,9 @@ def test_the_cli_reads_data_and_features_only_through_scoring_input():
         ("_scoring_input", "load_dataset"),
         ("_scoring_input", "FeatureTable.from_csv"),
     }
+
+
+def test_the_window_dp_is_run_only_by_the_partial_ratio_kernel():
+    found = {(module, func) for module, tree in _trees() for func, _, node in _scopes(tree)
+             if isinstance(node, ast.Name) and node.id == "_window_distances"}
+    assert found == {("simfeatures", "_partial_ratio_column")}

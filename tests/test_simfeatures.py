@@ -27,6 +27,7 @@ from rulelink.simfeatures import (
     _jacc_column,
     _jw_column,
     _lev_column,
+    _partial_ratio_column,
     _window_distances,
     build_feature_table,
     char_jaccard,
@@ -60,19 +61,6 @@ def levenshtein_reference(a: str, b: str) -> int:
     return prev[-1]
 
 
-def partial_ratio_reference(short: str, long: str) -> float:
-    """Window sweep: one reference DP per equal-length window."""
-    if len(short) > len(long):
-        short, long = long, short
-    if not short:
-        return 1.0
-    n = len(short)
-    return max(
-        1.0 - levenshtein_reference(short, long[i : i + n]) / max(n, len(long[i : i + n]))
-        for i in range(len(long) - n + 1)
-    )
-
-
 def context_scores_reference(inst: LabeledInstance, mentions: dict) -> np.ndarray:
     """Per-candidate sum over co-mentions, accumulated left to right."""
     surfaces = [mentions[c].surface for c in inst.mention.context_ids]
@@ -81,7 +69,7 @@ def context_scores_reference(inst: LabeledInstance, mentions: dict) -> np.ndarra
         if cand.description is None or not surfaces:
             raws.append(0.0)
         else:
-            raws.append(sum(partial_ratio_reference(s, cand.description) for s in surfaces))
+            raws.append(sum(string_reference.partial_ratio(s, cand.description) for s in surfaces))
     return minmax_rescale(raws)
 
 
@@ -223,7 +211,7 @@ class TestKernelsMatchReferences:
     @given(st.text(any_char, max_size=8), st.text(any_char, max_size=24))
     @settings(max_examples=300)
     def test_partial_ratio(self, a, b):
-        expected = partial_ratio_reference(a, b)
+        expected = string_reference.partial_ratio(a, b)
         assert partial_ratio(a, b) == expected
         assert partial_ratio(b, a) == expected
 
@@ -290,7 +278,7 @@ class TestKernelsMatchReferences:
         ds = Dataset(instances=(LabeledInstance(m, cands, (1,) + (0,) * (len(cands) - 1)),))
         table = build_feature_table(ds, default_catalog().restricted(["pr"]))
         assert [table.rows[("m", c.id)]["pr"] for c in cands] == [
-            partial_ratio_reference(surface, name) for name in names
+            string_reference.partial_ratio(surface, name) for name in names
         ]
 
 
@@ -298,6 +286,7 @@ _KERNELS = [
     (_jacc_column, string_reference.char_jaccard),
     (_lev_column, string_reference.lev_sim),
     (_jw_column, string_reference.jaro_winkler),
+    (_partial_ratio_column, string_reference.partial_ratio),
 ]
 # Short strings, and strings past one 64-bit word built by repeating a short one.
 _strings = st.text(any_char, max_size=10) | st.builds(
@@ -350,7 +339,7 @@ def reference_rows(ds: Dataset, catalog: FeatureCatalog) -> dict:
             elif spec.kind == "jw":
                 cols[name] = [string_reference.jaro_winkler(surface, c.name) for c in cands]
             elif spec.kind == "pr":
-                cols[name] = [partial_ratio(surface, c.name) for c in cands]
+                cols[name] = [string_reference.partial_ratio(surface, c.name) for c in cands]
             elif spec.kind == "ctx":
                 cols[name] = context_scores_reference(inst, mentions)
             elif spec.kind == "type":
@@ -414,7 +403,8 @@ class TestColumnKernels:
         assert _lev_column(a, b).tobytes() == expected.tobytes()
 
     def test_one_row_calls(self):
-        for (column, reference), public in zip(_KERNELS, (char_jaccard, lev_sim, jaro_winkler)):
+        publics = (char_jaccard, lev_sim, jaro_winkler, partial_ratio)
+        for (column, reference), public in zip(_KERNELS, publics, strict=True):
             for x, y in [("", ""), ("", "ab"), ("MARTHA", "MARHTA"), ("a" * 70, "a" * 69 + "b")]:
                 assert type(public(x, y)) is float
                 assert public(x, y) == reference(x, y)
@@ -457,31 +447,34 @@ def _list_case(draw):
 
 
 _SURFACES = ["ab", "b\U0001F600", "aba", "\ud800ab"]
+_NAMES = ["", "e", "ab", "ba", "\ud800a\U0001F600", "aab ba"]
 _DESCRIPTIONS = [None, "", "a", "ab ba", "b\U0001F600 aab", "aab bab \ud800ba"]
 
 
 @st.composite
 def _shared_context_dataset(draw):
-    """1-3 texts of 3-5 mentions whose surfaces and descriptions come from
-    small pools, so surfaces repeat among one list's co-mentions and across
-    texts, and descriptions across a text's lists; a description may be
-    shorter than a surface, empty or None. Every draw holds each case: the
-    first mention of a text sees all the others, two of which share a
-    surface; every text's first surface is the first text's; and the first
-    two mentions of a text share a described candidate."""
+    """1-3 texts of 3-5 mentions whose surfaces, names and descriptions come
+    from small pools, so surfaces repeat among one list's co-mentions and
+    across texts, and names and descriptions across a text's lists; a name
+    or description may be shorter than a surface, as long, or empty, and a
+    description None. Every draw holds each case: the first mention of a
+    text sees all the others, two of which share a surface; every text's
+    first surface is the first text's; and the first two mentions of a
+    text share a described candidate."""
     instances, first_surface = [], None
     for t in range(draw(st.integers(1, 3))):
         mids = [f"t{t}m{i}" for i in range(draw(st.integers(3, 5)))]
         surfaces = draw(st.lists(st.sampled_from(_SURFACES), min_size=len(mids), max_size=len(mids)))
         surfaces[2] = surfaces[1]
         first_surface = surfaces[0] = first_surface or surfaces[0]
-        pool = [CandidateEntity(id=f"t{t}_e{k}", name="e",
+        pool = [CandidateEntity(id=f"t{t}_e{k}", name=draw(st.sampled_from(_NAMES)),
                                 description=draw(st.sampled_from(_DESCRIPTIONS[1:] if k == 0 else _DESCRIPTIONS)))
                 for k in range(3)]
         for i, (mid, surface) in enumerate(zip(mids, surfaces)):
             shared = [pool[0]] if i < 2 else []
             shared += draw(st.lists(st.sampled_from(pool[1:]), max_size=2, unique_by=lambda c: c.id))
-            own = [CandidateEntity(id=f"{mid}_c{k}", name="e", description=draw(st.sampled_from(_DESCRIPTIONS)))
+            own = [CandidateEntity(id=f"{mid}_c{k}", name=draw(st.sampled_from(_NAMES)),
+                                   description=draw(st.sampled_from(_DESCRIPTIONS)))
                    for k in range(draw(st.integers(0 if shared else 1, 3)))]
             cands = tuple(draw(st.permutations(shared + own)))
             others = draw(st.permutations(mids[:i] + mids[i + 1:]))
@@ -512,13 +505,35 @@ class TestListColumns:
     @given(_shared_context_dataset(), st.sampled_from([1, 2]))
     @settings(max_examples=150, deadline=None)
     def test_ctx_scored_once_per_distinct_pair(self, ds, jobs):
-        catalog = default_catalog().restricted(["ctx"])
-        with mock.patch.object(simfeatures, "_partial_ratios", wraps=simfeatures._partial_ratios) as dp:
+        # each kernel call's pairs, and the (pattern, longs) of every DP it ran
+        calls = []
+        kernel, window_distances = simfeatures._partial_ratio_column, simfeatures._window_distances
+
+        def spy_kernel(a, b, run=map):
+            calls.append((list(zip(a, b)), []))
+            return kernel(a, b, run)
+
+        def spy_dp(short, longs):
+            calls[-1][1].append((short, list(longs)))
+            return window_distances(short, longs)
+
+        catalog = default_catalog().restricted(["pr", "ctx"])
+        with mock.patch.object(simfeatures, "_partial_ratio_column", spy_kernel), \
+                mock.patch.dict(simfeatures._NAME_KERNELS, {"pr": spy_kernel}), \
+                mock.patch.object(simfeatures, "_window_distances", spy_dp):
             table = build_feature_table(ds, catalog, jobs=jobs)
-        surfaces = [call.args[0] for call in dp.call_args_list]
-        pairs = [(call.args[0], d) for call in dp.call_args_list for d in call.args[1]]
-        assert len(set(surfaces)) == len(surfaces) and len(set(pairs)) == len(pairs)
-        assert table.select_matrix(["ctx"])[0].tobytes() == list_reference.list_columns(ds, catalog)["ctx"].tobytes()
+        assert len(calls) == 2
+        for pairs, dps in calls:
+            patterns = [short for short, _ in dps]
+            assert len(set(patterns)) == len(patterns)
+            scored = sorted((short, long) for short, longs in dps for long in longs)
+            want = {(x, y) if len(x) <= len(y) else (y, x) for x, y in pairs}
+            assert scored == sorted((short, long) for short, long in want if short)
+            # a name or description shorter than the surface is the pattern of its pair
+            assert {(y, x) for x, y in pairs if 0 < len(y) < len(x)} <= set(scored)
+        want = list_reference.list_columns(ds, catalog)
+        got = dict(zip(["pr", "ctx"], table.select_matrix(["pr", "ctx"])))
+        assert {n: col.tobytes() for n, col in got.items()} == {n: want[n].tobytes() for n in got}
 
     def test_first_error_in_dataset_then_catalog_order(self):
         def inst(mid, context=(), indegrees=(1, 2)):
