@@ -8,10 +8,10 @@ box concentrates mass on candidates that fit both. Each candidate scores
 
     beta_box * sim_box(e) + cos(e)
 
-where sim_box(e) = 1 / (1 + L1(e, center(intersection))) and cos is an
-externally supplied embedding-similarity column; the combined scores are
-min-max rescaled per candidate list. An empty intersection contributes
-sim_box = 0 for every candidate.
+where sim_box(e) = 1 / (1 + L1(e, center(intersection))) and cos(e) is the
+candidate's externally supplied ``cos`` score, 0 when it has none; the
+combined scores are min-max rescaled per candidate list. An empty
+intersection contributes sim_box = 0 for every candidate.
 
 ``train_box_params`` fits psi, omega and beta_box by per-mention gradient
 descent on the margin-ranking loss, with omega and beta_box kept
@@ -260,7 +260,7 @@ class _Stack(NamedTuple):
     labels: tuple
 
 
-def _training_rows(ds: Dataset, cos_column: str, dim: int) -> tuple[list[int], list[_Stack]]:
+def _training_rows(ds: Dataset, dim: int) -> tuple[list[int], list[_Stack]]:
     """One single-mention stack per mention with an embedded peer, and each
     stack's mention position in ``ds``. The embeddings of these mentions and
     of their peers are read, checked to be ``dim``-d and boxed once per
@@ -288,7 +288,7 @@ def _training_rows(ds: Dataset, cos_column: str, dim: int) -> tuple[list[int], l
             peer_lower=np.stack([b.lower for b in peer_boxes])[None],
             peer_upper=np.stack([b.upper for b in peer_boxes])[None],
             peer_index=np.arange(1, len(peer_boxes) + 1)[:, None],
-            cos=np.array([[c.external_scores.get(cos_column, 0.0) for c in inst.candidates]]),
+            cos=np.array([[c.external_scores.get("cos", 0.0) for c in inst.candidates]]),
             labels=(prepare_labels(inst.labels),),
         ))
     return positions, rows
@@ -398,7 +398,7 @@ def _summed_loss(stacks: list[tuple[list[int], _Stack]], raw: dict, mu: float) -
                for out, labels in _scored(stacks, _effective(raw)))
 
 
-def box_feature(ds: Dataset, params: BoxParams, cos_column: str = "cos") -> list[np.ndarray]:
+def box_feature(ds: Dataset, params: BoxParams) -> list[np.ndarray]:
     """Every instance's box column, in dataset order.
 
     A mention with an embedded peer in its text scores
@@ -407,7 +407,7 @@ def box_feature(ds: Dataset, params: BoxParams, cos_column: str = "cos") -> list
     Every candidate needs an embedding of the parameters' dimension, peers
     or not; a non-finite score raises FeatureError naming the first such mention.
     """
-    positions, rows = _training_rows(ds, cos_column, params.psi.size)
+    positions, rows = _training_rows(ds, params.psi.size)
     columns: list = [None] * len(ds.instances)
     effective = (params.psi, params.omega / 2.0, params.beta_box)
     for i, (out, _) in zip(positions, _scored(_by_shape(rows), effective)):
@@ -417,27 +417,27 @@ def box_feature(ds: Dataset, params: BoxParams, cos_column: str = "cos") -> list
     for i, inst in enumerate(ds.instances):
         if columns[i] is None:
             _candidate_embeddings(inst.candidates, params.psi.size)
-            columns[i] = minmax_rescale([c.external_scores.get(cos_column, 0.0) for c in inst.candidates])
+            columns[i] = minmax_rescale([c.external_scores.get("cos", 0.0) for c in inst.candidates])
     return columns
 
 
-def box_total_loss(ds: Dataset, params: BoxParams, mu: float, cos_column: str = "cos") -> float:
+def box_total_loss(ds: Dataset, params: BoxParams, mu: float) -> float:
     """Summed margin loss of the joint box feature over peer-linked mentions."""
-    rows = _training_rows(ds, cos_column, params.psi.size)[1]
+    rows = _training_rows(ds, params.psi.size)[1]
     return _summed_loss(_by_shape(rows), _named(_pack(params)), mu)
 
 
-def box_gradients(ds: Dataset, params: BoxParams, mu: float, cos_column: str = "cos") -> dict:
+def box_gradients(ds: Dataset, params: BoxParams, mu: float) -> dict:
     """Analytic d(loss)/d(raw parameter) for the box training objective."""
     raw = _named(_pack(params))
     grad = {name: np.zeros_like(view) for name, view in raw.items()}
     effective = _effective(raw)
-    for row in _training_rows(ds, cos_column, params.psi.size)[1]:
+    for row in _training_rows(ds, params.psi.size)[1]:
         _forward(row, effective, raw, grad, mu)
     return grad
 
 
-def train_box_params(ds: Dataset, config, cos_column: str = "cos", init: BoxParams | None = None) -> BoxParams:
+def train_box_params(ds: Dataset, config, init: BoxParams | None = None) -> BoxParams:
     """Fit the neighborhood projection by per-mention gradient descent.
 
     Deterministic given ``config.seed``; mentions without embedded peers in
@@ -448,7 +448,7 @@ def train_box_params(ds: Dataset, config, cos_column: str = "cos", init: BoxPara
         raise FeatureError("dataset has no embeddings; cannot train box parameters")
     init = init if init is not None else BoxParams.default(ds.embedding_dim)
     vec = _pack(init)
-    rows = _training_rows(ds, cos_column, init.psi.size)[1]
+    rows = _training_rows(ds, init.psi.size)[1]
     if not rows:
         logger.warning("no mention has an embedded peer; returning initial parameters")
         return _unpack(vec)

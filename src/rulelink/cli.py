@@ -33,7 +33,7 @@ from .errors import (
     TrainingDivergence,
 )
 from .ruledsl import ast_leaves, builtin_templates, compile, parse, rule_catalog
-from .simfeatures import FeatureTable, build_feature_table, default_catalog, read_sidecar, write_features
+from .simfeatures import FeatureTable, build_feature_table, default_catalog, read_sidecar, sidecar_path, write_features
 from .training import TrainConfig, load_config, load_model, save_model, train
 
 logger = logging.getLogger(__name__)
@@ -52,6 +52,26 @@ def _require_file(path: str) -> str:
     if not os.path.exists(path):
         raise UsageError(f"no such file: {path}")
     return path
+
+
+_INPUT_FLAGS = ("data", "features", "model", "rules", "config", "embeddings", "box_params")
+_OUTPUT_FLAGS = ("out", "json", "dot")
+
+
+def _refuse_overwrites(args) -> None:
+    """UsageError when an output flag names an existing file that is one of
+    the command's input files: no subcommand writes over what it reads.
+    Featurize's sidecar ``F.npz`` is an output too."""
+    inputs = [(name, getattr(args, name, None)) for name in _INPUT_FLAGS]
+    inputs = [(name, path) for name, path in inputs if path and not (name == "rules" and path.startswith("builtin:"))]
+    outputs = [(flag, getattr(args, flag, None)) for flag in _OUTPUT_FLAGS]
+    if args.command == "featurize":
+        outputs.append(("out", sidecar_path(args.out)))
+    for flag, out in outputs:
+        for name, path in inputs:
+            if out and os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path):
+                raise UsageError(f"--{flag} {out} is the input --{name.replace('_', '-')} {path}; "
+                                 "no command writes over its inputs")
 
 
 def _load_rules(spec: str):
@@ -246,6 +266,7 @@ def run(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     try:
         args = _parser().parse_args(argv)
+        _refuse_overwrites(args)
         return args.func(args)
     except UsageError as exc:
         print(f"rulelink: {exc}", file=sys.stderr)

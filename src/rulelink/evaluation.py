@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import Dataset
+from .corpus import Dataset, echo
+from .errors import DatasetError
 from .logic import AndNode, NotNode, RawLeaf, ThresholdLeaf
 from .ruledsl import builtin_templates, compile, disjoin
 from .simfeatures import FeatureCatalog, FeatureTable, ScoringBlock, scoring_rows
@@ -88,14 +89,17 @@ def link(model: Model, ds: Dataset | ScoringBlock, table: FeatureTable | None = 
     ``ds`` is a Dataset scored against the rows of ``table``, or a
     ScoringBlock, whose table holds its rows (``table`` stays None). One
     stable sort ranks each list as :func:`rank_candidates` does: on -score
-    for one list, keyed on (list, -score) for many.
+    for one list, keyed on (list, -score) for many. An empty candidate list
+    raises DatasetError, as :func:`corpus.validate_dataset` words it.
     """
     mention_ids, offsets, candidate_ids, _ = ds.row_keys()
+    lengths = [end - start for start, end in zip(offsets, offsets[1:])]
+    if 0 in lengths:
+        raise DatasetError(f"mention {echo(mention_ids[lengths.index(0)])}: empty candidate list")
     scores = model.graph.evaluate_batch(scoring_rows(ds, table, model.graph.feature_names)[0])
     if len(mention_ids) == 1:
         order = (-scores).argsort(kind="stable")
     else:
-        lengths = [end - start for start, end in zip(offsets, offsets[1:])]
         order = np.lexsort((-scores, np.arange(len(lengths)).repeat(lengths)))
     ranked = list(zip(map(candidate_ids.__getitem__, order.tolist()), scores[order].tolist()))
     return [

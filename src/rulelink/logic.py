@@ -442,13 +442,9 @@ class ScoringGraph:
         self._learn_uids = self._tl_uids[self._theta_learn]
         code = {"lnn": _LNN, "tnorm": _TNORM, "manual": _MANUAL}[self.mode]
         # a node's children are leaves or in an earlier op
-        needs_grad = {n.uid: code != _MANUAL and n.fixed_theta is None for n in tls}
-        self._ops, self._back_ops, lnn = [], [], 0
+        self._ops, lnn = [], 0
         for nodes in groups:
             cls, k = type(nodes[0]), len(nodes[0].children)
-            for node in nodes:
-                own = code == _LNN and cls is not NotNode
-                needs_grad[node.uid] = own or any(needs_grad.get(c.uid, False) for c in node.children)
             uids = np.array([n.uid for n in nodes], dtype=np.intp)
             kids = np.array([[c.uid for c in n.children] for n in nodes], dtype=np.intp).T
             flip = cls is OrNode
@@ -463,8 +459,6 @@ class ScoringGraph:
                 weights = [default if n.manual_weights is None else n.manual_weights for n in nodes]
                 op = (_MANUAL, uids, kids, np.array(weights).T[:, :, None], flip)
             self._ops.append(op)
-            if any(needs_grad[n.uid] for n in nodes):
-                self._back_ops.insert(0, len(self._ops) - 1)
 
     def _run(self, feats: np.ndarray, cache: dict | None = None) -> np.ndarray:
         """Run the tape over the ``[features, rows]`` matrix ``feats``; the
@@ -570,13 +564,12 @@ class ScoringGraph:
         dvalues[0] = dout
         # the lnn ops' weight and bias gradients, each op's in its stretch
         dw, db = np.zeros(len(self._gate_of_w)), np.zeros(len(self._arity))
-        for j in self._back_ops:
-            code, u, kids, extra, flip = self._ops[j]
+        for (code, u, kids, extra, flip), keep in zip(reversed(self._ops), reversed(kept)):
             g = dvalues[u]
             if code == _NOT:
                 dvalues[kids] = -g
                 continue
-            arr, pre = kept[j]  # arr: 1 - inputs for lnn, the inputs for tnorm
+            arr, pre = keep  # arr: 1 - inputs for lnn, the inputs for tnorm
             if code == _LNN:
                 live = (pre > 0.0) & (pre < 1.0)
                 ge = (-g if flip else g) * live
@@ -591,8 +584,8 @@ class ScoringGraph:
                 terms = np.repeat(arr[None], len(extra), axis=0)
                 terms[extra, extra] = 1.0
                 dvalues[kids] = g * _fold(np.multiply, terms.swapaxes(0, 1))
-        # every lnn op is on the backward tape (its own parameters learn), and
-        # the ops' stretches tile the blocks: one add per block
+        # every lnn op's own parameters learn, and the ops' stretches tile
+        # the blocks: one add per block
         if self.mode == "lnn":
             rho, _, beta, _ = self._blocks
             grads[rho] += -dw * eff["sig"][rho]

@@ -75,46 +75,38 @@ def _myers_block(a: list[str], b: list[str]) -> np.ndarray:
 
     Each pair's shorter string is the pattern: bit i of a lane holds the
     vertical delta at its character i, and one step per character of the
-    longer string updates every lane. Lanes are uint64 when every pattern
-    of the block fits in 64 bits, else Python ints in an object array; the
-    recurrence is the same code for both. A lane's distance is read at the
-    step of its text's last character. With one word per lane, every
-    step's equality words are built up front, one pattern position at a
-    time, as the rows of a ``[text_len, lanes]`` matrix; with more, each
-    step packs its own from the pattern's matches.
+    longer string updates every lane. Every step's equality words are built
+    up front, one pattern position at a time, and read as a ``[words,
+    text_len, lanes]`` uint64 array: bit ``i % 64`` of word ``i // 64``
+    holds whether pattern character i matches. Lanes are uint64 when every
+    pattern of the block fits in one word, else Python ints in an object
+    array, each the join of its step's words. That dtype is the only
+    difference: the lane set-up and the recurrence are one code for both.
+    A lane's distance is read at the step of its text's last character.
     """
     pairs = [(x, y) if len(x) <= len(y) else (y, x) for x, y in zip(a, b)]
     short, long = [p[0] for p in pairs], [p[1] for p in pairs]
     words = max(1, -(-max(map(len, short)) // 64))
     pattern, m = _padded(short, -1, 64 * words)
     text, n = _padded(long, -2)
+    hits = np.zeros((words, *text.shape), dtype=np.uint64)
+    for w, word in enumerate(hits):
+        for i in range(64 * w, min(64 * w + 64, int(m.max()))):
+            word |= np.left_shift(pattern[:, i, None] == text, np.uint64(i - 64 * w), dtype=np.uint64)
+    hits = hits.transpose(0, 2, 1)  # [words, text_len, lanes]
+    lanes, one = (np.uint64, np.uint64(1)) if words == 1 else (object, 1)
+    eqs = np.ascontiguousarray(hits[0], dtype=lanes)
+    for w in range(1, words):
+        eqs |= hits[w].astype(object) << 64 * w
     top = np.maximum(m, 1) - 1  # an empty pattern runs as one char that never matches
-    if words == 1:
-        one = np.uint64(1)
-        last = one << top.astype(np.uint64)
-        mv = np.zeros(len(m), dtype=np.uint64)
-        eqs = np.zeros(text.shape, dtype=np.uint64)
-        for i in range(int(m.max())):
-            eqs |= np.left_shift(pattern[:, i, None] == text, np.uint64(i), dtype=np.uint64)
-        eqs = np.ascontiguousarray(eqs.T)
-    else:
-        one = 1
-        last = np.array([1 << int(t) for t in top], dtype=object)
-        mv = np.zeros(len(m), dtype=object)
+    last = one << top.astype(lanes)
     mask = (last - one) | last
-    pv = mask
+    pv, mv = mask, np.zeros(len(m), lanes)
     dist = top + 1
     out = n.copy()  # the distance to an empty pattern
     order = np.argsort(n, kind="stable")
     ends = np.searchsorted(n[order], np.arange(text.shape[1] + 1), side="right")
-    for j in range(text.shape[1]):
-        if words == 1:
-            eq = eqs[j]
-        else:
-            hits = np.packbits(pattern == text[:, j, None], axis=1, bitorder="little").view("<u8")
-            eq = hits[:, 0]
-            for w in range(1, words):
-                eq = eq | (hits[:, w].astype(object) << 64 * w)
+    for j, eq in enumerate(eqs):
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
@@ -354,12 +346,12 @@ class FeatureSpec:
     """Descriptor for one catalog entry.
 
     ``source`` names the stored column for ``external`` features;
-    ``box_params``/``cos_column`` configure ``box`` features.
+    ``box_params`` configures ``box`` features, which read the ``cos``
+    column.
     """
 
     kind: str
     source: str | None = None
-    cos_column: str = "cos"
     box_params: object | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -372,10 +364,8 @@ class FeatureSpec:
         obj = {"kind": self.kind}
         if self.source:
             obj["source"] = self.source
-        if self.kind == "box":
-            obj["cos_column"] = self.cos_column
-            if self.box_params is not None:
-                obj["box_params"] = self.box_params.to_json()
+        if self.kind == "box" and self.box_params is not None:
+            obj["box_params"] = self.box_params.to_json()
         return obj
 
     @classmethod
@@ -388,7 +378,6 @@ class FeatureSpec:
         return cls(
             kind=obj["kind"],
             source=obj.get("source"),
-            cos_column=obj.get("cos_column", "cos"),
             box_params=params,
         )
 
@@ -784,7 +773,7 @@ def _box_column(ds: Dataset, spec: FeatureSpec) -> list[np.ndarray]:
     from .boxgeom import BoxParams, box_feature
 
     dims = (len(c.embedding) for inst in ds.instances for c in inst.candidates if c.embedding is not None)
-    return box_feature(ds, spec.box_params or BoxParams.default(next(dims, 0)), spec.cos_column)
+    return box_feature(ds, spec.box_params or BoxParams.default(next(dims, 0)))
 
 
 def _check_keys(mention_ids: list[str], row_mentions: list[str], candidate_ids: list[str]) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -53,6 +54,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # numpy numbers pass, as grid searches pass them; bool is no number here
+            value, kind = getattr(self, f.name), numbers.Integral if type(f.default) is int else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is numbers.Integral else "a real number"
+                raise ValueError(f"{f.name} must be {what}, not {type(value).__name__}")
         for name in ("epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

@@ -336,7 +336,7 @@ class TestBoxGradients:
             analytic = box_gradients(ds, params, mu=0.7)
             an = np.concatenate([np.atleast_1d(analytic[key]) for key in ("psi", "raw_omega", "raw_beta")])
             vec = _pack(params)
-            stacks = _by_shape(_training_rows(ds, "cos", 2)[1])
+            stacks = _by_shape(_training_rows(ds, 2)[1])
             h = 1e-6
 
             def loss_at(v):
@@ -505,7 +505,7 @@ GOLDEN_BOX_RUNS = [
 class TestGoldenBoxTraining:
     def test_dataset_covers_the_edge_cases(self):
         ds = _golden_box_dataset()
-        positions, rows = _training_rows(ds, "cos", 4)
+        positions, rows = _training_rows(ds, 4)
         assert positions == list(range(len(ds.instances) - 1))
         assert len(rows) == len(ds.instances) - 1  # the "alone" mention has no peer
         assert max(len(row.peer_index) for row in rows) >= 9
@@ -636,7 +636,8 @@ def _separable_box_dataset(seed, n_texts):
 def _ranking_accuracy(ds: Dataset, params: BoxParams) -> float:
     """Share of the target ("m") mentions whose gold candidate the box
     feature ranks first, scored with zero cos."""
-    columns = box_feature(ds, params, cos_column="no such column")  # no candidate carries it: cos is 0
+    assert not any(c.external_scores for inst in ds.instances for c in inst.candidates)  # so cos is 0
+    columns = box_feature(ds, params)
     ranked = [int(np.argmax(col) == inst.labels.index(1))
               for inst, col in zip(ds.instances, columns) if inst.mention.id.startswith("m")]
     return sum(ranked) / len(ranked)

@@ -109,6 +109,15 @@ class TestFeaturize:
         header = (workdir / "f.csv").read_text().splitlines()[0]
         assert header == "mention_id,candidate_id,jacc,lev,jw,spacy,prom"
 
+    def test_out_that_is_the_data_file_is_refused_and_left_alone(self, workdir, capsys):
+        data = workdir / "data.jsonl"
+        before = data.read_bytes()
+        code = run(["featurize", "--data", str(data), "--rules", str(workdir / "rules.elr"), "--out", str(data)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"rulelink: --out {data} is the input --data {data}; no command writes over its inputs\n")
+        assert data.read_bytes() == before
+
 
 class TestTrainCli:
     def test_bit_identical_across_runs(self, workdir):
@@ -818,6 +827,18 @@ def _file(path, content) -> Path:
     return path
 
 
+def _dataset_file(path) -> Path:
+    """``path``, holding a small valid dataset."""
+    save_dataset(generate_dataset(3, n_candidates=2, seed=0), path)
+    return path
+
+
+def _symlink(path, target) -> Path:
+    """``path``, a symbolic link to ``target``."""
+    path.symlink_to(target)
+    return path
+
+
 def _argv(command: str, inputs: Path, fresh: Path, endpoint: str | None, **changed) -> list[str]:
     """A run of ``command`` that succeeds on ``cli_inputs``, writing into
     ``fresh``, with the flags ``changed`` replacing or joining its own."""
@@ -881,6 +902,11 @@ _EXIT_CODES = [
     ("featurize", "unknown flag", 1, lambda t: {"jobs": 2}),
     ("featurize", "out in a missing directory", 1, lambda t: {"out": t / "missing" / "f.csv"}),
     ("featurize", "out is a directory", 2, lambda t: {"out": t}),
+    ("featurize", "out is the data file", 1, lambda t: {"data": _dataset_file(t / "d.jsonl"), "out": t / "d.jsonl"}),
+    ("featurize", "sidecar is the data file", 1,
+     lambda t: {"data": _dataset_file(t / "f.csv.npz"), "out": t / "f.csv"}),
+    ("featurize", "out links to the rules file", 1,
+     lambda t: {"rules": _file(t / "r.elr", "rule R = jacc?;"), "out": _symlink(t / "f.csv", t / "r.elr")}),
     ("train", "unknown template", 1, lambda t: {"rules": "builtin:Nope"}),
     ("train", "config value", 1, lambda t: {"config": _file(t / "c.cfg", "epochs = abc\n")}),
     ("train", "config key", 1, lambda t: {"config": _file(t / "c.cfg", "volume = 11\n")}),
@@ -899,6 +925,7 @@ _EXIT_CODES = [
     ("link", "non-UTF-8 model", 1, lambda t: {"model": _file(t / "m.json", b'{"graph": "\xff"}')}),
     ("link", "out in a missing directory", 1, lambda t: {"out": t / "missing" / "p.json"}),
     ("link", "out is a directory", 2, lambda t: {"out": t}),
+    ("link", "out is the model", 1, lambda t: {"model": _file(t / "m.json", _model_text()), "out": t / "m.json"}),
     ("eval", "cutoff below 1", 1, lambda t: {"ks": 0}),
     ("eval", "cutoff not an integer", 1, lambda t: {"ks": "a"}),
     ("transfer", "empty cutoff", 1, lambda t: {"ks": "5,"}),
@@ -915,6 +942,8 @@ _EXIT_CODES = [
     ("inspect", "model nested too deep", 1, lambda t: {"model": _file(t / "m.json", DEEP_JSON)}),
     ("inspect", "model integer too long", 1, lambda t: {"model": _file(t / "m.json", f"[{HUGE_JSON_INT}]")}),
     ("inspect", "json out is a directory", 2, lambda t: {"json": t}),
+    ("inspect", "json out is the model", 1, lambda t: {"model": _file(t / "m.json", _model_text()), "json": t / "m.json"}),
+    ("inspect", "dot out is the model", 1, lambda t: {"model": _file(t / "m.json", _model_text()), "dot": t / "m.json"}),
     ("fetch", "k below 1", 1, lambda t: {"k": 0}),
     ("fetch", "malformed reply", 2, lambda t: {}),
     ("fetch", "reply nested too deep", 2, lambda t: {}),

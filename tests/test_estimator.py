@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from rulelink.corpus import Dataset, LabeledInstance
+from rulelink.corpus import Dataset, LabeledInstance, Mention
 from rulelink.errors import CompileError, DatasetError, ParseError
 from rulelink.estimator import RuleLinker
 from synthgen import generate_dataset
@@ -73,6 +73,13 @@ class TestFitPredict:
     def test_tnorm_mode_trains(self, small_ds):
         est = RuleLinker(rules="Name", mode="tnorm", epochs=3).fit(small_ds)
         assert est.model_.graph.mode == "tnorm"
+
+    def test_one_mention_with_no_candidates_is_a_dataset_error(self, small_ds):
+        est = RuleLinker(rules="rule R = jacc? | lev?;", epochs=1).fit(small_ds)
+        bare = Dataset(instances=(LabeledInstance(Mention(id="z", surface="z", text_id="t"), (), ()),))
+        for call in (est.predict, est.predict_rankings, est.score):
+            with pytest.raises(DatasetError, match="^mention 'z': empty candidate list$"):
+                call(bare)
 
     def test_same_seed_same_predictions(self, small_ds):
         a = RuleLinker(rules="Name", epochs=5, seed=4).fit(small_ds).predict(small_ds)

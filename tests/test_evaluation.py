@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
-from rulelink.errors import FeatureError
+from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention, validate_dataset
+from rulelink.errors import DatasetError, FeatureError
 from rulelink.estimator import RuleLinker
 from rulelink.evaluation import (
     EvalReport,
@@ -31,6 +31,7 @@ from rulelink.simfeatures import FeatureCatalog, FeatureTable, ScoringBlock, bui
 from rulelink.training import Model, TrainConfig, load_model, margin_loss, save_model, total_loss, train
 import rank_reference
 from synthgen import generate_dataset
+from test_ruledsl import _random_expr
 
 
 def _dataset(rows):
@@ -257,6 +258,18 @@ class TestLink:
         with pytest.raises(FeatureError, match="lacks columns"):
             link(model, toy_dataset, thin)
 
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_empty_candidate_list_is_a_dataset_error(self, toy_dataset, where):
+        model, table = _trained_toy_model(toy_dataset)
+        bare = LabeledInstance(Mention(id="z", surface="z", text_id="t9"), (), ())
+        instances = list(toy_dataset.instances)
+        instances.insert(where, bare)
+        ds = Dataset(instances=tuple(instances), name="bare")
+        for call in (link, evaluate):
+            with pytest.raises(DatasetError, match="^mention 'z': empty candidate list$"):
+                call(model, ds, table)
+        assert validate_dataset(ds).violations == ("mention 'z': empty candidate list",)
+
 
 def _wide_graph(rng, mode):
     """A hand-built gate of 8-12 children whose lnn pre-activation mostly
@@ -270,8 +283,6 @@ def _wide_graph(rng, mode):
 
 def _fuzzed_graph(rng, mode):
     """``test_ruledsl._random_expr`` with jittered parameters, or a wide gate."""
-    from test_ruledsl import _random_expr
-
     if rng.integers(0, 2):
         graph = compile([RuleAST(name="Fuzz", body=_random_expr(rng, 3))], default_catalog(), mode=mode)
         for arr in graph.parameters().values():

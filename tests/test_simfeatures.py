@@ -696,6 +696,12 @@ class TestBuildFeatureTable:
         with pytest.raises(FeatureError, match="embedding"):
             build_feature_table(toy_dataset, catalog)
 
+    def test_box_spec_ignores_the_cos_column_key_of_older_model_files(self):
+        # model files written before the cos column was fixed name it; the key is ignored
+        spec = FeatureSpec.from_json({"kind": "box", "cos_column": "cos"})
+        assert spec == FeatureSpec("box")
+        assert spec.to_json() == {"kind": "box"}
+
     def test_box_embedding_of_another_dimension_is_error(self):
         # "lone" has no peer, so it scores from cos alone, but its 3-d
         # embedding is still an error

@@ -31,6 +31,7 @@ from rulelink.training import (
 )
 import tree_reference
 from synthgen import generate_dataset
+from test_ruledsl import _random_expr
 
 
 class TestTrainConfig:
@@ -56,6 +57,36 @@ class TestTrainConfig:
     def test_rejects_non_finite_penalty_and_negative_counts(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("epochs", 2.5, "epochs must be an integer, not float"),
+        ("epochs", "3", "epochs must be an integer, not str"),
+        ("epochs", True, "epochs must be an integer, not bool"),
+        ("seed", 1.5, "seed must be an integer, not float"),
+        ("seed", np.float64(2.0), "seed must be an integer, not float64"),
+        ("learning_rate", "0.01", "learning_rate must be a real number, not str"),
+        ("learning_rate", None, "learning_rate must be a real number, not NoneType"),
+        ("mu", True, "mu must be a real number, not bool"),
+        ("mu", 0.7j, "mu must be a real number, not complex"),
+        ("alpha", np.bool_(True), "alpha must be a real number, not bool"),
+        ("alpha", [0.7], "alpha must be a real number, not list"),
+        ("penalty_lambda", "10", "penalty_lambda must be a real number, not str"),
+        ("penalty_lambda", False, "penalty_lambda must be a real number, not bool"),
+    ])
+    def test_rejects_a_value_of_the_wrong_type(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", np.int64(3)), ("seed", np.int32(4)), ("learning_rate", np.float64(0.02)),
+        ("mu", np.float32(0.75)), ("alpha", 0.6), ("penalty_lambda", np.int64(2)),
+    ])
+    def test_accepts_numpy_numbers(self, field, value):
+        assert getattr(TrainConfig(**{field: value}), field) == value
+
+    def test_estimator_with_float_epochs_fails_before_training(self, toy_dataset):
+        with pytest.raises(ValueError, match="^epochs must be an integer, not float$"):
+            RuleLinker(epochs=2.5).fit(toy_dataset)
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "train.cfg"
@@ -447,7 +478,6 @@ def _fuzzed_graph_and_data(seed, mode):
     """A random rule tree (``test_ruledsl._random_expr``) with jittered
     parameters, plus random feature values for a few candidate lists."""
     from rulelink.simfeatures import FeatureTable
-    from test_ruledsl import _random_expr
 
     rng = np.random.default_rng(seed)
     graph = compile([RuleAST(name="Fuzz", body=_random_expr(rng, 3))], default_catalog(), mode=mode)
