@@ -61,9 +61,12 @@ _OUTPUT_FLAGS = ("out", "json", "dot")
 def _refuse_overwrites(args) -> None:
     """UsageError when an output flag names an existing file that is one of
     the command's input files: no subcommand writes over what it reads.
-    Featurize's sidecar ``F.npz`` is an output too."""
+    The sidecar ``F.npz`` is an input of ``--features F`` and an output of
+    ``featurize --out F``."""
     inputs = [(name, getattr(args, name, None)) for name in _INPUT_FLAGS]
     inputs = [(name, path) for name, path in inputs if path and not (name == "rules" and path.startswith("builtin:"))]
+    if getattr(args, "features", None):
+        inputs.append(("features", sidecar_path(args.features)))
     outputs = [(flag, getattr(args, flag, None)) for flag in _OUTPUT_FLAGS]
     if args.command == "featurize":
         outputs.append(("out", sidecar_path(args.out)))

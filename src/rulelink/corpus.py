@@ -26,8 +26,11 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sized
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, chain, compress, repeat
 from numbers import Real
+from operator import itemgetter
+from types import MappingProxyType
 
 import requests
 
@@ -106,12 +109,92 @@ class LoadReport:
         logger.log(logging.WARNING if dropped else logging.INFO, "load %s: %s", path, self.summary())
 
 
+class Columns:
+    """A dataset as one list per field, in dataset order.
+
+    Per mention: ``mention_ids``, ``surfaces``, ``text_ids``,
+    ``context_ids`` (tuples) and ``types``; ``offsets``, so that list i owns
+    rows ``offsets[i]:offsets[i+1]``. Per row: ``candidate_ids``, ``names``,
+    ``descriptions``, ``domains``, ``indegrees``, ``embeddings``,
+    ``external_scores`` and the 0/1 ``labels``.
+
+    Each value is the one an instance holds (domains as frozensets,
+    embeddings as tuples of floats, scores as dicts of floats) and the same
+    object: :func:`load_dataset` fills every column, and :meth:`instances`
+    builds on them; made from ``instances``, each column is read off them on
+    its first use.
+    """
+
+    def __init__(self, instances: tuple[LabeledInstance, ...] = (), **columns):
+        self._instances = instances
+        self.__dict__.update(columns)
+
+    def instances(self) -> tuple[LabeledInstance, ...]:
+        """The instances the columns hold, equal to the line walk's."""
+        cands = list(map(CandidateEntity, self.candidate_ids, self.names, self.descriptions, self.domains,
+                         self.indegrees, self.embeddings, [s or {} for s in self.external_scores]))
+        labels, offsets = tuple(self.labels), self.offsets
+        mentions = map(Mention, self.mention_ids, self.surfaces, self.text_ids, self.context_ids, self.types)
+        return tuple(LabeledInstance(m, tuple(cands[a:b]), labels[a:b])
+                     for m, a, b in zip(mentions, offsets, offsets[1:]))
+
+    mention_ids = cached_property(lambda self: [i.mention.id for i in self._instances])
+    surfaces = cached_property(lambda self: [i.mention.surface for i in self._instances])
+    text_ids = cached_property(lambda self: [i.mention.text_id for i in self._instances])
+    context_ids = cached_property(lambda self: [i.mention.context_ids for i in self._instances])
+    types = cached_property(lambda self: [i.mention.mention_type for i in self._instances])
+    offsets = cached_property(lambda self: [0, *accumulate(len(i.candidates) for i in self._instances)])
+    _candidates = cached_property(lambda self: [c for i in self._instances for c in i.candidates])
+    candidate_ids = cached_property(lambda self: [c.id for c in self._candidates])
+    names = cached_property(lambda self: [c.name for c in self._candidates])
+    descriptions = cached_property(lambda self: [c.description for c in self._candidates])
+    domains = cached_property(lambda self: [c.domains for c in self._candidates])
+    indegrees = cached_property(lambda self: [c.indegree for c in self._candidates])
+    embeddings = cached_property(lambda self: [c.embedding for c in self._candidates])
+    external_scores = cached_property(lambda self: [c.external_scores for c in self._candidates])
+    labels = cached_property(lambda self: [l for i in self._instances for l in i.labels])
+
+
 @dataclass(frozen=True)
 class Dataset:
+    """Labeled instances, in dataset order.
+
+    A dataset from :func:`load_dataset` holds its :class:`Columns` and
+    builds ``instances`` from them on first read. One built in code reads
+    its columns off ``instances``, each on first use; ``replace(ds,
+    instances=...)`` makes such a dataset, so it never keeps the columns of
+    the dataset it replaces.
+    """
+
     instances: tuple[LabeledInstance, ...]
     embedding_dim: int | None = None
     name: str = ""
     report: LoadReport | None = field(default=None, compare=False)
+    _columns: Columns | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _of_columns(cls, columns: Columns, embedding_dim, name: str, report: LoadReport) -> "Dataset":
+        """A dataset that builds its instances from ``columns`` when first read."""
+        ds = object.__new__(cls)
+        for key, value in (("embedding_dim", embedding_dim), ("name", name), ("report", report), ("_columns", columns)):
+            object.__setattr__(ds, key, value)
+        return ds
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set: the instances of a dataset made by _of_columns
+        columns = self.__dict__.get("_columns")
+        if name != "instances" or columns is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        instances = columns.instances()
+        object.__setattr__(self, "instances", instances)
+        return instances
+
+    @property
+    def columns(self) -> Columns:
+        """The dataset as one list per field (see :class:`Columns`)."""
+        if self._columns is None:
+            object.__setattr__(self, "_columns", Columns(self.instances))
+        return self._columns
 
     def mentions_by_id(self) -> dict[str, Mention]:
         return {inst.mention.id: inst.mention for inst in self.instances}
@@ -119,13 +202,10 @@ class Dataset:
     def row_keys(self) -> tuple[list[str], list[int], list[str], list[int]]:
         """Mention ids and list offsets, then candidate ids and 0/1 labels
         row by row: instance i owns rows ``offsets[i]:offsets[i+1]`` of the
-        candidate lists concatenated in dataset order."""
-        return (
-            [inst.mention.id for inst in self.instances],
-            [0, *accumulate(len(inst.candidates) for inst in self.instances)],
-            [c.id for inst in self.instances for c in inst.candidates],
-            [l for inst in self.instances for l in inst.labels],
-        )
+        candidate lists concatenated in dataset order. Read from
+        :attr:`columns`; the lists are shared, not copies."""
+        columns = self.columns
+        return columns.mention_ids, columns.offsets, columns.candidate_ids, columns.labels
 
     def instances_by_text(self) -> dict[str, list[LabeledInstance]]:
         by_text: dict[str, list[LabeledInstance]] = {}
@@ -185,7 +265,7 @@ def instance_faults(inst: LabeledInstance) -> list[str]:
         if not isinstance(cand.description, (str, type(None))):
             faults.append(f"candidate {echo(cand.id)} description must be a string or null")
         domains = cand.domains if isinstance(cand.domains, _ITERABLE) else [cand.domains]
-        if cand.domains and not set(map(type, domains)) <= {str}:
+        if cand.domains and not _only(domains, str):
             faults.append(f"candidate {echo(cand.id)} domains must be strings, not {_type_names(domains, str)}")
         if not isinstance(cand.indegree, _REAL):
             faults.append(f"candidate {echo(cand.id)} indegree must be a number, not {type(cand.indegree).__name__}")
@@ -224,6 +304,11 @@ def _as_list(value, what: str) -> list:
     return value
 
 
+def _only(values, *types: type) -> bool:
+    """Whether every value is of one of ``types`` exactly (a bool is no int)."""
+    return set(map(type, values)) <= set(types)
+
+
 def _type_names(values, *allowed: type) -> str:
     """The sorted names of the types in ``values`` that are not ``allowed``."""
     return ", ".join(sorted({type(v).__name__ for v in values if type(v) not in allowed}))
@@ -246,7 +331,7 @@ def echo(value) -> str:
 def _numbers(values, what: str):
     """``values`` if they are all JSON numbers; float() would load "0.9" as
     0.9 and true as 1.0, so this check runs before it."""
-    if not set(map(type, values)) <= {int, float}:
+    if not _only(values, int, float):
         raise TypeError(f"{what} values must be JSON numbers, not {_type_names(values, int, float)}")
     return values
 
@@ -270,7 +355,7 @@ def _parse_instance(obj: dict, line_no: int) -> LabeledInstance:
         labels = tuple(int(l) for l in raw_labels)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         fail(f"missing or malformed field ({exc})")
-    if not set(map(type, raw_labels)) <= {int}:  # int() would load true, 0.7 or "1" as 1, 0 or 1
+    if not _only(raw_labels, int):  # int() would load true, 0.7 or "1" as 1, 0 or 1
         fail(f"labels must be JSON integers 0 or 1, not {_type_names(raw_labels, int)}")
 
     candidates = []
@@ -359,11 +444,34 @@ def load_dataset(path) -> Dataset:
     labels are all zero; the counts are logged and kept on the returned
     dataset's ``report``. Context ids pointing at mentions absent from the
     retained set are pruned (counted) so context features stay computable.
-    Each line is checked, then kept or dropped, as it is parsed: the first
-    faulty line is reported (a bad byte once its decoded block is read).
+
+    The file is read into :class:`Columns` (:func:`_column_walk`), and
+    ``instances`` are built from them only when first read. A file holding
+    anything those column checks do not accept is read again line by line
+    (:func:`_line_walk`), which raises the first faulty line's error (a bad
+    byte once its decoded block is read) or returns the same dataset.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    body, dim, counts = _column_walk(data) or _line_walk(path, data)
+    report = LoadReport(**counts, sha256=hashlib.sha256(data).hexdigest())
+    report.log(path)
+    name = os.path.splitext(os.path.basename(str(path)))[0]
+    if isinstance(body, Columns):
+        return Dataset._of_columns(body, dim, name, report)
+    return Dataset(instances=body, embedding_dim=dim, name=name, report=report)
+
+
+def _counts(kept: int, empty: int, negative: int, pruned: int) -> dict[str, int]:
+    """A load report's counts; every line not counted here raised."""
+    return dict(total_lines=kept + empty + negative, kept=kept, empty_candidates=empty,
+                all_negative=negative, pruned_context_ids=pruned)
+
+
+def _line_walk(path, data: bytes) -> tuple[tuple[LabeledInstance, ...], int | None, dict[str, int]]:
+    """The retained instances of the dataset file ``data``, its embedding
+    dimension and its load counts. Each line is checked, then kept or
+    dropped, as it is parsed, so the first faulty line raises."""
     retained: list[LabeledInstance] = []
     seen_ids: set[str] = set()
     empty = negative = 0
@@ -403,18 +511,102 @@ def load_dataset(path) -> Dataset:
         pruned += len(inst.mention.context_ids) - len(ctx)
         if ctx != inst.mention.context_ids:
             retained[n] = replace(inst, mention=replace(inst.mention, context_ids=ctx))
+    return tuple(retained), dim, _counts(len(retained), empty, negative, pruned)
 
-    report = LoadReport(
-        total_lines=len(retained) + empty + negative,  # every other line raised
-        kept=len(retained),
-        empty_candidates=empty,
-        all_negative=negative,
-        pruned_context_ids=pruned,
-        sha256=hashlib.sha256(data).hexdigest(),
-    )
-    report.log(path)
-    name = os.path.splitext(os.path.basename(str(path)))[0]
-    return Dataset(instances=tuple(retained), embedding_dim=dim, name=name, report=report)
+
+# A candidate's domains and external_scores in the columns when the file gives none.
+_NO_DOMAINS, _NO_SCORES = frozenset(), MappingProxyType({})
+
+
+def _column_walk(data: bytes) -> tuple[Columns, int | None, dict[str, int]] | None:
+    """What :func:`_line_walk` returns for ``data``, with the retained
+    instances as :class:`Columns`, when every value passes checks made a
+    column at a time; they accept only the JSON types and ranges the line
+    walk accepts. None, and never an error, for anything else: bad bytes or
+    JSON, a missing field, or a type or value these checks do not know."""
+    try:
+        lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")  # as open() splits
+        objs = [parse_json(line, ValueError) for line in filter(None, map(str.strip, lines))]
+        del lines
+        if not _only(objs, dict):
+            return None
+        mentions, lists, label_lists = (list(map(itemgetter(key), objs)) for key in ("mention", "candidates", "labels"))
+        if not (_only(mentions, dict) and _only(lists, list) and _only(label_lists, list)):
+            return None
+        mention_ids, surfaces, text_ids = (list(map(itemgetter(key), mentions)) for key in ("id", "surface", "text_id"))
+        context_ids = list(map(dict.get, mentions, repeat("context_ids"), repeat([])))
+        types = list(map(dict.get, mentions, repeat("type")))
+        counts = list(map(len, lists))
+        label_values = list(chain.from_iterable(label_lists))
+        cands = list(chain.from_iterable(lists))
+        if not (_only(chain(mention_ids, text_ids, surfaces), str) and all(surfaces)
+                and _only(types, str, type(None)) and _only(context_ids, list)
+                and _only(chain.from_iterable(context_ids), str)
+                and len(set(mention_ids)) == len(mention_ids)
+                and not any(mid in ctx for mid, ctx in zip(mention_ids, context_ids) if ctx)
+                and _only(label_values, int) and set(label_values) <= {0, 1}
+                and all(n in (0, len(ls)) for n, ls in zip(counts, label_lists))
+                and _only(cands, dict)):
+            return None
+        candidate_ids, names = (list(map(itemgetter(key), cands)) for key in ("id", "name"))
+        descriptions, embeddings = (list(map(dict.get, cands, repeat(key))) for key in ("description", "embedding"))
+        domains = list(map(dict.get, cands, repeat("domains"), repeat(())))
+        indegrees = list(map(dict.get, cands, repeat("indegree"), repeat(0)))
+        scores = list(map(dict.get, cands, repeat("external_scores"), repeat(_NO_SCORES)))
+        vectors = [e for e in embeddings if e is not None]
+        if not (_only(vectors, list) and _only(scores, dict, MappingProxyType)):
+            return None
+        values = list(chain.from_iterable(vectors))
+        score_values = list(chain.from_iterable(map(dict.values, filter(None, scores))))
+        offsets = [0, *accumulate(counts)]
+        if not (_only(chain(candidate_ids, names), str) and _only(descriptions, str, type(None))
+                and _only(domains, list, tuple) and _only(chain.from_iterable(domains), str)
+                and _only(indegrees, int) and min(indegrees, default=0) >= 0
+                and float(max(indegrees, default=0)) >= 0  # OverflowError if no float holds it
+                and _only(values, int, float) and all(map(math.isfinite, values))
+                and _only(score_values, int, float)
+                and all(map((0.0).__le__, score_values)) and all(map((1.0).__ge__, score_values))  # NaN fails
+                and not _LONE_SURROGATE.search("".join(chain(
+                    mention_ids, text_ids, chain.from_iterable(context_ids), candidate_ids)))
+                and (len(set(candidate_ids)) == len(candidate_ids) or all(
+                    len(set(candidate_ids[a:b])) == b - a for a, b in zip(offsets, offsets[1:])))):
+            return None
+    except (ValueError, KeyError, OverflowError, RecursionError):  # UnicodeDecodeError is a ValueError
+        return None
+
+    labels = list(chain.from_iterable(compress(label_lists, counts)))  # an empty list's labels label no row
+    keep = [n > 0 and 1 in ls for n, ls in zip(counts, label_lists)]
+    empty = counts.count(0)
+    negative = len(keep) - sum(keep) - empty
+    mention_columns = [mention_ids, surfaces, text_ids, context_ids, types]
+    row_columns = [candidate_ids, names, descriptions, domains, indegrees, embeddings, scores, labels]
+    if not all(keep):
+        rows = list(chain.from_iterable(map(repeat, keep, counts)))
+        mention_columns = [list(compress(column, keep)) for column in mention_columns]
+        row_columns = [list(compress(column, rows)) for column in row_columns]
+        counts = list(compress(counts, keep))
+        offsets = [0, *accumulate(counts)]
+    candidate_ids, names, descriptions, domains, indegrees, embeddings, scores, labels = row_columns
+    dims = {len(e) for e in embeddings if e is not None}
+    if len(dims) > 1:
+        return None
+    mention_ids, surfaces, text_ids, context_ids, types = mention_columns
+    kept_ids = set(mention_ids)
+    pruned = 0
+    for n, ctx in enumerate(context_ids):
+        if ctx:
+            context_ids[n] = tuple(c for c in ctx if c in kept_ids)
+            pruned += len(ctx) - len(context_ids[n])
+        else:
+            context_ids[n] = ()
+    columns = Columns(
+        mention_ids=mention_ids, surfaces=surfaces, text_ids=text_ids, context_ids=context_ids, types=types,
+        offsets=offsets, candidate_ids=candidate_ids, names=names, descriptions=descriptions,
+        domains=[frozenset(d) if d else _NO_DOMAINS for d in domains], indegrees=indegrees,
+        embeddings=[e if e is None else tuple(map(float, e)) for e in embeddings] if dims else embeddings,
+        external_scores=scores if _only(score_values, float) else [{k: float(v) for k, v in s.items()} for s in scores],
+        labels=labels)
+    return columns, dims.pop() if dims else None, _counts(len(mention_ids), empty, negative, pruned)
 
 
 def atomic_write(path, data: str | bytes | memoryview) -> None:
@@ -599,7 +791,7 @@ def fetch_candidates(
             for name, value in (("id", rid), ("label", label)):
                 if not isinstance(value, str):
                     raise TypeError(f"field {name!r} is {echo(value)}, not a string")
-            if not isinstance(types, list) or not set(map(type, types)) <= {str}:
+            if not isinstance(types, list) or not _only(types, str):
                 raise TypeError(f"field 'typeName' is {echo(types)}, not a list of strings")
             if any(rid.startswith(prefix) for prefix in denylist):
                 continue

@@ -37,7 +37,7 @@ from types import MappingProxyType
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import Dataset, LabeledInstance, LoadReport, Mention, atomic_write, csv_rows, parse_json
+from .corpus import Columns, Dataset, LabeledInstance, LoadReport, Mention, atomic_write, csv_rows, parse_json
 from .errors import FeatureError
 
 logger = logging.getLogger(__name__)
@@ -301,44 +301,51 @@ def minmax_rescale(values) -> np.ndarray:
     return _rescale_lists(arr, [0, arr.size])
 
 
-def _context_column(instances, all_mentions: dict[str, Mention], offsets, run) -> np.ndarray:
-    """Every pair's raw ``ctx`` score: the summed ``partial_ratio`` of its
+def _context_column(columns: Columns, surface_of: dict[str, str], run) -> np.ndarray:
+    """Every row's raw ``ctx`` score: the summed ``partial_ratio`` of its
     list's context mentions' surfaces against its description, added in
     ``context_ids`` order from 0.0; 0 for a candidate without one. One
     ``_partial_ratio_column`` call, through ``run``, scores every (row,
     co-mention surface, description) entry of the call."""
     rows, surfaces, descriptions = [], [], []
-    for inst, start in zip(instances, offsets):
-        described = [(start + k, c.description) for k, c in enumerate(inst.candidates) if c.description is not None]
-        for ctx_id in inst.mention.context_ids:
+    offsets = columns.offsets
+    for start, end, ctx_ids in zip(offsets, offsets[1:], columns.context_ids):
+        if not ctx_ids:
+            continue
+        described = [(row, d) for row, d in zip(range(start, end), columns.descriptions[start:end]) if d is not None]
+        for ctx_id in ctx_ids:
             rows += [row for row, _ in described]
-            surfaces += [all_mentions[ctx_id].surface] * len(described)
+            surfaces += [surface_of[ctx_id]] * len(described)
             descriptions += [d for _, d in described]
     scores = _partial_ratio_column(surfaces, descriptions, run)
     return np.bincount(rows, scores, offsets[-1]).astype(np.float64)  # int64 when there are no entries
 
 
-def _context_fault(inst: LabeledInstance, all_mentions: dict[str, Mention]) -> None:
-    """Raise as ``ctx`` refuses one list: an unknown context id, else no candidates."""
-    for ctx_id in inst.mention.context_ids:
-        if ctx_id not in all_mentions:
+def _context_fault(columns: Columns, surface_of: dict[str, str], i: int) -> None:
+    """Raise as ``ctx`` refuses list i: an unknown context id, else no candidates."""
+    for ctx_id in columns.context_ids[i]:
+        if ctx_id not in surface_of:
             raise FeatureError(f"unknown context mention id {ctx_id!r}")
-    if not inst.candidates:
+    if columns.offsets[i] == columns.offsets[i + 1]:
         raise FeatureError("cannot rescale an empty vector")
 
 
-def _indegrees(inst: LabeledInstance) -> np.ndarray:
-    """One list's in-degrees, checked as ``minmax_rescale`` checks them."""
-    if not inst.candidates:
+def _indegrees(columns: Columns, i: int) -> np.ndarray:
+    """The in-degrees of list i, checked as ``minmax_rescale`` checks them."""
+    start, end = columns.offsets[i : i + 2]
+    if start == end:
         raise FeatureError("prominence needs a non-empty candidate list")
-    return _rescalable([c.indegree for c in inst.candidates])
+    return _rescalable(columns.indegrees[start:end])
+
+
+def _type_match(mention_type, domains) -> float:
+    """``type_score`` of a mention type against a candidate's domains."""
+    return 0.0 if mention_type is None else float(mention_type in domains)
 
 
 def type_score(m: Mention, e) -> float:
     """1 iff the mention has a type and it appears in the candidate domains."""
-    if m.mention_type is None:
-        return 0.0
-    return 1.0 if m.mention_type in e.domains else 0.0
+    return _type_match(m.mention_type, e.domains)
 
 
 @dataclass(frozen=True)
@@ -664,9 +671,9 @@ def _str_list(obj) -> bool:
     return isinstance(obj, list) and set(map(type, obj)) <= {str}
 
 
-def _row_mentions(mention_ids: list[str], offsets) -> list[str]:
-    """Each row's mention id: mention i's id on rows ``offsets[i]:offsets[i+1]``."""
-    return list(chain.from_iterable(map(repeat, mention_ids, np.diff(offsets).tolist())))
+def _per_row(values: list, offsets) -> list:
+    """Each row's value of its list: ``values[i]`` on rows ``offsets[i]:offsets[i+1]``."""
+    return list(chain.from_iterable(map(repeat, values, np.diff(offsets).tolist())))
 
 
 def write_features(path, ds: Dataset, table: FeatureTable) -> None:
@@ -676,7 +683,7 @@ def write_features(path, ds: Dataset, table: FeatureTable) -> None:
     temp file and a rename. The table's rows must be the pairs of ``ds`` in
     dataset order, as :func:`build_feature_table` makes them."""
     mention_ids, offsets, candidate_ids, labels = ds.row_keys()
-    if (table.mention_ids, table.candidate_ids) != (_row_mentions(mention_ids, offsets), candidate_ids):
+    if (table.mention_ids, table.candidate_ids) != (_per_row(mention_ids, offsets), candidate_ids):
         raise FeatureError("feature table rows are not the dataset's pairs in dataset order")
     header = {
         "format_version": SIDECAR_VERSION,
@@ -698,6 +705,8 @@ def write_features(path, ds: Dataset, table: FeatureTable) -> None:
 
 
 def _load_block(path: str, data_path, data_sha256: str, features_sha256: str, needed: list[str]) -> ScoringBlock:
+    if not zipfile.is_zipfile(path):  # else np.load would try, and refuse, a pickle
+        raise _Unusable("not an npz archive")
     npz = np.load(path, allow_pickle=False)
     if not isinstance(npz, np.lib.npyio.NpzFile):
         raise _Unusable("not an npz archive")
@@ -736,7 +745,7 @@ def _load_block(path: str, data_path, data_sha256: str, features_sha256: str, ne
         raise _Unusable("labels outside {0, 1}")
     if not _in_unit_range(matrix).all():
         raise _Unusable("feature value outside [0, 1]")
-    table = FeatureTable(names, _row_mentions(mention_ids, offsets), candidate_ids, matrix)
+    table = FeatureTable(names, _per_row(mention_ids, offsets), candidate_ids, matrix)
     LoadReport(**counts, sha256=data_sha256).log(data_path)
     return ScoringBlock(mention_ids, offsets.tolist(), labels, table)
 
@@ -788,80 +797,80 @@ def _check_keys(mention_ids: list[str], row_mentions: list[str], candidate_ids: 
             raise FeatureError(f"mention {repeated[0][0]!r}: duplicate candidate id {repeated[0][1]!r}")
 
 
-def _checked_lists(instances, catalog: FeatureCatalog, mentions: dict[str, Mention], counts: list[int]):
+def _checked_lists(columns: Columns, catalog: FeatureCatalog, surface_of: dict[str, str], counts: list[int]):
     """Check the lists that ``ctx`` and ``prom`` rescale a column at a time,
-    and return the in-degrees of every pair when ``catalog`` has ``prom``.
+    and return the in-degrees of every row when ``catalog`` has ``prom``.
     When a check fails, the lists are walked in dataset order, each through
     the failing kinds' own checks in catalog order, to raise the first error
     as each list was checked on its own."""
     kinds = {spec.kind for spec in catalog.entries.values()}
     checks, indegrees = {}, None
     if "ctx" in kinds:
-        unknown = set(chain.from_iterable(inst.mention.context_ids for inst in instances)).difference(mentions)
+        unknown = set(chain.from_iterable(columns.context_ids)).difference(surface_of)
         if unknown or 0 in counts:
-            checks["ctx"] = partial(_context_fault, all_mentions=mentions)
+            checks["ctx"] = partial(_context_fault, columns, surface_of)
     if "prom" in kinds:
         try:
-            indegrees = np.array([c.indegree for inst in instances for c in inst.candidates], dtype=float)
+            indegrees = np.array(columns.indegrees, dtype=float)
             clean = 0 not in counts and np.isfinite(indegrees).all()
         except (TypeError, ValueError, OverflowError):  # as one of the lists' own conversions fails
             clean = False
         if not clean:
-            checks["prom"] = _indegrees
+            checks["prom"] = partial(_indegrees, columns)
     walk = [checks[spec.kind] for spec in catalog.entries.values() if spec.kind in checks]
-    for inst in instances:
+    for i in range(len(counts)):
         for check in walk:
-            check(inst)
+            check(i)
     return indegrees
 
 
 def build_feature_table(ds: Dataset, catalog: FeatureCatalog, jobs: int = 1) -> FeatureTable:
     """Evaluate every catalog feature for every (mention, candidate) pair.
 
-    Pure given its inputs: repeated calls produce identical tables. A
-    repeated mention id, or a candidate id repeated in one list, raises
-    FeatureError. Box columns are scored for the whole dataset first, then
-    the lists of ``ctx`` and ``prom`` are checked (:func:`_checked_lists`).
-    ``pr`` and the raw ``ctx`` scores share one kernel,
-    :func:`_partial_ratio_column`: ``pr`` over every (surface, name) pair,
-    ``ctx`` over every (co-mention surface, description) entry of the call
-    (:func:`_context_column`), whose DPs run in threads when ``jobs > 1``.
-    Every feature is one column over all pairs in dataset order, then
-    candidate position (``jacc``, ``lev``, ``jw`` and ``pr`` from the column
-    kernels, ``ctx`` and ``prom`` rescaled list by list in one pass), written
-    into the table's matrix.
+    Pure given its inputs: repeated calls produce identical tables. Every
+    kind but ``box`` reads the dataset's :class:`Columns`, so a loaded
+    dataset builds no instances here. A repeated mention id, or a candidate
+    id repeated in one list, raises FeatureError. Box columns are scored for
+    the whole dataset first, then the lists of ``ctx`` and ``prom`` are
+    checked (:func:`_checked_lists`). ``pr`` and the raw ``ctx`` scores
+    share one kernel, :func:`_partial_ratio_column`: ``pr`` over every
+    (surface, name) pair, ``ctx`` over every (co-mention surface,
+    description) entry of the call (:func:`_context_column`), whose DPs run
+    in threads when ``jobs > 1``. Every feature is one column over all pairs
+    in dataset order, then candidate position (``jacc``, ``lev``, ``jw`` and
+    ``pr`` from the column kernels, ``ctx`` and ``prom`` rescaled list by
+    list in one pass), written into the table's matrix.
     """
-    instances = ds.instances
+    columns = ds.columns
     mention_ids, offsets, candidate_ids, _ = ds.row_keys()
     counts = np.diff(offsets).tolist()
-    row_mentions = _row_mentions(mention_ids, offsets)
+    row_mentions = _per_row(mention_ids, offsets)
     _check_keys(mention_ids, row_mentions, candidate_ids)
     boxes = {name: _box_column(ds, spec) for name, spec in catalog.entries.items() if spec.kind == "box"}
-    mentions = ds.mentions_by_id()
+    surface_of = dict(zip(mention_ids, columns.surfaces))
     kinds = {spec.kind for spec in catalog.entries.values()}
-    indegrees = _checked_lists(instances, catalog, mentions, counts)
+    indegrees = _checked_lists(columns, catalog, surface_of, counts)
     lists = {}
     if "ctx" in kinds:
         with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-            raws = _context_column(instances, mentions, offsets, pool.map if pool else map)
+            raws = _context_column(columns, surface_of, pool.map if pool else map)
         lists["ctx"] = _rescale_lists(raws, offsets)
     if indegrees is not None:
         lists["prom"] = _rescale_lists(indegrees, offsets)
 
-    pairs = [(inst.mention, c) for inst in instances for c in inst.candidates]
-    surfaces, names = [m.surface for m, _ in pairs], [c.name for _, c in pairs]
-    matrix = np.empty((len(pairs), len(catalog.entries)))
+    rows, surfaces = len(candidate_ids), _per_row(columns.surfaces, offsets)
+    matrix = np.empty((rows, len(catalog.entries)))
     missing_external: dict[str, tuple[int, int]] = {}  # name -> (first instance lacking it, count)
     for column, (name, spec) in zip(matrix.T, catalog.entries.items()):
         if spec.kind in _NAME_KERNELS:
-            column[:] = _NAME_KERNELS[spec.kind](surfaces, names)
+            column[:] = _NAME_KERNELS[spec.kind](surfaces, columns.names)
         elif spec.kind in lists:
             column[:] = lists[spec.kind]
         elif spec.kind == "type":
-            column[:] = np.fromiter((type_score(m, c) for m, c in pairs), float, len(pairs))
+            column[:] = np.fromiter(map(_type_match, _per_row(columns.types, offsets), columns.domains), float, rows)
         elif spec.kind == "external":
-            scores = [c.external_scores for _, c in pairs]
-            column[:] = np.fromiter((s.get(spec.source, 0.0) for s in scores), float, len(pairs))
+            scores = columns.external_scores
+            column[:] = np.fromiter((s.get(spec.source, 0.0) for s in scores), float, rows)
             lacking = [k for k, s in enumerate(scores) if spec.source not in s]
             if lacking:
                 missing_external[name] = (bisect_right(offsets, lacking[0]) - 1, len(lacking))

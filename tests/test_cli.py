@@ -23,7 +23,7 @@ from rulelink import cli, errors, evaluation
 from rulelink.cli import run
 from rulelink.corpus import load_dataset, save_dataset
 from rulelink.ruledsl import ast_leaves, find_root, parse
-from rulelink.simfeatures import FeatureTable
+from rulelink.simfeatures import FeatureTable, sidecar_path
 from rulelink.training import load_model, save_model
 from synthgen import generate_dataset
 
@@ -839,6 +839,14 @@ def _symlink(path, target) -> Path:
     return path
 
 
+def _sidecar_as_out(path) -> dict:
+    """Flags that read a dataset and its LNN-EL features, made in ``path``,
+    and write to the features' sidecar."""
+    data, features = _dataset_file(path / "d.jsonl"), path / "f.csv"
+    assert run(["featurize", "--data", str(data), "--rules", "builtin:LNN-EL", "--out", str(features)]) == 0
+    return {"data": data, "features": features, "out": Path(sidecar_path(features))}
+
+
 def _argv(command: str, inputs: Path, fresh: Path, endpoint: str | None, **changed) -> list[str]:
     """A run of ``command`` that succeeds on ``cli_inputs``, writing into
     ``fresh``, with the flags ``changed`` replacing or joining its own."""
@@ -919,6 +927,7 @@ _EXIT_CODES = [
      lambda t: {"features": _file(t / "f.csv", "mention_id,candidate_id,jacc\nm,c,7.5\n")}),
     ("train", "divergence", 2, lambda t: {}),
     ("train", "out is a directory", 2, lambda t: {"out": t}),
+    ("train", "out is the features sidecar", 1, _sidecar_as_out),
     ("link", "missing model", 1, lambda t: {"model": t / "nope.json"}),
     ("link", "malformed model", 1, lambda t: {"model": _file(t / "m.json", '{"format_version": 1}')}),
     ("link", "model number that is a string", 1, lambda t: {"model": _file(t / "m.json", _model_text({"beta": "1"}))}),
@@ -926,10 +935,12 @@ _EXIT_CODES = [
     ("link", "out in a missing directory", 1, lambda t: {"out": t / "missing" / "p.json"}),
     ("link", "out is a directory", 2, lambda t: {"out": t}),
     ("link", "out is the model", 1, lambda t: {"model": _file(t / "m.json", _model_text()), "out": t / "m.json"}),
+    ("link", "out is the features sidecar", 1, _sidecar_as_out),
     ("eval", "cutoff below 1", 1, lambda t: {"ks": 0}),
     ("eval", "cutoff not an integer", 1, lambda t: {"ks": "a"}),
     ("transfer", "empty cutoff", 1, lambda t: {"ks": "5,"}),
     ("eval", "out is a directory", 2, lambda t: {"out": t}),
+    ("eval", "out is the features sidecar", 1, _sidecar_as_out),
     ("transfer", "missing feature CSV", 1, lambda t: {"features": t / "nope.csv"}),
     ("ablate", "unknown template", 1, lambda t: {"templates": "Nope"}),
     ("ablate", "empty template list", 1, lambda t: {"templates": ""}),
@@ -984,3 +995,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("rulelink: ") and "Traceback" not in err
         assert [line for line in err.splitlines() if line.startswith("rulelink")] == [err.splitlines()[0]]
+
+    @pytest.mark.parametrize("command", ["train", "link", "eval"])
+    def test_out_that_is_the_features_sidecar_is_refused_and_left_alone(self, cli_inputs, tmp_path, capsys, command):
+        flags = _sidecar_as_out(tmp_path)
+        sidecar = flags["out"]
+        before = sidecar.read_bytes()
+        capsys.readouterr()
+        assert run(_argv(command, cli_inputs, tmp_path, None, **flags)) == 1
+        assert capsys.readouterr().err == (
+            f"rulelink: --out {sidecar} is the input --features {sidecar}; no command writes over its inputs\n")
+        assert sidecar.read_bytes() == before

@@ -251,6 +251,15 @@ class TestFuzzedSidecar:
         _ARCHIVE_FAULTS[fault](Path(sidecar_path(work / "features.csv")))
         assert self._check(work, model, capsys, caplog) == [(0, "")] * len(COMMANDS)
 
+    def test_json_at_the_sidecar_path_is_not_an_npz_archive(self, work, model, capsys, caplog):
+        sidecar = sidecar_path(work / "features.csv")
+        Path(sidecar).write_text('[{"mention_id": "m0", "ranked": []}]')
+        code, out, stdout, stderr, warnings = _outcome(work, model, "link", capsys, caplog)
+        assert [w for w in warnings if sidecar in w] == [
+            f"feature sidecar {sidecar} not used (not an npz archive); "
+            f"reading {work / 'data.jsonl'} and {work / 'features.csv'}"]
+        assert self._check(work, model, capsys, caplog) == [(0, "")] * len(COMMANDS)
+
     @pytest.mark.parametrize("fault", sorted(_BLOCK_FAULTS))
     def test_damaged_block(self, work, model, capsys, caplog, fault):
         path = Path(sidecar_path(work / "features.csv"))
