@@ -365,7 +365,7 @@ def _forward(s: _Stack, effective: tuple, raw: dict | None = None, grad: dict | 
     if span == 0.0:
         dscores = np.zeros_like(sims)
     else:
-        dout = margin_loss_prepared(out[0], s.labels[0], mu)[1]
+        dout = margin_loss_prepared(out[0], s.labels[0], mu, loss=False)[1]
         dscores = dout / span
         dscores[lo_i] -= dout.sum() / span
         coeff = (dout * diff[0]).sum() / span**2

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,27 +109,35 @@ def link(model: Model, ds: Dataset | ScoringBlock, table: FeatureTable | None = 
     ]
 
 
-def _gold_ids(ds: Dataset | ScoringBlock) -> dict[str, set[str]]:
+def _gold_ids(preds: list[Prediction], ds: Dataset | ScoringBlock) -> tuple[dict[str, set[str]], int]:
+    """Each mention's gold candidate ids, and the number of mentions;
+    ValueError for a prediction of a mention ``ds`` lacks, or of one that
+    earlier predictions have named as often as ``ds`` holds it."""
     mention_ids, offsets, candidate_ids, labels = ds.row_keys()
     gold = {mid: set() for mid in mention_ids}
     for row in np.flatnonzero(np.asarray(labels) == 1).tolist():
         gold[mention_ids[bisect_right(offsets, row) - 1]].add(candidate_ids[row])
-    return gold
+    left = Counter(mention_ids)
+    for pred in preds:
+        if pred.mention_id not in gold:
+            raise ValueError(f"prediction for unknown mention {echo(pred.mention_id)}")
+        if not left[pred.mention_id]:
+            raise ValueError(f"repeated prediction for mention {echo(pred.mention_id)}")
+        left[pred.mention_id] -= 1
+    return gold, len(mention_ids)
 
 
 def prf1(preds: list[Prediction], ds: Dataset | ScoringBlock) -> EvalReport:
     """Top-1 precision/recall/F1; (0,0,0) when nothing was predicted."""
-    gold = _gold_ids(ds)
+    gold, n = _gold_ids(preds, ds)
     per_mention = []
     correct = 0
     for pred in preds:
-        if pred.mention_id not in gold:
-            raise ValueError(f"prediction for unknown mention {pred.mention_id!r}")
         ok = pred.top in gold[pred.mention_id]
         correct += ok
         per_mention.append((pred.mention_id, ok))
     precision = correct / len(preds) if preds else 0.0
-    recall = correct / len(ds.instances) if ds.instances else 0.0
+    recall = correct / n if n else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return EvalReport(precision=precision, recall=recall, f1=f1, per_mention=tuple(per_mention))
 
@@ -138,18 +147,16 @@ def recall_at_k(preds: list[Prediction], ds: Dataset | ScoringBlock, ks) -> dict
     ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
         raise ValueError("k values must be positive")
-    gold = _gold_ids(ds)
+    gold, n = _gold_ids(preds, ds)
     # the rank of each prediction's first gold candidate: its top k holds a
     # gold one exactly when that rank is below k
     ranks = []
     for pred in preds:
-        wanted = gold.get(pred.mention_id)
-        if wanted:
-            rank = next((r for r, (cid, _) in enumerate(pred.ranked) if cid in wanted), None)
-            if rank is not None:
-                ranks.append(rank)
+        wanted = gold[pred.mention_id]
+        rank = next((r for r, (cid, _) in enumerate(pred.ranked) if cid in wanted), None)
+        if rank is not None:
+            ranks.append(rank)
     ranks.sort()
-    n = len(ds.instances)
     return {k: bisect_left(ranks, k) / n if n else 0.0 for k in ks}
 
 

@@ -22,10 +22,17 @@ AND(x) = prod x_i, used by the thresholds-only training mode. Predicates
 so the comparison stays differentiable and theta stays inside (0, 1).
 
 A :class:`ScoringGraph` compiles its rule tree once into a tape of ops
-over a ``[n_nodes, rows]`` value matrix; each op keeps what its backward
-reads, and the backward pass runs the tape in reverse over those (the
-upward and downward passes of Riegel et al. 2020). Every raw parameter
-lives in one flat vector that the gate and threshold objects view.
+over a ``[n_nodes, rows]`` value matrix laid out in tape order: the root
+is row 0, each op's nodes are one contiguous stretch, and the threshold
+leaves and then the raw leaves follow, so each op and each leaf kind
+writes its own stretch in place. Each op keeps what its backward reads,
+and the backward pass runs the tape in reverse over those (the upward and
+downward passes of Riegel et al. 2020), reading each op's gradients as a
+view of its stretch of a gradient matrix with the same layout. Every raw
+parameter lives in one flat vector that the gate and threshold objects
+view; what a step derives from it (effective weights, biases, weight sums,
+hinge inputs, the penalty's and the weights' gradients) is written into
+arrays the graph makes once, with per-op views of them made once too.
 
 Default initialization for fresh gates: effective weights 1, bias 1, raw
 slacks 0 (effective ln 2), gamma 0 (theta 0.5).
@@ -50,8 +57,7 @@ def sigmoid(x):
     x = np.asarray(x, dtype=float)
     pos = x >= 0
     ex = np.exp(np.where(pos, -x, x))
-    denom = 1.0 + ex
-    out = np.where(pos, 1.0 / denom, ex / denom)
+    out = np.where(pos, 1.0, ex) / (1.0 + ex)
     return float(out) if out.ndim == 0 else out
 
 
@@ -143,43 +149,50 @@ def _check_unit(values, what: str):
 # --- op kernels: the tape runs these, and the scalar gates below call them ---
 
 
-def _fold(op, terms):
-    """Reduce over the children axis left to right. numpy's ``sum`` pairs
-    terms up when that axis is contiguous (a one-row batch), which would
-    score a row differently alone than inside a larger batch."""
+def _fold(op, terms, out=None):
+    """Reduce over the children axis left to right, into ``out`` when it is
+    given. numpy's ``sum`` pairs terms up when that axis is contiguous (a
+    one-row batch), which would score a row differently alone than inside a
+    larger batch."""
     acc = terms[0]
     for term in terms[1:]:
-        acc = op(acc, term)
-    return acc
+        acc = op(acc, term, out=out)
+    if out is None or len(terms) > 1:
+        return acc
+    np.copyto(out, acc)
+    return out
 
 
-def _and_core(inputs: np.ndarray, weights: np.ndarray, bias: float):
-    """Pre-clamp activation, clamped value and ``1 - inputs`` (what the
-    backward pass multiplies by) of the weighted conjunction."""
+def _and_core(inputs: np.ndarray, weights: np.ndarray, bias: float, out=None):
+    """Pre-clamp activation, clamped value (written into ``out`` when it is
+    given) and ``1 - inputs`` (what the backward pass multiplies by) of the
+    weighted conjunction."""
     w = weights[..., None] if inputs.ndim > weights.ndim else weights
     comp = 1.0 - inputs
     pre = bias - _fold(np.add, comp * w)
     # the method is np.clip's result, bit for bit (NaN payloads and signed
     # zeros included), without its Python-level dispatch
-    return pre, pre.clip(0.0, 1.0), comp
+    return pre, pre.clip(0.0, 1.0, out=out), comp
 
 
-def _threshold_core(f, theta):
-    """Smooth predicate value f * sigmoid(f - theta), and the sigmoid."""
+def _threshold_core(f, theta, out=None):
+    """Smooth predicate value f * sigmoid(f - theta) (written into ``out``
+    when it is given), and the sigmoid."""
     s = sigmoid(f - theta)
-    return f * s, s
+    return np.multiply(f, s, out=out), s
 
 
-def _hinges(alpha, w, wsum, beta, beta_per_w, slacks, slack_big):
-    """Pre-activations (r0, r_i) of the truth-semantics hinges.
+def _hinges(alpha, w, wsum, beta, beta_per_w, slacks, slack_big, out=(None, None)):
+    """Pre-activations (r0, r_i) of the truth-semantics hinges, written
+    into the arrays of ``out`` when they are given.
 
     r0 is positive when the bias is too small for true inputs to stay true,
     r_i when it is too large for false input i to pull the gate down:
         r0  = alpha - (beta - (1-alpha) sum w + Delta)
         r_i = (beta - alpha w_i) - (1 - alpha + delta_i)
     """
-    r0 = alpha - (beta - (1.0 - alpha) * wsum + slack_big)
-    return r0, (beta_per_w - alpha * w) - (1.0 - alpha + slacks)
+    r0 = np.subtract(alpha, beta - (1.0 - alpha) * wsum + slack_big, out=out[0])
+    return r0, np.subtract(beta_per_w - alpha * w, 1.0 - alpha + slacks, out=out[1])
 
 
 def _residuals(r0, ri):
@@ -287,11 +300,12 @@ class RawLeaf(Node):
 
 
 # A tape op runs every inner node of one height (longest path down to a
-# leaf), kind and arity at once, children axis first: (code, uids [n], kids
-# [k, n] or [n] for NOT, extra, is-or), where extra is the op's position
-# among the lnn ops for _LNN (its parameters are ScoringGraph._effective's
-# "ops" entry of that position), arange(k) for _TNORM and the weights
-# [k, n, 1] for _MANUAL. The leaves run first, in one block.
+# leaf), kind and arity at once, children axis first: (code, rows, kids
+# [k, n] or [n] for NOT, extra, is-or), where rows is the op's stretch of the
+# value matrix, kids the rows of its nodes' children, and extra the op's
+# position among the lnn ops for _LNN (its parameters are
+# ScoringGraph._effective's "ops" entry of that position), arange(k) for
+# _TNORM and the weights [k, n, 1] for _MANUAL. The leaves run first.
 _NOT, _LNN, _TNORM, _MANUAL = range(4)
 _BLOCK_ROWS = 512
 
@@ -370,6 +384,23 @@ class ScoringGraph:
                        for (w0, g0), (w1, g1), shape in zip(ends, ends[1:], shapes)]
         # residual_sum adds the gates up in preorder, the tree's order
         self._preorder = np.argsort([node.uid for node in gates])
+        # Made once and rewritten in place, so no step builds arrays or views
+        # for them: _effective's softplus part, biases, weight sums and hinges
+        # (r_i then r0, laid out like the slacks and big slacks),
+        # penalty_grads' softplus part and backward's weight and bias
+        # gradients, with each gate op's views of them.
+        self._sp, self._pen, self._r = np.empty(2 * k + g), np.empty(2 * k + g), np.empty(k + g)
+        self._bias, self._wsum, self._dw, self._db = np.empty(g), np.empty(g), np.empty(k), np.empty(g)
+        self._ri, self._r0 = self._r[:k], self._r[k:]
+        self._op_sums = [(self._sp[ws].reshape(shape), self._wsum[gs]) for ws, gs, shape in self._spans]
+        self._op_params = [(self._sp[ws].reshape(shape).T[..., None], self._bias[gs, None])
+                           for ws, gs, shape in self._spans]
+        self._op_grads = [(self._db[gs], self._dw[ws].reshape(shape).T) for ws, gs, shape in self._spans]
+        # An or gate's value moves with its pre-clamp activation times -1,
+        # and the activation with each weight times -(1 - input): backward
+        # applies these signs to the bias and weight gradients per block.
+        self._bsign = np.array([-1.0 if isinstance(node, OrNode) else 1.0 for node in gates])
+        self._wsign = -self._bsign[self._gate_of_w]
         slots = {}  # (name suffix, start, stop, shape) per parameter
         for i, (node, lo, a) in enumerate(zip(gates, wstart, arity)):
             beta, big = 2 * k + g + i, 2 * k + i
@@ -406,8 +437,10 @@ class ScoringGraph:
         ``sig`` is the sigmoid of :attr:`flat` (the softplus derivative of
         its softplus part), ``theta`` a column per threshold leaf and
         ``dgamma`` the negated d(theta)/d(gamma) per learnable one. In lnn
-        mode ``ops`` holds each lnn op's weights ``[k, n, 1]`` and biases
-        ``[n, 1]``, views of its stretches of the two blocks."""
+        mode the softplus part, the biases, the weight sums and the hinges
+        are written into the arrays :meth:`_bind` made, and ``ops`` holds
+        each lnn op's weights ``[k, n, 1]`` and biases ``[n, 1]``: views of
+        those arrays, the same objects from one call to the next."""
         key = self.flat.tobytes()
         if key == self._eff_key:
             return self._eff
@@ -419,45 +452,57 @@ class ScoringGraph:
         eff = {"sig": sig, "theta": theta[:, None], "dgamma": -(learned * (1.0 - learned))}
         if self.mode == "lnn" and self._arity:
             rho, delta, beta, big = self._blocks
-            sp = softplus(self.flat[:beta.start])
-            w, b = sp[rho], self.flat[beta].copy()
-            wsum = np.empty(len(self._arity))
-            for ws, gs, shape in self._spans:  # each row of an [n, k] block sums as a lone length-k array
-                np.add.reduce(w[ws].reshape(shape), axis=1, out=wsum[gs])
-            eff["r0"], eff["ri"] = _hinges(self.alpha, w, wsum, b, b[self._gate_of_w], sp[delta], sp[big])
-            eff["ops"] = [(w[ws].reshape(shape).T[..., None], b[gs, None]) for ws, gs, shape in self._spans]
+            sp, b = self._sp, self._bias
+            np.logaddexp(0.0, self.flat[:beta.start], out=sp)  # softplus
+            np.copyto(b, self.flat[beta])
+            for block, total in self._op_sums:  # each row of an [n, k] block sums as a lone length-k array
+                np.add.reduce(block, axis=1, out=total)
+            _hinges(self.alpha, sp[rho], self._wsum, b, b[self._gate_of_w], sp[delta], sp[big], (self._r0, self._ri))
+            eff["ops"] = self._op_params
         self._eff_key, self._eff = key, eff
         return eff
 
     def _compile(self, groups: list[list[Node]]) -> None:
+        """Lay out the value matrix and build the tape. The ops' nodes come
+        first, one contiguous stretch per op, the ops in reverse tape order
+        (so the root, alone in the last op, is row 0), then the threshold
+        leaves and then the raw leaves, each kind in preorder. A root that
+        is a leaf is row 0 as the one leaf."""
         column = {name: i for i, name in enumerate(self.feature_names)}
-        raws = [n for n in self.nodes if isinstance(n, RawLeaf)]
         tls = [n for n in self.nodes if isinstance(n, ThresholdLeaf)]
-        self._raw_uids, self._raw_cols = np.array([(n.uid, column[n.feature]) for n in raws], np.intp).reshape(-1, 2).T
-        self._tl_uids, self._tl_cols = np.array([(n.uid, column[n.feature]) for n in tls], np.intp).reshape(-1, 2).T
+        raws = [n for n in self.nodes if isinstance(n, RawLeaf)]
+        self._uids = [n.uid for nodes in reversed(groups) for n in nodes] + [n.uid for n in tls + raws]
+        self._row = row = {uid: i for i, uid in enumerate(self._uids)}
+        t0 = len(self._uids) - len(tls) - len(raws)
+        self._tl_rows, self._raw_rows = slice(t0, t0 + len(tls)), slice(t0 + len(tls), len(self._uids))
+        self._tl_cols = np.array([column[n.feature] for n in tls], dtype=np.intp)
+        self._raw_cols = np.array([column[n.feature] for n in raws], dtype=np.intp)
         self._theta_fixed = np.array([np.nan if n.fixed_theta is None else n.fixed_theta for n in tls], dtype=float)
         self._theta_learn = np.array([i for i, n in enumerate(tls) if n.fixed_theta is None], dtype=np.intp)
-        # the learnable leaves among all threshold leaves: a view when they are all of them
-        self._learn = slice(None) if len(self._theta_learn) == len(tls) else self._theta_learn
-        self._learn_uids = self._tl_uids[self._theta_learn]
+        # the learnable leaves among all threshold leaves, and their rows:
+        # slices when they are all of them
+        every = len(self._theta_learn) == len(tls)
+        self._learn = slice(None) if every else self._theta_learn
+        self._learn_rows = self._tl_rows if every else t0 + self._theta_learn
         code = {"lnn": _LNN, "tnorm": _TNORM, "manual": _MANUAL}[self.mode]
         # a node's children are leaves or in an earlier op
         self._ops, lnn = [], 0
         for nodes in groups:
             cls, k = type(nodes[0]), len(nodes[0].children)
-            uids = np.array([n.uid for n in nodes], dtype=np.intp)
-            kids = np.array([[c.uid for c in n.children] for n in nodes], dtype=np.intp).T
+            start = row[nodes[0].uid]
+            rows = slice(start, start + len(nodes))
+            kids = np.array([[row[c.uid] for c in n.children] for n in nodes], dtype=np.intp).T
             flip = cls is OrNode
             if cls is NotNode:
-                op = (_NOT, uids, kids[0], None, False)
+                op = (_NOT, rows, kids[0], None, False)
             elif code == _LNN:
-                op, lnn = (_LNN, uids, kids, lnn, flip), lnn + 1
+                op, lnn = (_LNN, rows, kids, lnn, flip), lnn + 1
             elif code == _TNORM:
-                op = (_TNORM, uids, kids, np.arange(k), flip)
+                op = (_TNORM, rows, kids, np.arange(k), flip)
             else:
                 default = np.full(k, 1.0 / k) if flip else np.ones(k)
                 weights = [default if n.manual_weights is None else n.manual_weights for n in nodes]
-                op = (_MANUAL, uids, kids, np.array(weights).T[:, :, None], flip)
+                op = (_MANUAL, rows, kids, np.array(weights).T[:, :, None], flip)
             self._ops.append(op)
 
     def _run(self, feats: np.ndarray, cache: dict | None = None) -> np.ndarray:
@@ -473,50 +518,55 @@ class ScoringGraph:
             return np.concatenate([self._tape(feats[:, i:i + _BLOCK_ROWS], eff)[0][0] for i in blocks])
         values, kept, leaves = self._tape(feats, eff)
         cache["tape"] = (values, kept, leaves, eff)
-        return values[0].copy()
+        return values[0]
 
     def _tape(self, feats: np.ndarray, eff: dict) -> tuple:
-        """The value matrix over the rows of ``feats``; per op what
-        :meth:`backward` reads, ``(arr [k, n, rows], pre [n, rows])`` (None
-        for NOT): ``1 - inputs`` and the pre-clamp activation for lnn, the
-        inputs and their product for tnorm, the inputs and the value in
-        manual mode; and the learnable threshold leaves' feature rows and
-        sigmoids (None in manual mode)."""
-        values = np.empty((len(self.nodes), feats.shape[1]))
-        values[self._raw_uids] = feats[self._raw_cols]
-        f, theta = feats[self._tl_cols], eff["theta"]
+        """The value matrix over the rows of ``feats``, laid out as
+        :meth:`_compile` says, each leaf kind and each op writing its own
+        stretch in place; per op what :meth:`backward` reads, ``(arr [k, n,
+        rows], pre [n, rows])`` (None for NOT): ``1 - inputs`` and the
+        pre-clamp activation for lnn, the inputs and their product for
+        tnorm, the inputs and the value in manual mode; and the learnable
+        threshold leaves' feature rows and sigmoids (None in manual mode)."""
+        values = np.empty((len(self._uids), feats.shape[1]))
+        # ``take`` gathers rows at a third of the cost of indexing; every
+        # index is in range, so "clip" changes nothing but spares the bounds
+        # check's buffer
+        feats.take(self._raw_cols, axis=0, out=values[self._raw_rows], mode="clip")
+        f, theta, tl = feats.take(self._tl_cols, axis=0), eff["theta"], values[self._tl_rows]
         if self.mode == "manual":
-            values[self._tl_uids], leaves = np.where(f > theta, f, 0.0), None
+            tl[...], leaves = np.where(f > theta, f, 0.0), None
         else:
-            values[self._tl_uids], s = _threshold_core(f, theta)
+            s = _threshold_core(f, theta, tl)[1]
             leaves = f[self._learn], s[self._learn]
         kept = []
-        for code, u, kids, extra, flip in self._ops:
+        for code, rows, kids, extra, flip in self._ops:
+            out = values[rows]
+            xs = values.take(kids, axis=0)
             if code == _NOT:
-                values[u] = 1.0 - values[kids]
+                np.subtract(1.0, xs, out=out)
                 kept.append(None)
                 continue
-            xs = values[kids]
             if code == _LNN:
                 weights, bias = eff["ops"][extra]
-                pre, out, comp = _and_core(1.0 - xs if flip else xs, weights, bias)
+                pre, value, comp = _and_core(1.0 - xs if flip else xs, weights, bias, out)
                 kept.append((comp, pre))
-                values[u] = 1.0 - out if flip else out
             elif code == _TNORM:
                 inputs = 1.0 - xs if flip else xs
-                prod = _fold(np.multiply, inputs)
-                kept.append((inputs, prod))
-                values[u] = 1.0 - prod if flip else prod
+                value = _fold(np.multiply, inputs, None if flip else out)
+                kept.append((inputs, value))
             else:
-                values[u] = out = _fold(np.add if flip else np.multiply, extra * xs)
-                kept.append((xs, out))
+                kept.append((xs, _fold(np.add if flip else np.multiply, extra * xs, out)))
+                continue
+            if flip:  # OR(x) = 1 - AND(1 - x)
+                np.subtract(1.0, value, out=out)
         return values, kept, leaves
 
     def check_nan(self, feats: np.ndarray) -> np.ndarray:
         """``feats``, a ``[features, rows]`` matrix in :attr:`feature_names`
         order; ValueError names the first feature holding a NaN."""
         nan = np.isnan(feats)
-        if nan.any():
+        if np.count_nonzero(nan):  # ``nan.any()`` dispatches through Python
             raise ValueError(f"feature {self.feature_names[int(np.argmax(nan.any(axis=1)))]!r} contains NaN")
         return feats
 
@@ -545,10 +595,10 @@ class ScoringGraph:
         state: dict = {}
         self.evaluate_batch(cols, state)
         values, kept, _, _ = state["tape"]
-        for (code, uids, kids, _, flip), keep in zip(self._ops, kept):
-            for i, (u, k) in enumerate(zip(uids.tolist(), kids.T if code != _NOT else ())):
+        for (code, rows, kids, _, flip), keep in zip(self._ops, kept):
+            for i, (u, k) in enumerate(zip(self._uids[rows], kids.T if code != _NOT else ())):
                 cache[u] = (1.0 - values[k] if flip and code != _MANUAL else values[k], keep[1][i])
-        return values[node.uid]
+        return values[self._row[node.uid]]
 
     def backward(self, cache: dict, dout: np.ndarray, grads: np.ndarray) -> None:
         """Accumulate d(loss)/d(raw parameter) into the flat ``grads``.
@@ -556,28 +606,32 @@ class ScoringGraph:
         ``cache`` holds the intermediates of the :meth:`evaluate_batch` call
         that produced the scores, made with the current parameters; ``dout``
         is d(loss)/d(score) per row. The sub-gradient at clamp kinks is zero.
+
+        The gradient matrix is laid out like the value matrix, so each op
+        reads its nodes' gradients as a view of its stretch. An or gate's
+        inputs take its sign -1 twice (1 - x in, 1 - value out), so they
+        take none; its bias and weight gradients take it once, with every
+        gate's sign, when each block is added to ``grads``. The lnn ops
+        reduce their weight and bias gradients into the arrays :meth:`_bind`
+        made (so one graph runs one backward at a time).
         """
         if self.mode == "manual":
             return
         values, kept, leaves, eff = cache["tape"]
         dvalues = np.zeros(values.shape)  # rows no gradient reaches stay 0
         dvalues[0] = dout
-        # the lnn ops' weight and bias gradients, each op's in its stretch
-        dw, db = np.zeros(len(self._gate_of_w)), np.zeros(len(self._arity))
-        for (code, u, kids, extra, flip), keep in zip(reversed(self._ops), reversed(kept)):
-            g = dvalues[u]
+        for (code, rows, kids, extra, _), keep in zip(reversed(self._ops), reversed(kept)):
+            g = dvalues[rows]
             if code == _NOT:
                 dvalues[kids] = -g
                 continue
             arr, pre = keep  # arr: 1 - inputs for lnn, the inputs for tnorm
             if code == _LNN:
-                live = (pre > 0.0) & (pre < 1.0)
-                ge = (-g if flip else g) * live
-                ws, gs, shape = self._spans[extra]
-                np.add.reduce(ge, axis=1, out=db[gs])
-                np.add.reduce(ge[None] * arr, axis=2, out=dw[ws].reshape(shape).T)
-                dx_inner = ge[None] * eff["ops"][extra][0]
-                dvalues[kids] = -dx_inner if flip else dx_inner
+                ge = g * ((pre > 0.0) & (pre < 1.0))
+                db, dw = self._op_grads[extra]
+                np.add.reduce(ge, axis=1, out=db)
+                np.add.reduce(ge * arr, axis=2, out=dw)
+                dvalues[kids] = ge * eff["ops"][extra][0]
             else:  # tnorm: for or, the two sign flips (1-x in, 1-prod out) cancel
                 # terms[i] is the inputs with input i set to 1.0; folding it
                 # multiplies the other inputs in order, exactly
@@ -588,30 +642,33 @@ class ScoringGraph:
         # the blocks: one add per block
         if self.mode == "lnn":
             rho, _, beta, _ = self._blocks
-            grads[rho] += -dw * eff["sig"][rho]
-            grads[beta] += db
-        if len(self._learn_uids):
+            grads[rho] += self._dw * self._wsign * eff["sig"][rho]
+            grads[beta] += self._db * self._bsign
+        if len(self._theta_learn):
             f, s = leaves
             # d(f*s)/dgamma = f * s(1-s) * (-1) * theta(1-theta)
-            grads[self._gamma0:] += (dvalues[self._learn_uids] * f * s * (1.0 - s)).sum(axis=1) * eff["dgamma"]
+            terms = dvalues[self._learn_rows] * f * s * (1.0 - s)
+            grads[self._gamma0:] += np.add.reduce(terms, axis=1) * eff["dgamma"]
 
     def residual_sum(self) -> float:
         if self.mode != "lnn" or not self._arity:
             return 0.0
-        eff = self._effective()
-        per_gate = np.concatenate([_residuals(eff["r0"][gs], eff["ri"][ws].reshape(shape)).sum(axis=1)
+        self._effective()
+        per_gate = np.concatenate([_residuals(self._r0[gs], self._ri[ws].reshape(shape)).sum(axis=1)
                                    for ws, gs, shape in self._spans])
         return float(sum(per_gate[self._preorder].tolist()))
 
     def penalty_grads(self, lam: float, grads: np.ndarray) -> None:
-        """Add d(lam * residual sum)/d(raw parameter) to the flat ``grads`` (lnn mode only)."""
+        """Add d(lam * residual sum)/d(raw parameter) to the flat ``grads``
+        (lnn mode only): the biases' part, then the softplus part in one add."""
         if self.mode != "lnn" or lam == 0.0 or not self._arity:
             return
-        eff = self._effective()
-        alpha, sig, (rho, delta, beta, big) = self.alpha, eff["sig"], self._blocks
-        r0_active, ri_active = eff["r0"] > 0.0, eff["ri"] > 0.0
+        sig, alpha, (rho, delta, beta, big) = self._effective()["sig"], self.alpha, self._blocks
+        active = self._r > 0.0  # laid out like the slacks and big slacks
+        ri_active, r0_active = active[:rho.stop], active[rho.stop:]
         counts = np.bincount(self._gate_of_w, weights=ri_active, minlength=len(self._arity))
         grads[beta] += lam * (-1.0 * r0_active + counts)
-        grads[rho] += lam * (r0_active[self._gate_of_w] * (1.0 - alpha) - alpha * ri_active) * sig[rho]
-        grads[delta] += lam * (-1.0) * ri_active * sig[delta]
-        grads[big] += lam * (-1.0) * r0_active * sig[big]
+        pen = self._pen
+        np.multiply(lam * (r0_active[self._gate_of_w] * (1.0 - alpha) - alpha * ri_active), sig[rho], out=pen[rho])
+        np.multiply(lam * (-1.0) * active, sig[delta.start:big.stop], out=pen[delta.start:])
+        grads[:big.stop] += pen

@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -516,26 +516,32 @@ class FeatureTable:
         row, in table order."""
         return self.matrix.T[self._positions(names)]
 
-    def _rows(self, instances) -> tuple[list[int], list[int]]:
-        """The rows of many instances' candidates, concatenated in order,
-        plus offsets: instance i owns ``rows[offsets[i]:offsets[i+1]]``."""
-        index, rows, offsets = self.index, [], [0]
-        for inst in instances:
-            mid = inst.mention.id
-            found = [index.get((mid, cand.id)) for cand in inst.candidates]
-            if None in found:
-                cid = inst.candidates[found.index(None)].id
-                raise FeatureError(f"feature table lacks row ({mid!r}, {cid!r})")
-            rows += found
-            offsets.append(len(rows))
-        return rows, offsets
+    def _rows(self, mention_ids, offsets, candidate_ids) -> list[int]:
+        """The table rows of candidate lists given as :meth:`Dataset.row_keys`
+        gives them (list i of mention ``mention_ids[i]`` holds
+        ``candidate_ids[offsets[i]:offsets[i+1]]``), concatenated in order."""
+        keys = list(zip(_per_row(mention_ids, offsets), candidate_ids))
+        rows = list(map(self.index.get, keys))
+        if None in rows:
+            mid, cid = keys[rows.index(None)]
+            raise FeatureError(f"feature table lacks row ({mid!r}, {cid!r})")
+        return rows
 
     def gather_matrix(self, instances, names=None) -> tuple[np.ndarray, list[int]]:
         """The ``[features, rows]`` matrix of the named columns over many
         instances' candidates, concatenated in order, plus offsets: instance
-        i owns columns ``offsets[i]:offsets[i+1]``."""
+        i owns columns ``offsets[i]:offsets[i+1]``. ``instances`` may be a
+        Dataset, read through :meth:`Dataset.row_keys`, so a loaded one
+        builds no instances here."""
         positions = self._positions(names)
-        rows, offsets = self._rows(instances)
+        if isinstance(instances, Dataset):
+            mention_ids, offsets, candidate_ids, _ = instances.row_keys()
+        else:
+            instances = list(instances)
+            mention_ids = [inst.mention.id for inst in instances]
+            offsets = [0, *accumulate(len(inst.candidates) for inst in instances)]
+            candidate_ids = [cand.id for inst in instances for cand in inst.candidates]
+        rows = self._rows(mention_ids, offsets, candidate_ids)
         # the block np.ix_(positions, rows) picks, at half the cost for one short list
         return self.matrix.T[positions[:, None], np.array(rows, dtype=np.intp)], offsets
 
@@ -631,7 +637,9 @@ class ScoringBlock:
     offsets: list[int]
     labels: np.ndarray
     table: FeatureTable
-    instances = property(lambda self: self.mention_ids)  # counted as a Dataset's instances are
+    # perfbench's traced run counts mentions as len(ds.instances); rulelink
+    # itself counts them through row_keys
+    instances = property(lambda self: self.mention_ids)
 
     def row_keys(self) -> tuple[list[str], list[int], list[str], np.ndarray]:
         """As :meth:`Dataset.row_keys` gives them for the block's dataset."""
@@ -646,7 +654,7 @@ def scoring_rows(ds: Dataset | ScoringBlock, table: FeatureTable | None, names) 
     is None)."""
     if table is None:
         return ds.table.select_matrix(names), ds.offsets
-    return table.gather_matrix(ds.instances, names)
+    return table.gather_matrix(ds, names)
 
 
 class _Unusable(Exception):

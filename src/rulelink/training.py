@@ -249,7 +249,7 @@ def prepare_labels(labels) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
 
 
-def margin_loss_prepared(scores: np.ndarray, prepared, mu: float, grad: bool = True):
+def margin_loss_prepared(scores: np.ndarray, prepared, mu: float, grad: bool = True, loss: bool = True):
     """Margin loss and its gradient d(loss)/d(scores) for one candidate list
     of float ``scores``, given its :func:`prepare_labels` indices.
 
@@ -258,22 +258,28 @@ def margin_loss_prepared(scores: np.ndarray, prepared, mu: float, grad: bool = T
     on the positive and +1 on the negative per active pair, with
     sub-gradient 0 at the kink; being integer counts it does not depend on
     summation order. With ``grad`` false it is not built and comes back as
-    None, for callers that read only the loss.
+    None, for callers that read only the loss; with ``loss`` false the loss
+    is not summed and comes back as None, for the descent steps, which read
+    only the gradient.
     """
     positives, negatives = prepared
     if positives.size == 0:
         raise ValueError("margin loss needs at least one positive label")
-    negative_scores = scores[negatives]
+    negative_scores = scores.take(negatives)
     dscores = np.zeros(scores.shape) if grad else None
     total = 0.0
-    for p in positives:
+    for i, p in enumerate(positives.tolist()):
         margins = mu - (scores[p] - negative_scores)
-        total += np.add.reduce(np.maximum(0.0, margins))
+        if loss:
+            total += np.add.reduce(np.maximum(0.0, margins))
         if grad:
             active = margins > 0.0
             dscores[p] -= np.count_nonzero(active)
-            dscores[negatives] += active
-    return float(total), dscores
+            if i:
+                dscores[negatives] += active
+            else:  # onto zeros: the values the add would give
+                dscores.put(negatives, active)
+    return (float(total) if loss else None), dscores
 
 
 def margin_loss(scores, labels, mu: float):
@@ -296,9 +302,9 @@ def descend(params: dict, n_items: int, step, epoch_stats, config) -> list[dict]
     rng = np.random.default_rng(config.seed)
     log: list[dict] = []
     for epoch in range(config.epochs):
-        for idx in rng.permutation(n_items):
+        for idx in rng.permutation(n_items).tolist():
             scores, grads = step(idx)
-            if not np.isfinite(scores).all():
+            if np.count_nonzero(np.isfinite(scores)) < len(scores):  # ``.all()`` dispatches through Python
                 raise TrainingDivergence(f"non-finite score in epoch {epoch}, item {idx}", log=log)
             for name, g in grads.items():
                 params[name] -= config.learning_rate * g
@@ -316,7 +322,7 @@ def _mention_grads(graph: ScoringGraph, block, prepared, mu: float, grads: np.nd
     ``grads`` (laid out like ``graph.flat``)."""
     cache: dict = {}
     scores = graph.evaluate_batch(block, cache)
-    _, dscores = margin_loss_prepared(scores, prepared, mu)
+    dscores = margin_loss_prepared(scores, prepared, mu, loss=False)[1]
     if np.count_nonzero(dscores):
         graph.backward(cache, dscores, grads)
     return scores

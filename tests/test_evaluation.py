@@ -171,27 +171,46 @@ class TestRecallAtK:
 
 
 def _recall_brute_force(preds, ds, ks):
-    """recall_at_k as one set per prediction per k."""
+    """recall_at_k as one set per prediction per k, after a check of each
+    prediction in turn: its mention is in ``ds``, and earlier predictions
+    have not named it as often as ``ds`` holds it."""
     gold = {inst.mention.id: {c.id for c, l in zip(inst.candidates, inst.labels) if l == 1} for inst in ds.instances}
+    mention_ids = [inst.mention.id for inst in ds.instances]
+    for i, pred in enumerate(preds):
+        if pred.mention_id not in gold:
+            raise ValueError(f"prediction for unknown mention {pred.mention_id!r}")
+        if [p.mention_id for p in preds[:i + 1]].count(pred.mention_id) > mention_ids.count(pred.mention_id):
+            raise ValueError(f"repeated prediction for mention {pred.mention_id!r}")
     out = {}
     for k in ks:
-        hits = sum(1 for pred in preds if {cid for cid, _ in pred.ranked[:k]} & gold.get(pred.mention_id, set()))
+        hits = sum(1 for pred in preds if {cid for cid, _ in pred.ranked[:k]} & gold[pred.mention_id])
         out[k] = hits / len(ds.instances) if ds.instances else 0.0
     return out
+
+
+def _recall_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
 
 
 @st.composite
 def _ranked_case(draw):
     """Mentions with 0 to 3 gold candidates among up to 8, and predictions
-    that skip some mentions, repeat others, name an unknown mention or rank
-    ids outside the list."""
+    for some of them that rank ids outside the list too; sometimes one more
+    prediction, anywhere, repeats a mention or names an unknown one."""
     rows = []
     for i in range(draw(st.integers(0, 5))):
         labels = draw(st.lists(st.sampled_from([0, 0, 1]), min_size=1, max_size=8))
         rows.append((f"m{i}", [(f"c{j}", l) for j, l in enumerate(labels)]))
     ids = st.sampled_from([f"c{j}" for j in range(10)])
-    mentions = st.sampled_from([mid for mid, _ in rows] + ["unknown"])
-    preds = draw(st.lists(st.tuples(mentions, st.lists(ids, max_size=10, unique=True)), max_size=8))
+    mids = [mid for mid, _ in rows]
+    named = draw(st.lists(st.sampled_from(mids), unique=True)) if mids else []
+    if draw(st.booleans()):
+        extra = draw(st.sampled_from(named + ["unknown"]))
+        named.insert(draw(st.integers(0, len(named))), extra)
+    preds = [(mid, draw(st.lists(ids, max_size=10, unique=True))) for mid in named]
     ks = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
     return _dataset(rows), _preds([(mid, [(cid, 0.5) for cid in ranked]) for mid, ranked in preds]), ks
 
@@ -201,12 +220,43 @@ class TestRecallAtKOnePass:
     @given(_ranked_case())
     def test_matches_brute_force_count(self, case):
         ds, preds, ks = case
-        assert recall_at_k(preds, ds, ks) == _recall_brute_force(preds, ds, ks)
+        assert _recall_outcome(recall_at_k, preds, ds, ks) == _recall_outcome(_recall_brute_force, preds, ds, ks)
 
     def test_k_below_one_rejected(self):
         ds = _dataset([("m1", [("a", 1)])])
         with pytest.raises(ValueError, match="positive"):
             recall_at_k(_preds([("m1", [("a", 0.9)])]), ds, [5, 0])
+
+
+class TestBadPredictions:
+    """prf1 and recall_at_k reject the same predictions with the same error."""
+
+    DS = [("m1", [("a", 1), ("b", 0)]), ("m2", [("a", 0), ("b", 1)])]
+
+    @pytest.mark.parametrize("score", [prf1, lambda preds, ds: recall_at_k(preds, ds, [1, 2])],
+                             ids=["prf1", "recall_at_k"])
+    @pytest.mark.parametrize("preds, message", [
+        ([("m9", [("a", 0.9)])], "^prediction for unknown mention 'm9'$"),
+        ([("m1", [("a", 0.9)]), ("m9", [("a", 0.9)])], "^prediction for unknown mention 'm9'$"),
+        ([("m1", [("a", 0.9)]), ("m1", [("a", 0.9)])], "^repeated prediction for mention 'm1'$"),
+        ([("m1", [("b", 0.9)]), ("m2", [("b", 0.9)]), ("m1", [("a", 0.9)])],
+         "^repeated prediction for mention 'm1'$"),
+    ], ids=["unknown", "unknown-after-known", "repeated", "repeated-later"])
+    def test_unknown_or_repeated_mention_raises(self, score, preds, message):
+        with pytest.raises(ValueError, match=message):
+            score(_preds(preds), _dataset(self.DS))
+
+    def test_a_mention_the_dataset_repeats_takes_as_many_predictions(self):
+        ds = _dataset(self.DS + self.DS[:1])
+        preds = _preds([("m1", [("a", 0.9)]), ("m2", [("b", 0.9)]), ("m1", [("b", 0.9)])])
+        assert prf1(preds, ds).recall == pytest.approx(2 / 3)
+        assert recall_at_k(preds, ds, [1, 2]) == {1: pytest.approx(2 / 3), 2: pytest.approx(2 / 3)}
+        with pytest.raises(ValueError, match="^repeated prediction for mention 'm1'$"):
+            prf1(preds + preds[:1], ds)
+
+    def test_an_unknown_mention_long_id_is_cut(self):
+        with pytest.raises(ValueError, match=r"^prediction for unknown mention '.{199}\.\.\.$"):
+            recall_at_k(_preds([("m" * 500, [("a", 0.9)])]), _dataset(self.DS), [1])
 
 
 class TestReportSerialization:

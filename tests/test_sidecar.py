@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import DEEP_JSON, HUGE_JSON_INT
 from rulelink import cli
 from rulelink.cli import run
-from rulelink.corpus import save_dataset
+from rulelink.corpus import CandidateEntity, save_dataset
 from rulelink.simfeatures import SIDECAR_VERSION, FeatureTable, sidecar_path
 from synthgen import generate_dataset
 
@@ -292,3 +292,19 @@ class TestFuzzedSidecar:
         assert with_sidecar == [_outcome(work, model, c, capsys, caplog) for c in COMMANDS]
         assert [o[0] for o in with_sidecar] == [0] * len(COMMANDS)
         assert [o[4] for o in with_sidecar] == [[]] * len(COMMANDS)
+
+    def test_the_fallback_builds_no_instances(self, work, model, capsys, caplog, monkeypatch):
+        # with no sidecar, every command reads the JSONL and the CSV as
+        # columns and builds no candidate object
+        with_sidecar = [_outcome(work, model, c, capsys, caplog) for c in COMMANDS]
+        Path(sidecar_path(work / "features.csv")).unlink()
+        built = []
+        init = CandidateEntity.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[:1] or kwargs.get("id"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CandidateEntity, "__init__", counting)
+        assert [_outcome(work, model, c, capsys, caplog) for c in COMMANDS] == with_sidecar
+        assert built == []

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import tree_reference as ref
 from rulelink.corpus import CandidateEntity, Dataset, LabeledInstance, Mention
-from rulelink.logic import AndNode, GateParams, NotNode, OrNode, RawLeaf, ScoringGraph, ThresholdLeaf, _and_core
+from rulelink.logic import (AndNode, GateParams, NotNode, OrNode, RawLeaf, ScoringGraph, ThresholdLeaf, ThresholdParams,
+                            _and_core)
 from rulelink.simfeatures import FeatureTable
 from rulelink.training import TrainConfig, gradients, load_model, save_model, total_loss, train
 from test_evaluation import _ragged_case
@@ -201,3 +202,169 @@ class TestClamp:
         assert pre.tobytes() == ref_pre.tobytes()
         assert out.tobytes() == ref_out.tobytes()
         assert comp.tobytes() == ref_comp.tobytes()
+
+
+# --- the value-matrix layout, and shapes the fuzzed cases rarely draw -------
+
+
+def _lists_over(graph, lengths, seed):
+    """A dataset of one list per entry of ``lengths`` (one positive each)
+    and its feature table over ``graph``'s features; a fifth of the values
+    are exactly 1.0, where clamps sit on their kinks."""
+    rng = np.random.default_rng(seed)
+    names = graph.feature_names
+    table = FeatureTable(names)
+    instances = []
+    for i, n in enumerate(lengths):
+        labels = [0] * n
+        labels[int(rng.integers(0, n))] = 1
+        cands = tuple(CandidateEntity(id=f"m{i}c{j}", name="x") for j in range(n))
+        instances.append(LabeledInstance(Mention(id=f"m{i}", surface="s", text_id="t"), cands, tuple(labels)))
+        for cand in cands:
+            values = np.where(rng.random(len(names)) < 0.2, 1.0, rng.random(len(names)))
+            table.add_row(f"m{i}", cand.id, dict(zip(names, values.tolist())))
+    return table, Dataset(instances=tuple(instances), name="layout")
+
+
+def _leaf(rng, i):
+    roll = rng.integers(0, 4)
+    if roll == 0:
+        return RawLeaf(f"f{i}")
+    return ThresholdLeaf(f"f{i}", fixed_theta=0.4 if roll == 1 else None)
+
+
+def _or_heavy(rng, depth, counter):
+    """A random tree of mostly OR gates (1-4 children), with a few ANDs,
+    NOTs and leaves of every kind."""
+    if depth == 0 or rng.random() < 0.2:
+        counter[0] += 1
+        leaf = _leaf(rng, counter[0])
+        return NotNode(leaf) if rng.random() < 0.2 else leaf
+    children = [_or_heavy(rng, depth - 1, counter) for _ in range(int(rng.integers(1, 5)))]
+    gate = GateParams(len(children), raw_weights=rng.normal(0.5, 0.7, len(children)), bias=rng.uniform(0.3, 1.5),
+                      raw_slacks=rng.normal(0, 1, len(children)), raw_slack_big=rng.normal(0, 1))
+    node = (OrNode if rng.random() < 0.8 else AndNode)(children, gate=gate)
+    return NotNode(node) if rng.random() < 0.1 else node
+
+
+def _graph(kind, seed, mode):
+    rng = np.random.default_rng(seed)
+    if kind == "threshold-root":
+        root = ThresholdLeaf("f0", ThresholdParams(float(rng.normal(0, 1))))
+    elif kind == "raw-root":
+        root = RawLeaf("f0")
+    elif kind == "not-root":
+        root = NotNode(_or_heavy(rng, 3, [0]) if rng.random() < 0.7 else _leaf(rng, 0))
+    else:
+        root = _or_heavy(rng, 4, [0])
+    return ScoringGraph(root, mode=mode)
+
+
+def _matches_tree_walk(make, config):
+    """``make()`` builds (graph, table, ds) afresh. The tape's scores (in one
+    batch and row by row), gradients, loss and residual sum, and a training
+    run's log and parameters, equal the tree walk's by bytes."""
+    graph, table, ds = make()
+    cols = dict(zip(graph.feature_names, table.gather_matrix(ds.instances, graph.feature_names)[0]))
+    assert graph.evaluate_batch(cols).tobytes() == ref.score(graph, cols).tobytes()
+    for row in range(len(cols[graph.feature_names[0]])):
+        one = {name: col[row:row + 1] for name, col in cols.items()}
+        assert graph.evaluate_batch(one).tobytes() == ref.score(graph, one).tobytes()
+    assert _bytes(gradients(graph, table, ds, config)) == _bytes(ref.gradients(graph, table, ds, config))
+    loss = np.float64(total_loss(graph, table, ds, config)).tobytes()
+    assert loss == np.float64(ref.total_loss(graph, table, ds, config)).tobytes()
+    assert np.float64(graph.residual_sum()).tobytes() == np.float64(ref.residual_sum(graph)).tobytes()
+    log = train(ds, table, graph, config).training_log
+    trained = _bytes(graph.parameters())
+    graph, table, ds = make()
+    assert json.dumps(log) == json.dumps(ref.train(ds, table, graph, config))
+    assert trained == _bytes(graph.parameters())
+
+
+class TestShapesTheFuzzRarelyDraws:
+    CONFIG = TrainConfig(epochs=2, learning_rate=0.05, mu=0.7, penalty_lambda=1.0, seed=4)
+
+    @pytest.mark.parametrize("mode", ["lnn", "tnorm", "manual"])
+    @pytest.mark.parametrize("kind", ["threshold-root", "raw-root", "not-root"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_leaf_and_not_roots(self, kind, mode, seed):
+        def make():
+            graph = _graph(kind, seed, mode)
+            return (graph, *_lists_over(graph, [3, 1, 5, 2], seed))
+
+        _matches_tree_walk(make, self.CONFIG)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_row_lists_under_or_heavy_lnn_graphs(self, seed):
+        def make():
+            graph = _graph("or-heavy", seed, "lnn")
+            return (graph, *_lists_over(graph, [1, 1, 2, 1, 1, 3], seed))
+
+        _matches_tree_walk(make, self.CONFIG)
+
+    @pytest.mark.parametrize("mode", ["lnn", "tnorm"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_row_backward(self, mode, seed):
+        # a one-row list has no negative, so training never runs backward on
+        # one row; run it with a chosen d(loss)/d(score)
+        graph = _graph("or-heavy" if seed % 3 else "not-root", seed, mode)
+        table, ds = _lists_over(graph, [1, 1, 1], seed)
+        for inst, dout in zip(ds.instances, (1.0, -2.0, 0.5)):
+            cols = table.columns(inst, graph.feature_names)
+            cache, grads = {}, np.zeros_like(graph.flat)
+            graph.evaluate_batch(cols, cache)
+            graph.backward(cache, np.array([dout]), grads)
+            ref_cache, ref_grads = {}, {}
+            ref.forward(graph, graph.root, cols, ref_cache)
+            ref.backward(graph, graph.root, np.array([dout]), ref_cache, ref_grads)
+            expected = {name: ref_grads.get(name, np.zeros_like(arr)) for name, arr in graph.parameters().items()}
+            assert _bytes(graph.unflatten(grads)) == _bytes(expected)
+
+
+class TestValueMatrixLayout:
+    @pytest.mark.parametrize("mode", ["lnn", "tnorm", "manual"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_root_is_row_zero_and_each_op_one_stretch(self, mode, seed):
+        graph, table, ds = _fuzzed_graph_and_data(seed, mode)
+        cols = table.columns(ds.instances[0], graph.feature_names)
+        cache = {}
+        graph.evaluate_batch(cols, cache)
+        values = cache["tape"][0]
+        assert values.shape == (len(graph.nodes), len(ds.instances[0].candidates))
+        rows = {node.uid: graph._row[node.uid] for node in graph.nodes}
+        assert sorted(rows.values()) == list(range(len(graph.nodes)))
+        assert rows[graph.root.uid] == 0
+        # the ops, last first, tile the rows from 0 up; each op's nodes are
+        # its stretch, and each row holds its node's values
+        start = 0
+        for op in reversed(graph._ops):
+            stretch = op[1]
+            assert (stretch.start, stretch.step) == (start, None)
+            start = stretch.stop
+        inner = [n for n in graph.nodes if n.children]
+        assert start == len(inner)
+        assert sorted(rows[n.uid] for n in inner) == list(range(len(inner)))
+        for node in graph.nodes:
+            assert values[rows[node.uid]].tobytes() == ref.forward(graph, node, cols, {}).tobytes()
+
+    def test_a_leaf_root_is_row_zero(self):
+        for root in (ThresholdLeaf("jacc"), RawLeaf("jacc")):
+            graph = ScoringGraph(root)
+            cache = {}
+            scores = graph.evaluate_batch({"jacc": np.array([0.2, 0.9])}, cache)
+            assert graph._ops == [] and graph._row == {0: 0}
+            assert cache["tape"][0].shape == (1, 2)
+            assert scores.tobytes() == ref.score(graph, {"jacc": np.array([0.2, 0.9])}).tobytes()
+
+    def test_parameter_buffers_are_made_once(self):
+        graph = _unclamped_graph()
+        first = graph._effective()["ops"]
+        held = [(weights, bias, weights.copy(), bias.copy()) for weights, bias in first]
+        graph.flat += 0.25
+        second = graph._effective()["ops"]
+        assert len(second) == len(first)
+        for (weights, bias), (w0, b0, w_before, b_before) in zip(second, held):
+            assert weights is w0 and bias is b0
+            assert weights.tobytes() != w_before.tobytes() and bias.tobytes() != b_before.tobytes()
+        # the views read the new parameters, as the tree walk does
+        assert graph.evaluate_batch(_cols()).tobytes() == ref.score(graph, _cols()).tobytes()
